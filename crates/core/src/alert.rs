@@ -1,7 +1,8 @@
 //! The ALERT feedback loop (paper §3.2).
 //!
-//! [`AlertController`] owns the candidate table and the two online
-//! estimators (ξ and φ) and exposes the per-input cycle:
+//! [`AlertController`] holds the candidate table (in an `Arc`-shared,
+//! immutable [`DecisionTables`] bundle), owns the two online estimators
+//! (ξ and φ), and exposes the per-input cycle:
 //!
 //! * [`AlertController::decide`] — steps 2–4: adjust the goal (shared
 //!   deadlines, overhead compensation), estimate every configuration from
@@ -23,6 +24,7 @@ use alert_stats::cputime::DecisionStopwatch;
 use alert_stats::kalman::AdaptiveKalmanParams;
 use alert_stats::units::{Seconds, Watts};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// How estimates incorporate uncertainty.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -193,12 +195,72 @@ pub struct DecisionTrace {
     pub cost: Seconds,
 }
 
+/// The immutable decision tables one controller schedules over: the
+/// profiled candidate table, the selection fast lane built from it, and
+/// per-model-row facts the caller needs to act on a selection.
+///
+/// Nothing in here is learned or touched by a decision, so one bundle
+/// is built per distinct (family, candidate set, node, budget) and
+/// shared by `Arc` across every controller over that table
+/// ([`AlertController::with_tables`]); each controller keeps its own
+/// [`LaneScratch`], [`DecisionCache`] and estimators.
+#[derive(Debug)]
+pub struct DecisionTables {
+    table: ConfigTable,
+    lane: CandidateLane,
+    /// Table model row → the caller's model index (e.g. the unrestricted
+    /// family's).
+    model_index: Vec<usize>,
+    /// Whether each table model row is an anytime network.
+    is_anytime: Vec<bool>,
+}
+
+impl DecisionTables {
+    /// Builds the bundle: flattens and prunes `table` into its lane.
+    /// `model_index[i]` is the caller's index of table model row `i`.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a `model_index` that does not cover every model row.
+    pub fn new(table: ConfigTable, model_index: Vec<usize>) -> Result<Self, String> {
+        if model_index.len() != table.models().len() {
+            return Err(format!(
+                "model index covers {} rows, the table has {}",
+                model_index.len(),
+                table.models().len()
+            ));
+        }
+        let lane = CandidateLane::build(&table);
+        let is_anytime = table.models().iter().map(|m| m.is_anytime()).collect();
+        Ok(DecisionTables {
+            table,
+            lane,
+            model_index,
+            is_anytime,
+        })
+    }
+
+    /// The candidate table.
+    pub fn table(&self) -> &ConfigTable {
+        &self.table
+    }
+
+    /// The caller's model index of each table model row.
+    pub fn model_index(&self) -> &[usize] {
+        &self.model_index
+    }
+
+    /// Whether each table model row is an anytime network.
+    pub fn is_anytime(&self) -> &[bool] {
+        &self.is_anytime
+    }
+}
+
 /// The ALERT runtime controller.
 #[derive(Debug, Clone)]
 pub struct AlertController {
-    table: ConfigTable,
-    /// The selection fast lane (SoA + pruning), built once from `table`.
-    lane: CandidateLane,
+    /// The shared, immutable table and fast lane.
+    tables: Arc<DecisionTables>,
     /// Reusable per-decision scratch (probability memo, quality buffer).
     scratch: LaneScratch,
     /// Belief-banded decision memo. *Not* learned state: snapshots do not
@@ -216,7 +278,23 @@ pub struct AlertController {
 }
 
 impl AlertController {
-    /// Creates a controller over a candidate table.
+    /// Creates a controller over a candidate table of its own (model
+    /// rows index themselves).
+    ///
+    /// # Errors
+    ///
+    /// See [`AlertController::with_tables`].
+    pub fn new(table: ConfigTable, params: AlertParams) -> Result<Self, String> {
+        let rows = table.models().len();
+        Self::with_tables(
+            Arc::new(DecisionTables::new(table, (0..rows).collect())?),
+            params,
+        )
+    }
+
+    /// Creates a controller over a shared decision-table bundle. Only the
+    /// per-decision scratch, the decision cache, the estimators and the
+    /// goal adjuster are this controller's own.
     ///
     /// # Errors
     ///
@@ -224,7 +302,7 @@ impl AlertController {
     /// constants (paper §3.4) and the initial idle ratio (Eq. 8) arrive
     /// from user configuration (`RunSpec` files), so bad values must
     /// surface to the caller instead of aborting the process.
-    pub fn new(table: ConfigTable, params: AlertParams) -> Result<Self, String> {
+    pub fn with_tables(tables: Arc<DecisionTables>, params: AlertParams) -> Result<Self, String> {
         if !(params.initial_idle_ratio.is_finite()
             && (0.0..=1.0).contains(&params.initial_idle_ratio))
         {
@@ -242,11 +320,9 @@ impl AlertController {
         if let OverheadPolicy::Fixed(t) = params.overhead {
             adjuster.record_overhead(t);
         }
-        let lane = CandidateLane::build(&table);
-        let scratch = LaneScratch::for_lane(&lane);
+        let scratch = LaneScratch::for_lane(&tables.lane);
         Ok(AlertController {
-            table,
-            lane,
+            tables,
             scratch,
             cache: DecisionCache::new(),
             xi: SlowdownEstimator::with_params(params.kalman)?,
@@ -301,7 +377,7 @@ impl AlertController {
             // revalidation inside the band replays it verbatim.
             Some(sel) => (sel, true),
             None => {
-                let sel = self.lane.select_with_period(
+                let sel = self.tables.lane.select_with_period(
                     &mut self.scratch,
                     &xi,
                     idle_ratio,
@@ -327,8 +403,8 @@ impl AlertController {
             belief_std: xi.std_dev(),
             idle_ratio,
             effective_deadline: effective,
-            candidates: self.lane.candidate_count(),
-            live: self.lane.live_count(),
+            candidates: self.tables.lane.candidate_count(),
+            live: self.tables.lane.live_count(),
             selected: sel.candidate,
             estimates: sel.estimates,
             feasible: sel.feasible,
@@ -348,7 +424,12 @@ impl AlertController {
 
     /// The candidate table.
     pub fn table(&self) -> &ConfigTable {
-        &self.table
+        &self.tables.table
+    }
+
+    /// The shared decision-table bundle this controller schedules over.
+    pub fn tables(&self) -> &Arc<DecisionTables> {
+        &self.tables
     }
 
     /// The slowdown estimator (diagnostics; Fig. 11 data).
@@ -363,7 +444,7 @@ impl AlertController {
 
     /// The selection fast lane (diagnostics: candidate/pruning counts).
     pub fn lane(&self) -> &CandidateLane {
-        &self.lane
+        &self.tables.lane
     }
 
     /// Decision-cache effectiveness counters.
@@ -690,6 +771,75 @@ mod tests {
         let _ = other.decide(&goal).unwrap();
         other.restore(&snap);
         assert!(other.last_trace().is_none());
+    }
+
+    #[test]
+    fn controllers_sharing_tables_decide_like_independent_ones() {
+        // Two controllers over one bundle, fed diverging measurements and
+        // interleaved decision by decision, must select exactly what two
+        // controllers with their own tables select: nothing a decision
+        // writes (scratch generation, probability memo, cache) may live
+        // in the shared part.
+        let shared = Arc::new(DecisionTables::new(table(), vec![0, 1, 2]).unwrap());
+        let mean_only = AlertParams::mean_only();
+        let mut shared_ctls = [
+            AlertController::with_tables(shared.clone(), AlertParams::default()).unwrap(),
+            AlertController::with_tables(shared.clone(), mean_only).unwrap(),
+        ];
+        let mut own_ctls = [
+            AlertController::new(table(), AlertParams::default()).unwrap(),
+            AlertController::new(table(), mean_only).unwrap(),
+        ];
+        let goals = [
+            Goal::minimize_error(Seconds(0.12), Joules(20.0)),
+            Goal::minimize_energy(Seconds(0.15), 0.9),
+        ];
+        for i in 0..120 {
+            if i % 40 == 0 {
+                for ctl in shared_ctls.iter_mut().chain(own_ctls.iter_mut()) {
+                    ctl.begin_group(Seconds(0.5), 3);
+                }
+            }
+            for (k, (s, o)) in shared_ctls.iter_mut().zip(own_ctls.iter_mut()).enumerate() {
+                let goal = goals[(i + k) % 2];
+                // A repeat under an unchanged belief exercises the cache.
+                for _ in 0..2 {
+                    let a = s.decide(&goal).unwrap();
+                    let b = o.decide(&goal).unwrap();
+                    assert_eq!(
+                        format!("{a:?}"),
+                        format!("{b:?}"),
+                        "input {i}, controller {k}"
+                    );
+                }
+                let sel = s.last_trace().unwrap().selected;
+                let t_prof = s.table().t_prof_stage(sel);
+                // Controller 0 sees contention ramp up, controller 1
+                // sees it fade: their beliefs move apart.
+                let slow = if k == 0 {
+                    1.0 + i as f64 / 60.0
+                } else {
+                    2.0 - i as f64 / 120.0
+                };
+                let obs = Observation {
+                    latency: t_prof * slow,
+                    profile_equivalent: t_prof,
+                    idle_power: Some(Watts(5.0 + k as f64)),
+                    idle_cap: s.table().cap(sel.power),
+                };
+                s.observe(&obs);
+                o.observe(&obs);
+            }
+        }
+        assert!(Arc::ptr_eq(
+            shared_ctls[0].tables(),
+            shared_ctls[1].tables()
+        ));
+        let beliefs = shared_ctls.each_ref().map(|c| c.slowdown().mean());
+        assert!(
+            beliefs[0] > beliefs[1] + 0.5,
+            "beliefs must diverge: {beliefs:?}"
+        );
     }
 
     #[test]

@@ -89,9 +89,10 @@ struct LaneEntry {
     slot_base: u32,
 }
 
-/// The static fast-lane tables. Built once per controller from a
-/// [`ConfigTable`]; immutable afterwards (per-decision mutable state
-/// lives in [`LaneScratch`]).
+/// The static fast-lane tables, built from a [`ConfigTable`] and
+/// immutable afterwards, so one lane is shared by every controller over
+/// that table ([`crate::alert::DecisionTables`]); per-decision mutable
+/// state lives in each controller's [`LaneScratch`].
 #[derive(Debug, Clone)]
 pub struct CandidateLane {
     /// Every execution target, in exact table-enumeration order.

@@ -46,7 +46,8 @@ pub mod slowdown;
 pub use alert_workload::goal;
 
 pub use alert::{
-    AlertController, AlertParams, ControllerSnapshot, DecisionTrace, Observation, ProbabilityMode,
+    AlertController, AlertParams, ControllerSnapshot, DecisionTables, DecisionTrace, Observation,
+    ProbabilityMode,
 };
 pub use config::{Candidate, CandidateModel, ConfigTable, StagePoint};
 pub use goal::{Goal, GoalAdjuster, Objective};

@@ -8,13 +8,14 @@
 //! * **ALERT\*** — the mean-only ablation of §5.3 (Fig. 10).
 
 use crate::scheduler::{Decision, Feedback, InputContext, Scheduler};
-use alert_core::alert::{AlertController, AlertParams, Observation};
+use alert_core::alert::{AlertController, AlertParams, DecisionTables, Observation};
 use alert_core::config::{CandidateModel, ConfigTable, StagePoint};
 use alert_models::family::CandidateSet;
 use alert_models::inference::{self, StopPolicy};
 use alert_models::ModelFamily;
 use alert_platform::{split_budget, Backend, Platform};
 use alert_stats::units::{Seconds, Watts};
+use std::sync::Arc;
 
 /// Builds the controller's candidate table from a family on a platform.
 ///
@@ -171,19 +172,52 @@ pub fn build_table_multi(
     Ok((table, index_map))
 }
 
+/// Builds the decision-table bundle ALERT schedules over: `family`
+/// restricted to `set`, profiled on every node device (`platforms[0]`
+/// first, see [`build_table_multi`]) under `shared_budget`, with each
+/// table model row mapped back to its index in the unrestricted
+/// `family`. This is the one table construction path of the ALERT
+/// policies and of serving admission
+/// ([`AlertAdmission::for_runtime`](crate::serving::AlertAdmission::for_runtime)).
+///
+/// # Errors
+///
+/// See [`build_table_multi`].
+pub fn decision_tables(
+    family: &ModelFamily,
+    set: CandidateSet,
+    platforms: &[&Platform],
+    shared_budget: Option<Watts>,
+) -> Result<Arc<DecisionTables>, String> {
+    let restricted = family.restrict(set);
+    let (table, index_map) = build_table_multi(&restricted, platforms, shared_budget)?;
+    // Map restricted indices back to the *original* family indices.
+    let family_map: Vec<usize> = index_map
+        .iter()
+        .map(|&ri| {
+            let name = &restricted.models()[ri].name;
+            family
+                .models()
+                .iter()
+                .position(|m| &m.name == name)
+                // lint:allow(no-panic): the restricted family is filtered out of this same family, so every member resolves
+                .expect("restricted model exists in family")
+        })
+        .collect();
+    Ok(Arc::new(DecisionTables::new(table, family_map)?))
+}
+
 /// ALERT as a [`Scheduler`].
 pub struct AlertScheduler {
     name: String,
     controller: AlertController,
-    /// Maps table model indices back to family indices.
-    index_map: Vec<usize>,
-    /// Whether each table model is anytime (cached).
-    is_anytime: Vec<bool>,
     base_goal: alert_core::Goal,
 }
 
 impl AlertScheduler {
-    /// Creates an ALERT scheduler over a candidate subset.
+    /// Creates an ALERT scheduler over a candidate subset on one
+    /// platform. Multi-device nodes build their bundle with
+    /// [`decision_tables`] and go through [`AlertScheduler::with_tables`].
     ///
     /// # Errors
     ///
@@ -199,52 +233,27 @@ impl AlertScheduler {
         goal: alert_core::Goal,
         params: AlertParams,
     ) -> Result<Self, String> {
-        Self::new_hetero(name, family, set, &[platform], None, goal, params)
+        let tables = decision_tables(family, set, &[platform], None)?;
+        Self::with_tables(name, tables, goal, params)
     }
 
-    /// Creates an ALERT scheduler whose candidate space spans several
-    /// backends: each candidate is a (device, model variant, DVFS level)
-    /// triple and the controller places every input jointly with its
-    /// model and cap choice. `shared_budget` splits one node-level power
-    /// envelope across the backends (see [`build_table_multi`]).
-    ///
-    /// With a single platform and no budget this is exactly
-    /// [`AlertScheduler::new`].
+    /// Creates an ALERT scheduler over an already built (typically
+    /// shared) decision-table bundle from [`decision_tables`].
     ///
     /// # Errors
     ///
-    /// See [`AlertScheduler::new`] and [`build_table_multi`].
-    pub fn new_hetero(
+    /// Returns a description of the problem when the goal fails
+    /// validation or the controller parameters are invalid.
+    pub fn with_tables(
         name: impl Into<String>,
-        family: &ModelFamily,
-        set: CandidateSet,
-        platforms: &[&Platform],
-        shared_budget: Option<Watts>,
+        tables: Arc<DecisionTables>,
         goal: alert_core::Goal,
         params: AlertParams,
     ) -> Result<Self, String> {
         goal.validate().map_err(|e| format!("invalid goal: {e}"))?;
-        let restricted = family.restrict(set);
-        let (table, index_map) = build_table_multi(&restricted, platforms, shared_budget)?;
-        let is_anytime = table.models().iter().map(|m| m.is_anytime()).collect();
-        // Map restricted indices back to the *original* family indices.
-        let family_map: Vec<usize> = index_map
-            .iter()
-            .map(|&ri| {
-                let name = &restricted.models()[ri].name;
-                family
-                    .models()
-                    .iter()
-                    .position(|m| &m.name == name)
-                    // lint:allow(no-panic): the restricted family is filtered out of this same family, so every member resolves
-                    .expect("restricted model exists in family")
-            })
-            .collect();
         Ok(AlertScheduler {
             name: name.into(),
-            controller: AlertController::new(table, params)?,
-            index_map: family_map,
-            is_anytime,
+            controller: AlertController::with_tables(tables, params)?,
             base_goal: goal,
         })
     }
@@ -264,29 +273,6 @@ impl AlertScheduler {
             family,
             CandidateSet::Standard,
             platform,
-            goal,
-            AlertParams::default(),
-        )
-    }
-
-    /// Standard ALERT across several backends under one shared power
-    /// envelope.
-    ///
-    /// # Errors
-    ///
-    /// See [`AlertScheduler::new_hetero`].
-    pub fn standard_hetero(
-        family: &ModelFamily,
-        platforms: &[&Platform],
-        shared_budget: Option<Watts>,
-        goal: alert_core::Goal,
-    ) -> Result<Self, String> {
-        Self::new_hetero(
-            "ALERT",
-            family,
-            CandidateSet::Standard,
-            platforms,
-            shared_budget,
             goal,
             AlertParams::default(),
         )
@@ -381,8 +367,9 @@ impl Scheduler for AlertScheduler {
             // lint:allow(no-panic): see comment above — base_goal is validated in new() and deadlines are positive
             .expect("goal validated at construction");
         let c = sel.candidate;
-        let cap = self.controller.table().cap_on(c.device, c.power);
-        let stop = if self.is_anytime[c.model] {
+        let tables = self.controller.tables();
+        let cap = tables.table().cap_on(c.device, c.power);
+        let stop = if tables.is_anytime()[c.model] {
             // Run toward the chosen stage but never past the (overhead-
             // compensated) deadline — the §3.5 execution mode.
             StopPolicy::AtTimeOrStage(sel.deadline, c.stage)
@@ -391,7 +378,7 @@ impl Scheduler for AlertScheduler {
         };
         Decision {
             device: c.device,
-            model: self.index_map[c.model],
+            model: tables.model_index()[c.model],
             cap,
             stop,
         }
@@ -425,6 +412,10 @@ impl Scheduler for AlertScheduler {
     fn belief(&self) -> Option<(f64, f64)> {
         let xi = self.controller.slowdown();
         Some((xi.mean(), xi.std_dev()))
+    }
+
+    fn decision_tables(&self) -> Option<&Arc<DecisionTables>> {
+        Some(self.controller.tables())
     }
 }
 

@@ -250,6 +250,19 @@ impl ShardedRuntime {
         self.shards[0].platform()
     }
 
+    /// All node devices, primary first (identical across shards).
+    pub fn node(&self) -> &[Platform] {
+        // lint:allow(no-panic): from_builder clamps workers to >= 1, so shard 0 exists
+        self.shards[0].node()
+    }
+
+    /// The runtime's serializable configuration (identical across
+    /// shards).
+    pub fn spec(&self) -> &crate::runtime::RunSpec {
+        // lint:allow(no-panic): from_builder clamps workers to >= 1, so shard 0 exists
+        self.shards[0].spec()
+    }
+
     /// The candidate family sessions schedule over (identical across
     /// shards).
     pub fn family(&self) -> &alert_models::ModelFamily {
@@ -387,6 +400,12 @@ impl ShardedRuntime {
     /// Checkpoints a session — see [`Runtime::snapshot_session`].
     pub fn snapshot_session(&self, id: SessionId) -> Result<SessionSnapshot, RuntimeError> {
         self.shards[self.shard_of(id)].snapshot_session(id)
+    }
+
+    /// The decision-table bundle an open session's scheduler holds.
+    #[cfg(test)]
+    pub(crate) fn session_tables(&self, id: SessionId) -> Option<Arc<alert_core::DecisionTables>> {
+        self.shards[self.shard_of(id)].session_tables(id)
     }
 
     /// Restores a checkpointed session onto the next shard, round-robin —
@@ -628,5 +647,80 @@ mod tests {
         other.run_to_completion(id2).unwrap();
         let resumed = other.close(id2).unwrap();
         assert_eq!(reference_ep.records, resumed.records);
+    }
+
+    #[test]
+    fn sessions_share_decision_tables_per_configuration() {
+        use alert_platform::PlatformId;
+        use alert_stats::units::Watts;
+        let tables = |rt: &ShardedRuntime, id| rt.session_tables(id).expect("ALERT session");
+
+        // Two sessions of one runtime share one allocation.
+        let mut rt = Runtime::builder().build().unwrap();
+        let a = rt.session(spec(1, 10)).open().unwrap();
+        let b = rt.session(spec(2, 10)).open().unwrap();
+        let own = rt.session_tables(a).unwrap();
+        assert!(Arc::ptr_eq(&own, &rt.session_tables(b).unwrap()));
+
+        // So do sessions on different shards and a restored session.
+        let registry = PolicyRegistry::builtin();
+        let mut sharded = Runtime::builder()
+            .registry(registry.clone())
+            .build_sharded(2)
+            .unwrap();
+        let s0 = sharded.session(spec(3, 10)).open().unwrap();
+        let s1 = sharded.session(spec(4, 10)).open().unwrap();
+        assert_ne!(sharded.shard_of(s0), sharded.shard_of(s1));
+        let shared = tables(&sharded, s0);
+        assert!(Arc::ptr_eq(&shared, &tables(&sharded, s1)));
+        sharded.submit(s0).unwrap();
+        let snap = sharded.snapshot_session(s0).unwrap();
+        let restored = sharded.restore_session(&snap).unwrap();
+        assert!(Arc::ptr_eq(&shared, &tables(&sharded, restored)));
+
+        // The key is compared by value: another runtime over the same
+        // registry and an equal configuration shares too, while a
+        // separate registry builds its own, equal bundle.
+        let mut twin = Runtime::builder()
+            .registry(registry.clone())
+            .build()
+            .unwrap();
+        let t = twin.session(spec(5, 10)).open().unwrap();
+        assert!(Arc::ptr_eq(&shared, &twin.session_tables(t).unwrap()));
+        assert!(!Arc::ptr_eq(&shared, &own));
+        assert_eq!(shared.table(), own.table());
+
+        // A different candidate set gets a distinct table.
+        let any = SessionSpec {
+            policy: Some("ALERT-Any".into()),
+            ..spec(6, 10)
+        };
+        let any = sharded.session(any).open().unwrap();
+        let any = tables(&sharded, any);
+        assert!(!Arc::ptr_eq(&shared, &any));
+        assert_ne!(shared.table(), any.table());
+
+        // So do a different platform and a different budget.
+        let node_tables = |extra: Option<PlatformId>, budget: Option<Watts>| {
+            let mut b = Runtime::builder().registry(registry.clone());
+            if let Some(p) = extra {
+                b = b.extra_backend(p);
+            }
+            if let Some(w) = budget {
+                b = b.shared_budget(w);
+            }
+            let mut rt = b.build().unwrap();
+            let id = rt.session(spec(8, 10)).open().unwrap();
+            rt.session_tables(id).unwrap()
+        };
+        let gpu = node_tables(Some(PlatformId::Gpu), None);
+        let budgeted = node_tables(Some(PlatformId::Gpu), Some(Watts(230.0)));
+        let cpu_budgeted = node_tables(None, Some(Watts(20.0)));
+        assert_eq!(gpu.table().device_count(), 2);
+        assert!(!Arc::ptr_eq(&shared, &gpu));
+        assert!(!Arc::ptr_eq(&gpu, &budgeted));
+        assert_ne!(gpu.table(), budgeted.table());
+        assert!(!Arc::ptr_eq(&shared, &cpu_budgeted));
+        assert_ne!(shared.table(), cpu_budgeted.table());
     }
 }

@@ -11,21 +11,24 @@
 //!
 //! All nine paper schemes are pre-registered by
 //! [`PolicyRegistry::builtin`] under their Table 3/4 column labels
-//! (`"ALERT"`, `"ALERT-Any"`, `"Oracle"`, …).
+//! (`"ALERT"`, `"ALERT-Any"`, `"Oracle"`, …). The four ALERT variants
+//! are [`AlertPolicy`]s, which share one decision-table bundle across
+//! every session over the same configuration.
 
-use crate::alert::AlertScheduler;
+use crate::alert::{decision_tables, AlertScheduler};
 use crate::app_only::AppOnly;
 use crate::env::EpisodeEnv;
 use crate::no_coord::NoCoord;
 use crate::oracle::{Oracle, OracleStatic};
 use crate::scheduler::Scheduler;
 use crate::sys_only::SysOnly;
-use alert_core::alert::AlertParams;
+use alert_core::alert::{AlertParams, DecisionTables, ProbabilityMode};
 use alert_models::family::CandidateSet;
 use alert_models::ModelFamily;
 use alert_platform::Platform;
 use alert_stats::units::Watts;
 use alert_workload::{Goal, InputStream};
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -116,6 +119,102 @@ impl Policy for FnPolicy {
     }
 }
 
+/// The inputs a [`DecisionTables`] bundle is a pure function of, besides
+/// the policy's own candidate set. Compared by value, so equal
+/// configurations share a bundle whatever allocation they come from.
+struct TablesKey {
+    family: ModelFamily,
+    platforms: Vec<Platform>,
+    shared_budget: Option<u64>,
+}
+
+impl TablesKey {
+    fn matches(&self, family: &ModelFamily, platforms: &[&Platform], budget: Option<u64>) -> bool {
+        self.shared_budget == budget
+            && self.family == *family
+            && self.platforms.iter().eq(platforms.iter().copied())
+    }
+}
+
+/// An ALERT-family policy: the controller over one candidate set,
+/// optionally forcing a probability mode (ALERT\*'s mean-only ablation).
+///
+/// The candidate table and its fast lane depend only on the family, the
+/// candidate set, the node's platforms and the shared budget, so the
+/// policy keeps the last [`DecisionTables`] bundle it built and hands
+/// every session over the same configuration an `Arc` clone of it; a
+/// different configuration builds a fresh bundle that replaces the
+/// entry. The policy sits behind an `Arc` in the registry, so every
+/// clone of a registry — each shard of a sharded runtime, a registry
+/// that shadows this policy by delegating to it — shares the one entry.
+pub struct AlertPolicy {
+    name: String,
+    set: CandidateSet,
+    /// `None` keeps the run specification's mode.
+    mode: Option<ProbabilityMode>,
+    last: Mutex<Option<(TablesKey, Arc<DecisionTables>)>>,
+}
+
+impl AlertPolicy {
+    /// An ALERT policy named `name` over `set`; `mode` overrides the run
+    /// specification's [`ProbabilityMode`] when given.
+    pub fn new(name: impl Into<String>, set: CandidateSet, mode: Option<ProbabilityMode>) -> Self {
+        AlertPolicy {
+            name: name.into(),
+            set,
+            mode,
+            last: Mutex::new(None),
+        }
+    }
+
+    /// The bundle for `family` on `platforms` under `shared_budget`:
+    /// the kept one when its key matches, else a freshly built one that
+    /// replaces it.
+    fn tables(
+        &self,
+        family: &ModelFamily,
+        platforms: &[&Platform],
+        shared_budget: Option<Watts>,
+    ) -> Result<Arc<DecisionTables>, String> {
+        let budget = shared_budget.map(|w| w.get().to_bits());
+        if let Some((key, tables)) = &*self.last.lock() {
+            if key.matches(family, platforms, budget) {
+                return Ok(tables.clone());
+            }
+        }
+        // Built outside the lock: a concurrent miss builds an equal
+        // bundle, and either may stay.
+        let tables = decision_tables(family, self.set, platforms, shared_budget)?;
+        let key = TablesKey {
+            family: family.clone(),
+            platforms: platforms.iter().map(|p| (*p).clone()).collect(),
+            shared_budget: budget,
+        };
+        *self.last.lock() = Some((key, tables.clone()));
+        Ok(tables)
+    }
+}
+
+impl Policy for AlertPolicy {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn build(&self, ctx: &PolicyContext<'_>) -> Result<Box<dyn Scheduler>, String> {
+        let tables = self.tables(ctx.family, &node_platforms(ctx), ctx.shared_budget)?;
+        let params = AlertParams {
+            mode: self.mode.unwrap_or(ctx.params.mode),
+            ..ctx.params
+        };
+        Ok(Box::new(AlertScheduler::with_tables(
+            self.name.clone(),
+            tables,
+            ctx.goal,
+            params,
+        )?))
+    }
+}
+
 /// Error resolving a policy name.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownPolicy {
@@ -189,54 +288,26 @@ impl PolicyRegistry {
     /// Table 3/4 labels.
     pub fn builtin() -> Self {
         let mut r = Self::empty();
-        r.register_fn("ALERT", |ctx| {
-            Ok(Box::new(AlertScheduler::new_hetero(
-                "ALERT",
-                ctx.family,
-                CandidateSet::Standard,
-                &node_platforms(ctx),
-                ctx.shared_budget,
-                ctx.goal,
-                ctx.params,
-            )?) as Box<dyn Scheduler>)
-        });
-        r.register_fn("ALERT-Any", |ctx| {
-            Ok(Box::new(AlertScheduler::new_hetero(
-                "ALERT-Any",
-                ctx.family,
-                CandidateSet::AnytimeOnly,
-                &node_platforms(ctx),
-                ctx.shared_budget,
-                ctx.goal,
-                ctx.params,
-            )?) as Box<dyn Scheduler>)
-        });
-        r.register_fn("ALERT-Trad", |ctx| {
-            Ok(Box::new(AlertScheduler::new_hetero(
-                "ALERT-Trad",
-                ctx.family,
-                CandidateSet::TraditionalOnly,
-                &node_platforms(ctx),
-                ctx.shared_budget,
-                ctx.goal,
-                ctx.params,
-            )?) as Box<dyn Scheduler>)
-        });
-        r.register_fn("ALERT*", |ctx| {
-            let params = AlertParams {
-                mode: alert_core::ProbabilityMode::MeanOnly,
-                ..ctx.params
-            };
-            Ok(Box::new(AlertScheduler::new_hetero(
-                "ALERT*",
-                ctx.family,
-                CandidateSet::Standard,
-                &node_platforms(ctx),
-                ctx.shared_budget,
-                ctx.goal,
-                params,
-            )?) as Box<dyn Scheduler>)
-        });
+        r.register(Arc::new(AlertPolicy::new(
+            "ALERT",
+            CandidateSet::Standard,
+            None,
+        )));
+        r.register(Arc::new(AlertPolicy::new(
+            "ALERT-Any",
+            CandidateSet::AnytimeOnly,
+            None,
+        )));
+        r.register(Arc::new(AlertPolicy::new(
+            "ALERT-Trad",
+            CandidateSet::TraditionalOnly,
+            None,
+        )));
+        r.register(Arc::new(AlertPolicy::new(
+            "ALERT*",
+            CandidateSet::Standard,
+            Some(ProbabilityMode::MeanOnly),
+        )));
         r.register_fn("Oracle", |ctx| {
             Ok(
                 Box::new(Oracle::new(ctx.env.clone(), ctx.family.clone(), ctx.goal))

@@ -1183,6 +1183,12 @@ impl Runtime {
         })
     }
 
+    /// The decision-table bundle an open session's scheduler holds.
+    #[cfg(test)]
+    pub(crate) fn session_tables(&self, id: SessionId) -> Option<Arc<alert_core::DecisionTables>> {
+        self.sessions.get(&id)?.scheduler.decision_tables().cloned()
+    }
+
     /// Restores a checkpointed session into this runtime (the migration
     /// path): rebuilds the stream and environment from the snapshot's
     /// spec, builds a fresh scheduler, restores its learned state, and

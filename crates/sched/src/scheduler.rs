@@ -8,10 +8,11 @@
 //! they are constructed *with* the frozen environment (paper §5.1 calls
 //! them impractical for exactly this reason).
 
-use alert_core::{ControllerSnapshot, DecisionTrace};
+use alert_core::{ControllerSnapshot, DecisionTables, DecisionTrace};
 use alert_models::inference::{InferenceResult, StopPolicy};
 use alert_stats::units::{Joules, Seconds, Watts};
 use alert_workload::{Goal, GroupPos};
+use std::sync::Arc;
 
 /// What the scheduler knows before dispatching one input.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,6 +121,13 @@ pub trait Scheduler: Send {
     /// [`Scheduler::observe`], so readers see the posterior the next
     /// decision will use. Default: none (belief-free schemes).
     fn belief(&self) -> Option<(f64, f64)> {
+        None
+    }
+
+    /// The decision-table bundle the scheme schedules over, for schemes
+    /// built on one (the ALERT family). Diagnostics: sessions whose
+    /// configurations match share one allocation. Default: none.
+    fn decision_tables(&self) -> Option<&Arc<DecisionTables>> {
         None
     }
 }

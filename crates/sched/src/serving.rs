@@ -41,6 +41,8 @@ use crate::executor::ShardedRuntime;
 use crate::runtime::SessionSpec;
 use crate::telemetry::{AdmissionConstraint, AdmissionProbe};
 use alert_core::alert::{AlertController, AlertParams, Observation};
+use alert_models::family::CandidateSet;
+use alert_platform::Platform;
 use alert_stats::units::Seconds;
 use alert_workload::{
     quality_span, AdmissionVerdict, Goal, GoalPatch, InputRecord, QualitySpan, RequestArrival,
@@ -232,8 +234,9 @@ impl AlertAdmission {
     }
 
     /// A policy whose belief table is built from the runtime's own
-    /// family × platform (the same candidates its sessions schedule
-    /// over).
+    /// family over its whole node under its shared budget — the same
+    /// candidates its (standard ALERT) sessions schedule over, built by
+    /// the same [`decision_tables`](crate::alert::decision_tables).
     ///
     /// # Errors
     ///
@@ -244,9 +247,15 @@ impl AlertAdmission {
         degrade: GoalPatch,
         miss_threshold: f64,
     ) -> Result<Self, crate::Error> {
-        let (table, _) = crate::alert::build_table(rt.family(), rt.platform())
-            .map_err(crate::Error::InvalidSpec)?;
-        let controller = AlertController::new(table, AlertParams::default())
+        let node: Vec<&Platform> = rt.node().iter().collect();
+        let tables = crate::alert::decision_tables(
+            rt.family(),
+            CandidateSet::Standard,
+            &node,
+            rt.spec().shared_budget,
+        )
+        .map_err(crate::Error::InvalidSpec)?;
+        let controller = AlertController::with_tables(tables, AlertParams::default())
             .map_err(crate::Error::InvalidSpec)?;
         let span = quality_span(rt.family(), rt.platform());
         AlertAdmission::new(controller, span, degrade, miss_threshold)
@@ -691,5 +700,34 @@ mod tests {
             certain.iter().all(|o| o.verdict == AdmissionVerdict::Shed),
             "a guaranteed miss must never be admitted"
         );
+    }
+
+    #[test]
+    fn admission_table_spans_the_node_and_equals_the_sessions_table() {
+        let mut rt = Runtime::builder()
+            .seed(7)
+            .extra_backend(alert_platform::PlatformId::Gpu)
+            .shared_budget(alert_stats::units::Watts(230.0))
+            .build_sharded(2)
+            .expect("builtin policies resolve");
+        let policy = AlertAdmission::for_runtime(
+            &rt,
+            GoalPatch::floor_frac(DEFAULT_DEGRADE_FRAC),
+            DEFAULT_MISS_THRESHOLD,
+        )
+        .expect("table builds");
+        let id = rt
+            .session(SessionSpec {
+                goal: config().goal,
+                scenario: Scenario::default_env(),
+                n_inputs: 4,
+                seed: Some(1),
+                policy: None,
+            })
+            .open()
+            .expect("session opens");
+        let sessions = rt.session_tables(id).expect("ALERT session");
+        assert_eq!(policy.controller.table().device_count(), 2);
+        assert_eq!(policy.controller.table(), sessions.table());
     }
 }
