@@ -5,11 +5,10 @@
 //! `BENCH_runtime.json` at the workspace root so later scaling PRs have
 //! a machine-readable perf baseline to compare against.
 //!
-//! `workers == 1` runs the serial `drain_round_robin` (the historical
-//! baseline); `workers > 1` runs the sharded parallel executor
-//! (`drain_parallel`), whose episodes are bit-identical to the serial
-//! drain — the benchmark asserts that on the smallest grid point. The
-//! speedup scales with physical cores; `available_parallelism` is
+//! Each grid point drains a `build_sharded(workers)` runtime, one thread
+//! per shard; `workers == 1` is the one-shard baseline. Episodes are
+//! bit-identical for every shard count — the benchmark asserts that on
+//! the smallest grid point. The speedup scales with physical cores; `available_parallelism` is
 //! recorded in the JSON so single-core CI readings are interpretable.
 //!
 //! The decisions grid drives one `AlertController` through a decide →
@@ -52,12 +51,13 @@ struct Measurement {
     decision_overhead_us_mean: f64,
 }
 
-fn build_runtime(sessions: usize, n_inputs: usize, seed: u64) -> Runtime {
-    build_runtime_with(sessions, n_inputs, seed, |b| b)
+fn build_runtime(sessions: usize, workers: usize, n_inputs: usize, seed: u64) -> Runtime {
+    build_runtime_with(sessions, workers, n_inputs, seed, |b| b)
 }
 
 fn build_runtime_with(
     sessions: usize,
+    workers: usize,
     n_inputs: usize,
     seed: u64,
     configure: impl FnOnce(RuntimeBuilder) -> RuntimeBuilder,
@@ -67,7 +67,9 @@ fn build_runtime_with(
         .family(FamilyKind::Image)
         .policy("ALERT")
         .seed(seed);
-    let mut rt = configure(builder).build().expect("builtin policy");
+    let mut rt = configure(builder)
+        .build_sharded(workers)
+        .expect("builtin policy");
     for i in 0..sessions as u64 {
         rt.session(SessionSpec {
             goal: Goal::minimize_energy(Seconds(0.35 + 0.01 * (i % 6) as f64), 0.9),
@@ -83,13 +85,9 @@ fn build_runtime_with(
 }
 
 fn measure(sessions: usize, workers: usize, n_inputs: usize, seed: u64) -> Measurement {
-    let mut rt = build_runtime(sessions, n_inputs, seed);
+    let mut rt = build_runtime(sessions, workers, n_inputs, seed);
     let start = Instant::now();
-    let episodes = if workers <= 1 {
-        rt.drain_round_robin().expect("drain")
-    } else {
-        rt.drain_parallel(workers).expect("drain")
-    };
+    let episodes = rt.drain().expect("drain");
     let elapsed = start.elapsed().as_secs_f64();
 
     let inputs_total: usize = episodes.iter().map(|(_, e)| e.records.len()).sum();
@@ -240,7 +238,7 @@ fn bench_decisions(n_decisions: usize) -> Vec<DecisionMeasurement> {
 }
 
 /// Churn at scale: thousands of sessions opened and closed in waves
-/// against a `ShardedRuntime` while one measured session keeps serving.
+/// against a 4-shard runtime while one measured session keeps serving.
 struct ChurnMeasurement {
     workers: usize,
     waves: usize,
@@ -277,7 +275,7 @@ fn bench_churn(n_inputs: usize, seed: u64) -> ChurnMeasurement {
         ..bg_template.clone()
     };
 
-    // Undisturbed reference on a serial runtime.
+    // Undisturbed reference on a one-shard runtime.
     let mut rt = Runtime::builder()
         .platform(alert_platform::PlatformId::Cpu1)
         .family(FamilyKind::Image)
@@ -395,9 +393,9 @@ fn timed_drain(
     seed: u64,
     configure: impl FnOnce(RuntimeBuilder) -> RuntimeBuilder,
 ) -> (Vec<(SessionId, Episode)>, f64) {
-    let mut rt = build_runtime_with(sessions, n_inputs, seed, configure);
+    let mut rt = build_runtime_with(sessions, 1, n_inputs, seed, configure);
     let start = Instant::now();
-    let episodes = rt.drain_round_robin().expect("drain");
+    let episodes = rt.drain().expect("drain");
     (episodes, start.elapsed().as_secs_f64())
 }
 
@@ -511,15 +509,12 @@ fn bench_telemetry(n_inputs: usize, seed: u64) -> (TelemetryMeasurement, String)
     (m, registry.snapshot().to_json())
 }
 
-/// Sanity check baked into the benchmark: the parallel drain's episodes
-/// are bit-identical to the serial drain's.
+/// Sanity check baked into the benchmark: the 4-shard drain's episodes
+/// are bit-identical to the one-shard drain's.
 fn assert_parallel_matches_serial(n_inputs: usize, seed: u64) {
-    let reference: Vec<(SessionId, Episode)> = build_runtime(8, n_inputs, seed)
-        .drain_round_robin()
-        .expect("drain");
-    let parallel = build_runtime(8, n_inputs, seed)
-        .drain_parallel(4)
-        .expect("drain");
+    let reference: Vec<(SessionId, Episode)> =
+        build_runtime(8, 1, n_inputs, seed).drain().expect("drain");
+    let parallel = build_runtime(8, 4, n_inputs, seed).drain().expect("drain");
     assert_eq!(reference.len(), parallel.len());
     for ((id, a), (rid, b)) in parallel.iter().zip(&reference) {
         assert_eq!(id, rid);

@@ -17,7 +17,7 @@
 //! * **Cell completeness** — the matrix has one result per
 //!   scheme × scenario pair.
 //! * **Churn isolation** — for scenarios scripting session churn, the
-//!   measured session is re-run on a `ShardedRuntime` while background
+//!   measured session is re-run on a 4-shard `Runtime` while background
 //!   sessions open and close in the scripted waves; its records must be
 //!   bit-identical to the undisturbed run.
 //!
@@ -289,7 +289,7 @@ fn run_placement_row(
         .collect()
 }
 
-/// Replays the scripted churn waves against a `ShardedRuntime`: the
+/// Replays the scripted churn waves against a 4-shard `Runtime`: the
 /// measured ALERT session steps input by input while background sessions
 /// open and close at the scripted marks. Returns
 /// (waves, opened, closed) and asserts the measured records are

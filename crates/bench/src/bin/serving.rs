@@ -25,7 +25,6 @@ use alert_sched::serving::{
     DEFAULT_MISS_THRESHOLD,
 };
 use alert_sched::telemetry::{AdmissionTelemetry, TelemetryEvent};
-use alert_sched::ShardedRuntime;
 use alert_stats::units::Seconds;
 use alert_workload::{
     generate_storm, ArrivalProcess, Goal, GoalPatch, Scenario, ServingReport, StormSpec,
@@ -43,7 +42,7 @@ fn goal() -> Goal {
     Goal::minimize_energy(Seconds(0.4), 0.9)
 }
 
-fn runtime(seed: u64) -> ShardedRuntime {
+fn runtime(seed: u64) -> Runtime {
     Runtime::builder()
         .seed(seed)
         .build_sharded(WORKERS)

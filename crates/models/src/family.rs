@@ -152,7 +152,7 @@ pub fn sparse_resnet_family() -> Vec<ModelProfile> {
 }
 
 /// The Depth-Nest anytime network (image classification, Table 3; nested
-/// design of paper reference [5]).
+/// design of paper reference \[5\]).
 ///
 /// Its staircase sits just below the traditional model of equal latency —
 /// e.g. the 0.62-fraction output (~108 ms) scores 0.932 vs Sparse

@@ -31,7 +31,7 @@ pub enum WorkloadClass {
     /// Convolutional networks (image classification).
     Cnn,
     /// Recurrent networks (sentence prediction). Poorly suited to GPUs
-    /// (paper §5.1 runs NLP on CPUs only, citing DeepCPU [90]).
+    /// (paper §5.1 runs NLP on CPUs only, citing DeepCPU \[90\]).
     Rnn,
     /// Attention/transformer models (question answering).
     Transformer,

@@ -2,9 +2,9 @@
 //! into a [`WorkloadTrace`].
 //!
 //! A [`TraceRecorder`] plugs into any runtime sink slot
-//! ([`crate::runtime::RuntimeBuilder::sink`]) — serial [`Runtime`]s and
-//! the multi-worker [`ShardedRuntime`](crate::executor::ShardedRuntime)
-//! alike — and captures every processed input as one
+//! ([`crate::runtime::RuntimeBuilder::sink`]) — of a one-shard
+//! [`Runtime`] or a many-shard one alike — and captures every processed
+//! input as one
 //! [`TraceRecord`](alert_workload::TraceRecord): session/stream
 //! identity, the inter-arrival time and realized input scale (the
 //! replayable half), the goal in force at dispatch, the device the
@@ -12,9 +12,10 @@
 //! single-device captures keep the pre-device byte layout), and the
 //! observed outcome (model, cap, latency, quality, energy).
 //!
-//! Both runtime flavors deliver each session's events in dispatch order
-//! (cross-session interleaving is scheduling-dependent, which the trace
-//! format explicitly permits), so the captured trace preserves
+//! The runtime delivers each session's events in dispatch order for any
+//! shard count (cross-session interleaving under [`Runtime::drain`] is
+//! scheduling-dependent, which the trace format explicitly permits), so
+//! the captured trace preserves
 //! **per-session ordering** by construction and
 //! [`WorkloadTrace::replay_source`] never needs to re-sort.
 //!
@@ -24,6 +25,7 @@
 //! afterwards.
 //!
 //! [`Runtime`]: crate::runtime::Runtime
+//! [`Runtime::drain`]: crate::runtime::Runtime::drain
 //! [`EventSink`]: crate::runtime::EventSink
 
 use crate::runtime::{EpisodeEvent, EventSink};

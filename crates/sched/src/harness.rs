@@ -39,6 +39,20 @@ pub enum StepError {
         /// Platform it was dispatched to.
         platform: String,
     },
+    /// The scheduler picked a model or device index the session does
+    /// not have.
+    OutOfRange {
+        /// Scheme that made the decision.
+        scheme: String,
+        /// The decision's model index.
+        model: usize,
+        /// Models in the candidate family.
+        models: usize,
+        /// The decision's device index.
+        device: usize,
+        /// Devices in the episode's node.
+        devices: usize,
+    },
     /// The environment could not realize the decision (infeasible cap).
     Env(EnvError),
 }
@@ -51,6 +65,17 @@ impl std::fmt::Display for StepError {
                 model,
                 platform,
             } => write!(f, "{scheme}: model {model} does not fit {platform}"),
+            StepError::OutOfRange {
+                scheme,
+                model,
+                models,
+                device,
+                devices,
+            } => write!(
+                f,
+                "{scheme}: decision (model {model}, device {device}) is outside the \
+                 {models} models and {devices} device(s) of the session"
+            ),
             StepError::Env(e) => write!(f, "{e}"),
         }
     }
@@ -137,13 +162,14 @@ impl SessionEngine {
     ///
     /// # Errors
     ///
-    /// Fails when the scheduler picks a model that does not fit the
-    /// platform or a cap the platform cannot program (scheduler bugs,
-    /// reported instead of unwound). Such an error is **terminal for the
-    /// session**: the scheduler was already consulted and the
-    /// shared-deadline budget claimed for this input (only the cursor
-    /// does not advance), so do not step the engine again — surface the
-    /// error and close the session, as the runtime does.
+    /// Fails when the scheduler picks a model or device index out of
+    /// range, a model that does not fit the platform, or a cap the
+    /// platform cannot program (scheduler bugs, reported instead of
+    /// unwound). Such an error is **terminal for the session**: the
+    /// scheduler was already consulted and the shared-deadline budget
+    /// claimed for this input (only the cursor does not advance), so do
+    /// not step the engine again — surface the error and close the
+    /// session, as `Runtime::drain` does.
     pub fn step(
         &mut self,
         scheduler: &mut dyn Scheduler,
@@ -172,7 +198,19 @@ impl SessionEngine {
         let decision = scheduler.decide(&ctx);
         self.overhead += scheduler.last_decision_cost();
 
-        let profile = &family.models()[decision.model];
+        // An open `Scheduler` may hand back any index: check both before
+        // use instead of panicking on them.
+        let profile = family
+            .models()
+            .get(decision.model)
+            .filter(|_| decision.device < env.device_count())
+            .ok_or_else(|| StepError::OutOfRange {
+                scheme: scheduler.name().to_string(),
+                model: decision.model,
+                models: family.len(),
+                device: decision.device,
+                devices: env.device_count(),
+            })?;
         let device_platform = env.platform_on(decision.device);
         if !device_platform.supports_footprint(profile.footprint_gb) {
             return Err(StepError::ModelDoesNotFit {

@@ -4,7 +4,7 @@
 //!
 //! * [`scheduler`] — the per-input [`Scheduler`](scheduler::Scheduler)
 //!   interface (decide → execute → observe) plus snapshot hooks.
-//! * [`env`] — frozen episode environments: identical conditions for every
+//! * [`mod@env`] — frozen episode environments: identical conditions for every
 //!   scheme, exact counterfactuals for the oracles.
 //! * [`budget`] — shared (sentence) deadline budgets, applied uniformly to
 //!   all schemes by the harness.
@@ -15,22 +15,21 @@
 //! * [`registry`] — the open [`Policy`](registry::Policy) trait and the
 //!   string-keyed [`PolicyRegistry`](registry::PolicyRegistry) (all nine
 //!   paper schemes pre-registered; external crates add their own).
-//! * [`runtime`] — the session runtime: a [`Runtime`](runtime::Runtime)
-//!   multiplexing long-lived sessions (`session(spec).open()` /
-//!   `submit` / `close`), per-input
+//! * [`runtime`] — the session runtime: one [`Runtime`](runtime::Runtime)
+//!   type multiplexing long-lived sessions over one or more shards
+//!   (`session(spec).open()` / `submit` / `close` / `drain`), per-input
 //!   [`EpisodeEvent`](runtime::EpisodeEvent) emission,
 //!   checkpoint/migration, serde [`RunSpec`](runtime::RunSpec).
-//! * [`executor`] — the parallel sharded executor:
-//!   [`Runtime::drain_parallel`](runtime::Runtime::drain_parallel) and
-//!   the long-lived multi-worker
-//!   [`ShardedRuntime`](executor::ShardedRuntime), bit-identical to the
-//!   serial drain per session.
+//! * [`executor`] — the parallel drain behind
+//!   [`Runtime::drain`](runtime::Runtime::drain): one thread per
+//!   non-empty shard, bit-identical per session for every shard count.
 //! * [`serving`] — the serving front-end: frozen offered-load storms
-//!   replayed against the sharded runtime under an
+//!   replayed against the runtime's shards under an
 //!   [`AdmissionPolicy`](serving::AdmissionPolicy) (ALERT-native
 //!   belief-driven admit/degrade/shed, plus always-admit and drop-tail
-//!   baselines), emitting per-request [`ServingReport`]s
-//!   (`alert_workload::ServingReport`) for the saturation-curve bench.
+//!   baselines), emitting per-request
+//!   [`ServingReport`](alert_workload::ServingReport)s for the
+//!   saturation-curve bench.
 //! * [`telemetry`] — the deterministic observability layer: typed
 //!   [`TelemetryEvent`](telemetry::TelemetryEvent)s on the existing
 //!   event fan-out, deterministic sampling
@@ -42,7 +41,7 @@
 //!   telemetry enabled.
 //! * [`capture`] — trace capture: the
 //!   [`TraceRecorder`](capture::TraceRecorder) event sink records live
-//!   runtime traffic (serial or sharded) into the versioned
+//!   runtime traffic (one shard or many) into the versioned
 //!   `alert-workload` trace format for later replay as a scenario.
 //! * [`harness`] — the resumable per-stream
 //!   [`SessionEngine`](harness::SessionEngine) and the one-shot
@@ -75,7 +74,6 @@ pub mod telemetry;
 /// unified [`Error`], and the workload types those APIs speak.
 pub mod prelude {
     pub use crate::error::Error;
-    pub use crate::executor::ShardedRuntime;
     pub use crate::harness::Episode;
     pub use crate::runtime::{Runtime, RuntimeBuilder, SessionOptions, SessionSpec};
     pub use crate::serving::{
@@ -97,7 +95,6 @@ pub use budget::BudgetTracker;
 pub use capture::TraceRecorder;
 pub use env::{EnvError, EnvRealization, EpisodeEnv};
 pub use error::Error;
-pub use executor::ShardedRuntime;
 pub use experiment::{run_cell, run_setting, run_table, ExperimentConfig, FamilyKind, SchemeKind};
 pub use harness::{run_episode, Episode, SessionEngine, StepError};
 pub use metrics::{objective_report, CellStat, ResultTable};

@@ -1,7 +1,7 @@
 //! The No-coordination baseline (paper Table 3, §5.2).
 //!
 //! "Uses both the Anytime DNN for application-level adaptation and the
-//! power-management scheme [63] to adapt power, but with these two working
+//! power-management scheme \[63\] to adapt power, but with these two working
 //! independently." Each level keeps a private estimator and a private
 //! world-model:
 //!

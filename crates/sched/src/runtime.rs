@@ -5,16 +5,27 @@
 //! number of independent [`SessionId`]-addressed sessions, each a
 //! long-lived handle over (stream, frozen environment, goal, scheduler):
 //!
-//! * [`Runtime::open_session`] builds a session from a serializable
+//! * [`Runtime::session`] opens a session from a serializable
 //!   [`SessionSpec`] (scenario + seed + goal + optional policy override);
 //! * [`Runtime::submit`] advances one session by exactly one input,
-//!   emitting an [`EpisodeEvent`] to the configured [`EventSink`];
-//! * [`Runtime::close`] folds a session into the classic [`Episode`].
+//!   emitting an [`EpisodeEvent`] to the configured [`EventSink`]s;
+//! * [`Runtime::close`] folds a session into the classic [`Episode`];
+//! * [`Runtime::drain`] runs every open session to the end and closes it.
 //!
 //! Sessions are fully independent — each owns its scheduler state and
 //! deadline budget — so any interleaving of `submit` calls across
 //! sessions produces records bit-identical to running each stream
 //! standalone (`tests/runtime_sessions.rs` proves this for 64 sessions).
+//!
+//! The runtime keeps its sessions in **shards**: one by default
+//! ([`RuntimeBuilder::build`]), `N` with
+//! [`RuntimeBuilder::build_sharded`]. Shard `k` of `N` hands out ids
+//! `k, k + N, k + 2N, …`, so every per-session call routes by
+//! [`SessionId::shard_of`] without a lookup table, and new sessions are
+//! placed round-robin, which keeps ids dense (0, 1, 2, …) whatever `N`
+//! is. Sharding matters only to [`Runtime::drain`], which runs each
+//! non-empty shard on its own thread; episodes are bit-identical per
+//! session for every shard count (see `DESIGN.md` §"Threading model").
 //!
 //! Sessions opened from a [`SessionSpec`] can also be *checkpointed*
 //! ([`Runtime::snapshot_session`]) and *restored* — in the same runtime
@@ -26,13 +37,6 @@
 //! The runtime's own configuration round-trips through [`RunSpec`]
 //! (serde), so a whole run — platform, family, policy, params — can be
 //! stored in a file and rebuilt with [`RuntimeBuilder::from_spec`].
-//!
-//! Draining scales with cores: [`Runtime::drain_parallel`] partitions
-//! the open sessions onto worker shards, and
-//! [`RuntimeBuilder::build_sharded`] builds a long-lived multi-worker
-//! [`ShardedRuntime`](crate::executor::ShardedRuntime) — both
-//! bit-identical per session to the serial drain (see
-//! `DESIGN.md` §"Threading model").
 
 use crate::env::EpisodeEnv;
 use crate::executor;
@@ -245,6 +249,13 @@ impl<F: FnMut(&EpisodeEvent) + Send> EventSink for F {
     }
 }
 
+/// Hands `event` to every sink, in installation order.
+pub(crate) fn fan_out(sinks: &mut [Box<dyn EventSink>], event: &EpisodeEvent) {
+    for sink in sinks {
+        sink.emit(event);
+    }
+}
+
 /// Runtime operation errors.
 #[derive(Debug)]
 pub enum RuntimeError {
@@ -297,50 +308,23 @@ impl From<StepError> for RuntimeError {
     }
 }
 
-/// Which runtime a [`SessionOptions`] opens on.
-pub(crate) enum HostRef<'rt> {
-    Single(&'rt mut Runtime),
-    Sharded(&'rt mut executor::ShardedRuntime),
-}
-
-/// The one builder behind every way of opening a session — returned by
-/// [`Runtime::session`] and
-/// [`ShardedRuntime::session`](executor::ShardedRuntime::session), it
-/// collapses the historical `open_session` / `open_session_on` /
-/// `open_session_with` trio:
-///
-/// | old | new |
-/// |---|---|
-/// | `open_session(spec)` | `session(spec).open()` |
-/// | `open_session_on(policy, goal, stream, env)` | `session(spec).policy(policy).on(stream, env).open()` |
-/// | `open_session_with(sched, goal, stream, env)` | `session(spec).on(stream, env).with(sched).open()` |
-///
-/// On a sharded runtime, [`SessionOptions::on_shard`] pins the session
-/// to a specific shard instead of the round-robin default — the serving
-/// front-end uses this to co-locate a request with its admission queue.
-/// Sessions opened with [`SessionOptions::on`] or
+/// The one builder behind every way of opening a session, returned by
+/// [`Runtime::session`]. The plain form materializes the spec and can be
+/// checkpointed; sessions opened with [`SessionOptions::on`] or
 /// [`SessionOptions::with`] ride an externally built environment and
-/// cannot be checkpointed; plain spec sessions can.
+/// cannot. [`SessionOptions::on_shard`] pins the session to a shard
+/// instead of the round-robin default — the serving front-end uses this
+/// to co-locate a request with its admission queue.
 #[must_use = "the builder opens nothing until .open() is called"]
 pub struct SessionOptions<'rt> {
-    host: HostRef<'rt>,
+    rt: &'rt mut Runtime,
     spec: SessionSpec,
     shard: Option<usize>,
     external: Option<(InputStream, Arc<EpisodeEnv>)>,
     scheduler: Option<Box<dyn Scheduler>>,
 }
 
-impl<'rt> SessionOptions<'rt> {
-    pub(crate) fn new(host: HostRef<'rt>, spec: SessionSpec) -> Self {
-        SessionOptions {
-            host,
-            spec,
-            shard: None,
-            external: None,
-            scheduler: None,
-        }
-    }
-
+impl SessionOptions<'_> {
     /// Overrides the spec's policy name (the registry key building the
     /// scheduler).
     pub fn policy(mut self, name: impl Into<String>) -> Self {
@@ -354,11 +338,9 @@ impl<'rt> SessionOptions<'rt> {
         self
     }
 
-    /// Pins the session to shard `shard` instead of the round-robin
-    /// default. Only shard 0 exists on a plain [`Runtime`]; a
-    /// [`ShardedRuntime`](executor::ShardedRuntime) accepts any shard
-    /// below its worker count, and pinning does not advance its
-    /// round-robin cursor.
+    /// Pins the session to shard `shard` (below
+    /// [`Runtime::shard_count`]) instead of the round-robin default.
+    /// Pinning does not advance the round-robin cursor.
     pub fn on_shard(mut self, shard: usize) -> Self {
         self.shard = Some(shard);
         self
@@ -393,36 +375,21 @@ impl<'rt> SessionOptions<'rt> {
     /// or rejects the session context.
     pub fn open(self) -> Result<SessionId, crate::Error> {
         let SessionOptions {
-            host,
+            rt,
             spec,
             shard,
             external,
             scheduler,
         } = self;
-        match host {
-            HostRef::Single(rt) => {
-                if let Some(k) = shard {
-                    if k != 0 {
-                        return Err(RuntimeError::InvalidSpec(format!(
-                            "no shard {k}: a plain Runtime is single-shard \
-                             (build one with RuntimeBuilder::build_sharded)"
-                        ))
-                        .into());
-                    }
-                }
-                Ok(rt.open_parts(spec, external, scheduler)?)
-            }
-            HostRef::Sharded(rt) => Ok(rt.open_parts_on(shard, spec, external, scheduler)?),
-        }
+        Ok(rt.open_parts(shard, spec, external, scheduler)?)
     }
 }
 
 /// One live session: scheduler + frozen environment + stepping engine.
 ///
 /// A session owns all of its mutable state and shares only `Arc`-held
-/// read-only context, so it is `Send`: the parallel executor
-/// ([`Runtime::drain_parallel`], [`executor::ShardedRuntime`]) moves
-/// whole sessions onto worker shards.
+/// read-only context, so it is `Send`: [`Runtime::drain`] moves whole
+/// shards of sessions onto worker threads.
 pub(crate) struct Session {
     /// Rebuild recipe; `None` for sessions opened on externally built
     /// environments (those cannot be checkpointed).
@@ -452,12 +419,10 @@ impl Session {
 
 /// Builder for [`Runtime`] — see the module docs for the full picture.
 pub struct RuntimeBuilder {
-    pub(crate) spec: RunSpec,
-    pub(crate) registry: Option<PolicyRegistry>,
-    pub(crate) sinks: Vec<Box<dyn EventSink>>,
-    pub(crate) telemetry: crate::telemetry::TelemetryConfig,
-    pub(crate) id_start: u64,
-    pub(crate) id_stride: u64,
+    spec: RunSpec,
+    registry: Option<PolicyRegistry>,
+    sinks: Vec<Box<dyn EventSink>>,
+    telemetry: crate::telemetry::TelemetryConfig,
 }
 
 impl RuntimeBuilder {
@@ -468,8 +433,6 @@ impl RuntimeBuilder {
             registry: None,
             sinks: Vec::new(),
             telemetry: crate::telemetry::TelemetryConfig::Off,
-            id_start: 0,
-            id_stride: 1,
         }
     }
 
@@ -556,54 +519,30 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Configures the session-id allocator: the runtime hands out
-    /// `start, start + stride, start + 2·stride, …`.
+    /// Builds a one-shard runtime: `build_sharded(1)`.
     ///
-    /// The default (`0, 1`) allocates densely. A
-    /// [`ShardedRuntime`](crate::executor::ShardedRuntime) gives shard
-    /// `k` of `N` the allocator `(k, N)`, so every session id satisfies
-    /// `id.shard_of(N) == k` and requests route without a lookup table.
-    /// Because [`RuntimeBuilder::build_sharded`] owns the whole id space
-    /// for exactly that reason, combining it with a non-default
-    /// `session_ids` is rejected at build time.
+    /// # Errors
     ///
-    /// # Panics
-    ///
-    /// Panics if `stride` is zero (the allocator would hand out the same
-    /// id forever — a construction-time programming error).
-    pub fn session_ids(mut self, start: u64, stride: u64) -> Self {
-        assert!(stride > 0, "session-id stride must be positive");
-        self.id_start = start;
-        self.id_stride = stride;
-        self
+    /// Fails when the default policy does not resolve.
+    pub fn build(self) -> Result<Runtime, RuntimeError> {
+        self.build_sharded(1)
     }
 
-    /// Builds the runtime, validating that the default policy resolves.
-    pub fn build(mut self) -> Result<Runtime, RuntimeError> {
-        let registry = Arc::new(self.registry.take().unwrap_or_else(PolicyRegistry::builtin));
-        let platform = Arc::new(Platform::by_id(self.spec.platform));
-        let family = Arc::new(self.spec.family.family());
-        self.build_shared(registry, platform, family)
-    }
-
-    /// Builds the runtime around already-`Arc`-shared read-only context —
-    /// the [`ShardedRuntime`](crate::executor::ShardedRuntime) path, where
-    /// every shard resolves policies through the *same* registry and
-    /// shares one platform and one candidate family allocation.
-    pub(crate) fn build_shared(
-        self,
-        registry: Arc<PolicyRegistry>,
-        platform: Arc<Platform>,
-        family: Arc<ModelFamily>,
-    ) -> Result<Runtime, RuntimeError> {
+    /// Builds a runtime whose sessions live in `workers` shards (clamped
+    /// to at least one), so [`Runtime::drain`] runs on up to `workers`
+    /// threads. Every other operation behaves as on one shard.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the default policy does not resolve.
+    pub fn build_sharded(self, workers: usize) -> Result<Runtime, RuntimeError> {
         let RuntimeBuilder {
             spec,
+            registry,
             sinks,
             telemetry,
-            id_start,
-            id_stride,
-            ..
         } = self;
+        let registry = registry.unwrap_or_else(PolicyRegistry::builtin);
         if !registry.contains(&spec.policy) {
             return Err(UnknownPolicy {
                 name: spec.policy.clone(),
@@ -611,36 +550,24 @@ impl RuntimeBuilder {
             }
             .into());
         }
+        let platform = Platform::by_id(spec.platform);
         // The node's device list, primary first — the environment
         // rebuild recipe for every session this runtime opens.
-        let node: Vec<Platform> = std::iter::once((*platform).clone())
+        let node: Vec<Platform> = std::iter::once(platform.clone())
             .chain(spec.extra_backends.iter().map(|&id| Platform::by_id(id)))
             .collect();
         Ok(Runtime {
             platform,
             node,
-            family,
+            family: spec.family.family(),
             task: spec.family.task(),
             spec,
             registry,
             sinks,
             telemetry,
-            sessions: BTreeMap::new(),
-            next_id: id_start,
-            id_stride,
+            shards: (0..workers.max(1) as u64).map(Shard::new).collect(),
+            next_shard: 0,
         })
-    }
-
-    /// Builds a [`ShardedRuntime`](crate::executor::ShardedRuntime):
-    /// `workers` single-threaded shards sharing this builder's
-    /// configuration and registry, with disjoint session-id spaces.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the default policy does not resolve (same contract as
-    /// [`RuntimeBuilder::build`]).
-    pub fn build_sharded(self, workers: usize) -> Result<executor::ShardedRuntime, RuntimeError> {
-        executor::ShardedRuntime::from_builder(self, workers)
     }
 }
 
@@ -650,26 +577,55 @@ impl Default for RuntimeBuilder {
     }
 }
 
+/// One shard of a [`Runtime`]: its open sessions plus its id cursor.
+struct Shard {
+    sessions: BTreeMap<SessionId, Session>,
+    next_id: u64,
+}
+
+impl Shard {
+    /// Shard `k`, whose first session gets id `k`.
+    fn new(k: u64) -> Self {
+        Shard {
+            sessions: BTreeMap::new(),
+            next_id: k,
+        }
+    }
+}
+
 /// A long-lived multi-session serving runtime. See the module docs.
 ///
-/// The read-only context — platform, candidate family, policy registry —
-/// is `Arc`-shared: cloning a runtime's configuration into worker shards
-/// ([`executor::ShardedRuntime`]) costs reference counts, not
-/// allocations, and the parallel executor can hand `&ModelFamily` to
-/// every worker thread simultaneously.
+/// ```
+/// use alert_sched::runtime::Runtime;
+///
+/// let rt = Runtime::builder().build_sharded(4).expect("builds");
+/// assert_eq!(rt.shard_count(), 4);
+/// ```
 pub struct Runtime {
-    pub(crate) platform: Arc<Platform>,
+    platform: Platform,
     /// All node devices, primary first (`node[0]` mirrors `platform`).
     node: Vec<Platform>,
-    pub(crate) family: Arc<ModelFamily>,
+    family: ModelFamily,
     task: TaskId,
     spec: RunSpec,
-    pub(crate) registry: Arc<PolicyRegistry>,
-    pub(crate) sinks: Vec<Box<dyn EventSink>>,
-    pub(crate) telemetry: crate::telemetry::TelemetryConfig,
-    pub(crate) sessions: BTreeMap<SessionId, Session>,
-    next_id: u64,
-    id_stride: u64,
+    registry: PolicyRegistry,
+    sinks: Vec<Box<dyn EventSink>>,
+    telemetry: crate::telemetry::TelemetryConfig,
+    /// Never empty: the builder clamps the shard count to at least one.
+    shards: Vec<Shard>,
+    /// Round-robin cursor placing new sessions.
+    next_shard: usize,
+}
+
+/// The open session `id` among `shards`, routed by [`SessionId::shard_of`].
+/// A free function so callers can keep borrowing the runtime's other
+/// fields (family, sinks) while they hold the session.
+fn routed(shards: &mut [Shard], id: SessionId) -> Result<&mut Session, RuntimeError> {
+    let k = id.shard_of(shards.len());
+    shards
+        .get_mut(k)
+        .and_then(|shard| shard.sessions.get_mut(&id))
+        .ok_or(RuntimeError::UnknownSession(id))
 }
 
 impl Runtime {
@@ -704,19 +660,49 @@ impl Runtime {
         &self.registry
     }
 
+    /// Number of shards (`1` unless built with
+    /// [`RuntimeBuilder::build_sharded`]).
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
     /// Ids of all open sessions, ascending.
     pub fn open_sessions(&self) -> Vec<SessionId> {
-        self.sessions.keys().copied().collect()
+        let mut ids: Vec<SessionId> = self
+            .shards
+            .iter()
+            .flat_map(|shard| shard.sessions.keys().copied())
+            .collect();
+        ids.sort();
+        ids
     }
 
     /// Number of open sessions.
     pub fn session_count(&self) -> usize {
-        self.sessions.len()
+        self.shards.iter().map(|shard| shard.sessions.len()).sum()
     }
 
-    fn insert_session(&mut self, session: Session) -> SessionId {
-        let id = SessionId(self.next_id);
-        self.next_id += self.id_stride;
+    /// Open sessions per shard, in shard order.
+    pub fn shard_session_counts(&self) -> Vec<usize> {
+        self.shards
+            .iter()
+            .map(|shard| shard.sessions.len())
+            .collect()
+    }
+
+    /// Places `session` on shard `pin` (validated by the caller), or on
+    /// the round-robin cursor's shard, advancing the cursor. Shard `k` of
+    /// `N` hands out ids `k, k + N, …`, so the id routes back to it.
+    fn insert_session(&mut self, pin: Option<usize>, session: Session) -> SessionId {
+        let n = self.shards.len();
+        let k = pin.unwrap_or_else(|| {
+            let k = self.next_shard;
+            self.next_shard = (k + 1) % n;
+            k
+        });
+        let shard = &mut self.shards[k];
+        let id = SessionId(shard.next_id);
+        shard.next_id += n as u64;
         if !self.sinks.is_empty() {
             let event = EpisodeEvent::SessionOpened {
                 session: id,
@@ -724,11 +710,9 @@ impl Runtime {
                 scheme: session.scheme.clone(),
                 inputs: session.stream.len(),
             };
-            for sink in &mut self.sinks {
-                sink.emit(&event);
-            }
+            fan_out(&mut self.sinks, &event);
         }
-        self.sessions.insert(id, session);
+        shard.sessions.insert(id, session);
         id
     }
 
@@ -752,7 +736,7 @@ impl Runtime {
     }
 
     /// Validates a spec and materializes its session ingredients — the
-    /// single code path behind both [`Runtime::open_session`] and
+    /// single code path behind both [`Runtime::session`] and
     /// [`Runtime::restore_session`] (the bit-identical-resume guarantee
     /// depends on these never diverging). The returned spec has its
     /// seed and policy resolved against the runtime defaults, so it is
@@ -816,128 +800,88 @@ impl Runtime {
     /// runtime.session(spec).open()                          // from spec
     /// runtime.session(spec).on(stream, env).open()          // external env
     /// runtime.session(spec).on(stream, env).with(sch).open() // pre-built scheduler
-    /// sharded.session(spec).on_shard(2).open()              // pinned shard
+    /// runtime.session(spec).on_shard(2).open()              // pinned shard
     /// ```
     pub fn session(&mut self, spec: SessionSpec) -> SessionOptions<'_> {
-        SessionOptions::new(HostRef::Single(self), spec)
+        SessionOptions {
+            rt: self,
+            spec,
+            shard: None,
+            external: None,
+            scheduler: None,
+        }
     }
 
-    /// The single open path behind [`Runtime::session`] and the
-    /// deprecated entry points: spec-materialized, external-environment,
-    /// and pre-built-scheduler sessions all land here.
-    pub(crate) fn open_parts(
+    /// The single open path behind [`Runtime::session`]:
+    /// spec-materialized, external-environment, and pre-built-scheduler
+    /// sessions all land here.
+    fn open_parts(
         &mut self,
+        pin: Option<usize>,
         spec: SessionSpec,
         external: Option<(InputStream, Arc<EpisodeEnv>)>,
         scheduler: Option<Box<dyn Scheduler>>,
     ) -> Result<SessionId, RuntimeError> {
-        match (external, scheduler) {
-            // Externally built (possibly shared) frozen environment with
-            // a pre-built scheduler (escape hatch for schedulers carrying
-            // out-of-band state, e.g. a cell-pinned static oracle). Such
-            // sessions cannot be checkpointed.
-            (Some((stream, env)), Some(scheduler)) => {
-                let scheme = scheduler.name().to_string();
-                Ok(self.insert_session(Session {
-                    spec: None,
-                    scheme,
-                    scheduler,
-                    env,
-                    stream,
-                    goal: spec.goal,
-                    engine: SessionEngine::new(),
-                }))
+        if let Some(k) = pin.filter(|&k| k >= self.shards.len()) {
+            return Err(RuntimeError::InvalidSpec(format!(
+                "no shard {k}: this runtime has {} shard(s)",
+                self.shards.len()
+            )));
+        }
+        let session = match (external, scheduler) {
+            (None, Some(_)) => {
+                return Err(RuntimeError::InvalidSpec(
+                    "a pre-built scheduler needs an external environment: chain \
+                     .on(stream, env) before .with(scheduler)"
+                        .into(),
+                ))
             }
-            // Externally built environment, policy-built scheduler — the
-            // experiment-sweep path, where every scheme must face
-            // bit-identical conditions. Not checkpointable either (the
-            // runtime cannot rebuild the environment).
-            (Some((stream, env)), None) => {
-                let policy = spec.policy.unwrap_or_else(|| self.spec.policy.clone());
-                let scheduler = self.build_scheduler(&policy, spec.goal, &env, &stream)?;
-                let scheme = scheduler.name().to_string();
-                Ok(self.insert_session(Session {
-                    spec: None,
-                    scheme,
-                    scheduler,
-                    env,
-                    stream,
-                    goal: spec.goal,
-                    engine: SessionEngine::new(),
-                }))
-            }
-            (None, Some(_)) => Err(RuntimeError::InvalidSpec(
-                "a pre-built scheduler needs an external environment: chain \
-                 .on(stream, env) before .with(scheduler)"
-                    .into(),
-            )),
             // From the serializable spec: generates the stream, freezes
             // the environment, and builds the policy's scheduler.
             (None, None) => {
                 let (spec, stream, env, scheduler) = self.materialize(spec)?;
-                let scheme = scheduler.name().to_string();
-                Ok(self.insert_session(Session {
+                Session {
                     goal: spec.goal,
                     spec: Some(spec),
-                    scheme,
+                    scheme: scheduler.name().to_string(),
                     scheduler,
                     env,
                     stream,
                     engine: SessionEngine::new(),
-                }))
+                }
             }
-        }
-    }
-
-    /// Opens a session from a serializable spec.
-    #[deprecated(note = "use `runtime.session(spec).open()`")]
-    pub fn open_session(&mut self, spec: SessionSpec) -> Result<SessionId, RuntimeError> {
-        self.open_parts(spec, None, None)
-    }
-
-    /// Opens a session on an externally built frozen environment.
-    #[deprecated(note = "use `runtime.session(spec).policy(name).on(stream, env).open()`")]
-    pub fn open_session_on(
-        &mut self,
-        policy: &str,
-        goal: Goal,
-        stream: InputStream,
-        env: Arc<EpisodeEnv>,
-    ) -> Result<SessionId, RuntimeError> {
-        let spec = SessionSpec {
-            goal,
-            scenario: Scenario::default_env(),
-            n_inputs: stream.len().max(1),
-            seed: None,
-            policy: Some(policy.to_string()),
+            // Externally built (possibly shared) frozen environment — the
+            // experiment-sweep path, where every scheme must face
+            // bit-identical conditions — with a policy-built or pre-built
+            // scheduler (the escape hatch for schedulers carrying
+            // out-of-band state, e.g. a cell-pinned static oracle). Not
+            // checkpointable: the runtime cannot rebuild the environment.
+            (Some((stream, env)), scheduler) => {
+                let scheduler = match scheduler {
+                    Some(scheduler) => scheduler,
+                    None => {
+                        let policy = spec.policy.as_deref().unwrap_or(&self.spec.policy);
+                        self.build_scheduler(policy, spec.goal, &env, &stream)?
+                    }
+                };
+                Session {
+                    spec: None,
+                    scheme: scheduler.name().to_string(),
+                    scheduler,
+                    env,
+                    stream,
+                    goal: spec.goal,
+                    engine: SessionEngine::new(),
+                }
+            }
         };
-        self.open_parts(spec, Some((stream, env)), None)
-    }
-
-    /// Opens a session with a pre-built scheduler.
-    #[deprecated(note = "use `runtime.session(spec).on(stream, env).with(scheduler).open()`")]
-    pub fn open_session_with(
-        &mut self,
-        scheduler: Box<dyn Scheduler>,
-        goal: Goal,
-        stream: InputStream,
-        env: Arc<EpisodeEnv>,
-    ) -> SessionId {
-        let scheme = scheduler.name().to_string();
-        self.insert_session(Session {
-            spec: None,
-            scheme,
-            scheduler,
-            env,
-            stream,
-            goal,
-            engine: SessionEngine::new(),
-        })
+        Ok(self.insert_session(pin, session))
     }
 
     fn session_ref(&self, id: SessionId) -> Result<&Session, RuntimeError> {
-        self.sessions
-            .get(&id)
+        self.shards
+            .get(id.shard_of(self.shards.len()))
+            .and_then(|shard| shard.sessions.get(&id))
             .ok_or(RuntimeError::UnknownSession(id))
     }
 
@@ -988,60 +932,24 @@ impl Runtime {
         })
     }
 
-    /// Advances `id` by one input without materializing an owned record
-    /// — the hot path under [`Runtime::run_to_completion`] and
-    /// [`Runtime::drain_round_robin`] (a clone happens only for the
-    /// event sinks, if any are installed). Returns whether an input was
-    /// processed.
-    fn step_session(&mut self, id: SessionId) -> Result<bool, RuntimeError> {
-        let s = self
-            .sessions
-            .get_mut(&id)
-            .ok_or(RuntimeError::UnknownSession(id))?;
-        let Some(record) = s.step(&self.family)? else {
-            return Ok(false);
-        };
-        // No sinks: skip event construction entirely — the sink-free
-        // hot path clones nothing.
-        if self.sinks.is_empty() {
-            return Ok(true);
-        }
-        // Cloning first releases the step borrow so the scheduler's
-        // trace is readable; the clone then rides through the event.
-        let record = record.clone();
-        let telemetry = Self::decision_telemetry(self.telemetry, id, &record, s.scheduler.as_ref());
-        let event = EpisodeEvent::InputProcessed {
-            session: id,
-            record,
-        };
-        for sink in &mut self.sinks {
-            sink.emit(&event);
-        }
-        if let Some(telemetry) = telemetry {
-            for sink in &mut self.sinks {
-                sink.emit(&telemetry);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Advances `id` by exactly one input. Returns the record, or
-    /// `Ok(None)` when the stream is exhausted.
-    ///
-    /// The stepped session hands its record straight back: the hot path
-    /// clones it exactly once (when sinks are installed, the clone rides
-    /// through the emitted event and is then moved out — never a second
-    /// clone, never a re-fetch through the session map).
-    pub fn submit(&mut self, id: SessionId) -> Result<Option<InputRecord>, RuntimeError> {
-        let s = self
-            .sessions
-            .get_mut(&id)
-            .ok_or(RuntimeError::UnknownSession(id))?;
+    /// Advances `id` by one input and emits its events; returns the
+    /// record when `keep` asks for an owned copy. The record is cloned
+    /// at most once: for the sinks, if any are installed, and the copy
+    /// that rode through the event is then moved out for the caller.
+    /// `Ok(None)` means the stream is exhausted.
+    fn step_session(
+        &mut self,
+        id: SessionId,
+        keep: bool,
+    ) -> Result<Option<Option<InputRecord>>, RuntimeError> {
+        let s = routed(&mut self.shards, id)?;
         let Some(record) = s.step(&self.family)? else {
             return Ok(None);
         };
+        // No sinks: skip event construction entirely — without `keep`
+        // the hot path clones nothing.
         if self.sinks.is_empty() {
-            return Ok(Some(record.clone()));
+            return Ok(Some(keep.then(|| record.clone())));
         }
         // Cloning first releases the step borrow so the scheduler's
         // trace is readable; the clone then rides through the event.
@@ -1051,26 +959,39 @@ impl Runtime {
             session: id,
             record,
         };
-        for sink in &mut self.sinks {
-            sink.emit(&event);
-        }
+        fan_out(&mut self.sinks, &event);
         if let Some(telemetry) = telemetry {
-            for sink in &mut self.sinks {
-                sink.emit(&telemetry);
-            }
+            fan_out(&mut self.sinks, &telemetry);
         }
         let EpisodeEvent::InputProcessed { record, .. } = event else {
             // lint:allow(no-panic): the event variant is constructed just above; no other variant can reach here
             unreachable!("constructed above")
         };
-        Ok(Some(record))
+        Ok(Some(keep.then_some(record)))
+    }
+
+    /// Advances `id` by exactly one input. Returns the record, or
+    /// `Ok(None)` when the stream is exhausted.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::UnknownSession`] for an id that is not open;
+    /// [`RuntimeError::Step`] when the scheduler hands back a
+    /// configuration the node cannot execute. A step error is terminal
+    /// for the session (see [`SessionEngine::step`]): close it.
+    pub fn submit(&mut self, id: SessionId) -> Result<Option<InputRecord>, RuntimeError> {
+        Ok(self.step_session(id, true)?.flatten())
     }
 
     /// Drives `id` to the end of its stream; returns the number of
     /// inputs processed by this call.
+    ///
+    /// # Errors
+    ///
+    /// As [`Runtime::submit`].
     pub fn run_to_completion(&mut self, id: SessionId) -> Result<usize, RuntimeError> {
         let mut n = 0;
-        while self.step_session(id)? {
+        while self.step_session(id, false)?.is_some() {
             n += 1;
         }
         Ok(n)
@@ -1079,9 +1000,11 @@ impl Runtime {
     /// Closes a session, returning its [`Episode`]. The session need not
     /// be finished; the episode covers the inputs processed so far.
     pub fn close(&mut self, id: SessionId) -> Result<Episode, RuntimeError> {
+        let k = id.shard_of(self.shards.len());
         let s = self
-            .sessions
-            .remove(&id)
+            .shards
+            .get_mut(k)
+            .and_then(|shard| shard.sessions.remove(&id))
             .ok_or(RuntimeError::UnknownSession(id))?;
         let episode = s.engine.finish(&s.scheme, &s.goal);
         if !self.sinks.is_empty() {
@@ -1090,65 +1013,43 @@ impl Runtime {
                 scheme: s.scheme,
                 summary: episode.summary.clone(),
             };
-            for sink in &mut self.sinks {
-                sink.emit(&event);
-            }
+            fan_out(&mut self.sinks, &event);
         }
         Ok(episode)
     }
 
-    /// Steps every open session one input at a time, round-robin in id
-    /// order, until all are finished; closes them and returns the
-    /// episodes ascending by id. The workhorse of the concurrency tests
-    /// and the runtime benchmark.
-    pub fn drain_round_robin(&mut self) -> Result<Vec<(SessionId, Episode)>, RuntimeError> {
-        let ids = self.open_sessions();
-        let mut live: Vec<SessionId> = ids.clone();
-        while !live.is_empty() {
-            let mut still = Vec::with_capacity(live.len());
-            for id in live {
-                if self.step_session(id)? {
-                    still.push(id);
-                }
-            }
-            live = still;
-        }
-        ids.into_iter()
-            .map(|id| Ok((id, self.close(id)?)))
-            .collect()
-    }
-
-    /// Steps every open session to completion on `workers` parallel
-    /// shards and closes them, returning the episodes ascending by id.
+    /// Steps every open session to the end of its stream and closes it,
+    /// returning the episodes ascending by id.
     ///
-    /// Sessions are partitioned by `id.shard_of(workers)`; each shard is
-    /// drained round-robin on its own thread (`std::thread::scope`, no
-    /// extra dependencies). Because sessions share no mutable state —
-    /// the platform, candidate family and registry are `Arc`-shared and
-    /// read-only — every session's records are **bit-identical** to
-    /// [`Runtime::drain_round_robin`]'s, for any worker count
+    /// Each non-empty shard runs on its own scoped thread, stepping its
+    /// sessions round-robin in id order. Sessions share no mutable
+    /// state, so every session's records are **bit-identical** to
+    /// submitting its inputs one at a time, for any shard count
     /// (`tests/parallel_executor.rs` proves it property-style). The one
-    /// exception is inherent to the scheme, not the executor: sessions
-    /// under `OverheadPolicy::Measured` feed wall-clock decision cost
-    /// back into their deadline reserve, so their records are
-    /// timing-dependent even across two serial runs.
+    /// exception is inherent to the scheme, not the drain: sessions
+    /// under `OverheadPolicy::Measured` feed measured decision cost back
+    /// into their deadline reserve, so their records are
+    /// timing-dependent even across two single-shard runs.
     ///
-    /// Sink events are fanned through a per-session-ordered channel: each
-    /// session's `InputProcessed` events arrive in index order followed
-    /// by its `SessionClosed`, exactly as under the serial drain.
-    /// *Cross*-session interleaving is scheduling-dependent (it already
-    /// was: the serial drain's interleaving is an artifact of round-robin
-    /// order, which no consumer may rely on).
-    pub fn drain_parallel(
-        &mut self,
-        workers: usize,
-    ) -> Result<Vec<(SessionId, Episode)>, RuntimeError> {
-        let workers = workers.max(1);
-        let sessions = std::mem::take(&mut self.sessions);
-        let mut shards: Vec<Vec<(SessionId, Session)>> = (0..workers).map(|_| Vec::new()).collect();
-        for (id, session) in sessions {
-            shards[id.shard_of(workers)].push((id, session));
-        }
+    /// With sinks installed, the workers send their events over a
+    /// channel to the calling thread, which hands them to the sinks:
+    /// each session's `InputProcessed` events arrive in index order,
+    /// followed by its `SessionClosed`. *Cross*-session interleaving
+    /// depends on thread scheduling; no consumer may rely on it.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Step`] when a scheduler hands back a configuration
+    /// the node cannot execute — the first such error in shard order.
+    /// The drain takes every session out of the runtime before it
+    /// starts, so the sessions are gone on error as on success:
+    /// `session_count() == 0` afterwards.
+    pub fn drain(&mut self) -> Result<Vec<(SessionId, Episode)>, RuntimeError> {
+        let shards = self
+            .shards
+            .iter_mut()
+            .map(|shard| std::mem::take(&mut shard.sessions))
+            .collect();
         executor::drain_shards(shards, &self.family, &mut self.sinks, self.telemetry)
     }
 
@@ -1186,7 +1087,8 @@ impl Runtime {
     /// The decision-table bundle an open session's scheduler holds.
     #[cfg(test)]
     pub(crate) fn session_tables(&self, id: SessionId) -> Option<Arc<alert_core::DecisionTables>> {
-        self.sessions.get(&id)?.scheduler.decision_tables().cloned()
+        let s = self.session_ref(id).ok()?;
+        s.scheduler.decision_tables().cloned()
     }
 
     /// Restores a checkpointed session into this runtime (the migration
@@ -1272,15 +1174,18 @@ impl Runtime {
         if let Some(ctl) = &snap.controller {
             scheduler.restore_controller(ctl);
         }
-        Ok(self.insert_session(Session {
-            goal: spec.goal,
-            spec: Some(spec),
-            scheme: snap.scheme.clone(),
-            scheduler,
-            env,
-            stream,
-            engine: snap.engine.clone(),
-        }))
+        Ok(self.insert_session(
+            None,
+            Session {
+                goal: spec.goal,
+                spec: Some(spec),
+                scheme: snap.scheme.clone(),
+                scheduler,
+                env,
+                stream,
+                engine: snap.engine.clone(),
+            },
+        ))
     }
 }
 
@@ -1288,7 +1193,8 @@ impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
             .field("spec", &self.spec)
-            .field("sessions", &self.sessions.len())
+            .field("shards", &self.shards.len())
+            .field("sessions", &self.session_count())
             .finish()
     }
 }
@@ -1371,22 +1277,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_entry_points_are_equivalent_shims() {
-        // The legacy trio must keep producing sessions bit-identical to
-        // the SessionOptions builder until it is removed.
-        let mut old_rt = runtime();
-        let old_id = old_rt.open_session(spec(17)).unwrap();
-        old_rt.run_to_completion(old_id).unwrap();
-        let old_ep = old_rt.close(old_id).unwrap();
-        let mut new_rt = runtime();
-        let new_id = new_rt.session(spec(17)).open().unwrap();
-        new_rt.run_to_completion(new_id).unwrap();
-        let new_ep = new_rt.close(new_id).unwrap();
-        assert_eq!(old_ep.records, new_ep.records);
-    }
-
-    #[test]
     fn builder_rejects_scheduler_without_environment() {
         let mut rt = runtime();
         let sched = crate::app_only::AppOnly::new(rt.family(), rt.platform());
@@ -1397,13 +1287,16 @@ mod tests {
     }
 
     #[test]
-    fn plain_runtime_rejects_nonzero_shard_pin() {
-        let mut rt = runtime();
-        assert!(rt.session(spec(1)).on_shard(0).open().is_ok());
-        assert!(matches!(
-            rt.session(spec(1)).on_shard(1).open(),
-            Err(crate::Error::InvalidSpec(_))
-        ));
+    fn shard_pins_must_name_an_existing_shard() {
+        for shards in [1, 3] {
+            let mut rt = Runtime::builder().build_sharded(shards).unwrap();
+            let id = rt.session(spec(1)).on_shard(shards - 1).open().unwrap();
+            assert_eq!(id.shard_of(shards), shards - 1);
+            assert!(matches!(
+                rt.session(spec(1)).on_shard(shards).open(),
+                Err(crate::Error::InvalidSpec(_))
+            ));
+        }
     }
 
     #[test]
@@ -1757,7 +1650,7 @@ mod tests {
     }
 
     #[test]
-    fn drain_round_robin_closes_everything() {
+    fn drain_closes_everything() {
         let mut rt = runtime();
         let mut specs = Vec::new();
         for s in 0..5u64 {
@@ -1766,7 +1659,7 @@ mod tests {
             specs.push(sp.clone());
             rt.session(sp).open().unwrap();
         }
-        let episodes = rt.drain_round_robin().unwrap();
+        let episodes = rt.drain().unwrap();
         assert_eq!(episodes.len(), 5);
         assert_eq!(rt.session_count(), 0);
         for ((_, ep), sp) in episodes.iter().zip(&specs) {

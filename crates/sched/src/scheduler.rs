@@ -7,6 +7,13 @@
 //! future — is hidden. The Oracle schemes are the deliberate exception:
 //! they are constructed *with* the frozen environment (paper §5.1 calls
 //! them impractical for exactly this reason).
+//!
+//! The trait is open (custom policies register through
+//! [`PolicyRegistry::register_fn`](crate::registry::PolicyRegistry::register_fn)),
+//! so the harness trusts no [`Decision`]: a model or device index out of
+//! range is reported as
+//! [`StepError::OutOfRange`](crate::harness::StepError::OutOfRange), not
+//! a panic.
 
 use alert_core::{ControllerSnapshot, DecisionTables, DecisionTrace};
 use alert_models::inference::{InferenceResult, StopPolicy};
@@ -64,10 +71,10 @@ pub struct Feedback {
 /// A per-input scheduling policy.
 ///
 /// `Send` is a supertrait so sessions (which own their scheduler) can be
-/// moved onto worker shards by the parallel executor
-/// (`Runtime::drain_parallel`, `ShardedRuntime`); schedulers hold only
-/// their own learned state plus `Arc`-shared read-only context, so this
-/// costs implementations nothing.
+/// moved onto worker threads by
+/// [`Runtime::drain`](crate::runtime::Runtime::drain); schedulers hold
+/// only their own learned state plus `Arc`-shared read-only context, so
+/// this costs implementations nothing.
 pub trait Scheduler: Send {
     /// Scheme name for reporting (Table 3/4 row labels).
     fn name(&self) -> &str;

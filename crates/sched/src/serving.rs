@@ -1,10 +1,10 @@
 //! The serving front-end: offered-load ingestion with ALERT-native
-//! admission control over the sharded runtime.
+//! admission control over the runtime's shards.
 //!
 //! A *storm* ([`alert_workload::StormSpec`] →
 //! [`alert_workload::generate_storm`]) is a frozen sequence of request
 //! arrivals. [`serve`] replays a storm against a
-//! [`ShardedRuntime`]: each request is routed round-robin to a shard
+//! [`Runtime`]: each request is routed round-robin to a shard
 //! whose (virtual-time) server works off admitted requests in arrival
 //! order, and an [`AdmissionPolicy`] decides per request whether to
 //!
@@ -37,8 +37,7 @@
 //! *across* policies are attributable to admission alone. The serving
 //! bench asserts the replay identity per cell.
 
-use crate::executor::ShardedRuntime;
-use crate::runtime::SessionSpec;
+use crate::runtime::{Runtime, SessionSpec};
 use crate::telemetry::{AdmissionConstraint, AdmissionProbe};
 use alert_core::alert::{AlertController, AlertParams, Observation};
 use alert_models::family::CandidateSet;
@@ -211,7 +210,7 @@ impl AlertAdmission {
     /// # Errors
     ///
     /// Rejects a malformed degrade patch or a miss threshold outside
-    /// `[0, 1)`.
+    /// the open interval `(0, 1)`.
     pub fn new(
         controller: AlertController,
         span: QualitySpan,
@@ -243,7 +242,7 @@ impl AlertAdmission {
     /// Propagates table-construction failures (no candidate fits the
     /// platform) and [`AlertAdmission::new`] validation.
     pub fn for_runtime(
-        rt: &ShardedRuntime,
+        rt: &Runtime,
         degrade: GoalPatch,
         miss_threshold: f64,
     ) -> Result<Self, crate::Error> {
@@ -384,7 +383,7 @@ impl AdmissionPolicy for AlertAdmission {
 /// Unknown names and [`AlertAdmission::for_runtime`] failures.
 pub fn admission_policy(
     name: &str,
-    rt: &ShardedRuntime,
+    rt: &Runtime,
 ) -> Result<Box<dyn AdmissionPolicy>, crate::Error> {
     match name {
         "Always-admit" => Ok(Box::new(AlwaysAdmit)),
@@ -443,8 +442,8 @@ struct InFlight {
     records: Vec<InputRecord>,
 }
 
-/// Replays a storm against the sharded runtime under one admission
-/// policy, producing the per-request outcome log.
+/// Replays a storm against the runtime under one admission policy,
+/// producing the per-request outcome log.
 ///
 /// The simulation is virtual-time and work-conserving: shard `k` serves
 /// its admitted requests back to back in arrival order, a request's
@@ -459,7 +458,7 @@ struct InFlight {
 /// Rejects a config with zero inputs per request; propagates session
 /// open/run failures.
 pub fn serve(
-    rt: &mut ShardedRuntime,
+    rt: &mut Runtime,
     config: &ServingConfig,
     storm: &[RequestArrival],
     policy: &mut dyn AdmissionPolicy,
@@ -470,7 +469,7 @@ pub fn serve(
         ));
     }
     config.goal.validate().map_err(crate::Error::InvalidSpec)?;
-    let workers = rt.workers();
+    let workers = rt.shard_count();
     let span = quality_span(rt.family(), rt.platform());
     let mut busy_until = vec![Seconds(0.0); workers];
     let mut in_flight: Vec<InFlight> = Vec::new();
@@ -598,7 +597,6 @@ pub fn serve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::Runtime;
     use alert_workload::{generate_storm, ArrivalProcess, StormSpec};
 
     fn storm(n: usize, mean_gap: f64) -> Vec<RequestArrival> {
@@ -614,7 +612,7 @@ mod tests {
         .expect("valid storm")
     }
 
-    fn runtime(workers: usize) -> ShardedRuntime {
+    fn runtime(workers: usize) -> Runtime {
         Runtime::builder()
             .seed(7)
             .build_sharded(workers)

@@ -1,8 +1,8 @@
-//! The Sys-only baseline (paper Table 3, §5.2; reference [63]).
+//! The Sys-only baseline (paper Table 3, §5.2; reference \[63\]).
 //!
 //! "Conducts adaptation only at the system level following an existing
 //! resource-management system that minimizes energy under soft real-time
-//! constraints [63] and uses the fastest candidate DNN to avoid latency
+//! constraints \[63\] and uses the fastest candidate DNN to avoid latency
 //! violations." The power controller is CALOREE/POET-style: a Kalman
 //! filter tracks the ratio of the pinned model's observed latency to its
 //! profile, predicted latencies select the minimum-energy cap that still
@@ -21,7 +21,7 @@ use alert_stats::kalman::ScalarKalman;
 use alert_stats::units::{Seconds, Watts};
 use alert_workload::{Goal, Objective};
 
-/// Sys-only: fastest traditional DNN + [63]-style power management.
+/// Sys-only: fastest traditional DNN + \[63\]-style power management.
 pub struct SysOnly {
     device: usize,
     model: usize,
@@ -31,7 +31,7 @@ pub struct SysOnly {
     t_prof: Vec<Seconds>,
     /// Measured run power per cap.
     p_run: Vec<Watts>,
-    /// Latency-ratio filter (observed / profiled), per [63].
+    /// Latency-ratio filter (observed / profiled), per \[63\].
     filter: ScalarKalman,
     /// EWMA of measured idle power.
     idle_est: Watts,
@@ -94,8 +94,8 @@ impl SysOnly {
 
     /// Creates the scheme on a heterogeneous node: pins the (device,
     /// model) pair with the fastest profiled latency at each device's top
-    /// cap — [63]'s "use the fastest candidate DNN" rule generalized
-    /// across backends. The placement is static; the [63]-style power
+    /// cap — \[63\]'s "use the fastest candidate DNN" rule generalized
+    /// across backends. The placement is static; the \[63\]-style power
     /// controller then manages that one device's cap (system-level
     /// adaptation does not re-place work mid-stream).
     ///

@@ -11,7 +11,7 @@
 //! * [`IdlePowerFilter`] — the paper's Eq. 8: a fixed-gain-schedule filter
 //!   tracking the DNN-idle power ratio φ.
 //! * [`ScalarKalman`] — the textbook constant-state filter, used by the
-//!   `Sys-only` baseline (paper reference [63]) which predicts job latency
+//!   `Sys-only` baseline (paper reference \[63\]) which predicts job latency
 //!   directly rather than through a slowdown factor.
 //!
 //! All filters are purely scalar, allocation-free, and deterministic.
@@ -373,7 +373,7 @@ impl IdlePowerFilter {
 
 /// A textbook scalar Kalman filter with a constant-state model.
 ///
-/// Used by the `Sys-only` baseline (paper reference [63], POET/CALOREE
+/// Used by the `Sys-only` baseline (paper reference \[63\], POET/CALOREE
 /// style) which filters raw job latency instead of a slowdown factor, and
 /// handy as a comparison point in tests.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -124,8 +124,8 @@ fn main() {
     let alert_id = rt.session(spec("ALERT")).open().expect("open ALERT");
     let greedy_id = rt.session(spec("Greedy")).open().expect("open Greedy");
 
-    // 4. Drain both sessions concurrently (round-robin interleaving).
-    let episodes = rt.drain_round_robin().expect("sessions drain");
+    // 4. Drain both sessions (one shard: round-robin interleaving).
+    let episodes = rt.drain().expect("sessions drain");
     let by_id = |id| {
         episodes
             .iter()

@@ -48,7 +48,7 @@ fn main() {
         .on(stream.clone(), env)
         .open()
         .expect("open Sys-only");
-    let episodes = rt.drain_round_robin().expect("drain");
+    let episodes = rt.drain().expect("drain");
     let ep = &episodes.iter().find(|(id, _)| *id == alert_id).unwrap().1;
     let ep_sys = &episodes.iter().find(|(id, _)| *id == sys_id).unwrap().1;
 

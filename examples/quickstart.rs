@@ -41,7 +41,7 @@ fn main() {
     let app_id = rt.session(spec(Some("App-only"))).open().expect("open");
 
     // 4. Drain and compare.
-    let episodes = rt.drain_round_robin().expect("drain");
+    let episodes = rt.drain().expect("drain");
     let ep = &episodes.iter().find(|(id, _)| *id == alert_id).unwrap().1;
     let ep_app = &episodes.iter().find(|(id, _)| *id == app_id).unwrap().1;
     for e in [ep, ep_app] {

@@ -93,7 +93,7 @@ fn main() {
     };
     let alert_id = rt.session(spec("ALERT")).open().expect("open");
     let noco_id = rt.session(spec("No-coord")).open().expect("open");
-    let episodes = rt.drain_round_robin().expect("drain");
+    let episodes = rt.drain().expect("drain");
 
     for (id, ep) in &episodes {
         println!(

@@ -1,5 +1,5 @@
 //! The serving front-end in one page: a frozen request storm replayed
-//! against the sharded runtime under three admission policies.
+//! against a 2-shard runtime under three admission policies.
 //!
 //! An offered-load generator (Poisson arrivals here) produces a *storm*
 //! — a pre-materialized, seeded request sequence, so every policy faces

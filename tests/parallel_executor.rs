@@ -1,13 +1,16 @@
-//! Property and integration tests of the parallel sharded executor:
-//! `drain_parallel(w)` and the long-lived `ShardedRuntime` must be
-//! **bit-identical** to the serial `drain_round_robin` for arbitrary
-//! worker counts and session mixes, and sink consumers must see each
-//! session's event stream in exactly the serial order.
+//! Property and integration tests of the sharded drain:
+//! `build_sharded(w)` … `drain()` must be **bit-identical** to a
+//! round-robin `submit` loop that closes in id order, for arbitrary shard
+//! counts and session mixes, and sink consumers must see each session's
+//! event stream exactly as that loop emits it.
+
+mod common;
 
 use alert::sched::runtime::{EpisodeEvent, Runtime, SessionSpec};
 use alert::sched::{Episode, FamilyKind};
 use alert::stats::units::{Joules, Seconds};
 use alert::workload::{Goal, Scenario, SessionId};
+use common::round_robin_reference;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::mpsc;
@@ -45,12 +48,12 @@ fn summary_modulo_overhead(ep: &Episode) -> (usize, usize, f64, f64) {
 }
 
 fn assert_equivalent(
-    parallel: &[(SessionId, Episode)],
-    serial: &[(SessionId, Episode)],
+    drained: &[(SessionId, Episode)],
+    reference: &[(SessionId, Episode)],
     label: &str,
 ) {
-    assert_eq!(parallel.len(), serial.len(), "{label}: episode counts");
-    for ((id, ep), (rid, rep)) in parallel.iter().zip(serial) {
+    assert_eq!(drained.len(), reference.len(), "{label}: episode counts");
+    for ((id, ep), (rid, rep)) in drained.iter().zip(reference) {
         assert_eq!(id, rid, "{label}: id order");
         assert_eq!(ep.scheme, rep.scheme, "{label}: {id} scheme");
         assert_eq!(ep.records, rep.records, "{label}: {id} records diverged");
@@ -62,12 +65,37 @@ fn assert_equivalent(
     }
 }
 
+/// The events of one run grouped by session, in arrival order, with the
+/// measured decision overhead in `SessionClosed` summaries zeroed (it is
+/// CPU time and differs run to run).
+fn per_session(events: mpsc::Receiver<EpisodeEvent>) -> BTreeMap<SessionId, Vec<EpisodeEvent>> {
+    let mut streams: BTreeMap<SessionId, Vec<EpisodeEvent>> = BTreeMap::new();
+    for mut event in events {
+        let session = match &mut event {
+            EpisodeEvent::SessionOpened { session, .. }
+            | EpisodeEvent::InputProcessed { session, .. } => *session,
+            EpisodeEvent::SessionClosed {
+                session, summary, ..
+            } => {
+                summary.overhead = Seconds(0.0);
+                *session
+            }
+            // Telemetry is off by default; none may appear here.
+            EpisodeEvent::Telemetry { .. } => {
+                panic!("unexpected telemetry with TelemetryConfig::Off")
+            }
+        };
+        streams.entry(session).or_default().push(event);
+    }
+    streams
+}
+
 proptest! {
-    /// The headline invariant: for arbitrary worker counts and session
-    /// mixes, the parallel drain's episodes are bit-identical to the
-    /// serial drain's.
+    /// The headline invariant: for arbitrary shard counts and session
+    /// mixes, the drain's episodes are bit-identical to the round-robin
+    /// reference's.
     #[test]
-    fn drain_parallel_is_bit_identical_to_round_robin(
+    fn drain_is_bit_identical_to_round_robin(
         workers in 1usize..9,
         mix in proptest::collection::vec((0usize..3, 0i64..1000), 1..10),
     ) {
@@ -81,47 +109,45 @@ proptest! {
 
         let mut serial = Runtime::builder().build().unwrap();
         open_all(&mut serial);
-        let reference = serial.drain_round_robin().unwrap();
+        let reference = round_robin_reference(&mut serial);
 
-        let mut parallel = Runtime::builder().build().unwrap();
-        open_all(&mut parallel);
-        let episodes = parallel.drain_parallel(workers).unwrap();
-        prop_assert_eq!(parallel.session_count(), 0);
+        let mut sharded = Runtime::builder().build_sharded(workers).unwrap();
+        open_all(&mut sharded);
+        let episodes = sharded.drain().unwrap();
+        prop_assert_eq!(sharded.session_count(), 0);
         assert_equivalent(&episodes, &reference, &format!("workers={workers}"));
     }
 
-    /// Sink consumers see each session's events exactly as under the
-    /// serial drain: `InputProcessed` in index order carrying the very
-    /// records of the episode, then one `SessionClosed`.
+    /// Sink consumers see each session's events exactly as the
+    /// round-robin reference emits them: `SessionOpened`, then
+    /// `InputProcessed` in index order carrying the very records of the
+    /// episode, then one `SessionClosed`.
     #[test]
     fn parallel_sink_preserves_per_session_order(
         workers in 1usize..9,
         mix in proptest::collection::vec((0usize..3, 0i64..1000), 1..8),
     ) {
+        let open_all = |rt: &mut Runtime| {
+            for &(kind, seed) in &mix {
+                rt.session(session_spec(kind, seed as u64)).open().unwrap();
+            }
+        };
         let (tx, rx) = mpsc::channel();
-        let mut rt = Runtime::builder().sink(tx).build().unwrap();
-        let ids: Vec<SessionId> = mix
-            .iter()
-            .map(|&(kind, seed)| rt.session(session_spec(kind, seed as u64)).open().unwrap())
-            .collect();
-        let episodes = rt.drain_parallel(workers).unwrap();
-        drop(rt); // drop the sender inside the runtime
+        let mut serial = Runtime::builder().sink(tx).build().unwrap();
+        open_all(&mut serial);
+        round_robin_reference(&mut serial);
+        drop(serial); // drop the sender inside the runtime
+        let reference = per_session(rx);
 
-        let mut streams: BTreeMap<SessionId, Vec<EpisodeEvent>> = BTreeMap::new();
-        for event in rx.iter() {
-            let session = match &event {
-                EpisodeEvent::SessionOpened { session, .. }
-                | EpisodeEvent::InputProcessed { session, .. }
-                | EpisodeEvent::SessionClosed { session, .. } => *session,
-                // Telemetry is off by default; none may appear here.
-                EpisodeEvent::Telemetry { .. } => {
-                    prop_assert!(false, "unexpected telemetry with TelemetryConfig::Off");
-                    unreachable!()
-                }
-            };
-            streams.entry(session).or_default().push(event);
-        }
-        prop_assert_eq!(streams.len(), ids.len());
+        let (tx, rx) = mpsc::channel();
+        let mut sharded = Runtime::builder().sink(tx).build_sharded(workers).unwrap();
+        open_all(&mut sharded);
+        let episodes = sharded.drain().unwrap();
+        drop(sharded);
+        let streams = per_session(rx);
+
+        prop_assert_eq!(streams.len(), mix.len());
+        prop_assert_eq!(&streams, &reference, "workers={}", workers);
         for (id, episode) in &episodes {
             let stream = &streams[id];
             prop_assert!(matches!(stream[0], EpisodeEvent::SessionOpened { .. }));
@@ -171,12 +197,12 @@ fn hetero_spec(kind: usize, seed: u64) -> SessionSpec {
 }
 
 proptest! {
-    /// Cross-device determinism: for arbitrary worker counts and session
-    /// mixes on a shared-budget CPU+GPU node, the parallel drain's
-    /// episodes — including every record's device placement — are
-    /// bit-identical to the serial drain's.
+    /// Cross-device determinism: for arbitrary shard counts and session
+    /// mixes on a shared-budget CPU+GPU node, the drain's episodes —
+    /// including every record's device placement — are bit-identical to
+    /// the round-robin reference's.
     #[test]
-    fn hetero_drain_parallel_is_bit_identical_to_round_robin(
+    fn hetero_drain_is_bit_identical_to_round_robin(
         workers in 1usize..9,
         mix in proptest::collection::vec((0usize..3, 0i64..1000), 1..8),
     ) {
@@ -190,11 +216,11 @@ proptest! {
 
         let mut serial = hetero_builder().build().unwrap();
         open_all(&mut serial);
-        let reference = serial.drain_round_robin().unwrap();
+        let reference = round_robin_reference(&mut serial);
 
-        let mut parallel = hetero_builder().build().unwrap();
-        open_all(&mut parallel);
-        let episodes = parallel.drain_parallel(workers).unwrap();
+        let mut sharded = hetero_builder().build_sharded(workers).unwrap();
+        open_all(&mut sharded);
+        let episodes = sharded.drain().unwrap();
         assert_equivalent(&episodes, &reference, &format!("hetero workers={workers}"));
         // assert_equivalent compares records wholesale, which covers the
         // device column; make the placement comparison explicit anyway.
@@ -251,9 +277,9 @@ proptest! {
 }
 
 /// Grouped (NLP1) streams carry per-session shared-deadline budgets; the
-/// parallel drain must not perturb them either.
+/// sharded drain must not perturb them either.
 #[test]
-fn drain_parallel_matches_serial_on_grouped_streams() {
+fn drain_matches_serial_on_grouped_streams() {
     let spec = |seed: u64| SessionSpec {
         goal: Goal::minimize_error(Seconds(0.12), Joules(6.0)),
         scenario: Scenario::memory_env(seed),
@@ -261,31 +287,27 @@ fn drain_parallel_matches_serial_on_grouped_streams() {
         seed: Some(seed),
         policy: None,
     };
-    let build = || {
-        Runtime::builder()
+    let build = |workers: usize| {
+        let mut rt = Runtime::builder()
             .family(FamilyKind::Sentence)
-            .build()
-            .unwrap()
-    };
-    let mut serial = build();
-    for s in 0..6u64 {
-        serial.session(spec(70 + s)).open().unwrap();
-    }
-    let reference = serial.drain_round_robin().unwrap();
-
-    for workers in [2, 4, 7] {
-        let mut rt = build();
+            .build_sharded(workers)
+            .unwrap();
         for s in 0..6u64 {
             rt.session(spec(70 + s)).open().unwrap();
         }
-        let episodes = rt.drain_parallel(workers).unwrap();
+        rt
+    };
+    let reference = round_robin_reference(&mut build(1));
+
+    for workers in 1..9 {
+        let episodes = build(workers).drain().unwrap();
         assert_equivalent(&episodes, &reference, &format!("grouped workers={workers}"));
     }
 }
 
-/// The long-lived sharded runtime serves the same episodes as one serial
-/// runtime, end to end: open routing, interleaved submits, parallel
-/// drain, and per-session event ordering through its sink.
+/// A sharded runtime serves the same episodes as a one-shard runtime,
+/// end to end: open routing, interleaved submits, the parallel drain,
+/// and per-session event ordering through its sink.
 #[test]
 fn sharded_runtime_is_bit_identical_to_serial_runtime() {
     const N: u64 = 10;
@@ -297,7 +319,7 @@ fn sharded_runtime_is_bit_identical_to_serial_runtime() {
     for &id in &serial_ids {
         serial.submit(id).unwrap();
     }
-    let reference = serial.drain_round_robin().unwrap();
+    let reference = round_robin_reference(&mut serial);
 
     let (tx, rx) = mpsc::channel();
     let mut sharded = Runtime::builder().sink(tx).build_sharded(3).unwrap();
@@ -313,21 +335,9 @@ fn sharded_runtime_is_bit_identical_to_serial_runtime() {
     assert_equivalent(&episodes, &reference, "sharded vs serial");
 
     // Per-session event ordering through the sharded sink.
-    let mut per_session: BTreeMap<SessionId, Vec<EpisodeEvent>> = BTreeMap::new();
-    for event in rx.iter() {
-        let session = match &event {
-            EpisodeEvent::SessionOpened { session, .. }
-            | EpisodeEvent::InputProcessed { session, .. }
-            | EpisodeEvent::SessionClosed { session, .. } => *session,
-            // Telemetry is off by default; none may appear here.
-            EpisodeEvent::Telemetry { .. } => {
-                panic!("unexpected telemetry with TelemetryConfig::Off")
-            }
-        };
-        per_session.entry(session).or_default().push(event);
-    }
+    let streams = per_session(rx);
     for (id, episode) in &episodes {
-        let stream = &per_session[id];
+        let stream = &streams[id];
         assert!(matches!(stream[0], EpisodeEvent::SessionOpened { .. }));
         let indices: Vec<usize> = stream
             .iter()

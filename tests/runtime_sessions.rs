@@ -3,10 +3,14 @@
 //! and `RunSpec` round-tripping — the acceptance criteria of the
 //! session-API redesign.
 
+use alert::models::inference::StopPolicy;
 use alert::sched::runtime::{
     EpisodeEvent, FamilySpec, RunSpec, Runtime, RuntimeBuilder, RuntimeError, SessionSpec,
 };
-use alert::sched::{run_episode, AlertScheduler, EpisodeEnv, FamilyKind, PolicyRegistry};
+use alert::sched::{
+    run_episode, AlertScheduler, Decision, EpisodeEnv, FamilyKind, Feedback, InputContext,
+    PolicyRegistry, Scheduler, StepError,
+};
 use alert::stats::units::{Joules, Seconds};
 use alert::workload::{Goal, InputStream, Scenario, SessionId, TaskId};
 
@@ -57,7 +61,7 @@ fn sixty_four_interleaved_sessions_match_sequential_episodes() {
         .map(|i| rt.session(session_spec(i)).open().unwrap())
         .collect();
     assert_eq!(rt.session_count(), 64);
-    let episodes = rt.drain_round_robin().unwrap();
+    let episodes = rt.drain().unwrap();
 
     assert_eq!(episodes.len(), reference.len());
     for ((id, ep), reference_ep) in episodes.iter().zip(&reference) {
@@ -134,7 +138,7 @@ fn event_stream_accounts_for_every_input() {
         expected_inputs += spec.n_inputs;
         rt.session(spec).open().unwrap();
     }
-    rt.drain_round_robin().unwrap();
+    rt.drain().unwrap();
     drop(rt);
     let mut opened = 0;
     let mut processed = 0;
@@ -308,4 +312,73 @@ fn custom_policy_runs_as_session() {
     let ep = rt.close(id).unwrap();
     assert_eq!(ep.scheme, "ALERT-Trad");
     assert!(!ep.records.is_empty());
+}
+
+/// A custom scheduler whose every decision names one fixed model and
+/// device, whether or not the session has them.
+struct FixedPick {
+    model: usize,
+    device: usize,
+    cap: alert::stats::units::Watts,
+}
+
+impl Scheduler for FixedPick {
+    fn name(&self) -> &str {
+        "FixedPick"
+    }
+
+    fn decide(&mut self, _ctx: &InputContext) -> Decision {
+        Decision {
+            device: self.device,
+            model: self.model,
+            cap: self.cap,
+            stop: StopPolicy::RunToCompletion,
+        }
+    }
+
+    fn observe(&mut self, _feedback: &Feedback) {}
+}
+
+/// The `Scheduler` trait is open, so a registered policy can name a
+/// model or device the session does not have. `submit` and `drain`
+/// report that as a step error instead of panicking, and the failed
+/// drain leaves no session behind.
+#[test]
+fn out_of_range_decisions_are_step_errors() {
+    // The image family has 6 models; CPU1 is a one-device node.
+    for (model, device) in [(999, 0), (0, 3)] {
+        let mut registry = PolicyRegistry::builtin();
+        registry.register_fn("FixedPick", move |ctx| {
+            let cap = ctx.platform.default_cap();
+            Ok(Box::new(FixedPick { model, device, cap }) as Box<dyn Scheduler>)
+        });
+        let fixed = SessionSpec {
+            policy: Some("FixedPick".into()),
+            ..session_spec(1)
+        };
+        let builder = || Runtime::builder().registry(registry.clone());
+
+        let mut rt = builder().build().unwrap();
+        let id = rt.session(fixed.clone()).open().unwrap();
+        let err = rt.submit(id).unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::Step(StepError::OutOfRange { .. })),
+            "model {model}, device {device}: {err}"
+        );
+
+        // Healthy ALERT sessions share the drain with the faulty one.
+        for workers in [1, 3] {
+            let mut rt = builder().build_sharded(workers).unwrap();
+            for i in 0..4 {
+                rt.session(session_spec(i)).open().unwrap();
+            }
+            rt.session(fixed.clone()).open().unwrap();
+            let err = rt.drain().unwrap_err();
+            assert!(
+                matches!(err, RuntimeError::Step(StepError::OutOfRange { .. })),
+                "{workers} shard(s): {err}"
+            );
+            assert_eq!(rt.session_count(), 0, "{workers} shard(s)");
+        }
+    }
 }

@@ -9,7 +9,7 @@ use alert::stats::units::Seconds;
 use alert::workload::{quality_span, EpisodeSummary, TraceFit, TraceSource, TraceStep};
 use proptest::prelude::*;
 
-fn runtime(workers: usize) -> ShardedRuntime {
+fn runtime(workers: usize) -> Runtime {
     Runtime::builder()
         .seed(7)
         .build_sharded(workers)

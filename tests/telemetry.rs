@@ -3,9 +3,9 @@
 //!
 //! * Scheme × scenario-library episodes are bit-identical with
 //!   telemetry off, sampled, and full (property test over seeds).
-//! * The serial ≡ parallel drain identity holds with full telemetry
-//!   enabled, and the decision-telemetry streams themselves match
-//!   per-session between the two drains.
+//! * The round-robin reference ≡ sharded drain identity holds with full
+//!   telemetry enabled, and the decision-telemetry streams themselves
+//!   match per session between the two.
 //! * A trace captured with telemetry enabled is byte-identical to one
 //!   captured with telemetry off.
 //! * Serving fingerprints are unchanged when the admission policy is
@@ -15,12 +15,15 @@
 //!   considered, the selected configuration, predicted vs realized
 //!   latency.
 
+mod common;
+
 use alert::sched::prelude::*;
 use alert::sched::runtime::EpisodeEvent;
 use alert::sched::telemetry::{AdmissionTelemetry, TelemetryEvent};
 use alert::sched::{AlertAdmission, Episode, TraceRecorder};
 use alert::stats::units::Seconds;
 use alert::workload::{Scenario, SessionId};
+use common::round_robin_reference;
 use proptest::prelude::*;
 use std::sync::mpsc;
 
@@ -145,16 +148,17 @@ fn decision_streams(
     streams
 }
 
-/// The serial ≡ parallel bit-identity holds with full telemetry on, and
-/// the telemetry streams themselves agree per session.
+/// The round-robin ≡ sharded-drain bit-identity holds with full
+/// telemetry on, for every shard count, and the telemetry streams
+/// themselves agree per session.
 #[test]
 fn serial_parallel_identity_holds_with_full_telemetry() {
-    let build = |tx: mpsc::Sender<EpisodeEvent>| {
+    let build = |tx: mpsc::Sender<EpisodeEvent>, workers: usize| {
         let mut rt = Runtime::builder()
             .seed(11)
             .telemetry(TelemetryConfig::Full)
             .sink(tx)
-            .build()
+            .build_sharded(workers)
             .expect("builtin policy resolves");
         for i in 0..6u64 {
             rt.session(SessionSpec {
@@ -171,31 +175,36 @@ fn serial_parallel_identity_holds_with_full_telemetry() {
     };
 
     let (tx, rx) = mpsc::channel();
-    let mut serial = build(tx);
-    let reference = serial.drain_round_robin().expect("serial drain");
+    let mut serial = build(tx, 1);
+    let reference = round_robin_reference(&mut serial);
     drop(serial);
     let reference_streams = decision_streams(rx);
-
-    let (tx, rx) = mpsc::channel();
-    let mut parallel = build(tx);
-    let episodes = parallel.drain_parallel(3).expect("parallel drain");
-    drop(parallel);
-    let parallel_streams = decision_streams(rx);
-
-    assert_eq!(reference.len(), episodes.len());
-    for ((id, a), (rid, b)) in episodes.iter().zip(&reference) {
-        assert_eq!(id, rid);
-        assert_eq!(a.records, b.records, "parallel drain diverged on {id}");
-    }
     assert_eq!(
         reference_streams.len(),
         6,
         "every session must emit decision telemetry under Full"
     );
-    assert_eq!(
-        parallel_streams, reference_streams,
-        "telemetry streams must be bit-identical serial vs parallel"
-    );
+
+    for workers in 1..9 {
+        let (tx, rx) = mpsc::channel();
+        let mut sharded = build(tx, workers);
+        let episodes = sharded.drain().expect("sharded drain");
+        drop(sharded);
+        let drained_streams = decision_streams(rx);
+
+        assert_eq!(reference.len(), episodes.len());
+        for ((id, a), (rid, b)) in episodes.iter().zip(&reference) {
+            assert_eq!(id, rid);
+            assert_eq!(
+                a.records, b.records,
+                "{workers}-shard drain diverged on {id}"
+            );
+        }
+        assert_eq!(
+            drained_streams, reference_streams,
+            "telemetry streams must be bit-identical at {workers} shards"
+        );
+    }
     for (id, stream) in &reference_streams {
         let indices: Vec<usize> = stream.iter().map(|d| d.index).collect();
         assert_eq!(
@@ -229,7 +238,7 @@ fn captured_traces_are_identical_with_and_without_telemetry() {
             .open()
             .expect("session opens");
         }
-        rt.drain_round_robin().expect("drain");
+        rt.drain().expect("drain");
         recorder.snapshot()
     };
     let without = capture(None);

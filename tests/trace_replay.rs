@@ -86,7 +86,7 @@ fn multi_session_capture_preserves_per_session_order() {
             .unwrap()
         })
         .collect();
-    rt.drain_round_robin().unwrap();
+    rt.drain().unwrap();
     let trace = recorder.snapshot();
     assert_eq!(trace.len(), 30 + 35 + 40);
     for (k, id) in ids.iter().enumerate() {
@@ -100,43 +100,32 @@ fn multi_session_capture_preserves_per_session_order() {
 #[test]
 fn sharded_capture_matches_serial_capture() {
     // The same sessions captured through a 3-shard runtime produce the
-    // same per-session traces as a serial runtime.
-    let open_all = |rt_serial: bool| {
+    // same per-session traces as a one-shard runtime.
+    let capture_on = |workers: usize| {
         let recorder = TraceRecorder::new("cap", Some(5));
-        if rt_serial {
-            let mut rt = Runtime::builder()
-                .seed(5)
-                .sink(recorder.clone())
-                .build()
+        let mut rt = Runtime::builder()
+            .seed(5)
+            .sink(recorder.clone())
+            .build_sharded(workers)
+            .unwrap();
+        for k in 0..4u64 {
+            rt.session(spec(Scenario::churn(5 + k), 24, 5 + k))
+                .open()
                 .unwrap();
-            for k in 0..4u64 {
-                rt.session(spec(Scenario::churn(5 + k), 24, 5 + k))
-                    .open()
-                    .unwrap();
-            }
-            rt.drain_round_robin().unwrap();
-        } else {
-            let mut rt = Runtime::builder()
-                .seed(5)
-                .sink(recorder.clone())
-                .build_sharded(3)
-                .unwrap();
-            for k in 0..4u64 {
-                rt.session(spec(Scenario::churn(5 + k), 24, 5 + k))
-                    .open()
-                    .unwrap();
-            }
-            rt.drain().unwrap();
         }
+        rt.drain().unwrap();
         recorder.snapshot()
     };
-    let serial = open_all(true);
-    let sharded = open_all(false);
+    let serial = capture_on(1);
+    let sharded = capture_on(3);
     assert_eq!(serial.len(), sharded.len());
     for session in serial.sessions() {
         let a: Vec<_> = serial.session_records(session).collect();
         let b: Vec<_> = sharded.session_records(session).collect();
-        assert_eq!(a, b, "session {session} capture diverged across executors");
+        assert_eq!(
+            a, b,
+            "session {session} capture diverged across shard counts"
+        );
     }
 }
 
