@@ -18,7 +18,10 @@
 //! verification pass walks the *identical* warmup + measurement
 //! trajectory the timing pass then re-walks unasserted (the controller
 //! is deterministic), so the assertion covers every timed decision
-//! without polluting the measurement.
+//! without polluting the measurement. The `stable` and `drift` cells
+//! decide a minimize-error goal; `stable-energy` and `drift-energy` walk
+//! the same two trajectories under a minimize-energy goal, the objective
+//! whose decisions skip the candidates that cannot win.
 //!
 //! Usage: `runtime [n_inputs_per_session] [seed]` (defaults 300, 2020).
 
@@ -117,17 +120,18 @@ struct DecisionMeasurement {
     verified_identical: usize,
 }
 
-/// The belief-driving observation for step `i`: `stable` replays the
-/// profile exactly (the environment the paper calls quiescent — the
-/// Kalman state converges and the decision cache takes over); `drift`
-/// perturbs every observation so the belief moves on every input and the
-/// cache never hits (measuring the pruned SoA enumeration itself).
-fn observation_for(env: &str, i: usize, profile: Seconds, cap: Watts) -> Observation {
-    let factor = if env == "stable" {
-        1.0
-    } else {
+/// The belief-driving observation for step `i`: the stable trajectory
+/// replays the profile exactly (the environment the paper calls
+/// quiescent — the Kalman state converges and the decision cache takes
+/// over); a drifting one perturbs every observation so the belief moves
+/// on every input and the cache never hits (measuring the lane's
+/// scoring itself).
+fn observation_for(drift: bool, i: usize, profile: Seconds, cap: Watts) -> Observation {
+    let factor = if drift {
         // Deterministic bounded wobble, different every step.
         1.3 + 0.25 * (((i as f64) * 0.7).sin())
+    } else {
+        1.0
     };
     Observation {
         latency: profile * factor,
@@ -145,7 +149,7 @@ fn observation_for(env: &str, i: usize, profile: Seconds, cap: Watts) -> Observa
 fn drive_decisions(
     controller: &mut AlertController,
     goal: &Goal,
-    env: &'static str,
+    (env, drift): (&'static str, bool),
     start: usize,
     n: usize,
     verify: bool,
@@ -180,19 +184,27 @@ fn drive_decisions(
         }
         let profile = controller.table().t_prof_stage(sel.candidate);
         let cap = controller.table().cap(sel.candidate.power);
-        controller.observe(&observation_for(env, i, profile, cap));
+        controller.observe(&observation_for(drift, i, profile, cap));
     }
     (fast_s, full_s, verified)
 }
 
 /// The `bench decisions` grid: per-decision scheduler cost of the fast
-/// lane (SoA + pruning + belief-banded cache) against the reference full
-/// enumeration, on the CPU1 × image-family candidate table.
+/// lane (SoA + pruning + early exit + belief-banded cache) against the
+/// reference full enumeration, on the CPU1 × image-family candidate
+/// table.
 fn bench_decisions(n_decisions: usize) -> Vec<DecisionMeasurement> {
     let family = FamilyKind::Image.family();
     let platform = alert_platform::Platform::cpu1();
     let (table, _) = build_table(&family, &platform).expect("paper table builds");
-    let goal = Goal::minimize_error(Seconds(0.35), Joules(14.0));
+    let error_goal = Goal::minimize_error(Seconds(0.35), Joules(14.0));
+    let energy_goal = Goal::minimize_energy(Seconds(0.35), 0.9);
+    let cells = [
+        ("stable", false, error_goal),
+        ("drift", true, error_goal),
+        ("stable-energy", false, energy_goal),
+        ("drift-energy", true, energy_goal),
+    ];
     let params = AlertParams {
         // No overhead reserve: keeps the effective deadline equal to the
         // goal deadline so the reference enumeration call is exact, and
@@ -202,23 +214,25 @@ fn bench_decisions(n_decisions: usize) -> Vec<DecisionMeasurement> {
     };
     let mut out = Vec::new();
     let warmup = (n_decisions / 4).max(64);
-    for env in ["stable", "drift"] {
+    for (env, drift, goal) in cells {
         // Verification pass: one continuous run over the *identical*
         // warmup + measurement trajectory the timing pass walks below
         // (the controller is deterministic, so the belief states match
         // step for step) — every decision the timing pass will make is
         // replayed against the reference enumeration here.
         let mut ctl = AlertController::new(table.clone(), params).expect("valid params");
-        let (_, _, verified) = drive_decisions(&mut ctl, &goal, env, 0, warmup + n_decisions, true);
+        let (_, _, verified) =
+            drive_decisions(&mut ctl, &goal, (env, drift), 0, warmup + n_decisions, true);
         assert_eq!(verified, warmup + n_decisions);
 
         // Timing pass: fresh controller, same observation phases —
         // unverified warmup to converge the belief, then the measured
         // window continuing at phase `warmup`.
         let mut ctl = AlertController::new(table.clone(), params).expect("valid params");
-        let _ = drive_decisions(&mut ctl, &goal, env, 0, warmup, false);
+        let _ = drive_decisions(&mut ctl, &goal, (env, drift), 0, warmup, false);
         let stats_before = ctl.cache_stats();
-        let (fast_s, full_s, _) = drive_decisions(&mut ctl, &goal, env, warmup, n_decisions, false);
+        let (fast_s, full_s, _) =
+            drive_decisions(&mut ctl, &goal, (env, drift), warmup, n_decisions, false);
         let stats = ctl.cache_stats();
         out.push(DecisionMeasurement {
             env,
@@ -580,7 +594,7 @@ fn main() {
     // every selection verified bit-identical between the two paths.
     banner(
         "Decision fast lane",
-        "Per-decision scheduler cost: SoA+pruning+cache vs full enumeration (selections verified identical)",
+        "Per-decision scheduler cost: SoA+pruning+early exit+cache vs full enumeration (selections verified identical)",
     );
     csv_header(&[
         "env",

@@ -182,7 +182,8 @@ pub struct DecisionTrace {
     pub effective_deadline: Seconds,
     /// Total execution targets in the candidate lane.
     pub candidates: usize,
-    /// Targets surviving static pruning (the ones actually scored).
+    /// Targets this decision scored with Eq. 6/7/13 work; the rest were
+    /// pruned statically or skipped as unable to win. 0 on a cache hit.
     pub live: usize,
     /// The chosen execution target.
     pub selected: Candidate,
@@ -261,7 +262,8 @@ impl DecisionTables {
 pub struct AlertController {
     /// The shared, immutable table and fast lane.
     tables: Arc<DecisionTables>,
-    /// Reusable per-decision scratch (probability memo, quality buffer).
+    /// Reusable per-decision scratch (probability memo, quality buffer,
+    /// seeded incumbent). Not learned state: restore/reset clear the seed.
     scratch: LaneScratch,
     /// Belief-banded decision memo. *Not* learned state: snapshots do not
     /// carry it, restore/reset rebuild it cold (see `ControllerSnapshot`).
@@ -404,7 +406,7 @@ impl AlertController {
             idle_ratio,
             effective_deadline: effective,
             candidates: self.tables.lane.candidate_count(),
-            live: self.tables.lane.live_count(),
+            live: if cache_hit { 0 } else { self.scratch.scored() },
             selected: sel.candidate,
             estimates: sel.estimates,
             feasible: sel.feasible,
@@ -493,6 +495,7 @@ impl AlertController {
     /// policy (the migration path). The decision cache is a pure memo
     /// over that state — it is not carried, just invalidated and rebuilt
     /// on the next decision (a cold cache cannot change any selection).
+    /// The lane's seeded incumbent is dropped the same way.
     pub fn restore(&mut self, snapshot: &ControllerSnapshot) {
         self.xi = snapshot.xi.clone();
         self.idle = snapshot.idle.clone();
@@ -500,6 +503,7 @@ impl AlertController {
         self.decisions = snapshot.decisions;
         self.last_decision_cost = snapshot.last_decision_cost;
         self.cache.invalidate();
+        self.scratch.forget_seed();
         self.last_trace = None;
     }
 
@@ -514,6 +518,7 @@ impl AlertController {
         self.decisions = 0;
         self.last_decision_cost = Seconds::ZERO;
         self.cache.invalidate();
+        self.scratch.forget_seed();
         self.last_trace = None;
     }
 }
@@ -761,7 +766,20 @@ mod tests {
         let again = ctl.decide(&goal).unwrap();
         let trace2 = ctl.last_trace().unwrap();
         assert!(trace2.cache_hit);
+        assert_eq!(trace2.live, 0, "a cache hit scores nothing");
         assert_eq!(again.candidate, sel.candidate);
+        // A minimize-energy decision scores only the candidates that can
+        // still win: "small" and the anytime stage 0 cannot reach 0.9.
+        let _ = ctl
+            .decide(&Goal::minimize_energy(Seconds(0.3), 0.9))
+            .unwrap();
+        let trace3 = ctl.last_trace().unwrap();
+        assert!(
+            0 < trace3.live && trace3.live < trace3.candidates,
+            "scored {} of {}",
+            trace3.live,
+            trace3.candidates
+        );
         // Reset and restore both clear the trace.
         ctl.reset();
         assert!(ctl.last_trace().is_none());

@@ -1,18 +1,20 @@
 //! The selection fast lane: SoA candidate precomputation, dominated-
-//! candidate pruning, and the belief-banded decision cache.
+//! candidate pruning, an exact early exit for minimize-energy goals, and
+//! the belief-banded decision cache.
 //!
 //! ALERT re-enumerates every `(device, model, stage, power)` execution
 //! target per input (§3.2 step 4, with the device axis collapsing on
-//! single-platform tables), and in this runtime that enumeration *is* the
-//! throughput ceiling — the per-decision cost is almost entirely CDF and
-//! inverse-CDF evaluations plus table chasing. This module rebuilds the
-//! hot path in three stages, each **provably selection-identical** to the
-//! reference enumeration in [`crate::select::select_with_period`]:
+//! single-platform tables). Scoring those targets is most of a decision:
+//! its cost is CDF evaluations plus table chasing per candidate. This
+//! module cuts that cost with four mechanisms, each **provably
+//! selection-identical** to the reference enumeration in
+//! [`crate::select::select_with_period`]:
 //!
 //! 1. **Static precomputation** ([`CandidateLane`]) — per-candidate
 //!    profile terms (`t^prof` stage latencies, run power, cap, staircase,
-//!    quality guard) are flattened at construction into a cache-friendly
-//!    structure-of-arrays, so a decision does no nested-`Vec` chasing.
+//!    quality guard, quality ceiling) are flattened at construction into
+//!    a cache-friendly structure-of-arrays, so a decision does no
+//!    nested-`Vec` chasing.
 //!    Stage-completion probabilities are *memoized per decision* across
 //!    sibling candidates (the stage-`k` target probability of `(i, k, j)`
 //!    is the same number as stage `k` of `(i, k+1, j)`'s staircase), and
@@ -43,7 +45,18 @@
 //!    (`ξ̄ ≥ 0`, `φ ∈ [0, 1]`, `Pr_th ≥ ½`, so every exec-time
 //!    multiplier is non-negative); otherwise the lane quietly evaluates
 //!    the full set.
-//! 3. **Belief-banded decision cache** ([`DecisionCache`]) — the decision
+//! 3. **Scoring only candidates that can win** — under
+//!    [`Objective::MinimizeEnergy`] a candidate gets no Eq. 6/7/13 work
+//!    when it provably cannot be the reference's winner: its best
+//!    reachable quality cannot clear the floor, it is traditional and its
+//!    mean latency misses the deadline, or its Eq. 9 energy is strictly
+//!    above a valid incumbent's. The previous decision's winner is scored
+//!    first so the energy bound bites from the start, and incumbents are
+//!    compared index-aware, so the earliest-enumerated minimum wins as in
+//!    the reference. With no valid candidate the full loop runs, and the
+//!    §4 fallbacks come out unchanged (see
+//!    [`CandidateLane::select_with_period`] and DESIGN.md §6).
+//! 4. **Belief-banded decision cache** ([`DecisionCache`]) — the decision
 //!    inputs (ξ mean, ξ std, idle ratio, effective deadline, period,
 //!    goal, mode) are quantized into a [`BeliefBand`]; while consecutive
 //!    decisions stay inside the band that produced the last selection
@@ -63,7 +76,8 @@ use crate::alert::ProbabilityMode;
 use crate::config::{Candidate, ConfigTable, StagePoint};
 use crate::goal::{Goal, Objective};
 use crate::select::{
-    Estimates, SelectionAccumulator, ENERGY_GUARD_PERCENTILE, QUALITY_GUARD_FRACTION,
+    better, energy_to_beat, latency_ok, other_ok, quality_threshold, Estimates,
+    SelectionAccumulator, ENERGY_GUARD_PERCENTILE, QUALITY_GUARD_FRACTION,
 };
 use crate::Selection;
 use alert_stats::hull::{pareto_frontier, Point2};
@@ -84,6 +98,9 @@ struct LaneEntry {
     top_quality: f64,
     /// Precomputed [`QUALITY_GUARD_FRACTION`] span margin.
     guard: f64,
+    /// Upper bound on every expected quality this target's estimate can
+    /// compute ([`quality_ceiling`]).
+    quality_ceiling: f64,
     /// First probability-memo slot of this candidate's `(model, power)`
     /// block; the block holds one slot per staircase stage.
     slot_base: u32,
@@ -109,15 +126,21 @@ pub struct CandidateLane {
     max_stages: usize,
 }
 
-/// Reusable per-decision mutable state: the stage-probability memo and
-/// the quality staging buffer. Owned by the controller so decisions
-/// allocate nothing.
+/// Reusable per-decision mutable state: the stage-probability memo, the
+/// quality staging buffer, and the previous minimize-energy winner that
+/// seeds the next decision's incumbent. Owned by the controller so
+/// decisions allocate nothing.
 #[derive(Debug, Clone)]
 pub struct LaneScratch {
     probs: Vec<f64>,
     stamp: Vec<u64>,
     generation: u64,
     quality_buf: Vec<f64>,
+    /// Entry index of the most recent valid minimize-energy winner. A
+    /// hint for scoring order only: any seed gives the same selection.
+    seed: Option<u32>,
+    /// Candidates the most recent decision scored.
+    scored: usize,
 }
 
 impl LaneScratch {
@@ -128,8 +151,34 @@ impl LaneScratch {
             stamp: vec![0; lane.stage_lat.len()],
             generation: 0,
             quality_buf: vec![0.0; lane.max_stages],
+            seed: None,
+            scored: 0,
         }
     }
+
+    /// Candidates the most recent decision scored with Eq. 6/7/13 work
+    /// (the rest were skipped as unable to win).
+    pub(crate) fn scored(&self) -> usize {
+        self.scored
+    }
+
+    /// Drops the seeded incumbent (episode reset, snapshot restore).
+    pub(crate) fn forget_seed(&mut self) {
+        self.seed = None;
+    }
+}
+
+/// The inputs of one decision, shared by every candidate it scores.
+#[derive(Clone, Copy)]
+struct DecisionInputs<'a> {
+    xi: &'a Normal,
+    idle_ratio: f64,
+    goal: &'a Goal,
+    period: Seconds,
+    mode: ProbabilityMode,
+    /// The hoisted `Φ⁻¹` of the Eq. 12 bound; `None` when the bound is the
+    /// mean energy.
+    z_bound: Option<f64>,
 }
 
 impl CandidateLane {
@@ -175,6 +224,7 @@ impl CandidateLane {
                 fail_quality: m.fail_quality,
                 top_quality: m.final_quality(),
                 guard: QUALITY_GUARD_FRACTION * (m.final_quality() - m.fail_quality),
+                quality_ceiling: quality_ceiling(&m.stages[..=c.stage], m.fail_quality),
                 slot_base: base,
             });
             t_full_of.push(table.t_prof_on(c.device, c.model, c.power));
@@ -209,7 +259,9 @@ impl CandidateLane {
     /// Fast-lane counterpart of [`crate::select::select_with_period`]:
     /// same inputs, same output, bit for bit — enumeration runs over the
     /// pruned set (when the inputs are inside the pruning envelope) with
-    /// memoized stage probabilities and a hoisted `Φ⁻¹`.
+    /// memoized stage probabilities and a hoisted `Φ⁻¹`, and a
+    /// minimize-energy goal scores only the candidates that can still win
+    /// (mechanism 3 of the module docs).
     ///
     /// # Errors
     ///
@@ -250,60 +302,166 @@ impl CandidateLane {
         };
 
         scratch.generation = scratch.generation.wrapping_add(1);
-        let LaneScratch {
-            probs,
-            stamp,
-            generation,
-            quality_buf,
-        } = scratch;
-
-        let mut acc = SelectionAccumulator::new();
-        let mut offer = |e: &LaneEntry| {
-            let est = self.evaluate_entry(
-                e,
-                probs,
-                stamp,
-                *generation,
-                quality_buf,
-                xi,
-                idle_ratio,
-                goal,
-                period,
-                mode,
-                z_bound,
-            );
-            acc.consider(e.cand, est, e.is_anytime, e.guard, goal);
+        let inputs = DecisionInputs {
+            xi,
+            idle_ratio,
+            goal,
+            period,
+            mode,
+            z_bound,
         };
+        // The seed must come from the set this decision walks.
         if pruning_sound {
-            for &k in &self.live {
-                offer(&self.entries[k as usize]);
-            }
+            let seed = scratch.seed.filter(|k| self.live.binary_search(k).is_ok());
+            self.select_over(scratch, &inputs, self.live.iter().copied(), seed)
         } else {
-            for e in &self.entries {
-                offer(e);
+            let seed = scratch.seed.filter(|&k| (k as usize) < self.entries.len());
+            self.select_over(scratch, &inputs, 0..self.entries.len() as u32, seed)
+        }
+    }
+
+    /// Selection over the entries `walk` lists, ascending; `seed` is one
+    /// of them.
+    fn select_over(
+        &self,
+        scratch: &mut LaneScratch,
+        inputs: &DecisionInputs,
+        walk: impl ExactSizeIterator<Item = u32> + Clone,
+        seed: Option<u32>,
+    ) -> Result<Selection, String> {
+        let goal = inputs.goal;
+        if let (Objective::MinimizeEnergy, Some(floor)) = (goal.objective, goal.min_quality) {
+            if let Some((k, estimates)) =
+                self.cheapest_valid(scratch, inputs, walk.clone(), seed, floor)
+            {
+                scratch.seed = Some(k);
+                return Ok(Selection {
+                    candidate: self.entries[k as usize].cand,
+                    estimates,
+                    deadline: goal.deadline,
+                    feasible: true,
+                });
             }
+            // Nothing is valid: the §4 fallbacks rank every candidate, so
+            // run the full loop below. It shares this decision's memo
+            // generation, so the probabilities already computed are
+            // reused.
+        }
+        scratch.scored = walk.len();
+        let mut acc = SelectionAccumulator::new();
+        for k in walk {
+            let e = &self.entries[k as usize];
+            let est = self.evaluate_entry(e, scratch, inputs);
+            acc.consider(e.cand, est, e.is_anytime, e.guard, goal);
         }
         acc.finish(goal)
+    }
+
+    /// The minimize-energy winner among the valid candidates of `walk`
+    /// (the reference's `best_valid`), scoring only the candidates that
+    /// can still be it; `None` when no candidate of `walk` is valid.
+    ///
+    /// Each skip is exact at the computed-f64 level (DESIGN.md §6,
+    /// "Scoring only candidates that can win"):
+    ///
+    /// 1. *Quality ceiling* — an expected quality never exceeds the
+    ///    entry's [`quality_ceiling`], so a ceiling below the floor plus
+    ///    guard fails [`other_ok`].
+    /// 2. *Mean latency* — a traditional target whose `t_stage · ξ̄` (the
+    ///    same f64 expression as its estimate) exceeds the deadline fails
+    ///    [`latency_ok`].
+    /// 3. *Energy bound* — once a valid incumbent has a NaN-free key, a
+    ///    candidate whose Eq. 9 energy (the same call
+    ///    [`CandidateLane::evaluate_entry`] makes) is strictly above the
+    ///    incumbent's loses to it in [`better`]
+    ///    ([`energy_to_beat`]).
+    ///
+    /// The incumbent is seeded with `seed`, scored first. An incumbent is
+    /// replaced when the challenger is better, or when neither is better
+    /// and the challenger enumerates earlier. That picks the
+    /// earliest-enumerated minimum — the reference's rule, NaN keys
+    /// included — whatever the scoring order.
+    fn cheapest_valid(
+        &self,
+        scratch: &mut LaneScratch,
+        inputs: &DecisionInputs,
+        walk: impl Iterator<Item = u32>,
+        seed: Option<u32>,
+        floor: f64,
+    ) -> Option<(u32, Estimates)> {
+        let DecisionInputs {
+            xi,
+            idle_ratio,
+            goal,
+            period,
+            ..
+        } = *inputs;
+        let mut best: Option<(u32, Estimates)> = None;
+        let mut to_beat: Option<f64> = None;
+        let mut scored = 0;
+        for k in seed.into_iter().chain(walk.filter(|&k| Some(k) != seed)) {
+            let e = &self.entries[k as usize];
+            if e.quality_ceiling < quality_threshold(floor, e.guard) {
+                continue;
+            }
+            if !e.is_anytime
+                && crate::latency::predict_mean(xi, e.t_stage).get() > goal.deadline.get()
+            {
+                continue;
+            }
+            if let Some(limit) = to_beat {
+                let energy = crate::energy::estimate_energy(
+                    xi, e.t_stage, e.p_run, e.cap, idle_ratio, period,
+                );
+                if energy.get() > limit {
+                    continue;
+                }
+            }
+            scored += 1;
+            let est = self.evaluate_entry(e, scratch, inputs);
+            if !(latency_ok(e.is_anytime, e.cand.stage, &est, goal)
+                && other_ok(e.guard, &est, goal))
+            {
+                continue;
+            }
+            let replace = match &best {
+                None => true,
+                Some((b, inc)) => better(goal, &est, inc) || (!better(goal, inc, &est) && k < *b),
+            };
+            if replace {
+                to_beat = energy_to_beat(&est);
+                best = Some((k, est));
+            }
+        }
+        scratch.scored = scored;
+        best
     }
 
     /// Per-candidate estimates, arithmetically identical to
     /// [`crate::select::evaluate`] (same leaf functions, same operand
     /// order), with stage probabilities memoized across candidates.
-    #[allow(clippy::too_many_arguments)]
     fn evaluate_entry(
         &self,
         e: &LaneEntry,
-        probs: &mut [f64],
-        stamp: &mut [u64],
-        generation: u64,
-        quality_buf: &mut [f64],
-        xi: &Normal,
-        idle_ratio: f64,
-        goal: &Goal,
-        period: Seconds,
-        mode: ProbabilityMode,
-        z_bound: Option<f64>,
+        scratch: &mut LaneScratch,
+        inputs: &DecisionInputs,
     ) -> Estimates {
+        let DecisionInputs {
+            xi,
+            idle_ratio,
+            goal,
+            period,
+            mode,
+            z_bound,
+        } = *inputs;
+        let LaneScratch {
+            probs,
+            stamp,
+            generation,
+            quality_buf,
+            ..
+        } = scratch;
+        let generation = *generation;
         let deadline = goal.deadline;
         let base = e.slot_base as usize;
         let n_stages = e.cand.stage + 1;
@@ -373,6 +531,34 @@ impl CandidateLane {
             energy_bound,
         }
     }
+}
+
+/// An upper bound on every expected quality [`crate::quality`] computes
+/// for a target running `stages` (its staircase up to the target stage)
+/// with fallback `fail_quality`, in either probability mode.
+///
+/// Eqs. 7/13 mix these k+2 qualities (k = target stage) with weights
+/// `p_s − p_{s+1}` and `1 − p_0`, where the `p_s` are CDF values in
+/// [0, 1] clamped non-increasing, so the weights are non-negative and sum
+/// to one and the exact mixture is at most the largest quality. Rounding
+/// the k+2 weights, the k+2 products and the k+1 additions adds at most
+/// (k+3)·u·max|q| with u = ε/2 (ε = [`f64::EPSILON`]), plus
+/// second-order terms. The allowance (k+4)·ε·max|q| is over twice that,
+/// which also covers the rounding of the sum returned here. It is a few
+/// 1e-15 of a quality; quality gaps in the model zoo are ≥ 1e-3, so it
+/// costs no skips. Mean-only estimates return one of the qualities
+/// exactly. `f64::max` skips NaN qualities, which is safe: an estimate
+/// a NaN enters is NaN and fails every floor, and any other estimate is
+/// bounded by the remaining qualities.
+fn quality_ceiling(stages: &[StagePoint], fail_quality: f64) -> f64 {
+    let (max, max_abs) = stages
+        .iter()
+        .map(|s| s.quality)
+        .chain([fail_quality])
+        .fold((f64::NEG_INFINITY, 0.0f64), |(max, max_abs), q| {
+            (max.max(q), max_abs.max(q.abs()))
+        });
+    max + (stages.len() + 3) as f64 * f64::EPSILON * max_abs
 }
 
 /// Lazily computed, per-decision-memoized stage-completion probability

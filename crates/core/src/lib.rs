@@ -26,8 +26,8 @@
 //! (Eq. 6), [`quality`] (Eqs. 7/13), [`energy`] (Eqs. 9/12), [`select`]
 //! (Eqs. 1/2/10/11, the reference enumeration), [`lane`] (the
 //! selection-identical fast lane: SoA precomputation, dominated-candidate
-//! pruning, belief-banded decision cache), and [`alert`] (the feedback
-//! loop).
+//! pruning, an exact minimize-energy early exit, belief-banded decision
+//! cache), and [`alert`] (the feedback loop).
 
 pub mod alert;
 pub mod config;

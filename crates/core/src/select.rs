@@ -129,7 +129,7 @@ pub fn evaluate(
 /// Anytime targets are stopped at the deadline by construction, so they
 /// always deliver on time; traditional targets must be expected to finish
 /// (and, with a threshold set, finish with probability ≥ Pr_th).
-fn latency_ok(is_anytime: bool, stage: usize, e: &Estimates, goal: &Goal) -> bool {
+pub(crate) fn latency_ok(is_anytime: bool, stage: usize, e: &Estimates, goal: &Goal) -> bool {
     if is_anytime {
         if let Some(pr) = goal.prob_threshold {
             // Even an anytime target should probably reach its *first*
@@ -156,17 +156,26 @@ fn latency_ok(is_anytime: bool, stage: usize, e: &Estimates, goal: &Goal) -> boo
 /// time. A 1.5% span margin keeps the realized average reliably above.
 pub const QUALITY_GUARD_FRACTION: f64 = 0.015;
 
+/// The expected quality a candidate must reach under a minimize-energy
+/// goal: the floor plus the candidate model's `quality_guard`. The one
+/// definition of that threshold — [`other_ok`] and the fast lane's
+/// quality ceiling (`crate::lane`) both compute it here, so the two
+/// cannot disagree on it.
+pub(crate) fn quality_threshold(floor: f64, quality_guard: f64) -> f64 {
+    floor + quality_guard
+}
+
 /// Whether the non-latency constraint holds. The energy budget is checked
 /// against the conservative bound (Eq. 12); the quality floor is checked
 /// with a small guard above the expectation (Eq. 7). `quality_guard` is
 /// the precomputed [`QUALITY_GUARD_FRACTION`] span margin of the
 /// candidate's model.
-fn other_ok(quality_guard: f64, e: &Estimates, goal: &Goal) -> bool {
+pub(crate) fn other_ok(quality_guard: f64, e: &Estimates, goal: &Goal) -> bool {
     match goal.objective {
         Objective::MinimizeEnergy => {
             // lint:allow(no-panic): Goal::validate requires min_quality for MinimizeEnergy; selection only runs on validated goals
             let floor = goal.min_quality.expect("validated goal");
-            e.expected_quality >= floor + quality_guard
+            e.expected_quality >= quality_threshold(floor, quality_guard)
         }
         // lint:allow(no-panic): Goal::validate requires energy_budget for MinimizeError; selection only runs on validated goals
         Objective::MinimizeError => e.energy_bound <= goal.energy_budget.expect("validated goal"),
@@ -207,7 +216,7 @@ fn lex3_better(a: (f64, f64, f64), b: (f64, f64, f64)) -> bool {
 }
 
 /// Lexicographic "better" for the objective, with tie-breaks.
-fn better(goal: &Goal, a: &Estimates, b: &Estimates) -> bool {
+pub(crate) fn better(goal: &Goal, a: &Estimates, b: &Estimates) -> bool {
     match goal.objective {
         Objective::MinimizeEnergy => lex3_better(
             (a.energy.get(), -a.expected_quality, a.mean_latency.get()),
@@ -220,6 +229,20 @@ fn better(goal: &Goal, a: &Estimates, b: &Estimates) -> bool {
     }
 }
 
+/// Under [`Objective::MinimizeEnergy`], the energy a candidate must not
+/// exceed to have any chance against `incumbent`: [`better`] ranks
+/// energy first and never prefers a NaN key, so a challenger whose
+/// energy is strictly above the returned value is worse than the
+/// incumbent both ways round. `None` when the incumbent's own key holds
+/// a NaN, since a NaN key bounds nothing.
+pub(crate) fn energy_to_beat(incumbent: &Estimates) -> Option<f64> {
+    let energy = incumbent.energy.get();
+    let nan = energy.is_nan()
+        || incumbent.expected_quality.is_nan()
+        || incumbent.mean_latency.get().is_nan();
+    (!nan).then_some(energy)
+}
+
 /// The selection state machine shared by the reference enumeration
 /// ([`select_with_period`]) and the pruned fast lane
 /// ([`crate::lane::CandidateLane`]): candidates are [`SelectionAccumulator::consider`]ed
@@ -230,6 +253,10 @@ fn better(goal: &Goal, a: &Estimates, b: &Estimates) -> bool {
 /// enumeration" a structural property instead of a testing aspiration —
 /// the lane can only differ by *which* candidates it offers, and the
 /// dominance filter guarantees the pruned ones never win any competition.
+/// The lane's minimize-energy early exit decides the valid competition
+/// alone, with this module's [`better`], [`latency_ok`] and
+/// [`other_ok`], and falls back to this accumulator when no candidate is
+/// valid.
 pub(crate) struct SelectionAccumulator {
     best_valid: Option<(Candidate, Estimates)>,
     best_latency_only: Option<(Candidate, Estimates)>,

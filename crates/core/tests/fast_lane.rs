@@ -1,11 +1,13 @@
 //! Soundness proofs-by-property for the selection fast lane: the pruned,
-//! memoized, cached decision path must be **bit-identical** to the
-//! reference full enumeration for randomized tables, beliefs, goals,
-//! probability modes, group boundaries, and snapshot/restore cuts.
+//! memoized, early-exiting, cached decision path must be
+//! **bit-identical** to the reference full enumeration for randomized
+//! tables, beliefs, goals (floors on the lane's quality-ceiling
+//! boundary included), probability modes, group boundaries, and
+//! snapshot/restore cuts.
 
 use alert_core::alert::{AlertController, AlertParams, Observation, OverheadPolicy};
 use alert_core::lane::{CandidateLane, LaneScratch};
-use alert_core::select::select_with_period;
+use alert_core::select::{select_with_period, QUALITY_GUARD_FRACTION};
 use alert_core::{CandidateModel, ConfigTable, Goal, ProbabilityMode, Selection, StagePoint};
 use alert_stats::normal::Normal;
 use alert_stats::units::{Joules, Seconds, Watts};
@@ -112,10 +114,29 @@ fn random_table(pool: &mut Pool) -> ConfigTable {
     ConfigTable::new(models, caps, t_prof, p_run).expect("generated table is valid")
 }
 
-fn random_goal(pool: &mut Pool) -> Goal {
+/// A minimize-energy floor: usually uniform, sometimes exactly where one
+/// of `table`'s stage qualities meets the floor plus its model's guard,
+/// nudged 0 or ±1 ulp — the boundary the lane's quality ceiling must
+/// never cut into.
+fn random_floor(pool: &mut Pool, table: &ConfigTable) -> f64 {
+    if !pool.chance(0.3) {
+        return pool.range(0.1, 0.98);
+    }
+    let models = table.models();
+    let m = &models[pool.index(models.len())];
+    let q = m.stages[pool.index(m.stages.len())].quality;
+    let floor = q - QUALITY_GUARD_FRACTION * (m.final_quality() - m.fail_quality);
+    match pool.index(3) {
+        0 => floor,
+        1 => floor.next_up(),
+        _ => floor.next_down(),
+    }
+}
+
+fn random_goal(pool: &mut Pool, table: &ConfigTable) -> Goal {
     let deadline = Seconds(pool.range(0.005, 0.6));
     let mut goal = if pool.chance(0.5) {
-        Goal::minimize_energy(deadline, pool.range(0.1, 0.98))
+        Goal::minimize_energy(deadline, random_floor(pool, table))
     } else {
         Goal::minimize_error(deadline, Joules(pool.range(1e-4, 30.0)))
     };
@@ -191,7 +212,7 @@ proptest! {
         for q in 0..n_queries {
             let xi = random_belief(&mut pool);
             let idle = pool.range(0.0, 1.0);
-            let goal = random_goal(&mut pool);
+            let goal = random_goal(&mut pool, &table);
             let period = Seconds(pool.range(0.001, 1.0));
             let mode = if pool.chance(0.25) {
                 ProbabilityMode::MeanOnly
@@ -230,7 +251,7 @@ proptest! {
             ..Default::default()
         };
         let mut ctl = AlertController::new(table.clone(), params).expect("valid params");
-        let goal = random_goal(&mut pool);
+        let goal = random_goal(&mut pool, &table);
         let period = Seconds(pool.range(0.001, 1.0));
 
         for step in 0..n_steps {
@@ -365,4 +386,244 @@ fn controller_cache_hits_on_stable_belief() {
     assert_eq!(stats.hits, 9);
     assert_eq!(stats.invalidations, 1);
     assert_eq!(stats.misses, 2);
+}
+
+/// Lane and reference selections at one set of decision inputs, asserted
+/// bit-identical; returns the lane's.
+fn lane_matches_reference(
+    lane: &CandidateLane,
+    scratch: &mut LaneScratch,
+    table: &ConfigTable,
+    xi: &Normal,
+    goal: &Goal,
+    mode: ProbabilityMode,
+    label: &str,
+) -> Selection {
+    let fast = lane
+        .select_with_period(scratch, xi, 0.25, goal, goal.deadline, mode)
+        .expect("valid goal");
+    let full = select_with_period(table, xi, 0.25, goal, goal.deadline, mode).expect("valid goal");
+    assert_bits_equal(&fast, &full, label);
+    fast
+}
+
+/// Two traditional models that differ only in their fallback quality,
+/// with the same latency and run power at each of two caps. Neither is
+/// pruned (their staircases differ), and wherever completion is certain
+/// their estimates are bit-identical. The high cap halves the latency at
+/// a higher energy.
+fn twin_table() -> ConfigTable {
+    let models = vec![
+        CandidateModel::traditional("early", 0.9, 0.0),
+        CandidateModel::traditional("late", 0.9, 0.1),
+    ];
+    let t_prof = vec![vec![Seconds(0.1), Seconds(0.05)]; 2];
+    let p_run = vec![vec![Watts(30.0), Watts(70.0)]; 2];
+    ConfigTable::new(models, vec![Watts(40.0), Watts(80.0)], t_prof, p_run).expect("valid table")
+}
+
+#[test]
+fn exact_tie_goes_to_the_earlier_candidate_even_when_the_later_is_seeded() {
+    let table = twin_table();
+    let lane = CandidateLane::build(&table);
+    let mut scratch = LaneScratch::for_lane(&lane);
+    // Uncertain completion: the higher fallback makes "late" strictly
+    // better at equal energy, so it wins and seeds the next decision.
+    let risky = Normal::new(1.0, 0.05);
+    let seed_goal = Goal::minimize_energy(Seconds(0.11), 0.8);
+    // Certain completion: the twins tie bit for bit, and the earlier one
+    // must win although the later one is scored first. At 0.1 s the mean
+    // latency lands exactly on the deadline, which still meets it.
+    let certain = Normal::new(1.0, 0.0);
+    for deadline in [0.11, 0.1] {
+        let goal = seed_goal.with_deadline(Seconds(deadline));
+        for mode in [ProbabilityMode::Full, ProbabilityMode::MeanOnly] {
+            let seeded = lane_matches_reference(
+                &lane,
+                &mut scratch,
+                &table,
+                &risky,
+                &seed_goal,
+                ProbabilityMode::Full,
+                "seed",
+            );
+            assert_eq!(
+                (seeded.candidate.model, seeded.candidate.power),
+                (1, 0),
+                "the later twin must win first"
+            );
+            let sel =
+                lane_matches_reference(&lane, &mut scratch, &table, &certain, &goal, mode, "tie");
+            assert_eq!(
+                (sel.candidate.model, sel.candidate.power),
+                (0, 0),
+                "{mode:?}: the earlier twin wins a tie"
+            );
+            assert!(sel.feasible, "{mode:?} at {deadline} s");
+        }
+    }
+}
+
+/// Two traditional models and one 2-stage anytime across two caps, the
+/// expensive model first in enumeration order.
+fn small_big_table() -> ConfigTable {
+    let models = vec![
+        CandidateModel::traditional("big", 0.95, 0.005),
+        CandidateModel::traditional("small", 0.86, 0.005),
+        CandidateModel::anytime(
+            "any",
+            vec![
+                StagePoint {
+                    frac: 0.4,
+                    quality: 0.84,
+                },
+                StagePoint {
+                    frac: 1.0,
+                    quality: 0.94,
+                },
+            ],
+            0.005,
+        ),
+    ];
+    let powers = vec![Watts(20.0), Watts(45.0)];
+    let t_prof = vec![
+        vec![Seconds(0.200), Seconds(0.100)],
+        vec![Seconds(0.040), Seconds(0.020)],
+        vec![Seconds(0.240), Seconds(0.120)],
+    ];
+    let p_run = vec![
+        vec![Watts(19.0), Watts(42.0)],
+        vec![Watts(18.0), Watts(40.0)],
+        vec![Watts(19.0), Watts(42.0)],
+    ];
+    ConfigTable::new(models, powers, t_prof, p_run).expect("valid table")
+}
+
+#[test]
+fn goal_flips_that_invalidate_the_seed_still_match_the_reference() {
+    let table = small_big_table();
+    let lane = CandidateLane::build(&table);
+    let mut scratch = LaneScratch::for_lane(&lane);
+    let xi = Normal::new(1.1, 0.08);
+    let low = Goal::minimize_energy(Seconds(0.3), 0.8);
+    let high = Goal::minimize_energy(Seconds(0.3), 0.92);
+    for mode in [ProbabilityMode::Full, ProbabilityMode::MeanOnly] {
+        let cheap = lane_matches_reference(&lane, &mut scratch, &table, &xi, &low, mode, "low");
+        assert_eq!(
+            cheap.candidate.model, 1,
+            "{mode:?}: the low floor admits small"
+        );
+        // The seed (small) cannot reach the raised floor.
+        let raised = lane_matches_reference(&lane, &mut scratch, &table, &xi, &high, mode, "high");
+        assert_ne!(
+            raised.candidate.model, 1,
+            "{mode:?}: small misses the raised floor"
+        );
+        assert!(raised.feasible);
+        let back = lane_matches_reference(&lane, &mut scratch, &table, &xi, &low, mode, "back");
+        assert_eq!(back.candidate, cheap.candidate);
+    }
+}
+
+#[test]
+fn floor_above_every_model_falls_back_like_the_reference() {
+    let table = small_big_table();
+    let lane = CandidateLane::build(&table);
+    let mut scratch = LaneScratch::for_lane(&lane);
+    for xi in [Normal::new(1.0, 0.05), Normal::new(1.3, 0.0)] {
+        for mode in [ProbabilityMode::Full, ProbabilityMode::MeanOnly] {
+            // Seed an incumbent first, then ask for the impossible.
+            let ok = Goal::minimize_energy(Seconds(0.3), 0.8);
+            let _ = lane_matches_reference(&lane, &mut scratch, &table, &xi, &ok, mode, "seed");
+            for deadline in [0.3, 0.01] {
+                let goal = Goal::minimize_energy(Seconds(deadline), 0.99);
+                let sel =
+                    lane_matches_reference(&lane, &mut scratch, &table, &xi, &goal, mode, "none");
+                assert!(!sel.feasible, "{mode:?}: nothing reaches 0.99");
+            }
+        }
+    }
+}
+
+#[test]
+fn nan_fallback_quality_under_minimize_energy_matches_the_reference() {
+    let models = vec![
+        CandidateModel::traditional("poisoned", 0.9, f64::NAN),
+        CandidateModel::traditional("sane", 0.8, 0.0),
+    ];
+    let t_prof = vec![vec![Seconds(0.040)], vec![Seconds(0.050)]];
+    let p_run = vec![vec![Watts(30.0)], vec![Watts(40.0)]];
+    let table = ConfigTable::new(models, vec![Watts(45.0)], t_prof, p_run).expect("valid table");
+    let lane = CandidateLane::build(&table);
+    let mut scratch = LaneScratch::for_lane(&lane);
+    for xi in [Normal::new(1.0, 0.0), Normal::new(1.0, 0.05)] {
+        for mode in [ProbabilityMode::Full, ProbabilityMode::MeanOnly] {
+            for floor in [0.5, 0.85, 0.99] {
+                let goal = Goal::minimize_energy(Seconds(0.3), floor);
+                let label = format!("floor {floor} {mode:?} sd {}", xi.std_dev());
+                let _ =
+                    lane_matches_reference(&lane, &mut scratch, &table, &xi, &goal, mode, &label);
+            }
+        }
+    }
+}
+
+#[test]
+fn reset_and_restore_forget_the_seeded_incumbent() {
+    let params = AlertParams {
+        overhead: OverheadPolicy::None,
+        ..Default::default()
+    };
+    // "big" enumerates first and is valid, "small" is cheaper and wins:
+    // unseeded, both get scored.
+    let goal = Goal::minimize_energy(Seconds(0.3), 0.8);
+    let mut ctl = AlertController::new(small_big_table(), params).expect("valid params");
+    let pristine = ctl.snapshot();
+    let scored = |ctl: &AlertController| ctl.last_trace().expect("decided").live;
+
+    let first = ctl.decide(&goal).expect("valid goal");
+    let cold = scored(&ctl);
+    // A one-member group keeps the deadline and invalidates the cache,
+    // so the same inputs are decided again, now with a seed.
+    ctl.begin_group(goal.deadline, 1);
+    assert_eq!(ctl.decide(&goal).expect("valid goal"), first);
+    let warm = scored(&ctl);
+    assert!(
+        0 < warm && warm < cold,
+        "the seed must save scoring here: {warm} vs {cold}"
+    );
+
+    ctl.reset();
+    assert_eq!(ctl.decide(&goal).expect("valid goal"), first);
+    assert_eq!(scored(&ctl), cold, "reset keeps a seed");
+
+    ctl.begin_group(goal.deadline, 1);
+    let _ = ctl.decide(&goal).expect("valid goal");
+    assert_eq!(scored(&ctl), warm);
+    ctl.restore(&pristine);
+    assert_eq!(ctl.decide(&goal).expect("valid goal"), first);
+    assert_eq!(scored(&ctl), cold, "restore keeps a seed");
+}
+
+#[test]
+fn prob_thresholds_outside_the_open_unit_interval_are_errors_not_panics() {
+    let table = small_big_table();
+    let lane = CandidateLane::build(&table);
+    let mut scratch = LaneScratch::for_lane(&lane);
+    let mut ctl = AlertController::new(table.clone(), AlertParams::default()).expect("valid");
+    let xi = Normal::new(1.0, 0.05);
+    for pr in [0.0, 1.0, f64::NAN] {
+        let mut goal = Goal::minimize_energy(Seconds(0.35), 0.9);
+        goal.prob_threshold = Some(pr);
+        let mode = ProbabilityMode::Full;
+        let errors = [
+            lane.select_with_period(&mut scratch, &xi, 0.25, &goal, goal.deadline, mode),
+            select_with_period(&table, &xi, 0.25, &goal, goal.deadline, mode),
+            ctl.decide(&goal),
+        ]
+        .map(|r| r.expect_err("out-of-range threshold"));
+        for err in errors {
+            assert!(err.starts_with("invalid goal: "), "threshold {pr}: {err}");
+        }
+    }
 }

@@ -76,9 +76,11 @@ impl Goal {
     ///
     /// # Panics
     ///
-    /// Panics unless `pr` is in `[0, 1)`.
+    /// Panics unless `pr` is in the open interval `(0, 1)`: the Eq. 12
+    /// energy bound takes the standard-normal quantile of `pr`, which is
+    /// unbounded at both ends.
     pub fn with_prob_threshold(mut self, pr: f64) -> Self {
-        assert!((0.0..1.0).contains(&pr), "threshold must be in [0,1)");
+        assert!(pr > 0.0 && pr < 1.0, "threshold must be in (0,1), got {pr}");
         self.prob_threshold = Some(pr);
         self
     }
@@ -90,10 +92,23 @@ impl Goal {
         self
     }
 
-    /// Validates internal consistency.
+    /// Validates internal consistency: a positive finite deadline, the
+    /// objective's constraint (a finite quality floor or a positive
+    /// finite energy budget), a finite floor wherever one is set, and a
+    /// probability threshold, if any, in the open interval `(0, 1)`.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.deadline.is_finite() && self.deadline.get() > 0.0) {
             return Err(format!("bad deadline {}", self.deadline));
+        }
+        if let Some(q) = self.min_quality {
+            if !q.is_finite() {
+                return Err(format!("bad quality floor {q}"));
+            }
+        }
+        if let Some(pr) = self.prob_threshold {
+            if !(pr > 0.0 && pr < 1.0) {
+                return Err(format!("probability threshold must be in (0,1), got {pr}"));
+            }
         }
         match self.objective {
             Objective::MinimizeEnergy => {
@@ -216,6 +231,23 @@ mod tests {
         let mut bad = Goal::minimize_error(Seconds(0.1), Joules(5.0));
         bad.energy_budget = None;
         assert!(bad.validate().is_err());
+        for q in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let bad = Goal::minimize_energy(Seconds(0.1), q);
+            assert!(bad.validate().is_err(), "floor {q}");
+        }
+        for pr in [0.0, 1.0, -0.5, 1.5, f64::NAN] {
+            let mut bad = Goal::minimize_energy(Seconds(0.1), 0.9);
+            bad.prob_threshold = Some(pr);
+            assert!(bad.validate().is_err(), "threshold {pr}");
+        }
+        let ok = Goal::minimize_energy(Seconds(0.1), 0.9).with_prob_threshold(0.95);
+        assert!(ok.validate().is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "threshold must be in (0,1)")]
+    fn zero_threshold_is_rejected_at_construction() {
+        let _ = Goal::minimize_energy(Seconds(0.1), 0.9).with_prob_threshold(0.0);
     }
 
     #[test]

@@ -288,6 +288,23 @@ fn restore_rejects_mid_sentence_snapshot_with_reset_budget() {
     assert!(destination.restore_session(&good).is_ok());
 }
 
+/// A goal whose probability threshold lies outside `(0, 1)` is rejected
+/// when its session opens, instead of panicking in the first decision
+/// (the Eq. 12 bound's `Φ⁻¹` is unbounded at both ends).
+#[test]
+fn out_of_range_prob_threshold_is_rejected_at_open() {
+    let mut rt = Runtime::builder().build().unwrap();
+    for pr in [0.0, 1.0, f64::NAN] {
+        let mut spec = session_spec(0);
+        spec.goal.prob_threshold = Some(pr);
+        let err = rt.session(spec).open().unwrap_err();
+        assert!(
+            matches!(err, alert::sched::Error::InvalidSpec(_)),
+            "threshold {pr}: expected InvalidSpec, got {err}"
+        );
+    }
+}
+
 /// A custom policy registered by name runs through the full session
 /// lifecycle next to the built-ins.
 #[test]
