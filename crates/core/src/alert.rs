@@ -17,7 +17,7 @@
 use crate::config::{Candidate, ConfigTable};
 use crate::goal::{Goal, GoalAdjuster};
 use crate::idle::IdleRatioEstimator;
-use crate::lane::{BeliefBand, CacheStats, CandidateLane, DecisionCache, DecisionKey, LaneScratch};
+use crate::lane::{CandidateLane, LaneScratch};
 use crate::select::{Estimates, Selection};
 use crate::slowdown::SlowdownEstimator;
 use alert_stats::cputime::DecisionStopwatch;
@@ -73,9 +73,9 @@ impl DecisionClock {
         }
     }
 
-    /// Elapsed decision cost. Floored at 1 ns: a cache-hit decision can
-    /// finish between two ticks of the CPU clock, and downstream
-    /// accounting treats a zero cost as "no decision happened".
+    /// Elapsed decision cost. Floored at 1 ns: a decision can finish
+    /// between two ticks of a coarse CPU clock, and downstream accounting
+    /// treats a zero cost as "no decision happened".
     fn elapsed(&self) -> Seconds {
         Seconds(self.inner.elapsed().as_secs_f64().max(1e-9))
     }
@@ -163,13 +163,13 @@ pub struct ControllerSnapshot {
 ///
 /// This is what the telemetry layer's decision events and the flight
 /// recorder are built from: the belief the controller held, the lane it
-/// searched (or the cache entry it replayed), what it picked and what
-/// it predicted. Like the decision cache, it is *not* learned state —
-/// snapshots do not carry it, and restore/reset clear it.
+/// searched, what it picked and what it predicted. It is *not* learned
+/// state — snapshots do not carry it, and restore/reset clear it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DecisionTrace {
-    /// `true` when the decision was replayed from the belief-banded
-    /// cache instead of a fresh lane search.
+    /// Always `false`: every decision is a fresh lane search. The field
+    /// stays so serialized decision events and flight-recorder dumps keep
+    /// their shape, and so readers that tally it keep building.
     pub cache_hit: bool,
     /// ξ belief mean at decision time.
     pub belief_mean: f64,
@@ -183,7 +183,7 @@ pub struct DecisionTrace {
     /// Total execution targets in the candidate lane.
     pub candidates: usize,
     /// Targets this decision scored with Eq. 6/7/13 work; the rest were
-    /// pruned statically or skipped as unable to win. 0 on a cache hit.
+    /// skipped as unable to win.
     pub live: usize,
     /// The chosen execution target.
     pub selected: Candidate,
@@ -204,7 +204,7 @@ pub struct DecisionTrace {
 /// is built per distinct (family, candidate set, node, budget) and
 /// shared by `Arc` across every controller over that table
 /// ([`AlertController::with_tables`]); each controller keeps its own
-/// [`LaneScratch`], [`DecisionCache`] and estimators.
+/// [`LaneScratch`] and estimators.
 #[derive(Debug)]
 pub struct DecisionTables {
     table: ConfigTable,
@@ -217,7 +217,7 @@ pub struct DecisionTables {
 }
 
 impl DecisionTables {
-    /// Builds the bundle: flattens and prunes `table` into its lane.
+    /// Builds the bundle: flattens `table` into its lane.
     /// `model_index[i]` is the caller's index of table model row `i`.
     ///
     /// # Errors
@@ -265,9 +265,6 @@ pub struct AlertController {
     /// Reusable per-decision scratch (probability memo, quality buffer,
     /// seeded incumbent). Not learned state: restore/reset clear the seed.
     scratch: LaneScratch,
-    /// Belief-banded decision memo. *Not* learned state: snapshots do not
-    /// carry it, restore/reset rebuild it cold (see `ControllerSnapshot`).
-    cache: DecisionCache,
     params: AlertParams,
     xi: SlowdownEstimator,
     idle: IdleRatioEstimator,
@@ -295,8 +292,8 @@ impl AlertController {
     }
 
     /// Creates a controller over a shared decision-table bundle. Only the
-    /// per-decision scratch, the decision cache, the estimators and the
-    /// goal adjuster are this controller's own.
+    /// per-decision scratch, the estimators and the goal adjuster are
+    /// this controller's own.
     ///
     /// # Errors
     ///
@@ -326,7 +323,6 @@ impl AlertController {
         Ok(AlertController {
             tables,
             scratch,
-            cache: DecisionCache::new(),
             xi: SlowdownEstimator::with_params(params.kalman)?,
             idle: IdleRatioEstimator::new(params.initial_idle_ratio),
             adjuster,
@@ -338,11 +334,9 @@ impl AlertController {
     }
 
     /// Announces a group (sentence) of `members` inputs sharing
-    /// `deadline` of total budget (paper §3.2 step 2). Invalidates the
-    /// decision cache: group membership reshapes effective deadlines.
+    /// `deadline` of total budget (paper §3.2 step 2).
     pub fn begin_group(&mut self, deadline: Seconds, members: usize) {
         self.adjuster.begin_group(deadline, members);
-        self.cache.invalidate();
     }
 
     /// Steps 2–4: picks the execution target for the next input, using the
@@ -372,25 +366,14 @@ impl AlertController {
         let adjusted = goal.with_deadline(effective);
         let xi = self.xi.distribution();
         let idle_ratio = self.idle.ratio();
-        let band = BeliefBand::quantize(xi.mean(), xi.std_dev(), idle_ratio, effective);
-        let key = DecisionKey::capture(&xi, idle_ratio, &adjusted, period, self.params.mode);
-        let (sel, cache_hit) = match self.cache.lookup(band, &key) {
-            // Selection is a pure function of the key; an exact
-            // revalidation inside the band replays it verbatim.
-            Some(sel) => (sel, true),
-            None => {
-                let sel = self.tables.lane.select_with_period(
-                    &mut self.scratch,
-                    &xi,
-                    idle_ratio,
-                    &adjusted,
-                    period,
-                    self.params.mode,
-                )?;
-                self.cache.store(band, key, sel);
-                (sel, false)
-            }
-        };
+        let sel = self.tables.lane.select_with_period(
+            &mut self.scratch,
+            &xi,
+            idle_ratio,
+            &adjusted,
+            period,
+            self.params.mode,
+        )?;
         let cost = clock.elapsed();
         self.last_decision_cost = cost;
         if matches!(self.params.overhead, OverheadPolicy::Measured) {
@@ -400,13 +383,13 @@ impl AlertController {
         // Recorded after the selection is final: the trace is pure
         // observability, nothing on the decision path reads it.
         self.last_trace = Some(DecisionTrace {
-            cache_hit,
+            cache_hit: false,
             belief_mean: xi.mean(),
             belief_std: xi.std_dev(),
             idle_ratio,
             effective_deadline: effective,
             candidates: self.tables.lane.candidate_count(),
-            live: if cache_hit { 0 } else { self.scratch.scored() },
+            live: self.scratch.scored(),
             selected: sel.candidate,
             estimates: sel.estimates,
             feasible: sel.feasible,
@@ -444,14 +427,9 @@ impl AlertController {
         self.idle.ratio()
     }
 
-    /// The selection fast lane (diagnostics: candidate/pruning counts).
+    /// The selection fast lane (diagnostics: candidate count).
     pub fn lane(&self) -> &CandidateLane {
         &self.tables.lane
-    }
-
-    /// Decision-cache effectiveness counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 
     /// Cost of the most recent decision, metered on the thread-CPU clock
@@ -492,17 +470,15 @@ impl AlertController {
     /// Restores estimator state from a snapshot. The candidate table and
     /// parameters are untouched: a snapshot only carries *learned* state,
     /// so it can be applied to a freshly built controller of the same
-    /// policy (the migration path). The decision cache is a pure memo
-    /// over that state — it is not carried, just invalidated and rebuilt
-    /// on the next decision (a cold cache cannot change any selection).
-    /// The lane's seeded incumbent is dropped the same way.
+    /// policy (the migration path). The lane's seeded incumbent is not
+    /// carried either, just dropped: it only orders the scoring, so no
+    /// selection depends on it.
     pub fn restore(&mut self, snapshot: &ControllerSnapshot) {
         self.xi = snapshot.xi.clone();
         self.idle = snapshot.idle.clone();
         self.adjuster = snapshot.adjuster.clone();
         self.decisions = snapshot.decisions;
         self.last_decision_cost = snapshot.last_decision_cost;
-        self.cache.invalidate();
         self.scratch.forget_seed();
         self.last_trace = None;
     }
@@ -517,7 +493,6 @@ impl AlertController {
         }
         self.decisions = 0;
         self.last_decision_cost = Seconds::ZERO;
-        self.cache.invalidate();
         self.scratch.forget_seed();
         self.last_trace = None;
     }
@@ -753,20 +728,20 @@ mod tests {
         let goal = Goal::minimize_error(Seconds(0.12), Joules(20.0));
         let sel = ctl.decide(&goal).unwrap();
         let trace = ctl.last_trace().expect("decision leaves a trace");
-        assert!(!trace.cache_hit, "first decision cannot hit the cache");
+        assert!(!trace.cache_hit, "no decision is replayed");
         assert_eq!(trace.selected, sel.candidate);
         assert_eq!(trace.estimates, sel.estimates);
         assert_eq!(trace.feasible, sel.feasible);
         assert_eq!(trace.candidates, ctl.lane().candidate_count());
-        assert_eq!(trace.live, ctl.lane().live_count());
+        // A minimize-error decision scores every candidate.
+        assert_eq!(trace.live, trace.candidates);
         assert_eq!(trace.belief_mean, ctl.slowdown().mean());
         assert!(trace.cost.get() > 0.0);
-        // A repeat under the same belief replays from the cache, and the
-        // trace says so.
+        // A repeat under the same belief searches the lane again.
         let again = ctl.decide(&goal).unwrap();
         let trace2 = ctl.last_trace().unwrap();
-        assert!(trace2.cache_hit);
-        assert_eq!(trace2.live, 0, "a cache hit scores nothing");
+        assert!(!trace2.cache_hit);
+        assert_eq!(trace2.live, trace2.candidates);
         assert_eq!(again.candidate, sel.candidate);
         // A minimize-energy decision scores only the candidates that can
         // still win: "small" and the anytime stage 0 cannot reach 0.9.
@@ -796,7 +771,7 @@ mod tests {
         // Two controllers over one bundle, fed diverging measurements and
         // interleaved decision by decision, must select exactly what two
         // controllers with their own tables select: nothing a decision
-        // writes (scratch generation, probability memo, cache) may live
+        // writes (scratch generation, probability memo, seed) may live
         // in the shared part.
         let shared = Arc::new(DecisionTables::new(table(), vec![0, 1, 2]).unwrap());
         let mean_only = AlertParams::mean_only();
@@ -820,7 +795,8 @@ mod tests {
             }
             for (k, (s, o)) in shared_ctls.iter_mut().zip(own_ctls.iter_mut()).enumerate() {
                 let goal = goals[(i + k) % 2];
-                // A repeat under an unchanged belief exercises the cache.
+                // A repeat under an unchanged belief starts from the
+                // previous winner's seed.
                 for _ in 0..2 {
                     let a = s.decide(&goal).unwrap();
                     let b = o.decide(&goal).unwrap();

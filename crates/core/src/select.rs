@@ -244,15 +244,15 @@ pub(crate) fn energy_to_beat(incumbent: &Estimates) -> Option<f64> {
 }
 
 /// The selection state machine shared by the reference enumeration
-/// ([`select_with_period`]) and the pruned fast lane
+/// ([`select_with_period`]) and the fast lane
 /// ([`crate::lane::CandidateLane`]): candidates are [`SelectionAccumulator::consider`]ed
 /// in table-enumeration order, the three competitions of §4 (valid /
 /// deadline-only / unconditional) advance in lockstep, and
 /// [`SelectionAccumulator::finish`] applies the fallback hierarchy.
 /// Sharing this one implementation is what makes "fast lane ≡ full
 /// enumeration" a structural property instead of a testing aspiration —
-/// the lane can only differ by *which* candidates it offers, and the
-/// dominance filter guarantees the pruned ones never win any competition.
+/// the lane offers every candidate, in the same order, with estimates
+/// from the same leaf functions.
 /// The lane's minimize-energy early exit decides the valid competition
 /// alone, with this module's [`better`], [`latency_ok`] and
 /// [`other_ok`], and falls back to this accumulator when no candidate is

@@ -1,5 +1,5 @@
-//! Soundness proofs-by-property for the selection fast lane: the pruned,
-//! memoized, early-exiting, cached decision path must be
+//! Soundness proofs-by-property for the selection fast lane: the
+//! memoized, early-exiting decision path must be
 //! **bit-identical** to the reference full enumeration for randomized
 //! tables, beliefs, goals (floors on the lane's quality-ceiling
 //! boundary included), probability modes, group boundaries, and
@@ -48,8 +48,8 @@ impl Pool {
 
 /// A randomized candidate table: 1–4 models (traditional and anytime),
 /// 1–4 power settings, saturating cap responses with deliberate exact
-/// latency ties (the dominance filter's bread and butter) and occasional
-/// near-ties (its adversary).
+/// latency ties and occasional near-ties, which the early exit's
+/// index-aware tie rule must resolve as the reference does.
 fn random_table(pool: &mut Pool) -> ConfigTable {
     let n_models = 1 + pool.index(4);
     let n_powers = 1 + pool.index(4);
@@ -87,7 +87,7 @@ fn random_table(pool: &mut Pool) -> ConfigTable {
         }
         // Latency row: decreasing in cap, but with a saturation point
         // after which extra cap buys *exactly* nothing (ties), and a
-        // small chance of a near-tie one ulp-ish apart.
+        // small chance of a near-tie, 1e-12 relative apart.
         let base = pool.range(0.01, 0.4);
         let saturate_from = pool.index(n_powers);
         let mut row_t = Vec::new();
@@ -96,8 +96,8 @@ fn random_table(pool: &mut Pool) -> ConfigTable {
         for j in 0..n_powers {
             if j > saturate_from {
                 if pool.chance(0.2) {
-                    t *= 1.0 - 1e-12; // near-tie: must NOT be pruned
-                } // else exact tie: prunable
+                    t *= 1.0 - 1e-12; // near-tie: the faster cap may win
+                } // else exact tie: the earlier cap wins a full tie
             } else if j > 0 {
                 t *= pool.range(0.5, 0.95);
             }
@@ -141,8 +141,8 @@ fn random_goal(pool: &mut Pool, table: &ConfigTable) -> Goal {
         Goal::minimize_error(deadline, Joules(pool.range(1e-4, 30.0)))
     };
     if pool.chance(0.4) {
-        // Include thresholds below ½: they must bypass pruning, not
-        // break identity.
+        // Include thresholds below ½ (a negative Eq. 12 quantile):
+        // identity must hold there too.
         goal = goal.with_prob_threshold(pool.range(0.05, 0.999));
     }
     goal
@@ -197,8 +197,8 @@ fn assert_bits_equal(fast: &Selection, full: &Selection, label: &str) {
 }
 
 proptest! {
-    /// Stage 1+2 (SoA + pruning): for arbitrary tables and decision
-    /// inputs, the lane selects bit-identically to the reference
+    /// The lane (SoA, memo, early exit): for arbitrary tables and
+    /// decision inputs, it selects bit-identically to the reference
     /// enumeration.
     #[test]
     fn lane_is_bit_identical_to_full_enumeration(
@@ -224,13 +224,13 @@ proptest! {
                 .expect("valid goal");
             let full = select_with_period(&table, &xi, idle, &goal, period, mode)
                 .expect("valid goal");
-            assert_bits_equal(&fast, &full, &format!("query {q} ({} pruned)", lane.pruned_count()));
+            assert_bits_equal(&fast, &full, &format!("query {q}"));
         }
     }
 
-    /// The full controller path — fast lane *plus* the belief-banded
-    /// decision cache — against the reference enumeration, across
-    /// observation feedback, repeated decides (cache hits), group
+    /// The full controller path — goal adjustment *plus* the fast lane
+    /// and its seeded incumbent — against the reference enumeration,
+    /// across observation feedback, repeated decides, group
     /// boundaries, snapshot/restore migration, and resets. The emitted
     /// selection must always equal a fresh full enumeration at the
     /// controller's current belief and the decision's effective deadline.
@@ -274,8 +274,7 @@ proptest! {
             // The Selection records the effective deadline the decision
             // was judged against; replaying the reference enumeration at
             // that deadline and the controller's current belief must
-            // reproduce it bit for bit — whether the fast path answered
-            // from the pruned enumeration or the cache.
+            // reproduce it bit for bit.
             let reference = select_with_period(
                 &table,
                 &ctl.slowdown().distribution(),
@@ -288,7 +287,8 @@ proptest! {
             assert_bits_equal(&sel, &reference, &format!("step {step}"));
 
             // Repeat the decision without feedback (outside a group the
-            // inputs are unchanged — the cache path must still match).
+            // inputs are unchanged, and the lane starts from the seed the
+            // first decision left).
             if ctl.decisions() > 0 && pool.chance(0.5) {
                 let again = ctl.decide_with_period(&goal, period).expect("valid goal");
                 let reference2 = select_with_period(
@@ -314,11 +314,11 @@ proptest! {
         }
     }
 
-    /// Pruning actually fires on saturated tables, and never on tables
-    /// where it would be unsound to drop anything the reference could
-    /// pick: spot-check by exhaustively comparing a dense goal grid.
+    /// One belief per random table against a dense goal grid: deadlines
+    /// from tight to loose, low and high floors, starved and ample
+    /// budgets, one lane scratch carried across all of them.
     #[test]
-    fn pruned_tables_survive_a_goal_grid(
+    fn random_tables_survive_a_goal_grid(
         raw in proptest::collection::vec(0.0f64..1.0, 64..96),
     ) {
         let mut pool = Pool::new(raw);
@@ -345,49 +345,6 @@ proptest! {
     }
 }
 
-/// Deterministic (non-property) check that the controller's cache path
-/// is exercised at all: repeated decides at a converged belief must hit.
-#[test]
-fn controller_cache_hits_on_stable_belief() {
-    let models = vec![
-        CandidateModel::traditional("small", 0.86, 0.005),
-        CandidateModel::traditional("big", 0.95, 0.005),
-    ];
-    let powers = vec![Watts(20.0), Watts(45.0)];
-    let t_prof = vec![
-        vec![Seconds(0.040), Seconds(0.020)],
-        vec![Seconds(0.200), Seconds(0.100)],
-    ];
-    let p_run = vec![
-        vec![Watts(18.0), Watts(40.0)],
-        vec![Watts(19.0), Watts(42.0)],
-    ];
-    let table = ConfigTable::new(models, powers, t_prof, p_run).expect("valid table");
-    let mut ctl = AlertController::new(
-        table,
-        AlertParams {
-            overhead: OverheadPolicy::None,
-            ..Default::default()
-        },
-    )
-    .expect("valid params");
-    let goal = Goal::minimize_error(Seconds(0.3), Joules(20.0));
-    for _ in 0..10 {
-        let _ = ctl.decide(&goal).expect("valid goal");
-    }
-    let stats = ctl.cache_stats();
-    assert_eq!(stats.hits, 9, "identical inputs must replay the cache");
-    assert_eq!(stats.misses, 1);
-
-    // A group boundary invalidates; the next decision re-enumerates.
-    ctl.begin_group(Seconds(0.6), 2);
-    let _ = ctl.decide(&goal).expect("valid goal");
-    let stats = ctl.cache_stats();
-    assert_eq!(stats.hits, 9);
-    assert_eq!(stats.invalidations, 1);
-    assert_eq!(stats.misses, 2);
-}
-
 /// Lane and reference selections at one set of decision inputs, asserted
 /// bit-identical; returns the lane's.
 fn lane_matches_reference(
@@ -408,10 +365,9 @@ fn lane_matches_reference(
 }
 
 /// Two traditional models that differ only in their fallback quality,
-/// with the same latency and run power at each of two caps. Neither is
-/// pruned (their staircases differ), and wherever completion is certain
-/// their estimates are bit-identical. The high cap halves the latency at
-/// a higher energy.
+/// with the same latency and run power at each of two caps. Wherever
+/// completion is certain their estimates are bit-identical. The high cap
+/// halves the latency at a higher energy.
 fn twin_table() -> ConfigTable {
     let models = vec![
         CandidateModel::traditional("early", 0.9, 0.0),
@@ -583,9 +539,7 @@ fn reset_and_restore_forget_the_seeded_incumbent() {
 
     let first = ctl.decide(&goal).expect("valid goal");
     let cold = scored(&ctl);
-    // A one-member group keeps the deadline and invalidates the cache,
-    // so the same inputs are decided again, now with a seed.
-    ctl.begin_group(goal.deadline, 1);
+    // The same inputs decided again, now with a seed.
     assert_eq!(ctl.decide(&goal).expect("valid goal"), first);
     let warm = scored(&ctl);
     assert!(
@@ -597,12 +551,49 @@ fn reset_and_restore_forget_the_seeded_incumbent() {
     assert_eq!(ctl.decide(&goal).expect("valid goal"), first);
     assert_eq!(scored(&ctl), cold, "reset keeps a seed");
 
-    ctl.begin_group(goal.deadline, 1);
     let _ = ctl.decide(&goal).expect("valid goal");
     assert_eq!(scored(&ctl), warm);
     ctl.restore(&pristine);
     assert_eq!(ctl.decide(&goal).expect("valid goal"), first);
     assert_eq!(scored(&ctl), cold, "restore keeps a seed");
+}
+
+/// A scratch for a one-model lane with `powers` caps: `powers` memo slots
+/// and a one-stage quality buffer.
+fn one_model_scratch(powers: usize) -> LaneScratch {
+    let table = ConfigTable::new(
+        vec![CandidateModel::traditional("only", 0.9, 0.0)],
+        (0..powers).map(|j| Watts(20.0 + j as f64)).collect(),
+        vec![(0..powers)
+            .map(|j| Seconds(0.1 - 0.001 * j as f64))
+            .collect()],
+        vec![(0..powers).map(|j| Watts(18.0 + j as f64)).collect()],
+    )
+    .expect("valid table");
+    LaneScratch::for_lane(&CandidateLane::build(&table))
+}
+
+#[test]
+fn a_scratch_sized_for_another_lane_decides_like_the_reference() {
+    let table = small_big_table();
+    let lane = CandidateLane::build(&table);
+    let xi = Normal::new(1.1, 0.08);
+    for goal in [
+        Goal::minimize_energy(Seconds(0.3), 0.9),
+        Goal::minimize_error(Seconds(0.3), Joules(14.0)),
+    ] {
+        for mode in [ProbabilityMode::Full, ProbabilityMode::MeanOnly] {
+            // Too few memo slots for this lane's 8, then the right slot
+            // count with a quality buffer too short for the anytime
+            // staircase.
+            for powers in [2, 8] {
+                let mut scratch = one_model_scratch(powers);
+                let label = format!("{:?} {mode:?} {powers}-slot scratch", goal.objective);
+                let _ =
+                    lane_matches_reference(&lane, &mut scratch, &table, &xi, &goal, mode, &label);
+            }
+        }
+    }
 }
 
 #[test]

@@ -76,8 +76,8 @@ pub struct DecisionEvent {
     pub session: SessionId,
     /// Input index within the session's stream.
     pub index: usize,
-    /// The controller's causal record: belief at decision time, cache
-    /// hit/miss, lane counts, the selected target and its predictions.
+    /// The controller's causal record: belief at decision time, lane
+    /// counts, the selected target and its predictions.
     pub trace: DecisionTrace,
     /// ξ belief mean *after* observing this input's outcome (the
     /// posterior the next decision will use).
@@ -236,11 +236,6 @@ impl EventSink for MetricsCollector {
             } => {
                 let scope = Scope::Session(d.session.0);
                 reg.counter_add("decisions", Scope::Global, 1);
-                if d.trace.cache_hit {
-                    reg.counter_add("cache_hits", Scope::Global, 1);
-                } else {
-                    reg.counter_add("cache_misses", Scope::Global, 1);
-                }
                 if !d.trace.feasible {
                     reg.counter_add("infeasible_decisions", Scope::Global, 1);
                 }
@@ -514,7 +509,7 @@ mod tests {
             session: SessionId(3),
             index,
             trace: DecisionTrace {
-                cache_hit: index % 2 == 1,
+                cache_hit: false,
                 belief_mean: 1.0 + index as f64 * 0.01,
                 belief_std: 0.1,
                 idle_ratio: 0.3,
@@ -586,7 +581,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_collector_counts_cache_and_misses() {
+    fn metrics_collector_counts_decisions_and_tracks_beliefs() {
         let collector = MetricsCollector::new();
         let mut sink = collector.clone();
         for i in 0..6 {
@@ -594,8 +589,6 @@ mod tests {
         }
         let reg = collector.registry();
         assert_eq!(reg.counter("decisions", Scope::Global), 6);
-        assert_eq!(reg.counter("cache_hits", Scope::Global), 3);
-        assert_eq!(reg.counter("cache_misses", Scope::Global), 3);
         assert!(reg.gauge("belief_mean", Scope::Session(3)).is_some());
         let snap = collector.snapshot();
         assert_eq!(snap.counters["decisions"], 6);

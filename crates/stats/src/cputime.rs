@@ -143,7 +143,7 @@ impl DecisionStopwatch {
 
     /// Elapsed cost since [`DecisionStopwatch::start`]: CPU time where
     /// the thread clock exists, wall time elsewhere. Can be zero — a
-    /// cached decision may finish between two ticks of the CPU clock —
+    /// short decision may finish between two ticks of the CPU clock —
     /// so callers that treat zero as "nothing happened" must apply
     /// their own floor.
     pub fn elapsed(&self) -> Duration {

@@ -1,17 +1,16 @@
-//! Lower convex hulls and Pareto frontiers of 2-D point sets.
+//! Lower convex hulls of 2-D point sets.
 //!
 //! Paper Fig. 2 plots 42 ImageNet networks in (inference latency, top-5
 //! error) space and draws the *lower convex hull*: the curve of optimal
 //! latency/accuracy trade-offs. Networks above the hull are dominated. The
-//! same machinery backs the oracle's search diagnostics and the DNN-family
-//! builders, which pick hull (or frontier) models as candidate sets.
+//! `fig2` bench binary draws it.
 
 use serde::{Deserialize, Serialize};
 
 /// A 2-D point with an opaque payload index.
 ///
-/// `idx` lets callers map hull/frontier members back to the original
-/// collection (e.g. a model id).
+/// `idx` lets callers map hull members back to the original collection
+/// (e.g. a model id).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Point2 {
     /// x coordinate (for Fig. 2: latency in seconds).
@@ -87,30 +86,6 @@ pub fn lower_convex_hull(points: &[Point2]) -> Vec<Point2> {
         hull.push(p);
     }
     hull
-}
-
-/// Computes the Pareto frontier for "smaller is better on both axes".
-///
-/// A point is on the frontier iff no other point is ≤ on both coordinates
-/// and < on at least one. This is the set of non-dominated DNNs — a superset
-/// of the lower convex hull members (the hull additionally requires
-/// convexity).
-pub fn pareto_frontier(points: &[Point2]) -> Vec<Point2> {
-    let mut pts: Vec<Point2> = points
-        .iter()
-        .copied()
-        .filter(|p| p.x.is_finite() && p.y.is_finite())
-        .collect();
-    pts.sort_by(|a, b| a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y)));
-    let mut frontier: Vec<Point2> = Vec::new();
-    let mut best_y = f64::INFINITY;
-    for p in pts {
-        if p.y < best_y {
-            frontier.push(p);
-            best_y = p.y;
-        }
-    }
-    frontier
 }
 
 /// Returns `true` if point `p` lies on or above the polyline `hull`
@@ -223,39 +198,20 @@ mod tests {
     }
 
     #[test]
-    fn frontier_superset_of_hull_membership() {
+    fn non_convex_point_is_off_the_hull() {
         let p = pts(&[
             (1.0, 10.0),
             (2.0, 6.0),
-            (3.0, 5.0), // on frontier but above hull chord (2,6)-(5,1)
+            (3.0, 5.0), // above the hull chord (2,6)-(5,1)
             (5.0, 1.0),
-            (4.0, 8.0), // dominated by (3,5)
+            (4.0, 8.0),
         ]);
-        let frontier = pareto_frontier(&p);
-        let f_ids: Vec<usize> = frontier.iter().map(|q| q.idx).collect();
-        assert_eq!(f_ids, vec![0, 1, 2, 3]);
         let hull = lower_convex_hull(&p);
         let h_ids: Vec<usize> = hull.iter().map(|q| q.idx).collect();
-        for id in &h_ids {
-            assert!(
-                f_ids.contains(id) || *id == 4,
-                "hull member {id} not on frontier"
-            );
-        }
         assert!(
             !h_ids.contains(&2),
             "non-convex point should be off the hull"
         );
-    }
-
-    #[test]
-    fn frontier_is_strictly_decreasing() {
-        let p = pts(&[(1.0, 3.0), (2.0, 3.0), (3.0, 2.0), (4.0, 2.0)]);
-        let frontier = pareto_frontier(&p);
-        for w in frontier.windows(2) {
-            assert!(w[1].y < w[0].y);
-            assert!(w[1].x > w[0].x);
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the statistics substrate.
 
-use alert_stats::hull::{above_hull, lower_convex_hull, pareto_frontier, Point2};
+use alert_stats::hull::{above_hull, lower_convex_hull, Point2};
 use alert_stats::kalman::{AdaptiveKalman, IdlePowerFilter, ScalarKalman};
 use alert_stats::normal::{erf, inv_phi, phi, Normal};
 use alert_stats::summary::{five_number, harmonic_mean, percentile, Welford};
@@ -136,24 +136,6 @@ proptest! {
         // Hull x must be strictly increasing.
         for w in hull.windows(2) {
             prop_assert!(w[1].x > w[0].x);
-        }
-    }
-
-    #[test]
-    fn frontier_contains_no_dominated_point(
-        coords in proptest::collection::vec((0.01f64..10.0, 0.01f64..10.0), 2..60)
-    ) {
-        let pts: Vec<Point2> = coords
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| Point2::new(x, y, i))
-            .collect();
-        let frontier = pareto_frontier(&pts);
-        for f in &frontier {
-            for p in &pts {
-                let dominates = p.x <= f.x && p.y <= f.y && (p.x < f.x || p.y < f.y);
-                prop_assert!(!dominates, "{p:?} dominates frontier member {f:?}");
-            }
         }
     }
 
