@@ -20,7 +20,7 @@ use crate::idle::IdleRatioEstimator;
 use crate::lane::{CandidateLane, LaneScratch};
 use crate::select::{Estimates, Selection};
 use crate::slowdown::SlowdownEstimator;
-use alert_stats::cputime::DecisionStopwatch;
+use alert_stats::cputime::SampledStopwatch;
 use alert_stats::kalman::AdaptiveKalmanParams;
 use alert_stats::units::{Seconds, Watts};
 use serde::{Deserialize, Serialize};
@@ -53,32 +53,13 @@ pub enum OverheadPolicy {
     /// host inflated the measured "overhead" ~7× and fed that noise
     /// straight back into deadlines. Residual nondeterminism (cache
     /// state, frequency scaling) remains — see DESIGN.md §5.
+    ///
+    /// This is the only policy that meters **every** decision. The
+    /// reserve is the worst case seen, and it tightens deadlines, so a
+    /// sampled meter would under-reserve; under `None` and `Fixed` the
+    /// cost is only reported and is metered one decision in
+    /// [`alert_stats::cputime::SAMPLE_STRIDE`].
     Measured,
-}
-
-/// A decision-cost stopwatch, delegating to the sanctioned meter
-/// ([`alert_stats::cputime::DecisionStopwatch`]: thread-CPU clock when
-/// the platform has one, wall clock otherwise). The controller itself
-/// never touches ambient wall time — the fallback lives inside the
-/// metering module, where `alert-lint`'s `no-wall-clock` rule permits
-/// it.
-struct DecisionClock {
-    inner: DecisionStopwatch,
-}
-
-impl DecisionClock {
-    fn start() -> Self {
-        DecisionClock {
-            inner: DecisionStopwatch::start(),
-        }
-    }
-
-    /// Elapsed decision cost. Floored at 1 ns: a decision can finish
-    /// between two ticks of a coarse CPU clock, and downstream accounting
-    /// treats a zero cost as "no decision happened".
-    fn elapsed(&self) -> Seconds {
-        Seconds(self.inner.elapsed().as_secs_f64().max(1e-9))
-    }
 }
 
 /// Controller parameters.
@@ -152,8 +133,10 @@ pub struct ControllerSnapshot {
     pub adjuster: GoalAdjuster,
     /// Decisions made so far.
     pub decisions: u64,
-    /// Measured cost of the most recent decision (thread-CPU clock where
-    /// available).
+    /// Cost charged to the most recent decision (see
+    /// [`AlertController::last_decision_cost`]). Kept for the snapshot
+    /// format only: a restored controller meters its next decision
+    /// afresh and never charges this value to it.
     pub last_decision_cost: Seconds,
 }
 
@@ -192,7 +175,10 @@ pub struct DecisionTrace {
     pub estimates: Estimates,
     /// `false` if the fallback hierarchy had to relax constraints.
     pub feasible: bool,
-    /// Metered cost of this decision (thread-CPU clock).
+    /// Cost charged to this decision, as
+    /// [`AlertController::last_decision_cost`] reports it: thread-CPU
+    /// time, metered on this decision or held from the latest metered
+    /// one.
     pub cost: Seconds,
 }
 
@@ -271,6 +257,10 @@ pub struct AlertController {
     adjuster: GoalAdjuster,
     decisions: u64,
     last_decision_cost: Seconds,
+    /// Meters decision cost: every decision under
+    /// [`OverheadPolicy::Measured`], one in
+    /// [`alert_stats::cputime::SAMPLE_STRIDE`] otherwise.
+    meter: SampledStopwatch,
     /// Causal record of the most recent decision. Pure observability —
     /// never read on the decision path; cleared by restore/reset.
     last_trace: Option<DecisionTrace>,
@@ -329,6 +319,7 @@ impl AlertController {
             params,
             decisions: 0,
             last_decision_cost: Seconds::ZERO,
+            meter: SampledStopwatch::new(),
             last_trace: None,
         })
     }
@@ -361,7 +352,12 @@ impl AlertController {
         goal: &Goal,
         period: Seconds,
     ) -> Result<Selection, String> {
-        let clock = DecisionClock::start();
+        let measured = matches!(self.params.overhead, OverheadPolicy::Measured);
+        if measured {
+            // The reserve feeds deadlines: meter every decision.
+            self.meter.meter_next();
+        }
+        let started = self.meter.start();
         let effective = self.adjuster.next_deadline(goal.deadline);
         let adjusted = goal.with_deadline(effective);
         let xi = self.xi.distribution();
@@ -374,9 +370,12 @@ impl AlertController {
             period,
             self.params.mode,
         )?;
-        let cost = clock.elapsed();
+        // Floored at 1 ns: a decision can finish between two ticks of a
+        // coarse CPU clock, and downstream accounting treats a zero cost
+        // as "no decision happened".
+        let cost = Seconds(self.meter.charge(started).as_secs_f64().max(1e-9));
         self.last_decision_cost = cost;
-        if matches!(self.params.overhead, OverheadPolicy::Measured) {
+        if measured {
             self.adjuster.record_overhead(cost);
         }
         self.decisions += 1;
@@ -432,9 +431,16 @@ impl AlertController {
         &self.tables.lane
     }
 
-    /// Cost of the most recent decision, metered on the thread-CPU clock
+    /// Cost charged to the most recent decision, in thread-CPU time
     /// where available (wall clock otherwise — see
     /// [`OverheadPolicy::Measured`]).
+    ///
+    /// Under [`OverheadPolicy::Measured`] every decision is metered. Under
+    /// `None` and `Fixed` one decision in
+    /// [`alert_stats::cputime::SAMPLE_STRIDE`] is metered and the ones in
+    /// between are charged its cost ("sample and hold"). The first
+    /// decision after construction, [`AlertController::reset`] or
+    /// [`AlertController::restore`] is always metered.
     pub fn last_decision_cost(&self) -> Seconds {
         self.last_decision_cost
     }
@@ -472,18 +478,21 @@ impl AlertController {
     /// so it can be applied to a freshly built controller of the same
     /// policy (the migration path). The lane's seeded incumbent is not
     /// carried either, just dropped: it only orders the scoring, so no
-    /// selection depends on it.
+    /// selection depends on it. The next decision is metered, so the
+    /// snapshot's `last_decision_cost` is never charged to it.
     pub fn restore(&mut self, snapshot: &ControllerSnapshot) {
         self.xi = snapshot.xi.clone();
         self.idle = snapshot.idle.clone();
         self.adjuster = snapshot.adjuster.clone();
         self.decisions = snapshot.decisions;
         self.last_decision_cost = snapshot.last_decision_cost;
+        self.meter.meter_next();
         self.scratch.forget_seed();
         self.last_trace = None;
     }
 
-    /// Resets estimators and goal adjustment (new episode).
+    /// Resets estimators and goal adjustment (new episode). The next
+    /// decision is metered.
     pub fn reset(&mut self) {
         self.xi.reset();
         self.idle = IdleRatioEstimator::new(self.params.initial_idle_ratio);
@@ -493,6 +502,7 @@ impl AlertController {
         }
         self.decisions = 0;
         self.last_decision_cost = Seconds::ZERO;
+        self.meter.meter_next();
         self.scratch.forget_seed();
         self.last_trace = None;
     }
@@ -502,6 +512,7 @@ impl AlertController {
 mod tests {
     use super::*;
     use crate::config::{CandidateModel, StagePoint};
+    use alert_stats::cputime::SAMPLE_STRIDE;
     use alert_stats::units::Joules;
 
     fn table() -> ConfigTable {
@@ -599,6 +610,115 @@ mod tests {
         assert_eq!(first.deadline, Seconds(0.12));
         let _second = ctl.decide(&goal).unwrap();
         assert!(ctl.last_decision_cost().get() > 0.0);
+    }
+
+    fn with_overhead(overhead: OverheadPolicy) -> AlertController {
+        AlertController::new(
+            table(),
+            AlertParams {
+                overhead,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+    }
+
+    /// Decides once; returns the cost charged, checked against the trace.
+    fn charged(ctl: &mut AlertController, goal: &Goal) -> Seconds {
+        ctl.decide(goal).unwrap();
+        let cost = ctl.last_decision_cost();
+        assert_eq!(
+            ctl.last_trace().unwrap().cost.get().to_bits(),
+            cost.get().to_bits()
+        );
+        cost
+    }
+
+    #[test]
+    fn reported_costs_are_sampled_and_held_under_fixed_and_none() {
+        let goal = Goal::minimize_error(Seconds(0.12), Joules(20.0));
+        for overhead in [OverheadPolicy::Fixed(Seconds(0.0003)), OverheadPolicy::None] {
+            let mut ctl = with_overhead(overhead);
+            for _ in 0..2 {
+                // The first call of each stride is metered; the rest
+                // report its cost bit for bit.
+                let metered = charged(&mut ctl, &goal);
+                assert!(metered.get() > 0.0);
+                for k in 1..SAMPLE_STRIDE {
+                    let cost = charged(&mut ctl, &goal);
+                    assert_eq!(
+                        cost.get().to_bits(),
+                        metered.get().to_bits(),
+                        "{overhead:?} call {k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn restore_and_reset_meter_the_next_decision() {
+        let goal = Goal::minimize_error(Seconds(0.12), Joules(20.0));
+        let sentinel = Seconds(7.0);
+        for overhead in [
+            OverheadPolicy::Fixed(Seconds(0.0003)),
+            OverheadPolicy::Measured,
+        ] {
+            for via_reset in [false, true] {
+                let mut ctl = with_overhead(overhead);
+                // Mid-stride: the next decision would otherwise be
+                // charged a held cost.
+                for _ in 0..3 {
+                    charged(&mut ctl, &goal);
+                }
+                if via_reset {
+                    ctl.reset();
+                } else {
+                    let mut snap = ctl.snapshot();
+                    snap.last_decision_cost = sentinel;
+                    ctl.restore(&snap);
+                    assert_eq!(ctl.last_decision_cost(), sentinel);
+                }
+                assert!(
+                    ctl.meter.start().is_some(),
+                    "{overhead:?}, reset {via_reset}: the next decision must be metered"
+                );
+                let cost = charged(&mut ctl, &goal);
+                assert!(
+                    0.0 < cost.get() && cost < sentinel,
+                    "{overhead:?}, reset {via_reset}: charged {cost}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn measured_reserve_is_the_running_maximum_of_every_reported_cost() {
+        let mut ctl = with_overhead(OverheadPolicy::Measured);
+        let goal = Goal::minimize_error(Seconds(0.12), Joules(20.0));
+        let mut worst = Seconds::ZERO;
+        let mut costs = Vec::new();
+        for i in 0..100 {
+            let cost = charged(&mut ctl, &goal);
+            let expected = Seconds((goal.deadline - worst).get().max(1e-6));
+            let effective = ctl.last_trace().unwrap().effective_deadline;
+            assert_eq!(
+                effective.get().to_bits(),
+                expected.get().to_bits(),
+                "decision {i}"
+            );
+            worst = worst.max(cost);
+            costs.push(cost.get().to_bits());
+        }
+        // Every decision is metered: a sampled meter could report at most
+        // one distinct cost per stride.
+        costs.sort_unstable();
+        costs.dedup();
+        assert!(
+            costs.len() > 100 / SAMPLE_STRIDE as usize + 1,
+            "only {} distinct costs in 100 metered decisions",
+            costs.len()
+        );
     }
 
     #[test]

@@ -140,8 +140,10 @@ impl SessionEngine {
         &self.records
     }
 
-    /// Total scheduler overhead accumulated so far (thread-CPU decision
-    /// time; see [`Scheduler::last_decision_cost`]).
+    /// Total scheduler overhead accumulated so far: the sum of the
+    /// decision costs the scheduler charged (thread-CPU time, sampled
+    /// outside `OverheadPolicy::Measured`; see
+    /// [`Scheduler::last_decision_cost`]).
     pub fn overhead(&self) -> Seconds {
         self.overhead
     }

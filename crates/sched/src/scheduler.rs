@@ -94,10 +94,14 @@ pub trait Scheduler: Send {
     /// Consumes the measurements of the input just processed.
     fn observe(&mut self, feedback: &Feedback);
 
-    /// Measured cost of the most recent decision, when the scheme tracks
+    /// Cost charged to the most recent decision, when the scheme tracks
     /// it (ALERT does, §4). Metered on the thread-CPU clock where the
     /// platform has one, so co-runner preemption and lock waits are not
     /// billed to the scheduler (see `alert_core::alert::OverheadPolicy`).
+    /// ALERT meters every decision only under `OverheadPolicy::Measured`;
+    /// otherwise it meters one in 32 and charges the decisions between
+    /// the latest metered cost (see
+    /// `alert_core::AlertController::last_decision_cost`).
     fn last_decision_cost(&self) -> Seconds {
         Seconds::ZERO
     }

@@ -15,10 +15,11 @@
 //!   CPU-metered decision window, so `EpisodeSummary::overhead` is
 //!   comparable with telemetry on or off;
 //! * recording is deterministic: no wall clocks (the flight recorder is
-//!   virtual-time stamped and meters only its own cost via the
-//!   sanctioned [`alert_stats::cputime`]), no `HashMap` iteration
-//!   (`BTreeMap` everywhere), and sampling decides by input index, not
-//!   by time.
+//!   virtual-time stamped — its clock advances on every processed input
+//!   — and meters only its own cost, one ingest in
+//!   [`alert_stats::cputime::SAMPLE_STRIDE`], via the sanctioned
+//!   [`alert_stats::cputime`]), no `HashMap` iteration (`BTreeMap`
+//!   everywhere), and sampling decides by input index, not by time.
 //!
 //! With [`TelemetryConfig::Off`] (the default), the runtime emits no
 //! telemetry events and sink-free hot paths skip event construction
@@ -27,7 +28,7 @@
 
 use crate::runtime::{EpisodeEvent, EventSink};
 use alert_core::DecisionTrace;
-use alert_stats::cputime::DecisionStopwatch;
+use alert_stats::cputime::SampledStopwatch;
 use alert_stats::telemetry::{MetricsRegistry, MetricsSnapshot, RingBuffer, Scope};
 use alert_stats::units::Seconds;
 use alert_workload::{AdmissionVerdict, SessionId};
@@ -273,8 +274,8 @@ impl EventSink for MetricsCollector {
 /// One retained decision inside the flight recorder.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlightEntry {
-    /// Virtual-time stamp: the session's cumulative realized latency at
-    /// ingest (deterministic — no wall clock).
+    /// Virtual-time stamp: the session's cumulative realized latency
+    /// through this decision's input (deterministic — no wall clock).
     pub at: Seconds,
     /// The decision with its outcome.
     pub event: DecisionEvent,
@@ -285,7 +286,9 @@ pub struct FlightEntry {
 /// separately so it survives ring wraparound).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionFlight {
-    /// Cumulative realized latency of every ingested decision.
+    /// The session's virtual time at its most recent ingested decision:
+    /// the cumulative realized latency of every input through that
+    /// decision's input, sampled out or not.
     pub clock: Seconds,
     /// The last-N-decisions window.
     pub window: RingBuffer<FlightEntry>,
@@ -295,8 +298,41 @@ pub struct SessionFlight {
 
 struct RecorderInner {
     capacity: usize,
+    /// Every session's virtual clock: the cumulative realized latency of
+    /// the inputs ingested so far.
+    clocks: BTreeMap<u64, Seconds>,
+    /// Sessions with at least one ingested decision.
     sessions: BTreeMap<u64, SessionFlight>,
     recording_cost: Seconds,
+}
+
+impl RecorderInner {
+    /// Stamps `d` with its session's clock and retains it.
+    fn record(&mut self, d: &DecisionEvent) {
+        let at = self
+            .clocks
+            .get(&d.session.0)
+            .copied()
+            .unwrap_or(Seconds::ZERO);
+        let capacity = self.capacity;
+        let flight = self
+            .sessions
+            .entry(d.session.0)
+            .or_insert_with(|| SessionFlight {
+                clock: at,
+                window: RingBuffer::new(capacity),
+                last_miss: None,
+            });
+        flight.clock = at;
+        let entry = FlightEntry {
+            at,
+            event: d.clone(),
+        };
+        if d.missed {
+            flight.last_miss = Some(entry.clone());
+        }
+        flight.window.push(entry);
+    }
 }
 
 /// The miss-explanation flight recorder: a clonable-handle
@@ -305,13 +341,24 @@ struct RecorderInner {
 /// trace — the belief the controller held, the candidates it weighed,
 /// what it picked, what it predicted, and what actually happened.
 ///
+/// A session's virtual clock advances on every
+/// [`EpisodeEvent::InputProcessed`], which the runtime emits before that
+/// input's decision event, so stamps stay exact when decision telemetry
+/// is sampled. A recorder fed decision events alone stamps them zero.
+///
 /// Ingest cost is metered on the sanctioned CPU clock
 /// ([`alert_stats::cputime`]) and accumulated in
 /// [`FlightRecorder::recording_cost`] — the recorder audits its own
-/// overhead instead of hiding it.
+/// overhead instead of hiding it. Each handle meters one ingest in
+/// [`alert_stats::cputime::SAMPLE_STRIDE`] per event kind, its first
+/// one included, and charges the rest the latest metered cost.
 #[derive(Clone)]
 pub struct FlightRecorder {
     inner: Arc<Mutex<RecorderInner>>,
+    /// One meter per event kind: the two kinds cost differently and
+    /// alternate, so one shared stride would meter only one of them.
+    input_meter: SampledStopwatch,
+    decision_meter: SampledStopwatch,
 }
 
 impl FlightRecorder {
@@ -321,9 +368,12 @@ impl FlightRecorder {
         FlightRecorder {
             inner: Arc::new(Mutex::new(RecorderInner {
                 capacity,
+                clocks: BTreeMap::new(),
                 sessions: BTreeMap::new(),
                 recording_cost: Seconds::ZERO,
             })),
+            input_meter: SampledStopwatch::new(),
+            decision_meter: SampledStopwatch::new(),
         }
     }
 
@@ -362,42 +412,43 @@ impl FlightRecorder {
             .collect()
     }
 
-    /// Total CPU time this recorder has spent ingesting events —
-    /// self-metered on the sanctioned thread-CPU clock.
+    /// Total CPU time charged to this recorder's ingests — self-metered
+    /// on the sanctioned thread-CPU clock, one ingest in
+    /// [`alert_stats::cputime::SAMPLE_STRIDE`] per event kind, each
+    /// unmetered ingest charged the latest metered cost.
     pub fn recording_cost(&self) -> Seconds {
         self.inner.lock().recording_cost
     }
 }
 
+/// Runs one ingest under the recorder's lock and adds the cost `meter`
+/// charges it to the recording cost.
+fn ingest(
+    inner: &Mutex<RecorderInner>,
+    meter: &mut SampledStopwatch,
+    apply: impl FnOnce(&mut RecorderInner),
+) {
+    let started = meter.start();
+    let mut inner = inner.lock();
+    apply(&mut inner);
+    inner.recording_cost += Seconds(meter.charge(started).as_secs_f64());
+}
+
 impl EventSink for FlightRecorder {
     fn emit(&mut self, event: &EpisodeEvent) {
-        let EpisodeEvent::Telemetry {
-            event: TelemetryEvent::Decision(d),
-        } = event
-        else {
-            return;
-        };
-        let stopwatch = DecisionStopwatch::start();
-        let mut inner = self.inner.lock();
-        let capacity = inner.capacity;
-        let flight = inner
-            .sessions
-            .entry(d.session.0)
-            .or_insert_with(|| SessionFlight {
-                clock: Seconds::ZERO,
-                window: RingBuffer::new(capacity),
-                last_miss: None,
-            });
-        flight.clock += d.realized_latency;
-        let entry = FlightEntry {
-            at: flight.clock,
-            event: d.clone(),
-        };
-        if d.missed {
-            flight.last_miss = Some(entry.clone());
+        match event {
+            EpisodeEvent::InputProcessed { session, record } => {
+                ingest(&self.inner, &mut self.input_meter, |inner| {
+                    *inner.clocks.entry(session.0).or_insert(Seconds::ZERO) += record.latency;
+                });
+            }
+            EpisodeEvent::Telemetry {
+                event: TelemetryEvent::Decision(d),
+            } => ingest(&self.inner, &mut self.decision_meter, |inner| {
+                inner.record(d)
+            }),
+            _ => {}
         }
-        flight.window.push(entry);
-        inner.recording_cost += Seconds(stopwatch.elapsed().as_secs_f64());
     }
 }
 
@@ -546,6 +597,33 @@ mod tests {
         }
     }
 
+    /// The `InputProcessed` event the runtime emits before the decision
+    /// event of the same input.
+    fn processed(index: usize, latency: f64) -> EpisodeEvent {
+        use alert_stats::units::{Joules, Watts};
+        EpisodeEvent::InputProcessed {
+            session: SessionId(3),
+            record: alert_workload::InputRecord {
+                index,
+                device: 0,
+                model: "m".into(),
+                cap: Watts(20.0),
+                latency: Seconds(latency),
+                deadline: Seconds(0.4),
+                goal_deadline: Seconds(0.4),
+                period: Seconds(0.4),
+                scale: 1.0,
+                min_quality: None,
+                energy_budget: None,
+                quality: 0.9,
+                energy: Joules(4.0),
+                slowdown: Some(1.0),
+                contention_active: false,
+                warmup: false,
+            },
+        }
+    }
+
     #[test]
     fn sampling_sink_thins_decisions_deterministically() {
         let seen = Arc::new(Mutex::new(Vec::new()));
@@ -599,6 +677,7 @@ mod tests {
         let recorder = FlightRecorder::with_capacity(3);
         let mut sink = recorder.clone();
         for i in 0..8 {
+            sink.emit(&processed(i, 0.1));
             sink.emit(&telemetry(i, i == 2, 0.1));
         }
         let dump = recorder.dump_session(SessionId(3));

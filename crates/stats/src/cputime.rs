@@ -13,8 +13,16 @@
 //! environment has no `libc`, so on Linux we issue the `clock_gettime`
 //! syscall directly (x86-64 and aarch64); elsewhere the caller falls back
 //! to the wall clock. The syscall has no vDSO fast path for the thread
-//! clock, costing ~100–200 ns — irrelevant against multi-microsecond
-//! decisions, and *stable*, unlike the noise it removes.
+//! clock: one read costs 300–330 ns on a 2-vCPU KVM guest, against a
+//! whole session step (the repository benchmark's `steady` submit) of
+//! ~1.3 µs. It is *stable*, unlike the noise it removes, but two reads
+//! on every decision would be a third of the step they meter.
+//!
+//! So a cost that is only *reported* is sampled: [`SampledStopwatch`]
+//! meters one call in [`SAMPLE_STRIDE`] and charges every call in
+//! between the most recently metered cost ("sample and hold"). A cost
+//! that feeds back into decisions (`OverheadPolicy::Measured` in
+//! `alert-core`) is metered on every call instead.
 
 use std::time::Duration;
 
@@ -118,12 +126,19 @@ pub fn thread_cpu_time() -> Option<Duration> {
 /// `no-wall-clock` rule enforces exactly that boundary.
 #[derive(Debug)]
 pub struct DecisionStopwatch {
-    cpu_start: Option<Duration>,
-    wall_start: std::time::Instant,
+    origin: Origin,
+}
+
+/// Where a [`DecisionStopwatch`] started: one clock, never both.
+#[derive(Debug)]
+enum Origin {
+    Cpu(Duration),
+    Wall(std::time::Instant),
 }
 
 impl DecisionStopwatch {
-    /// Starts the stopwatch on the calling thread.
+    /// Starts the stopwatch on the calling thread. The wall clock is
+    /// read only where the thread clock is unavailable.
     ///
     /// # Examples
     ///
@@ -135,22 +150,108 @@ impl DecisionStopwatch {
     /// assert!(cost >= std::time::Duration::ZERO);
     /// ```
     pub fn start() -> Self {
-        DecisionStopwatch {
-            cpu_start: thread_cpu_time(),
-            wall_start: std::time::Instant::now(),
-        }
+        let origin = match thread_cpu_time() {
+            Some(t) => Origin::Cpu(t),
+            None => Origin::Wall(std::time::Instant::now()),
+        };
+        DecisionStopwatch { origin }
     }
 
     /// Elapsed cost since [`DecisionStopwatch::start`]: CPU time where
     /// the thread clock exists, wall time elsewhere. Can be zero — a
-    /// short decision may finish between two ticks of the CPU clock —
+    /// short decision may finish between two ticks of the CPU clock, and
+    /// a thread clock that fails after a successful start reads zero —
     /// so callers that treat zero as "nothing happened" must apply
     /// their own floor.
     pub fn elapsed(&self) -> Duration {
-        match (self.cpu_start, thread_cpu_time()) {
-            (Some(a), Some(b)) => b.saturating_sub(a),
-            _ => self.wall_start.elapsed(),
+        match self.origin {
+            Origin::Cpu(a) => thread_cpu_time().map_or(Duration::ZERO, |b| b.saturating_sub(a)),
+            Origin::Wall(a) => a.elapsed(),
         }
+    }
+}
+
+/// Calls per metered call of a [`SampledStopwatch`]: the first call and
+/// then every 32nd. Fixed, not configurable — it trades two clock reads
+/// per call for two per 32 calls, and the charged cost stays a
+/// measurement (see DESIGN.md §5).
+pub const SAMPLE_STRIDE: u32 = 32;
+
+/// A sample-and-hold cost meter for costs that are only reported.
+///
+/// It meters the first call and then one call in [`SAMPLE_STRIDE`] with
+/// a [`DecisionStopwatch`]; every other call is charged the most recently
+/// metered cost. [`SampledStopwatch::meter_next`] forces the next call
+/// to be metered — after a reset, or on every call where the cost feeds
+/// back into decisions.
+///
+/// A call is bracketed by [`SampledStopwatch::start`] and
+/// [`SampledStopwatch::charge`]; a call abandoned between the two (an
+/// early `?` return) leaves the meter as it was.
+///
+/// # Examples
+///
+/// ```
+/// use alert_stats::cputime::{SampledStopwatch, SAMPLE_STRIDE};
+///
+/// let mut meter = SampledStopwatch::new();
+/// let mut metered = Vec::new();
+/// let mut held = None;
+/// for call in 0..2 * SAMPLE_STRIDE + 1 {
+///     let started = meter.start();
+///     if started.is_some() {
+///         metered.push(call);
+///     }
+///     let cost = meter.charge(started);
+///     if call % SAMPLE_STRIDE == 0 {
+///         held = Some(cost);
+///     } else {
+///         // Unmetered calls are charged the held cost, bit for bit.
+///         assert_eq!(Some(cost), held);
+///     }
+/// }
+/// // The first call is metered, then one in 32.
+/// assert_eq!(metered, [0, SAMPLE_STRIDE, 2 * SAMPLE_STRIDE]);
+/// // A forced call is metered even mid-stride.
+/// meter.meter_next();
+/// assert!(meter.start().is_some());
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct SampledStopwatch {
+    /// Unmetered calls left before the next metered one.
+    skip: u32,
+    /// Cost of the most recently metered call.
+    held: Duration,
+}
+
+impl SampledStopwatch {
+    /// A meter whose first call is metered.
+    pub fn new() -> Self {
+        SampledStopwatch::default()
+    }
+
+    /// Begins a call: a running stopwatch when this call is metered,
+    /// `None` when it will be charged the held cost.
+    pub fn start(&self) -> Option<DecisionStopwatch> {
+        (self.skip == 0).then(DecisionStopwatch::start)
+    }
+
+    /// Ends the call begun by [`SampledStopwatch::start`] and returns the
+    /// cost charged to it: its own metered cost, or the held one.
+    pub fn charge(&mut self, started: Option<DecisionStopwatch>) -> Duration {
+        match started {
+            Some(stopwatch) => {
+                self.held = stopwatch.elapsed();
+                self.skip = SAMPLE_STRIDE - 1;
+            }
+            None => self.skip = self.skip.saturating_sub(1),
+        }
+        self.held
+    }
+
+    /// Forces the next call to be metered.
+    pub fn meter_next(&mut self) {
+        self.skip = 0;
     }
 }
 
@@ -172,6 +273,50 @@ mod tests {
         let b = thread_cpu_time().expect("clock stays available");
         assert!(b >= a, "thread CPU time went backwards: {a:?} -> {b:?}");
         assert!(b > a, "2M multiplies must consume measurable CPU time");
+    }
+
+    /// Makes `n` calls on `meter` and returns the ones it metered; a
+    /// call for which `abandon` holds is dropped before its charge (an
+    /// early error return).
+    fn metered_calls(
+        meter: &mut SampledStopwatch,
+        n: u32,
+        abandon: impl Fn(u32) -> bool,
+    ) -> Vec<u32> {
+        let mut metered = Vec::new();
+        for call in 0..n {
+            let started = meter.start();
+            if abandon(call) {
+                continue;
+            }
+            if started.is_some() {
+                metered.push(call);
+            }
+            meter.charge(started);
+        }
+        metered
+    }
+
+    #[test]
+    fn sampled_stopwatch_restarts_its_stride_at_a_forced_call() {
+        let mut meter = SampledStopwatch::new();
+        assert_eq!(metered_calls(&mut meter, 10, |_| false), [0]);
+        meter.meter_next();
+        // Forced at call 0 of this run, then a full stride from there.
+        assert_eq!(
+            metered_calls(&mut meter, 2 * SAMPLE_STRIDE, |_| false),
+            [0, SAMPLE_STRIDE]
+        );
+    }
+
+    #[test]
+    fn abandoned_calls_leave_the_sampled_stopwatch_untouched() {
+        let mut meter = SampledStopwatch::new();
+        // Every odd call is abandoned: only the charged calls count
+        // toward the stride, so the second metered call comes 32
+        // charged calls after the first.
+        let metered = metered_calls(&mut meter, 2 * SAMPLE_STRIDE + 2, |c| c % 2 == 1);
+        assert_eq!(metered, [0, 2 * SAMPLE_STRIDE]);
     }
 
     #[test]

@@ -27,7 +27,9 @@
 //!   worth pulling a dependency for.
 //! * [`cputime`] — the per-thread CPU clock (raw `clock_gettime` syscall
 //!   on Linux), so the controller can meter its own decision cost without
-//!   charging itself for preemption and lock waits.
+//!   charging itself for preemption and lock waits, and the
+//!   sample-and-hold meter that reads it on one call in 32 where the cost
+//!   is only reported.
 //! * [`telemetry`] — the metric substrate of the observability layer: a
 //!   static-name registry (counters, gauges, log-bucketed histograms)
 //!   with per-session/per-shard scopes and byte-deterministic JSON

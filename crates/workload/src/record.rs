@@ -115,7 +115,12 @@ pub struct EpisodeSummary {
     /// Whether the episode-average quality met the goal's floor (always
     /// `true` for goals without a floor).
     pub quality_floor_met: bool,
-    /// Total scheduler overhead time attributed to the episode.
+    /// Total scheduler overhead time attributed to the episode: the sum
+    /// of the decision costs the scheduler charged, warm-up included.
+    /// For ALERT that is thread-CPU time, metered on one decision in 32
+    /// (on every decision under `OverheadPolicy::Measured`), each other
+    /// decision charged the latest metered cost. Measured, so it differs
+    /// bitwise between any two runs.
     pub overhead: Seconds,
 }
 

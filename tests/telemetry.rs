@@ -14,6 +14,9 @@
 //!   a flight-recorder dump: belief at decision time, candidates
 //!   considered, the selected configuration, predicted vs realized
 //!   latency.
+//! * Flight-recorder stamps are the session's cumulative realized
+//!   latency through each input, with decision telemetry sampled or
+//!   full.
 
 mod common;
 
@@ -439,4 +442,55 @@ fn sampled_stream_is_the_modular_subset_of_full() {
     assert_eq!(sampled.len(), 5);
     let expected: Vec<_> = full.into_iter().filter(|d| d.index % 4 == 0).collect();
     assert_eq!(sampled, expected);
+}
+
+/// The flight recorder's virtual clock advances on every processed
+/// input, not only on sampled decisions: each retained entry is stamped
+/// with the session's cumulative realized latency through its input,
+/// whether decision telemetry is sampled or full.
+#[test]
+fn flight_recorder_stamps_cumulative_latency_under_sampling() {
+    for cfg in [TelemetryConfig::Sampled(4), TelemetryConfig::Full] {
+        let recorder = FlightRecorder::with_capacity(64);
+        let mut rt = Runtime::builder()
+            .seed(3)
+            .telemetry(cfg)
+            .sink(recorder.clone())
+            .build()
+            .expect("builtin policy resolves");
+        let id = rt
+            .session(SessionSpec {
+                goal: Goal::minimize_energy(Seconds(0.4), 0.9),
+                scenario: Scenario::default_env(),
+                n_inputs: 20,
+                seed: Some(3),
+                policy: None,
+            })
+            .open()
+            .expect("session opens");
+        rt.run_to_completion(id).expect("session runs");
+        let records = rt.close(id).expect("session closes").records;
+
+        let dump = recorder.dump_session(id);
+        let expected_len = if cfg == TelemetryConfig::Full { 20 } else { 5 };
+        assert_eq!(dump.len(), expected_len, "{cfg:?}");
+        for entry in &dump {
+            let index = entry.event.index;
+            let through = records[..=index]
+                .iter()
+                .fold(Seconds::ZERO, |at, r| at + r.latency);
+            assert_eq!(
+                entry.at.get().to_bits(),
+                through.get().to_bits(),
+                "{cfg:?}: entry {index} stamped {} but the session's latency through it is {}",
+                entry.at,
+                through
+            );
+        }
+        let last = dump.last().expect("non-empty");
+        let flight = recorder.flight(id).expect("flight exists");
+        assert_eq!(flight.clock, last.at, "{cfg:?}");
+        assert_eq!(recorder.sessions(), vec![id]);
+        assert!(recorder.recording_cost().get() > 0.0);
+    }
 }
