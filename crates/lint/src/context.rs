@@ -192,20 +192,32 @@ fn item_end(masked: &[u8], start: usize) -> usize {
             break;
         }
     }
-    // Run to the first `{` (item with a body) or `;` (braceless item
-    // like `#[cfg(test)] use …;` / `mod tests;`).
-    while i < masked.len() {
-        match masked[i] {
-            b'{' => return match_brace(masked, i),
-            b';' => return i + 1,
-            _ => i += 1,
+    match item_head_end(masked, i) {
+        Some((open, b'{')) => match_brace(masked, open),
+        Some((semi, _)) => semi + 1,
+        None => masked.len(),
+    }
+}
+
+/// The first `{` or `;` at or after `i` that lies outside `()` and
+/// `[]`: an item's body opens at the former, a braceless item (`use …;`,
+/// `mod tests;`, a trait method) ends at the latter. The `;` of an
+/// array type such as `[u8; 4]` in a signature is neither.
+pub(crate) fn item_head_end(masked: &[u8], i: usize) -> Option<(usize, u8)> {
+    let mut depth = 0usize;
+    for (at, &b) in masked.iter().enumerate().skip(i) {
+        match b {
+            b'(' | b'[' => depth += 1,
+            b')' | b']' => depth = depth.saturating_sub(1),
+            b'{' | b';' if depth == 0 => return Some((at, b)),
+            _ => {}
         }
     }
-    masked.len()
+    None
 }
 
 /// Offset just past the `}` matching the `{` at `open`.
-fn match_brace(masked: &[u8], open: usize) -> usize {
+pub(crate) fn match_brace(masked: &[u8], open: usize) -> usize {
     let mut depth = 0usize;
     let mut i = open;
     while i < masked.len() {
@@ -356,6 +368,21 @@ mod tests {
     fn integration_tests_are_all_test() {
         let ctx = context_for("tests/end_to_end.rs", "fn x() { y.unwrap(); }");
         assert!(ctx.in_test(10));
+    }
+
+    #[test]
+    fn array_typed_signature_keeps_its_test_span() {
+        // The `;` of `[u8; 4]` does not end the item, in a parameter or
+        // in the return type: the whole fn stays test-only.
+        for src in [
+            "#[cfg(test)]\nfn helper(x: [u8; 4]) -> u8 {\n    x.first().copied().unwrap()\n}\nfn live() {}\n",
+            "#[cfg(test)]\nfn helper() -> [u8; 4] {\n    [0; 4].map(|x| x.max(1))\n}\nfn live() {}\n",
+        ] {
+            let ctx = context_for("crates/core/src/x.rs", src);
+            let body_end = src.find("}\n").unwrap() + 1;
+            assert_eq!(ctx.test_spans, vec![(0, body_end)], "{src:?}");
+            assert!(!ctx.in_test(src.find("live").unwrap()));
+        }
     }
 
     #[test]

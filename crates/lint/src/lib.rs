@@ -6,28 +6,23 @@
 //! past PRs; this crate makes them machine-checked. It scans every
 //! `.rs` file in the workspace with a hand-rolled lexer
 //! ([`lexer`] — no `syn`, nothing vendored), classifies each file's
-//! context ([`context`]), runs the rule catalog ([`rules`]), and emits
-//! a machine-readable `LINT.json` plus a human table ([`report`]).
+//! context ([`context`]), runs the rule catalog on it ([`rules`]), and
+//! emits a machine-readable `LINT.json` plus a human table ([`report`]).
 //!
 //! The binary exits nonzero on any unsuppressed violation, so CI gates
 //! on it; the in-repo self-test (`tests/workspace_clean.rs`) asserts
 //! the workspace is lint-clean on every `cargo test` run.
 //!
-//! See DESIGN.md §9 for the lexical rule catalog, the
-//! `// lint:allow(rule): reason` grammar, and how to add a rule;
-//! DESIGN.md §10 covers the semantic layer ([`items`], [`graph`],
-//! [`semantic`]) and its soundness caveats.
+//! See DESIGN.md §9 for the rule catalog, the
+//! `// lint:allow(rule): reason` grammar, and how to add a rule.
 
 pub mod context;
-pub mod graph;
-pub mod items;
 pub mod lexer;
 pub mod report;
 pub mod rules;
-pub mod semantic;
 
 use context::FileContext;
-use report::Report;
+use report::{Report, Structure};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -56,27 +51,15 @@ impl fmt::Display for LintError {
 
 impl std::error::Error for LintError {}
 
-/// One file loaded and lexically scanned — the unit both passes share.
-struct LoadedFile {
-    ctx: FileContext,
-    src: String,
-    masked: Vec<u8>,
-    items: Vec<items::Item>,
-    scan: rules::FileScan,
-}
-
-/// Scans the workspace rooted at `root` and returns the full report.
-///
-/// Two passes: a per-file lexical pass (lex, classify, lexical rules,
-/// allow parsing), then the workspace-level semantic pass (item trees,
-/// call graph, the four graph-powered rules). Semantic findings merge
-/// into each file's raw findings *before* suppression resolution, so
-/// `lint:allow(panic-reachability)` etc. behave exactly like lexical
-/// allows.
+/// Scans the workspace rooted at `root` and returns the full report:
+/// one pass per file (read, lex, classify, [`rules::check_file`]), with
+/// the findings merged in path order.
 pub fn lint_workspace(root: &Path) -> Result<Report, LintError> {
     let files = collect_rust_files(root)?;
     let files_scanned = files.len();
-    let mut loaded: Vec<LoadedFile> = Vec::with_capacity(files_scanned);
+    let mut violations = Vec::new();
+    let mut allowed = Vec::new();
+    let mut structure = Structure::default();
     for (abs, rel) in files {
         let src = fs::read_to_string(&abs).map_err(|source| LintError {
             path: abs.clone(),
@@ -84,44 +67,12 @@ pub fn lint_workspace(root: &Path) -> Result<Report, LintError> {
         })?;
         let tokens = lexer::lex(&src);
         let ctx = FileContext::build(&rel, &src, &tokens);
-        let masked = lexer::mask(&src, &tokens);
-        let items = items::parse(&masked);
-        let scan = rules::scan_file(&ctx, &src, &tokens);
-        loaded.push(LoadedFile {
-            ctx,
-            src,
-            masked,
-            items,
-            scan,
-        });
-    }
-
-    let mut sem = {
-        let inputs: Vec<semantic::SemanticInput<'_>> = loaded
-            .iter()
-            .map(|l| semantic::SemanticInput {
-                ctx: &l.ctx,
-                src: &l.src,
-                masked: &l.masked,
-                items: &l.items,
-                allows: l.scan.allow_view(),
-            })
-            .collect();
-        semantic::analyze(&inputs)
-    };
-
-    let mut violations = Vec::new();
-    let mut allowed = Vec::new();
-    for (i, l) in loaded.into_iter().enumerate() {
-        let mut scan = l.scan;
-        if let Some(extra) = sem.violations.get_mut(i) {
-            scan.raw.append(extra);
-        }
-        let findings = rules::resolve_scan(&l.ctx, scan, &l.src);
+        let findings = rules::check_file(&ctx, &src, &tokens);
         violations.extend(findings.violations);
         allowed.extend(findings.allowed);
+        structure.add(&findings.structure);
     }
-    Ok(Report::new(files_scanned, violations, allowed, sem.graph))
+    Ok(Report::new(files_scanned, violations, allowed, structure))
 }
 
 /// All `.rs` files under `root` as (absolute, workspace-relative with

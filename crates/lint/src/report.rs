@@ -1,7 +1,7 @@
 //! Report assembly: the machine-readable `LINT.json` document and the
 //! human-readable violation table.
 
-use crate::rules::{AllowEntry, RuleInfo, Violation, RULES};
+use crate::rules::{AllowEntry, RuleInfo, Violation, LAYERS, RULES};
 use serde::Serialize;
 
 /// The complete result of one workspace scan — serialized verbatim as
@@ -24,48 +24,45 @@ pub struct Report {
     pub allowed: Vec<AllowEntry>,
     /// Roll-up counts (duplicated for cheap gating).
     pub counts: Counts,
-    /// The semantic pass roll-up: call-graph size, layer table,
-    /// lock-order edges, panic/RNG accounting. Counts here are **raw**
-    /// (pre-suppression), so CI can gate structural invariants (zero
-    /// layer violations, zero lock cycles, complete RNG provenance)
-    /// independently of the allow ledger.
-    pub graph: GraphSection,
+    /// The structural rules' roll-up: the layer table and raw
+    /// (pre-suppression) counts, so CI can gate structural invariants
+    /// (zero layer violations, zero lock nestings, complete RNG
+    /// provenance) independently of the allow ledger.
+    pub structure: Structure,
 }
 
-/// The `graph` section of `LINT.json`.
+/// The `structure` section of `LINT.json`.
 #[derive(Debug, Default, Serialize)]
-pub struct GraphSection {
-    /// Files whose item trees were parsed.
-    pub files_parsed: usize,
-    /// Call-graph fn nodes.
-    pub fns: usize,
-    /// Nodes on the pub API surface.
-    pub pub_fns: usize,
-    /// Call edges (all confidences).
-    pub edges: usize,
-    /// Path-resolved edges.
-    pub edges_high: usize,
-    /// Name-heuristic edges.
-    pub edges_low: usize,
-    /// Calls matching no workspace fn (std / vendored callees).
-    pub unresolved_calls: usize,
+pub struct Structure {
     /// The declarative crate layer table in force.
     pub layers: Vec<LayerEntry>,
-    /// Raw (pre-suppression) upward layer references.
+    /// Upward cross-crate references.
     pub layer_violations: usize,
-    /// Acquired-while-held lock order edges.
-    pub lock_edges: Vec<LockEdge>,
-    /// Cycle-closing lock edges (potential deadlocks), raw.
-    pub lock_cycles: usize,
+    /// Acquisitions, and calls to lock-acquiring fns, made while
+    /// another guard is held.
+    pub lock_nestings: usize,
     /// assert!-family sites in protected library code.
     pub panic_sources: usize,
-    /// Of those: documented `# Panics`, reasoned allow, compile-time,
-    /// or off the pub API surface.
+    /// Of those: in a fn documenting `# Panics`, in a module-scope
+    /// `const`, or suppressed by a reasoned allow.
     pub panic_accounted: usize,
     /// RNG construction sites (incl. `rand::random`).
     pub rng_constructions: usize,
-    /// Of those: traced to a named seed/stream source.
+    /// Of those: in `crates/stats/src/rng.rs` and not fed by another
+    /// RNG.
     pub rng_traced: usize,
+}
+
+impl Structure {
+    /// Adds one file's counts.
+    pub fn add(&mut self, file: &Structure) {
+        self.layer_violations += file.layer_violations;
+        self.lock_nestings += file.lock_nestings;
+        self.panic_sources += file.panic_sources;
+        self.panic_accounted += file.panic_accounted;
+        self.rng_constructions += file.rng_constructions;
+        self.rng_traced += file.rng_traced;
+    }
 }
 
 /// One crate layer assignment.
@@ -75,17 +72,6 @@ pub struct LayerEntry {
     pub name: String,
     /// Layer number (references must point strictly downward).
     pub layer: u32,
-}
-
-/// One acquired-while-held edge.
-#[derive(Debug, Serialize)]
-pub struct LockEdge {
-    /// Lock held at the time (`path::name`).
-    pub from: String,
-    /// Lock acquired while holding `from`.
-    pub to: String,
-    /// File where the inner acquisition happens.
-    pub file: String,
 }
 
 /// Roll-up totals.
@@ -100,12 +86,13 @@ pub struct Counts {
 }
 
 impl Report {
-    /// Assembles a report from per-file findings (already merged).
+    /// Assembles a report from per-file findings (already merged); the
+    /// layer table is filled in here.
     pub fn new(
         files_scanned: usize,
         mut violations: Vec<Violation>,
         mut allowed: Vec<AllowEntry>,
-        graph: GraphSection,
+        mut structure: Structure,
     ) -> Report {
         violations.sort_by(|a, b| {
             (a.file.as_str(), a.line, a.rule.as_str()).cmp(&(
@@ -116,9 +103,16 @@ impl Report {
         });
         allowed.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
         let suppressed_sites = allowed.iter().map(|a| a.suppressed).sum();
+        structure.layers = LAYERS
+            .iter()
+            .map(|&(name, layer)| LayerEntry {
+                name: name.to_string(),
+                layer,
+            })
+            .collect();
         Report {
             tool: "alert-lint".to_string(),
-            version: 1,
+            version: 2,
             files_scanned,
             rules: RULES.to_vec(),
             counts: Counts {
@@ -128,7 +122,7 @@ impl Report {
             },
             violations,
             allowed,
-            graph,
+            structure,
         }
     }
 
@@ -185,25 +179,16 @@ impl Report {
             }
             out.push('\n');
         }
+        let s = &self.structure;
         out.push_str(&format!(
-            "call graph: {} fn(s), {} edge(s) ({} path-resolved, {} heuristic), \
-             {} external call(s)\n",
-            self.graph.fns,
-            self.graph.edges,
-            self.graph.edges_high,
-            self.graph.edges_low,
-            self.graph.unresolved_calls,
-        ));
-        out.push_str(&format!(
-            "semantic: {} layer violation(s), {} lock edge(s) ({} cycle(s)), \
+            "structure: {} layer violation(s), {} lock nesting(s), \
              {}/{} panic source(s) accounted, {}/{} RNG construction(s) traced\n",
-            self.graph.layer_violations,
-            self.graph.lock_edges.len(),
-            self.graph.lock_cycles,
-            self.graph.panic_accounted,
-            self.graph.panic_sources,
-            self.graph.rng_traced,
-            self.graph.rng_constructions,
+            s.layer_violations,
+            s.lock_nestings,
+            s.panic_accounted,
+            s.panic_sources,
+            s.rng_traced,
+            s.rng_constructions,
         ));
         out.push_str(&format!(
             "{} file(s) scanned: {} violation(s), {} allow annotation(s) covering {} site(s)\n",
@@ -260,7 +245,7 @@ mod tests {
                 reason: "why".to_string(),
                 suppressed: 2,
             }],
-            GraphSection::default(),
+            Structure::default(),
         );
         assert_eq!(r.violations[0].file, "a.rs");
         assert_eq!(r.counts.violations, 2);
@@ -273,7 +258,7 @@ mod tests {
 
     #[test]
     fn json_round_trips_shape() {
-        let r = Report::new(1, vec![], vec![], GraphSection::default());
+        let r = Report::new(1, vec![], vec![], Structure::default());
         let json = r.to_json();
         let doc: serde_json::Value = serde_json::from_str(&json).expect("valid json");
         let serde_json::Value::Object(o) = doc else {
@@ -286,7 +271,7 @@ mod tests {
             "allowed",
             "counts",
             "rules",
-            "graph",
+            "structure",
         ] {
             assert!(o.contains_key(key), "missing {key}");
         }

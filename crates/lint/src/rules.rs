@@ -1,10 +1,13 @@
 //! The rule catalog and the context-aware rule engine.
 //!
-//! Rules scan the **masked** source (comments and literals blanked by
+//! Every rule checks one file at a time through [`check_file`]. Rules
+//! scan the **masked** source (comments and literals blanked by
 //! [`crate::lexer::mask`]) so they can never fire on prose, and consult
 //! the [`FileContext`] so the same textual pattern is a violation in
 //! one place and sanctioned in another (wall-clock reads: fatal in a
-//! decision path, the whole point of a bench bin).
+//! decision path, the whole point of a bench bin). The four structural
+//! rules (`crate-layer-dag`, `panic-reachability`, `lock-order`,
+//! `rng-provenance`) also count what they see into a [`Structure`].
 //!
 //! Suppression is *only* via inline annotations:
 //!
@@ -19,9 +22,12 @@
 //! allow ledger cannot silently rot. See DESIGN.md §9 for the catalog
 //! rationale and how to add a rule.
 
-use crate::context::{FileContext, FileKind};
+use crate::context::{item_head_end, match_brace, FileContext, FileKind};
 use crate::lexer::{mask, TokKind, Token};
+use crate::report::Structure;
 use serde::Serialize;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// Rule identifiers (the strings used in `lint:allow(...)`).
 pub const NO_PANIC: &str = "no-panic";
@@ -33,13 +39,13 @@ pub const NO_UNSEEDED_RNG: &str = "no-unseeded-rng";
 pub const NO_HASH_ITERATION: &str = "no-hash-iteration";
 /// See [`NO_PANIC`].
 pub const NAN_UNSAFE_COMPARE: &str = "nan-unsafe-compare";
-/// See [`NO_PANIC`]. Semantic rule ([`crate::semantic`]).
+/// See [`NO_PANIC`].
 pub const PANIC_REACHABILITY: &str = "panic-reachability";
-/// See [`NO_PANIC`]. Semantic rule ([`crate::semantic`]).
+/// See [`NO_PANIC`].
 pub const CRATE_LAYER_DAG: &str = "crate-layer-dag";
-/// See [`NO_PANIC`]. Semantic rule ([`crate::semantic`]).
+/// See [`NO_PANIC`].
 pub const LOCK_ORDER: &str = "lock-order";
-/// See [`NO_PANIC`]. Semantic rule ([`crate::semantic`]).
+/// See [`NO_PANIC`].
 pub const RNG_PROVENANCE: &str = "rng-provenance";
 /// See [`NO_PANIC`].
 pub const METRIC_NAME_DISCIPLINE: &str = "metric-name-discipline";
@@ -89,9 +95,9 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: PANIC_REACHABILITY,
-        summary: "assert!-family sites in protected library code must document \
-                  `# Panics`, carry a reasoned allow, or be unreachable from the \
-                  crate's pub API (reachability over the approximate call graph)",
+        summary: "assert!-family sites in protected library code must sit in a fn \
+                  whose doc has a `# Panics` section or in a module-scope const, \
+                  or carry a reasoned allow",
     },
     RuleInfo {
         id: CRATE_LAYER_DAG,
@@ -101,14 +107,13 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: LOCK_ORDER,
-        summary: "Mutex/RwLock acquired-while-held order must be acyclic across \
-                  fns (call-graph propagated); a cycle is a potential deadlock",
+        summary: "one lock at a time: no Mutex/RwLock acquisition, and no call to a \
+                  same-file fn that acquires one, while another guard is held",
     },
     RuleInfo {
         id: RNG_PROVENANCE,
-        summary: "every RNG construction must trace to a named seed/stream source \
-                  (stream_rng/task_rng/derive_seed or a literal seed); no RNG born \
-                  from another RNG's output, no rand::random",
+        summary: "RNGs are constructed only in crates/stats/src/rng.rs (stream_rng), \
+                  never from another RNG's output; no rand::random anywhere",
     },
     RuleInfo {
         id: METRIC_NAME_DISCIPLINE,
@@ -152,6 +157,29 @@ const DECISION_PATHS: &[&str] = &[
 /// it *implements* the sanctioned meter (CPU clock with wall fallback).
 const METERING_MODULE: &str = "crates/stats/src/cputime.rs";
 
+/// The one module allowed to construct RNGs: it derives every random
+/// stream from a seed and a label (`stream_rng`).
+const RNG_MODULE: &str = "crates/stats/src/rng.rs";
+
+/// The crate layer table: a crate may reference only strictly lower
+/// layers. `bench` and `lint` share the top layer (neither may be
+/// referenced by library code, and they must not reference each other);
+/// the six crates below it are the protected library crates. The root
+/// `alert` package re-exports everything and is exempt.
+pub(crate) const LAYERS: &[(&str, u32)] = &[
+    ("alert_stats", 0),
+    ("alert_platform", 1),
+    ("alert_models", 2),
+    ("alert_workload", 3),
+    ("alert_core", 4),
+    ("alert_sched", 5),
+    ("alert_bench", 6),
+    ("alert_lint", 6),
+];
+
+/// The layer of the top crates (`bench`, `lint`).
+const TOP_LAYER: u32 = 6;
+
 /// One unsuppressed finding.
 #[derive(Debug, Clone, Serialize)]
 pub struct Violation {
@@ -189,53 +217,41 @@ pub struct FileFindings {
     pub violations: Vec<Violation>,
     /// The allow ledger (annotations that suppressed something).
     pub allowed: Vec<AllowEntry>,
+    /// Raw (pre-suppression) counts of the structural rules; `layers`
+    /// stays empty (the report adds the table once).
+    pub structure: Structure,
 }
 
-/// The lexical pass result for one file, before suppression. The
-/// workspace driver appends semantic findings to `raw` and then calls
-/// [`resolve_scan`]; `check_file` composes the two for lexical-only use.
-pub struct FileScan {
-    pub(crate) raw: Vec<RawViolation>,
-    pub(crate) allows: Vec<Allow>,
-}
-
-impl FileScan {
-    /// The allow annotations as (covered line, rules named) — the view
-    /// the semantic pass uses to treat reasoned allows as taint sinks.
-    pub(crate) fn allow_view(&self) -> Vec<(Option<usize>, Vec<String>)> {
-        self.allows
-            .iter()
-            .map(|a| (a.target_line, a.rules.clone()))
-            .collect()
-    }
-}
-
-/// Runs the lexical rules and parses allows for one file.
-pub fn scan_file(ctx: &FileContext, src: &str, tokens: &[Token]) -> FileScan {
+/// Runs every rule over one lexed file, then resolves its `lint:allow`
+/// annotations against the findings.
+pub fn check_file(ctx: &FileContext, src: &str, tokens: &[Token]) -> FileFindings {
     let masked = mask(src, tokens);
     let lines = LineIndex::new(src);
     let mut raw = Vec::new();
+    let mut structure = Structure::default();
 
-    scan_identifiers(ctx, &masked, &lines, src, &mut raw);
-    scan_literal_index(ctx, &masked, &lines, src, &mut raw);
-    scan_float_eq(ctx, &masked, &lines, src, &mut raw);
+    scan_identifiers(ctx, &masked, &mut raw);
+    scan_literal_index(ctx, &masked, &mut raw);
+    scan_float_eq(ctx, &masked, &mut raw);
     scan_metric_names(ctx, &masked, tokens, &mut raw);
+    scan_layers(ctx, &masked, &mut raw, &mut structure);
+    scan_rng(ctx, &masked, &mut raw, &mut structure);
+    if ctx.kind == FileKind::Library {
+        let fns = fn_bodies(&masked);
+        scan_asserts(ctx, src, &masked, &lines, &fns, &mut raw, &mut structure);
+        scan_locks(ctx, &masked, &fns, &mut raw, &mut structure);
+    }
 
-    let allows = parse_allows(ctx, src, tokens, &masked, &lines, &mut raw);
-    FileScan { raw, allows }
-}
-
-/// Applies suppression to a (possibly semantically-extended) scan.
-pub fn resolve_scan(ctx: &FileContext, scan: FileScan, src: &str) -> FileFindings {
-    let lines = LineIndex::new(src);
-    resolve(ctx, scan.raw, scan.allows, &lines, src)
-}
-
-/// Runs every lexical rule over one lexed file (unit-test entry; the
-/// workspace driver interleaves the semantic pass between scan and
-/// resolve).
-pub fn check_file(ctx: &FileContext, src: &str, tokens: &[Token]) -> FileFindings {
-    resolve_scan(ctx, scan_file(ctx, src, tokens), src)
+    let allows = parse_allows(src, tokens, &masked, &lines, &mut raw);
+    let mut findings = resolve(ctx, raw, allows, &lines, src);
+    let unaccounted = findings
+        .violations
+        .iter()
+        .filter(|v| v.rule == PANIC_REACHABILITY)
+        .count();
+    structure.panic_accounted = structure.panic_sources - unaccounted;
+    findings.structure = structure;
+    findings
 }
 
 // ---------------------------------------------------------------- engine
@@ -261,6 +277,11 @@ impl LineIndex {
         self.starts.partition_point(|&s| s <= offset)
     }
 
+    /// Byte offset of the start of the line holding `offset`.
+    fn line_start(&self, offset: usize) -> usize {
+        self.starts[self.line_of(offset) - 1]
+    }
+
     /// Byte range of a 1-based line (without the newline).
     fn span_of(&self, line: usize, total: usize) -> (usize, usize) {
         let start = self.starts[line - 1];
@@ -273,10 +294,10 @@ impl LineIndex {
 }
 
 /// A rule hit before suppression.
-pub(crate) struct RawViolation {
-    pub(crate) rule: &'static str,
-    pub(crate) offset: usize,
-    pub(crate) message: String,
+struct RawViolation {
+    rule: &'static str,
+    offset: usize,
+    message: String,
 }
 
 fn snippet(src: &str, lines: &LineIndex, line: usize) -> String {
@@ -307,25 +328,55 @@ fn prev_nonws(masked: &[u8], i: usize) -> Option<(usize, u8)> {
         .find(|&(_, b)| !b.is_ascii_whitespace())
 }
 
+/// Word occurrences in `masked` as (start, end) spans. Digit-led words
+/// are numeric literals and are skipped.
+fn words(masked: &[u8]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        while i < masked.len() {
+            let start = i;
+            while i < masked.len() && is_word(masked[i]) {
+                i += 1;
+            }
+            if i == start {
+                i += 1;
+            } else if !masked[start].is_ascii_digit() {
+                return Some((start, i));
+            }
+        }
+        None
+    })
+}
+
+/// The word whose last byte is the last non-whitespace byte before
+/// `i`, with its start offset.
+fn word_before(masked: &[u8], i: usize) -> Option<(usize, &[u8])> {
+    let (end, b) = prev_nonws(masked, i)?;
+    if !is_word(b) {
+        return None;
+    }
+    let mut start = end;
+    while start > 0 && is_word(masked[start - 1]) {
+        start -= 1;
+    }
+    Some((start, &masked[start..=end]))
+}
+
+/// The word starting at `start` (empty when none does).
+fn word_at(masked: &[u8], start: usize) -> &[u8] {
+    let len = masked[start..].iter().take_while(|&&b| is_word(b)).count();
+    &masked[start..start + len]
+}
+
+/// Is the next non-whitespace byte at or after `i` the one given?
+fn next_is(masked: &[u8], i: usize, b: u8) -> bool {
+    next_nonws(masked, i).is_some_and(|(_, c)| c == b)
+}
+
 /// Identifier-driven rules: panics, clocks, RNG, hash containers,
 /// `partial_cmp(..).unwrap()`.
-fn scan_identifiers(
-    ctx: &FileContext,
-    masked: &[u8],
-    lines: &LineIndex,
-    src: &str,
-    out: &mut Vec<RawViolation>,
-) {
-    let mut i = 0;
-    while i < masked.len() {
-        if !is_word(masked[i]) || (i > 0 && is_word(masked[i - 1])) {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < masked.len() && is_word(masked[i]) {
-            i += 1;
-        }
+fn scan_identifiers(ctx: &FileContext, masked: &[u8], out: &mut Vec<RawViolation>) {
+    for (start, i) in words(masked) {
         let word = &masked[start..i];
         let after = next_nonws(masked, i).map(|(_, b)| b);
         let dotted = prev_nonws(masked, start).map(|(_, b)| b) == Some(b'.');
@@ -405,7 +456,6 @@ fn scan_identifiers(
             _ => {}
         }
     }
-    let _ = (lines, src);
 }
 
 /// After a `partial_cmp` identifier ending at `i`: does the call chain
@@ -415,25 +465,11 @@ fn partial_cmp_then_panic(masked: &[u8], i: usize) -> bool {
     let Some((open, b'(')) = next_nonws(masked, i) else {
         return false;
     };
-    let mut depth = 0usize;
-    let mut j = open;
-    while j < masked.len() {
-        match masked[j] {
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    if j >= masked.len() {
+    let close = open + 1 + arg_span(masked, open).len();
+    if close >= masked.len() {
         return false;
     }
-    let Some((dot, b'.')) = next_nonws(masked, j + 1) else {
+    let Some((dot, b'.')) = next_nonws(masked, close + 1) else {
         return false;
     };
     let Some((w, _)) = next_nonws(masked, dot + 1) else {
@@ -457,13 +493,7 @@ fn partial_cmp_then_panic(masked: &[u8], i: usize) -> bool {
 /// `unconditional_panic` lint already rejects an out-of-bounds literal
 /// index at compile time. The rule targets slices and `Vec`s, whose
 /// lengths rustc cannot see.
-fn scan_literal_index(
-    ctx: &FileContext,
-    masked: &[u8],
-    lines: &LineIndex,
-    src: &str,
-    out: &mut Vec<RawViolation>,
-) {
+fn scan_literal_index(ctx: &FileContext, masked: &[u8], out: &mut Vec<RawViolation>) {
     for i in 0..masked.len() {
         if masked[i] != b'[' {
             continue;
@@ -495,7 +525,6 @@ fn scan_literal_index(
             });
         }
     }
-    let _ = (lines, src);
 }
 
 /// Is the identifier ending at byte `last` SCREAMING_CASE (uppercase,
@@ -515,13 +544,7 @@ fn is_const_ident(masked: &[u8], last: usize) -> bool {
 /// `x == 0.0` / `x != 1.5`: equality against a float literal is almost
 /// always a NaN-unsafe or rounding-unsafe comparison. Tuple fields
 /// (`a.0 == b.0`) are not float literals and do not match.
-fn scan_float_eq(
-    ctx: &FileContext,
-    masked: &[u8],
-    lines: &LineIndex,
-    src: &str,
-    out: &mut Vec<RawViolation>,
-) {
+fn scan_float_eq(ctx: &FileContext, masked: &[u8], out: &mut Vec<RawViolation>) {
     let mut i = 0;
     while i + 1 < masked.len() {
         let op_is_eq = masked[i] == b'=' && masked[i + 1] == b'=';
@@ -553,7 +576,6 @@ fn scan_float_eq(
         }
         i += 2;
     }
-    let _ = (lines, src);
 }
 
 /// Does a float literal (`12.5`, `1_000.0`, optionally `-`-signed)
@@ -645,16 +667,7 @@ fn scan_metric_names(
     tokens: &[Token],
     out: &mut Vec<RawViolation>,
 ) {
-    let mut i = 0;
-    while i < masked.len() {
-        if !is_word(masked[i]) || (i > 0 && is_word(masked[i - 1])) {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < masked.len() && is_word(masked[i]) {
-            i += 1;
-        }
+    for (start, i) in words(masked) {
         let word = &masked[start..i];
         if !METRIC_FNS.contains(&word) {
             continue;
@@ -685,17 +698,7 @@ fn scan_metric_names(
 
 /// Is the identifier starting at `start` preceded by the `fn` keyword?
 fn preceded_by_fn(masked: &[u8], start: usize) -> bool {
-    let Some((p, b)) = prev_nonws(masked, start) else {
-        return false;
-    };
-    if !is_word(b) {
-        return false;
-    }
-    let mut s = p;
-    while s > 0 && is_word(masked[s - 1]) {
-        s -= 1;
-    }
-    &masked[s..=p] == b"fn"
+    word_before(masked, start).is_some_and(|(_, w)| w == b"fn")
 }
 
 /// Does the argument list opening at `open` start with a string literal
@@ -729,7 +732,7 @@ fn rule_applies(rule: &str, ctx: &FileContext, offset: usize) -> bool {
             ctx.kind != FileKind::Bench && ctx.path != METERING_MODULE && !ctx.in_test(offset)
         }
         // Frozen randomness is global policy: tests and benches too.
-        NO_UNSEEDED_RNG => true,
+        NO_UNSEEDED_RNG | RNG_PROVENANCE => true,
         NO_HASH_ITERATION => {
             !ctx.in_test(offset)
                 && DECISION_PATHS
@@ -737,14 +740,544 @@ fn rule_applies(rule: &str, ctx: &FileContext, offset: usize) -> bool {
                     .any(|p| ctx.path == *p || (p.ends_with('/') && ctx.path.starts_with(p)))
         }
         NAN_UNSAFE_COMPARE => !ctx.in_test(offset),
-        METRIC_NAME_DISCIPLINE => ctx.kind == FileKind::Library && !ctx.in_test(offset),
+        METRIC_NAME_DISCIPLINE | LOCK_ORDER => {
+            ctx.kind == FileKind::Library && !ctx.in_test(offset)
+        }
+        PANIC_REACHABILITY => {
+            ctx.kind == FileKind::Library
+                && own_layer(ctx).is_some_and(|(_, l)| l < TOP_LAYER)
+                && !ctx.in_test(offset)
+        }
+        // Tests and examples may depend on anything (dev-dependencies).
+        CRATE_LAYER_DAG => {
+            !matches!(ctx.kind, FileKind::IntegrationTest | FileKind::Example)
+                && !ctx.in_test(offset)
+        }
         _ => true,
     }
 }
 
+// ------------------------------------------------------ structural rules
+
+/// The layer table entry of the file's own crate (`None` for the root
+/// `alert`).
+fn own_layer(ctx: &FileContext) -> Option<(&'static str, u32)> {
+    let token = ctx.crate_name.replace('-', "_");
+    LAYERS.iter().copied().find(|&(n, _)| n == token)
+}
+
+/// `crate-layer-dag`: every `alert_x::` path in non-test code names a
+/// crate on a strictly lower layer than the file's own. Cargo already
+/// rejects an upward `[dependencies]` edge among the chained library
+/// crates as a cycle; this catches the `use`-level references it cannot
+/// see, such as any reference to `alert_lint`.
+fn scan_layers(
+    ctx: &FileContext,
+    masked: &[u8],
+    out: &mut Vec<RawViolation>,
+    structure: &mut Structure,
+) {
+    let Some((own_name, own)) = own_layer(ctx) else {
+        return;
+    };
+    for (s, e) in words(masked) {
+        let word = &masked[s..e];
+        let Some(&(name, layer)) = LAYERS.iter().find(|(n, _)| n.as_bytes() == word) else {
+            continue;
+        };
+        let path = next_nonws(masked, e)
+            .is_some_and(|(i, b)| b == b':' && masked.get(i + 1) == Some(&b':'));
+        if !path || name == own_name || layer < own || !rule_applies(CRATE_LAYER_DAG, ctx, s) {
+            continue;
+        }
+        structure.layer_violations += 1;
+        out.push(RawViolation {
+            rule: CRATE_LAYER_DAG,
+            offset: s,
+            message: format!(
+                "{own_name} (layer {own}) references {name} (layer {layer}); the crate \
+                 DAG is stats < platform < models < workload < core < sched < bench/lint \
+                 and references must point strictly downward"
+            ),
+        });
+    }
+}
+
+/// One `fn` item with a body.
+struct FnBody<'a> {
+    /// The fn's name.
+    name: &'a [u8],
+    /// Offset of the `fn` keyword.
+    keyword: usize,
+    /// The body, `{` through the matching `}`.
+    body: Range<usize>,
+}
+
+/// Every named fn with a body in the file. The body opens at the first
+/// `{` after the name that lies outside `()` and `[]`; a `;` there first
+/// means a bodiless declaration (a trait method, an extern fn).
+fn fn_bodies(masked: &[u8]) -> Vec<FnBody<'_>> {
+    let mut out = Vec::new();
+    for (s, e) in words(masked) {
+        if &masked[s..e] != b"fn" {
+            continue;
+        }
+        // A `fn(u32) -> u32` pointer type has no name.
+        let Some((at, _)) = next_nonws(masked, e) else {
+            continue;
+        };
+        let name = word_at(masked, at);
+        if name.is_empty() {
+            continue;
+        }
+        if let Some((open, b'{')) = item_head_end(masked, at + name.len()) {
+            out.push(FnBody {
+                name,
+                keyword: s,
+                body: open..match_brace(masked, open),
+            });
+        }
+    }
+    out
+}
+
+/// The innermost fn whose body contains `offset`.
+fn enclosing_fn<'f, 'a>(fns: &'f [FnBody<'a>], offset: usize) -> Option<&'f FnBody<'a>> {
+    fns.iter()
+        .filter(|f| f.body.contains(&offset))
+        .min_by_key(|f| f.body.len())
+}
+
+/// `panic-reachability`: every `assert!`/`assert_eq!`/`assert_ne!` in
+/// non-test library code of a protected crate sits in a fn whose doc
+/// has a `# Panics` section, or in a module-scope `const` item, or
+/// carries a reasoned allow (resolved like every other finding).
+fn scan_asserts(
+    ctx: &FileContext,
+    src: &str,
+    masked: &[u8],
+    lines: &LineIndex,
+    fns: &[FnBody<'_>],
+    out: &mut Vec<RawViolation>,
+    structure: &mut Structure,
+) {
+    for (s, e) in words(masked) {
+        if !matches!(&masked[s..e], b"assert" | b"assert_eq" | b"assert_ne")
+            || !next_is(masked, e, b'!')
+            || !rule_applies(PANIC_REACHABILITY, ctx, s)
+        {
+            continue;
+        }
+        structure.panic_sources += 1;
+        let message = match enclosing_fn(fns, s) {
+            Some(f) if doc_has_panics(src, lines.line_start(f.keyword)) => continue,
+            Some(f) => {
+                let name = String::from_utf8_lossy(f.name);
+                format!(
+                    "assert! panics in `{name}`, whose doc has no `# Panics` section; \
+                     document the precondition there, return an error, or annotate \
+                     the invariant"
+                )
+            }
+            None if in_const_item(masked, s) => continue,
+            None => "assert! outside any fn and outside a module-scope `const`; move \
+                     it into a const item or a documented fn"
+                .to_string(),
+        };
+        out.push(RawViolation {
+            rule: PANIC_REACHABILITY,
+            offset: s,
+            message,
+        });
+    }
+}
+
+/// Does the doc comment immediately above the item whose first line
+/// starts at `item_line` contain a `# Panics` section? Walks backwards
+/// over contiguous doc-comment, comment and attribute lines.
+fn doc_has_panics(src: &str, item_line: usize) -> bool {
+    let head = src.get(..item_line).unwrap_or("");
+    for line in head.lines().rev() {
+        let t = line.trim();
+        if t.is_empty() {
+            continue;
+        }
+        if t.starts_with("///") || t.starts_with("//!") {
+            if t.contains("# Panics") {
+                return true;
+            }
+        } else if !(t.starts_with("#[") || t.starts_with("#![") || t.starts_with("//")) {
+            return false;
+        }
+    }
+    false
+}
+
+/// Is the statement holding `offset` a `const` item (`const _: () =
+/// assert!(…);`)? Such an assert is checked at compile time.
+fn in_const_item(masked: &[u8], offset: usize) -> bool {
+    let start = statement_start(masked, offset);
+    words(&masked[start..offset]).any(|(s, e)| &masked[start + s..start + e] == b"const")
+}
+
+/// One guard-returning call: `.lock()`, or `.read()`/`.write()` on a
+/// receiver the file declares as a `Mutex`/`RwLock`.
+struct Acquisition {
+    offset: usize,
+    /// The receiver's base name (`self.inner.lock()` → `inner`).
+    lock: String,
+    /// Where the guard is certainly dead.
+    held_until: usize,
+}
+
+/// `lock-order`: one lock at a time. An acquisition inside another
+/// guard's held span is a finding: the same lock deadlocks at once
+/// (`parking_lot::Mutex` is not reentrant), and another one fixes an
+/// order every other path must repeat. So is a `self.f(…)`,
+/// `Self::f(…)` or bare `f(…)` call there to a same-file fn that
+/// acquires a lock, directly or through such calls. Locks are
+/// private to the file that acquires them, so no call from another
+/// file can nest them.
+fn scan_locks(
+    ctx: &FileContext,
+    masked: &[u8],
+    fns: &[FnBody<'_>],
+    out: &mut Vec<RawViolation>,
+    structure: &mut Structure,
+) {
+    let acquisitions = acquisitions(ctx, masked);
+    if acquisitions.is_empty() {
+        return;
+    }
+    let locking = locking_fns(masked, fns, &acquisitions);
+    for held in &acquisitions {
+        let span = held.offset..held.held_until;
+        for inner in acquisitions
+            .iter()
+            .filter(|a| a.offset != held.offset && span.contains(&a.offset))
+        {
+            structure.lock_nestings += 1;
+            out.push(RawViolation {
+                rule: LOCK_ORDER,
+                offset: inner.offset,
+                message: format!(
+                    "acquiring `{}` while holding `{}`; take one lock at a time \
+                     (drop the guard first)",
+                    inner.lock, held.lock
+                ),
+            });
+        }
+        for (call, name) in local_calls(masked, span).filter(|(_, n)| locking.contains(n)) {
+            structure.lock_nestings += 1;
+            out.push(RawViolation {
+                rule: LOCK_ORDER,
+                offset: call,
+                message: format!(
+                    "calling `{}`, which acquires a lock, while holding `{}`; take \
+                     one lock at a time (drop the guard first)",
+                    String::from_utf8_lossy(name),
+                    held.lock
+                ),
+            });
+        }
+    }
+}
+
+/// Every acquisition in the file's non-test code.
+fn acquisitions(ctx: &FileContext, masked: &[u8]) -> Vec<Acquisition> {
+    let mut declared = None;
+    let mut out = Vec::new();
+    for (s, e) in words(masked) {
+        let word = &masked[s..e];
+        let rw = matches!(word, b"read" | b"write");
+        if !(rw || word == b"lock") || !rule_applies(LOCK_ORDER, ctx, s) {
+            continue;
+        }
+        // A method call with no arguments, on a named receiver.
+        let Some((open, b'(')) = next_nonws(masked, e) else {
+            continue;
+        };
+        if !next_is(masked, open + 1, b')') {
+            continue;
+        }
+        let Some(lock) = receiver_base(masked, s) else {
+            continue;
+        };
+        // `.read()`/`.write()` count only on declared locks (io::Read
+        // etc. otherwise).
+        if rw
+            && !declared
+                .get_or_insert_with(|| declared_locks(masked))
+                .contains(&lock)
+        {
+            continue;
+        }
+        out.push(Acquisition {
+            offset: s,
+            lock,
+            held_until: held_until(masked, s),
+        });
+    }
+    out
+}
+
+/// Names of the same-file fns whose body acquires a lock, directly or
+/// through a local call to another such fn.
+fn locking_fns<'a>(
+    masked: &'a [u8],
+    fns: &[FnBody<'a>],
+    acquisitions: &[Acquisition],
+) -> BTreeSet<&'a [u8]> {
+    let mut locking: BTreeSet<&[u8]> = fns
+        .iter()
+        .filter(|f| acquisitions.iter().any(|a| f.body.contains(&a.offset)))
+        .map(|f| f.name)
+        .collect();
+    loop {
+        let before = locking.len();
+        for f in fns {
+            if local_calls(masked, f.body.clone()).any(|(_, n)| locking.contains(n)) {
+                locking.insert(f.name);
+            }
+        }
+        if locking.len() == before {
+            return locking;
+        }
+    }
+}
+
+/// `self.f(…)`, `Self::f(…)` and bare `f(…)` calls whose name starts in
+/// `span`, as (offset, name).
+fn local_calls(masked: &[u8], span: Range<usize>) -> impl Iterator<Item = (usize, &[u8])> + '_ {
+    let base = span.start;
+    words(&masked[span]).filter_map(move |(s, e)| {
+        let (s, e) = (base + s, base + e);
+        if !next_is(masked, e, b'(') || preceded_by_fn(masked, s) {
+            return None;
+        }
+        let local = match prev_nonws(masked, s) {
+            Some((dot, b'.')) => word_before(masked, dot).is_some_and(|(_, w)| w == b"self"),
+            Some((_, b':')) => path_head_is(masked, s, b"Self"),
+            _ => true,
+        };
+        local.then_some((s, &masked[s..e]))
+    })
+}
+
+/// Receiver base names of `Mutex<`/`RwLock<`/`Mutex::new`/`RwLock::new`
+/// declarations in this file: the identifier bound (`let name = …`) or
+/// the field name (`name: Arc<Mutex<…>>`).
+fn declared_locks(masked: &[u8]) -> BTreeSet<String> {
+    words(masked)
+        .filter(|&(s, e)| {
+            matches!(&masked[s..e], b"Mutex" | b"RwLock")
+                && (next_is(masked, e, b'<') || next_is(masked, e, b':'))
+        })
+        .filter_map(|(s, _)| binding_name(masked, s))
+        .collect()
+}
+
+/// Walks back from a type/ctor occurrence to the identifier it is bound
+/// to: through type syntax (`Arc<`, `::`, parens, words) to a single
+/// `:` (field or let type annotation) or `=` (plain `let name = …`),
+/// then reads the identifier before it.
+fn binding_name(masked: &[u8], mut i: usize) -> Option<String> {
+    loop {
+        let (j, b) = prev_nonws(masked, i)?;
+        match b {
+            b':' => {
+                if j > 0 && masked[j - 1] == b':' {
+                    // `::` path separator — keep walking.
+                    i = j - 1;
+                    continue;
+                }
+                return ident_ending_before(masked, j);
+            }
+            b'=' => {
+                // `let name = Mutex::new(…)` / `name = …` (assignment).
+                let name = ident_ending_before(masked, j)?;
+                return if name == "let" { None } else { Some(name) };
+            }
+            b'>' | b'<' | b'(' | b',' => {
+                i = j;
+            }
+            _ if is_word(b) => {
+                i = j;
+                // Skip the whole word.
+                while i > 0 && is_word(masked[i - 1]) {
+                    i -= 1;
+                }
+            }
+            _ => return None,
+        }
+        if i == 0 {
+            return None;
+        }
+    }
+}
+
+/// The identifier ending just before `i` (skipping whitespace), also
+/// skipping a `mut` qualifier.
+fn ident_ending_before(masked: &[u8], i: usize) -> Option<String> {
+    let (start, word) = word_before(masked, i)?;
+    if word == b"mut" {
+        return ident_ending_before(masked, start);
+    }
+    Some(String::from_utf8_lossy(word).into_owned())
+}
+
+/// The receiver chain of a `.method(` at `method_start`, reduced to its
+/// base name: `self.inner.lock()` → `inner`, `results.lock()` →
+/// `results`, `guard().lock()` → None (computed receiver).
+fn receiver_base(masked: &[u8], method_start: usize) -> Option<String> {
+    let (dot, b'.') = prev_nonws(masked, method_start)? else {
+        return None;
+    };
+    let (_, name) = word_before(masked, dot)?;
+    // Bare `self.lock()` has no field to name.
+    (name != b"self").then(|| String::from_utf8_lossy(name).into_owned())
+}
+
+/// How long the guard returned by the acquisition at `offset` is held:
+/// a `let`-bound guard lives to the end of the enclosing block (or an
+/// explicit `drop(name)`); a temporary dies at its statement's `;`.
+fn held_until(masked: &[u8], offset: usize) -> usize {
+    let guard = let_guard_name(masked, statement_start(masked, offset));
+    let mut depth = 0i32;
+    let mut i = offset;
+    while i < masked.len() {
+        match masked[i] {
+            b'{' => depth += 1,
+            b'}' => {
+                depth -= 1;
+                if depth < 0 {
+                    return i; // enclosing block closes
+                }
+            }
+            b';' if depth == 0 && guard.is_none() => return i,
+            b'd' if guard.is_some_and(|g| is_drop_of(masked, i, g)) => return i,
+            _ => {}
+        }
+        i += 1;
+    }
+    masked.len()
+}
+
+/// Start offset of the statement containing `offset`: just past the
+/// previous `;`, `{`, or `}`.
+fn statement_start(masked: &[u8], offset: usize) -> usize {
+    (0..offset)
+        .rev()
+        .find(|&j| matches!(masked[j], b';' | b'{' | b'}'))
+        .map_or(0, |j| j + 1)
+}
+
+/// If the statement starting at `stmt` is `let [mut] name …`, the bound
+/// name. A `let _ = …` binding drops immediately and returns None.
+fn let_guard_name(masked: &[u8], stmt: usize) -> Option<&[u8]> {
+    let (at, _) = next_nonws(masked, stmt)?;
+    if word_at(masked, at) != b"let" {
+        return None;
+    }
+    let (at, _) = next_nonws(masked, at + 3)?;
+    let mut name = word_at(masked, at);
+    if name == b"mut" {
+        let (at, _) = next_nonws(masked, at + 3)?;
+        name = word_at(masked, at);
+    }
+    (!name.is_empty() && name != b"_").then_some(name)
+}
+
+/// Is `drop ( guard )` spelled at `i` (word-aligned)?
+fn is_drop_of(masked: &[u8], i: usize, guard: &[u8]) -> bool {
+    (i == 0 || !is_word(masked[i - 1]))
+        && word_at(masked, i) == b"drop"
+        && next_nonws(masked, i + 4).is_some_and(|(open, b)| {
+            b == b'('
+                && next_nonws(masked, open + 1).is_some_and(|(at, _)| word_at(masked, at) == guard)
+        })
+}
+
+/// `rng-provenance`: RNGs are constructed (`seed_from_u64`,
+/// `from_seed`, `from_rng`) only in [`RNG_MODULE`], and never from
+/// another RNG's output there; `rand::random` is never called. Applies
+/// to tests and benches too, matching `no-unseeded-rng`.
+fn scan_rng(
+    ctx: &FileContext,
+    masked: &[u8],
+    out: &mut Vec<RawViolation>,
+    structure: &mut Structure,
+) {
+    for (s, e) in words(masked) {
+        let word = &masked[s..e];
+        let Some((open, b'(')) = next_nonws(masked, e) else {
+            continue;
+        };
+        let ambient = word == b"random" && path_head_is(masked, s, b"rand");
+        if !ambient && !matches!(word, b"seed_from_u64" | b"from_seed" | b"from_rng") {
+            continue;
+        }
+        structure.rng_constructions += 1;
+        let message = if ambient {
+            "rand::random draws thread-local entropy; derive the value from a named \
+             stream (alert_stats::rng::stream_rng)"
+        } else if ctx.path != RNG_MODULE {
+            "RNGs are constructed only in crates/stats/src/rng.rs; draw this one \
+             from a named stream (stream_rng, or task_rng for a task)"
+        } else if word == b"from_rng" || fed_by_rng(arg_span(masked, open)) {
+            "RNG constructed from another RNG's output couples streams and breaks \
+             replay identity; derive the seed with derive_seed(seed, label) instead"
+        } else {
+            structure.rng_traced += 1;
+            continue;
+        };
+        out.push(RawViolation {
+            rule: RNG_PROVENANCE,
+            offset: s,
+            message: message.to_string(),
+        });
+    }
+}
+
+/// Does an argument use another RNG's output (`gen*`, `next_u*`,
+/// `random`)?
+fn fed_by_rng(arg: &[u8]) -> bool {
+    words(arg).any(|(s, e)| {
+        let w = &arg[s..e];
+        w.starts_with(b"gen") || w.starts_with(b"next_u") || w == b"random"
+    })
+}
+
+/// Is the word at `start` path-prefixed by `head::` (e.g. `rand::random`)?
+fn path_head_is(masked: &[u8], start: usize, head: &[u8]) -> bool {
+    let Some((c2, b':')) = prev_nonws(masked, start) else {
+        return false;
+    };
+    c2 > 0 && masked[c2 - 1] == b':' && word_before(masked, c2 - 1).is_some_and(|(_, w)| w == head)
+}
+
+/// The balanced-paren argument span starting at the `(` at `open`
+/// (exclusive of the parens).
+fn arg_span(masked: &[u8], open: usize) -> &[u8] {
+    let mut depth = 0usize;
+    for (i, &b) in masked.iter().enumerate().skip(open) {
+        match b {
+            b'(' => depth += 1,
+            b')' => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return &masked[open + 1..i];
+                }
+            }
+            _ => {}
+        }
+    }
+    masked.get(open + 1..).unwrap_or(&[])
+}
+
 // ---------------------------------------------------------------- allows
 
-pub(crate) struct Allow {
+struct Allow {
     rules: Vec<String>,
     line: usize,
     target_line: Option<usize>,
@@ -753,14 +1286,13 @@ pub(crate) struct Allow {
     /// Per-rule suppression counts: a named rule that never fires on
     /// the covered line is flagged as a stale member (`unused-allow`),
     /// keeping multi-rule annotations honest as rules get smarter.
-    suppressed_by: std::collections::BTreeMap<String, usize>,
+    suppressed_by: BTreeMap<String, usize>,
 }
 
 /// Parses `lint:allow` annotations out of line comments. Malformed ones
 /// (bad grammar, unknown rule, empty reason) become `allow-needs-reason`
 /// violations immediately.
 fn parse_allows(
-    ctx: &FileContext,
     src: &str,
     tokens: &[Token],
     masked: &[u8],
@@ -823,10 +1355,9 @@ fn parse_allows(
             target_line: allow_target(masked, lines, t.start, line),
             reason: reason.to_string(),
             suppressed: 0,
-            suppressed_by: std::collections::BTreeMap::new(),
+            suppressed_by: BTreeMap::new(),
         });
     }
-    let _ = ctx;
     allows
 }
 
@@ -1233,5 +1764,252 @@ mod tests {
         let f = run("crates/core/src/x.rs", src);
         assert!(f.violations.is_empty(), "{:?}", f.violations);
         assert_eq!(f.allowed[0].suppressed, 2);
+    }
+
+    #[test]
+    fn upward_layer_reference_fires() {
+        let f = run("crates/sched/src/x.rs", "use alert_bench::harness::Run;\n");
+        assert_eq!(rules_of(&f), vec![CRATE_LAYER_DAG]);
+        assert_eq!(f.structure.layer_violations, 1);
+    }
+
+    #[test]
+    fn downward_layer_reference_is_fine() {
+        let f = run(
+            "crates/sched/src/x.rs",
+            "use alert_core::goal::Goal;\nuse alert_stats::units::Seconds;\n",
+        );
+        assert!(rules_of(&f).is_empty());
+        assert_eq!(f.structure.layer_violations, 0);
+    }
+
+    #[test]
+    fn undocumented_assert_in_pub_fn_fires() {
+        let f = run(
+            "crates/core/src/x.rs",
+            "pub fn f(n: usize) { assert!(n > 0); }\n",
+        );
+        assert_eq!(rules_of(&f), vec![PANIC_REACHABILITY]);
+        assert_eq!(f.structure.panic_sources, 1);
+        assert_eq!(f.structure.panic_accounted, 0);
+    }
+
+    #[test]
+    fn documented_assert_is_accounted() {
+        let f = run(
+            "crates/core/src/x.rs",
+            "/// Does things.\n///\n/// # Panics\n/// If `n` is zero.\npub fn f(n: usize) { assert!(n > 0); }\n",
+        );
+        assert!(rules_of(&f).is_empty());
+        assert_eq!(f.structure.panic_accounted, 1);
+    }
+
+    #[test]
+    fn undocumented_assert_in_private_fn_fires() {
+        // Reachability from the pub API no longer exempts an assert: a
+        // private fn documents its `# Panics` contract too.
+        let f = run(
+            "crates/core/src/x.rs",
+            "fn internal(n: usize) { assert!(n > 0); }\n",
+        );
+        assert_eq!(rules_of(&f), vec![PANIC_REACHABILITY]);
+        assert_eq!(f.structure.panic_accounted, 0);
+    }
+
+    #[test]
+    fn assert_reachable_through_pub_caller_fires() {
+        let f = run(
+            "crates/core/src/x.rs",
+            "pub fn api(n: usize) { internal(n); }\nfn internal(n: usize) { assert!(n > 0); }\n",
+        );
+        assert_eq!(rules_of(&f), vec![PANIC_REACHABILITY]);
+        let msg = &f.violations[0].message;
+        assert!(msg.contains("`internal`"), "{msg}");
+    }
+
+    #[test]
+    fn const_and_allowed_asserts_are_accounted() {
+        let src = "const _: () = assert!(LIMIT > 0);\n\
+                   fn f(n: usize) { assert!(n > 0); } // lint:allow(panic-reachability): n is a table length\n";
+        let f = run("crates/core/src/x.rs", src);
+        assert!(rules_of(&f).is_empty(), "{:?}", f.violations);
+        assert_eq!(f.structure.panic_sources, 2);
+        assert_eq!(f.structure.panic_accounted, 2);
+    }
+
+    #[test]
+    fn inverted_lock_pair_fires() {
+        let src = "\
+pub struct S { a: Mutex<u32>, b: Mutex<u32> }
+impl S {
+    pub fn ab(&self) {
+        let g1 = self.a.lock();
+        let g2 = self.b.lock();
+    }
+    pub fn ba(&self) {
+        let g2 = self.b.lock();
+        let g1 = self.a.lock();
+    }
+}
+";
+        let f = run("crates/sched/src/executor.rs", src);
+        assert!(rules_of(&f).contains(&LOCK_ORDER), "{:?}", f.violations);
+        assert_eq!(f.structure.lock_nestings, 2);
+    }
+
+    #[test]
+    fn consistent_nested_lock_pair_fires() {
+        // One nested pair is enough: no cycle is needed.
+        let src = "\
+pub struct S { a: Mutex<u32>, b: Mutex<u32> }
+impl S {
+    pub fn ab(&self) {
+        let g1 = self.a.lock();
+        let g2 = self.b.lock();
+    }
+    pub fn ab2(&self) {
+        let g1 = self.a.lock();
+        let g2 = self.b.lock();
+    }
+}
+";
+        let f = run("crates/sched/src/executor.rs", src);
+        assert_eq!(rules_of(&f), vec![LOCK_ORDER, LOCK_ORDER]);
+        assert_eq!(f.structure.lock_nestings, 2);
+    }
+
+    #[test]
+    fn reacquiring_the_same_lock_fires() {
+        let src = "\
+pub struct S { a: Mutex<u32> }
+impl S {
+    pub fn twice(&self) {
+        let g = self.a.lock();
+        let h = self.a.lock();
+    }
+}
+";
+        let f = run("crates/sched/src/executor.rs", src);
+        assert_eq!(rules_of(&f), vec![LOCK_ORDER]);
+        assert_eq!(f.violations[0].line, 5);
+    }
+
+    #[test]
+    fn lock_held_across_a_locking_call_fires() {
+        let src = "\
+pub struct S { a: Mutex<u32>, b: Mutex<u32> }
+impl S {
+    pub fn outer(&self) {
+        let g = self.a.lock();
+        self.takes_b();
+    }
+    fn takes_b(&self) {
+        let g = self.b.lock();
+        let g2 = self.a.lock();
+    }
+}
+";
+        // outer holds a across a call to takes_b, which locks; takes_b
+        // nests a inside b.
+        let f = run("crates/sched/src/executor.rs", src);
+        assert!(rules_of(&f).contains(&LOCK_ORDER));
+        let lines: Vec<usize> = f.violations.iter().map(|v| v.line).collect();
+        assert_eq!(lines, vec![5, 9]);
+    }
+
+    #[test]
+    fn call_to_a_transitively_locking_fn_fires() {
+        let src = "\
+pub struct S { a: Mutex<u32>, b: Mutex<u32> }
+impl S {
+    pub fn outer(&self) {
+        let g = self.a.lock();
+        Self::helper(&self.b);
+    }
+    fn helper(b: &Mutex<u32>) { bump(b); }
+}
+fn bump(b: &Mutex<u32>) { *b.lock() += 1; }
+";
+        let f = run("crates/sched/src/executor.rs", src);
+        assert_eq!(rules_of(&f), vec![LOCK_ORDER]);
+        assert!(f.violations[0].message.contains("`helper`"));
+    }
+
+    #[test]
+    fn temporary_guard_dies_at_statement_end() {
+        let src = "\
+pub struct S { a: Mutex<Vec<u32>>, b: Mutex<u32> }
+impl S {
+    pub fn f(&self) {
+        self.a.lock().push(1);
+        let g = self.b.lock();
+    }
+}
+";
+        let f = run("crates/sched/src/executor.rs", src);
+        assert_eq!(f.structure.lock_nestings, 0);
+    }
+
+    #[test]
+    fn dropped_guard_ends_span() {
+        let src = "\
+pub struct S { a: Mutex<u32>, b: Mutex<u32> }
+impl S {
+    pub fn f(&self) {
+        let g = self.a.lock();
+        drop(g);
+        let h = self.b.lock();
+    }
+    pub fn g(&self) {
+        let h = self.b.lock();
+        drop(h);
+        let g = self.a.lock();
+    }
+}
+";
+        let f = run("crates/sched/src/executor.rs", src);
+        assert_eq!(f.structure.lock_nestings, 0, "{:?}", f.violations);
+    }
+
+    #[test]
+    fn rng_from_rand_random_fires() {
+        let f = run(
+            "crates/workload/src/x.rs",
+            "pub fn f() { let s: u64 = rand::random(); let r = StdRng::seed_from_u64(s); }\n",
+        );
+        // rand::random itself + the construction outside the RNG module.
+        assert!(rules_of(&f).contains(&RNG_PROVENANCE));
+        assert!(f.structure.rng_constructions > f.structure.rng_traced);
+    }
+
+    #[test]
+    fn rng_from_rng_output_fires() {
+        let src = "pub fn f(rng: &mut StdRng) { let r = StdRng::seed_from_u64(rng.next_u64()); }\n";
+        for path in ["crates/workload/src/x.rs", "crates/stats/src/rng.rs"] {
+            let f = run(path, src);
+            assert_eq!(rules_of(&f), vec![RNG_PROVENANCE], "{path}");
+        }
+        let f = run("crates/stats/src/rng.rs", src);
+        assert!(f.violations[0].message.contains("another RNG"));
+    }
+
+    #[test]
+    fn seeded_constructions_are_traced() {
+        let f = run(
+            "crates/stats/src/rng.rs",
+            "pub fn derive_seed(seed: u64, label: &str) -> u64 { seed }\npub fn stream_rng(seed: u64, label: &str) -> StdRng { StdRng::seed_from_u64(derive_seed(seed, label)) }\n",
+        );
+        assert!(rules_of(&f).is_empty(), "{:?}", rules_of(&f));
+        assert_eq!(f.structure.rng_constructions, 1);
+        assert_eq!(f.structure.rng_traced, 1);
+        // A seed-named or literal seed outside the RNG module is no
+        // longer enough.
+        let f = run(
+            "crates/workload/src/x.rs",
+            "pub fn f(seed: u64) { let r = StdRng::seed_from_u64(seed); let t = StdRng::seed_from_u64(42); }\n",
+        );
+        assert_eq!(rules_of(&f), vec![RNG_PROVENANCE, RNG_PROVENANCE]);
+        assert_eq!(f.structure.rng_constructions, 2);
+        assert_eq!(f.structure.rng_traced, 0);
     }
 }

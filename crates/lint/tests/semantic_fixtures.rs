@@ -1,10 +1,10 @@
-//! Fixture-driven semantic-rule tests: each fixture is planted in a
+//! Fixture-driven structural-rule tests: each fixture is planted in a
 //! synthetic on-disk workspace and run through the full public
 //! pipeline (`lint_workspace`), pinning the exact (rule, file, line)
 //! triples that fire. These are the acceptance self-tests: each one
-//! reintroduces a class of violation this PR fixed (or guards against)
-//! and asserts the report flips to non-clean — i.e. the binary would
-//! exit 1.
+//! reintroduces a class of violation the rules guard against and
+//! asserts the report flips to non-clean — i.e. the binary would exit
+//! 1.
 
 use alert_lint::lint_workspace;
 use alert_lint::report::Report;
@@ -45,16 +45,14 @@ fn hits(report: &Report) -> Vec<(String, String, usize)> {
     v
 }
 
-/// A no-violation companion file so every synthetic workspace has more
-/// than one file and a populated call graph.
+/// A no-violation companion file so a synthetic workspace has more than
+/// one file.
 const CLEAN_LIB: &str = "pub fn add(a: u64, b: u64) -> u64 {\n    a.wrapping_add(b)\n}\n";
 
 #[test]
 fn clean_synthetic_workspace_is_clean() {
     let report = scan("clean", &[("crates/stats/src/util.rs", CLEAN_LIB)]);
     assert!(report.is_clean(), "{:?}", hits(&report));
-    assert_eq!(report.graph.fns, 1);
-    assert_eq!(report.graph.files_parsed, 1);
 }
 
 #[test]
@@ -77,7 +75,7 @@ fn reintroduced_sched_to_bench_import_flips_red() {
             4,
         )]
     );
-    assert_eq!(report.graph.layer_violations, 1);
+    assert_eq!(report.structure.layer_violations, 1);
     assert!(!report.is_clean(), "upward import must exit 1");
 }
 
@@ -96,13 +94,11 @@ fn reintroduced_inverted_lock_pair_flips_red() {
             .all(|(r, f, _)| r == "lock-order" && f == "crates/sched/src/executor.rs"),
         "{got:?}"
     );
-    // Both directions of the inversion close a cycle: queue→done is
-    // recorded at the `done` acquisition on line 13, done→queue at the
-    // `queue` acquisition on line 19.
+    // Each fn nests one acquisition in the other's held span: `done` on
+    // line 13 under `queue`, `queue` on line 19 under `done`.
     let lines: Vec<usize> = got.iter().map(|(_, _, l)| *l).collect();
     assert_eq!(lines, vec![13, 19]);
-    assert!(report.graph.lock_cycles > 0);
-    assert_eq!(report.graph.lock_edges.len(), 2);
+    assert_eq!(report.structure.lock_nestings, 2);
     assert!(!report.is_clean(), "lock inversion must exit 1");
 }
 
@@ -120,7 +116,7 @@ fn reintroduced_entropy_seeded_rng_flips_red() {
         !got.is_empty() && got.iter().all(|(r, _, l)| r == "rng-provenance" && *l == 6),
         "{got:?}"
     );
-    assert!(report.graph.rng_constructions > report.graph.rng_traced);
+    assert!(report.structure.rng_constructions > report.structure.rng_traced);
     assert!(!report.is_clean(), "entropy-seeded RNG must exit 1");
 }
 
@@ -141,25 +137,25 @@ fn reintroduced_undocumented_reachable_assert_flips_red() {
             10,
         )]
     );
-    // The violation names the pub entry point the assert is reachable
-    // from, so the fix target is unambiguous.
+    // The violation names the fn whose doc lacks the `# Panics`
+    // section, so the fix target is unambiguous.
     let msg = &report.violations[0].message;
-    assert!(msg.contains("alert_core::depths::api"), "{msg}");
+    assert!(msg.contains("`internal`"), "{msg}");
     assert!(!report.is_clean(), "reachable assert must exit 1");
 }
 
 #[test]
 fn semantic_violations_obey_the_allow_grammar() {
     // The same layer leak, but carrying a reasoned allow: the workspace
-    // is clean, the ledger records the suppression, and the raw graph
-    // count still reports the violation for CI's structural gate.
-    let src = "use alert_bench::harness::Run; // lint:allow(crate-layer-dag): fixture — proves semantic rules run through the ledger\n";
+    // is clean, the ledger records the suppression, and the raw
+    // structure count still reports the violation for CI's gate.
+    let src = "use alert_bench::harness::Run; // lint:allow(crate-layer-dag): fixture — proves structural rules run through the ledger\n";
     let report = scan("layer_leak_allowed", &[("crates/sched/src/leak.rs", src)]);
     assert!(report.is_clean(), "{:?}", hits(&report));
     assert_eq!(report.counts.suppressed_sites, 1);
     assert_eq!(
-        report.graph.layer_violations, 1,
-        "graph counts are pre-suppression"
+        report.structure.layer_violations, 1,
+        "structure counts are pre-suppression"
     );
 }
 
