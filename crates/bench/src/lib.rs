@@ -1,10 +1,9 @@
 //! Shared helpers for the experiment binaries.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
+//! The binaries in `src/bin/` regenerate the paper's tables and figures
 //! (see `DESIGN.md` §4 for the index). They print human-readable tables
 //! plus machine-readable CSV blocks, and write JSON result files under
-//! `results/` at the workspace root so `EXPERIMENTS.md` can reference
-//! stable artifacts.
+//! `results/` at the workspace root.
 
 use std::fs;
 use std::path::PathBuf;

@@ -1,119 +1,75 @@
-//! The full experiment driver: per-setting episodes and the Table 4 /
-//! Table 5 sweeps, as thin adapters over the session runtime.
+//! The paper sweep: every scheme of Tables 4 and 5 on every platform ×
+//! workload × environment × constraint setting, for both objectives, as
+//! a thin adapter over the session runtime.
 //!
-//! One *cell* of Table 4 is (platform × family × scenario × objective):
-//! 35 constraint settings, each run under every scheme and normalized to
-//! OracleStatic. Settings are embarrassingly parallel; the driver fans
-//! them out over scoped threads, one [`Runtime`] per worker, every
-//! scheme of a setting running as a session on the *shared* frozen
-//! environment (bit-identical conditions, paper §5.1).
+//! One *cell* of the sweep is (objective × platform × family ×
+//! environment): 35 constraint settings, each run under every scheme
+//! and normalized to the cell's OracleStatic baseline. Settings are
+//! embarrassingly parallel; the sweep fans them out over scoped
+//! threads, one [`Runtime`] per worker, every scheme of a setting
+//! running as a session on the *shared* frozen environment
+//! (bit-identical conditions, paper §5.1). A scheme's episode therefore
+//! does not depend on which other schemes share its cell, so
+//! [`PaperSweep::run`] runs each cell once, with Table 4's schemes plus
+//! ALERT-Trad, and keeps per-setting summaries from which Table 4,
+//! Table 5 ([`PaperSweep::table`]), Fig 7 and Fig 8 are all folded.
 //!
-//! Scheme dispatch goes through [`crate::registry::PolicyRegistry`];
-//! [`SchemeKind`] remains as the typed enumeration of the paper's nine
-//! schemes (its `name()` values are the registry keys).
+//! Schemes are addressed by their
+//! [`PolicyRegistry`](crate::registry::PolicyRegistry) names, which are
+//! the tables' column labels ([`TABLE4_SCHEMES`], [`TABLE5_SCHEMES`]).
 
 use crate::env::EpisodeEnv;
 use crate::harness::Episode;
 use crate::metrics::{objective_report, ResultTable};
 use crate::oracle::OracleStatic;
-use crate::registry::{PolicyContext, PolicyRegistry};
 use crate::runtime::{Runtime, SessionSpec};
-use crate::scheduler::Scheduler;
-use alert_core::alert::AlertParams;
 use alert_models::{ModelFamily, QualityMetric};
 use alert_platform::{Platform, PlatformId};
-use alert_workload::{constraint_grid, Goal, InputStream, Objective, Scenario, TaskId};
+use alert_workload::{
+    constraint_grid, EpisodeSummary, Goal, InputStream, Objective, Scenario, TaskId,
+};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// The schemes of Tables 3–5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SchemeKind {
-    /// ALERT with the standard candidate set.
-    Alert,
-    /// ALERT restricted to the anytime network.
-    AlertAny,
-    /// ALERT restricted to traditional models.
-    AlertTrad,
-    /// The mean-only ablation ALERT\*.
-    AlertStar,
-    /// Per-input perfect-knowledge oracle.
-    Oracle,
-    /// Best static configuration (the normalization baseline).
-    OracleStatic,
-    /// Anytime DNN at default power.
-    AppOnly,
-    /// Fastest DNN + power management.
-    SysOnly,
-    /// Independent app + sys adaptation.
-    NoCoord,
-}
+/// Table 4's columns, by registry name.
+pub const TABLE4_SCHEMES: [&str; 7] = [
+    "ALERT",
+    "ALERT-Any",
+    "Sys-only",
+    "App-only",
+    "No-coord",
+    "Oracle",
+    "OracleStatic",
+];
 
-impl SchemeKind {
-    /// Display name (table column label).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchemeKind::Alert => "ALERT",
-            SchemeKind::AlertAny => "ALERT-Any",
-            SchemeKind::AlertTrad => "ALERT-Trad",
-            SchemeKind::AlertStar => "ALERT*",
-            SchemeKind::Oracle => "Oracle",
-            SchemeKind::OracleStatic => "OracleStatic",
-            SchemeKind::AppOnly => "App-only",
-            SchemeKind::SysOnly => "Sys-only",
-            SchemeKind::NoCoord => "No-coord",
-        }
-    }
+/// Table 5's columns: ALERT over its three candidate sets, and the
+/// baseline.
+pub const TABLE5_SCHEMES: [&str; 4] = ["ALERT", "ALERT-Any", "ALERT-Trad", "OracleStatic"];
 
-    /// The scheme set of Table 4 (plus the baseline).
-    pub const TABLE4: [SchemeKind; 7] = [
-        SchemeKind::Alert,
-        SchemeKind::AlertAny,
-        SchemeKind::SysOnly,
-        SchemeKind::AppOnly,
-        SchemeKind::NoCoord,
-        SchemeKind::Oracle,
-        SchemeKind::OracleStatic,
-    ];
+/// The schemes [`PaperSweep::run`] runs: Table 4's plus ALERT-Trad, the
+/// one Table 5 column Table 4 lacks.
+const SWEEP_SCHEMES: [&str; 8] = [
+    "ALERT",
+    "ALERT-Any",
+    "Sys-only",
+    "App-only",
+    "No-coord",
+    "Oracle",
+    "OracleStatic",
+    "ALERT-Trad",
+];
 
-    /// The scheme set of Table 5.
-    pub const TABLE5: [SchemeKind; 4] = [
-        SchemeKind::Alert,
-        SchemeKind::AlertAny,
-        SchemeKind::AlertTrad,
-        SchemeKind::OracleStatic,
-    ];
-}
-
-/// Builds a scheduler instance for one episode.
-///
-/// Compatibility shim over the open registry: resolves
-/// [`SchemeKind::name`] through [`PolicyRegistry::builtin`]. New code
-/// should hold a registry (possibly with custom policies) and build
-/// through it, or address schemes by name via the runtime.
-pub fn build_scheduler(
-    kind: SchemeKind,
-    family: &ModelFamily,
-    platform: &Platform,
-    goal: Goal,
-    env: &Arc<EpisodeEnv>,
-    stream: &InputStream,
-) -> Box<dyn Scheduler> {
-    let ctx = PolicyContext {
-        family,
-        platform,
-        goal,
-        params: AlertParams::default(),
-        shared_budget: None,
-        env,
-        stream,
-    };
-    PolicyRegistry::builtin()
-        .build(kind.name(), &ctx)
-        // lint:allow(no-panic): experiment-harness wiring over the built-in registry and library scenarios; failure is a programming error, not a runtime condition
-        .expect("every SchemeKind is pre-registered and the paper families fit their platforms")
-}
+/// The Table 4 row grid: {CPU1, CPU2} × {image, RNN}, plus GPU × image
+/// (RNN inference is CPU-only, §5.1); each row runs in the three
+/// environments of [`Scenario::table3`].
+const TABLE4_ROWS: [(PlatformId, FamilyKind); 5] = [
+    (PlatformId::Cpu1, FamilyKind::Image),
+    (PlatformId::Cpu1, FamilyKind::Sentence),
+    (PlatformId::Cpu2, FamilyKind::Image),
+    (PlatformId::Cpu2, FamilyKind::Sentence),
+    (PlatformId::Gpu, FamilyKind::Image),
+];
 
 /// The two workloads of Table 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -193,46 +149,15 @@ fn sweep_runtime(family: &ModelFamily, platform: &Platform, task: TaskId) -> Run
         .expect("builtin policy resolves")
 }
 
-/// Runs one scheme on one constraint setting; returns the episode.
-/// Thin adapter: one runtime, one session on a freshly frozen
-/// environment.
-pub fn run_setting(
-    kind: SchemeKind,
-    family: &ModelFamily,
-    platform: &Platform,
-    scenario: &Scenario,
-    goal: Goal,
-    stream: &InputStream,
-    seed: u64,
-) -> Episode {
-    let env = Arc::new(
-        EpisodeEnv::build(platform, scenario, stream, &goal, seed)
-            // lint:allow(no-panic): experiment-harness wiring over the built-in registry and library scenarios; failure is a programming error, not a runtime condition
-            .expect("library scenarios validate"),
-    );
-    let mut rt = sweep_runtime(family, platform, stream.task());
-    let id = rt
-        .session(SessionSpec::external(goal))
-        .policy(kind.name())
-        .on(stream.clone(), env)
-        .open()
-        // lint:allow(no-panic): experiment-harness wiring over the built-in registry and library scenarios; failure is a programming error, not a runtime condition
-        .expect("builtin policy resolves");
-    rt.run_to_completion(id).expect("session is open"); // lint:allow(no-panic): experiment-harness wiring over the built-in registry and library scenarios; failure is a programming error, not a runtime condition
-    rt.close(id).expect("session is open") // lint:allow(no-panic): experiment-harness wiring over the built-in registry and library scenarios; failure is a programming error, not a runtime condition
-}
-
 /// All per-scheme episodes of one constraint setting, plus the cell-level
 /// static baseline's episode on this setting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SettingOutcome {
-    /// The constraint setting.
-    pub goal: Goal,
-    /// Episodes keyed by scheme name.
-    pub episodes: Vec<Episode>,
+struct SettingOutcome {
+    goal: Goal,
+    /// One episode per requested scheme, in request order.
+    episodes: Vec<Episode>,
     /// The OracleStatic baseline episode (the cell-wide pinned
     /// configuration replayed on this setting).
-    pub baseline: Episode,
+    baseline: Episode,
 }
 
 /// Runs one full cell: every scheme on every constraint setting, in
@@ -240,15 +165,15 @@ pub struct SettingOutcome {
 ///
 /// The OracleStatic baseline is selected once per cell — "one fixed
 /// setting across inputs" *and* across the requirement range — and its
-/// episode on each setting is returned in
-/// [`SettingOutcome::baseline`]. A `SchemeKind::OracleStatic` entry in
-/// `schemes` reuses that episode as a column.
-pub fn run_cell(
+/// episode on each setting is returned in `SettingOutcome::baseline`.
+/// An `"OracleStatic"` entry in `schemes` reuses that episode as a
+/// column.
+fn run_cell(
     objective: Objective,
     family_kind: FamilyKind,
     platform: &Platform,
     scenario: &Scenario,
-    schemes: &[SchemeKind],
+    schemes: &[&str],
     config: &ExperimentConfig,
 ) -> Vec<SettingOutcome> {
     let family = family_kind.family();
@@ -308,13 +233,13 @@ pub fn run_cell(
                     let baseline = run(&mut rt, id);
                     let episodes: Vec<Episode> = schemes
                         .iter()
-                        .map(|&k| {
-                            if k == SchemeKind::OracleStatic {
+                        .map(|&name| {
+                            if name == "OracleStatic" {
                                 baseline.clone()
                             } else {
                                 let id = rt
                                     .session(SessionSpec::external(*goal))
-                                    .policy(k.name())
+                                    .policy(name)
                                     .on(stream.clone(), env.clone())
                                     .open()
                                     // lint:allow(no-panic): experiment-harness wiring over the built-in registry and library scenarios; failure is a programming error, not a runtime condition
@@ -341,78 +266,138 @@ pub fn run_cell(
     out.into_iter().map(|(_, s)| s).collect()
 }
 
-/// Accumulates cell outcomes into a [`ResultTable`] row, normalizing every
-/// scheme to the cell-level OracleStatic baseline.
-pub fn accumulate_row(
-    table: &mut ResultTable,
-    row_label: &str,
-    outcomes: &[SettingOutcome],
-    metric: QualityMetric,
-) {
-    for outcome in outcomes {
-        // The baseline value is the static configuration's measured
-        // objective on this setting — used as the normalizer whether or
-        // not the static scheme met the constraints there (it is the
-        // reference *performance*, not a feasibility certificate).
-        let baseline = Some(objective_report(
-            &outcome.baseline.summary,
-            &outcome.goal,
-            metric,
-        ));
-        for ep in &outcome.episodes {
-            let value = objective_report(&ep.summary, &outcome.goal, metric);
-            table
-                .cell(row_label, &ep.scheme)
-                .add(&ep.summary, value, baseline);
-        }
-    }
+/// One constraint setting of a sweep cell, folded to episode summaries.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SettingSummary {
+    /// The constraint setting.
+    pub goal: Goal,
+    /// `(scheme, summary)` for every swept scheme, in sweep order.
+    pub schemes: Vec<(String, EpisodeSummary)>,
+    /// The cell-pinned OracleStatic baseline on this setting.
+    pub baseline: EpisodeSummary,
 }
 
-/// One row specification of Table 4 / Table 5.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RowSpec {
+/// One (objective, platform, workload, environment) cell of the paper
+/// sweep.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepCell {
+    /// The task's objective.
+    pub objective: Objective,
     /// Platform of the row.
     pub platform: PlatformId,
     /// Workload of the row.
     pub family: FamilyKind,
-    /// Environment name ("Idle" in the paper = our "Default").
+    /// Environment name ("Idle" in the paper is our "Default").
     pub scenario: String,
+    /// The 35 constraint settings, in grid order.
+    pub settings: Vec<SettingSummary>,
 }
 
-/// The Table 4 row grid: {CPU1, CPU2} × {image, RNN} × 3 environments,
-/// plus GPU × image × 3 environments (RNN inference is CPU-only, §5.1).
-pub fn table4_rows() -> Vec<(PlatformId, FamilyKind)> {
-    vec![
-        (PlatformId::Cpu1, FamilyKind::Image),
-        (PlatformId::Cpu1, FamilyKind::Sentence),
-        (PlatformId::Cpu2, FamilyKind::Image),
-        (PlatformId::Cpu2, FamilyKind::Sentence),
-        (PlatformId::Gpu, FamilyKind::Image),
-    ]
-}
-
-/// Runs a full table (Table 4 when given `SchemeKind::TABLE4`, Table 5
-/// with `SchemeKind::TABLE5`) for one objective.
-pub fn run_table(
-    objective: Objective,
-    schemes: &[SchemeKind],
-    config: &ExperimentConfig,
-) -> ResultTable {
-    let mut table = ResultTable::new();
-    for (pid, fam) in table4_rows() {
-        let platform = Platform::by_id(pid);
-        for scenario in Scenario::table3(config.seed) {
-            let outcomes = run_cell(objective, fam, &platform, &scenario, schemes, config);
-            let label = format!("{}/{}/{}", pid, fam.label(), scenario.name());
-            accumulate_row(&mut table, &label, &outcomes, fam.metric());
+impl SweepCell {
+    /// Runs `schemes` on every setting of one cell and keeps only the
+    /// summaries, so a sweep holds one cell's records at a time.
+    fn run(
+        objective: Objective,
+        (platform, family): (PlatformId, FamilyKind),
+        scenario: &Scenario,
+        schemes: &[&str],
+        config: &ExperimentConfig,
+    ) -> SweepCell {
+        let outcomes = run_cell(
+            objective,
+            family,
+            &Platform::by_id(platform),
+            scenario,
+            schemes,
+            config,
+        );
+        let settings = outcomes
+            .into_iter()
+            .map(|o| SettingSummary {
+                goal: o.goal,
+                schemes: o
+                    .episodes
+                    .into_iter()
+                    .map(|e| (e.scheme, e.summary))
+                    .collect(),
+                baseline: o.baseline.summary,
+            })
+            .collect();
+        SweepCell {
+            objective,
+            platform,
+            family,
+            scenario: scenario.name().to_string(),
+            settings,
         }
     }
-    table
+
+    /// The table row label, `platform/workload/environment`.
+    fn label(&self) -> String {
+        let workload = self.family.label();
+        format!("{}/{workload}/{}", self.platform, self.scenario)
+    }
+}
+
+/// The paper's §5 evaluation grid, run once: both objectives × the 15
+/// Table 4 rows × 35 constraint settings, every setting under Table 4's
+/// schemes plus ALERT-Trad.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PaperSweep {
+    /// Every cell, minimize-energy first, then in Table 4 row and
+    /// environment order.
+    pub cells: Vec<SweepCell>,
+}
+
+impl PaperSweep {
+    /// Runs the whole grid, one cell at a time.
+    pub fn run(config: &ExperimentConfig) -> PaperSweep {
+        let mut cells = Vec::new();
+        for objective in [Objective::MinimizeEnergy, Objective::MinimizeError] {
+            for row in TABLE4_ROWS {
+                for scenario in Scenario::table3(config.seed) {
+                    cells.push(SweepCell::run(
+                        objective,
+                        row,
+                        &scenario,
+                        &SWEEP_SCHEMES,
+                        config,
+                    ));
+                }
+            }
+        }
+        PaperSweep { cells }
+    }
+
+    /// Folds one objective's cells into a [`ResultTable`] over `schemes`,
+    /// normalizing every scheme to its cell's OracleStatic baseline.
+    pub fn table(&self, objective: Objective, schemes: &[&str]) -> ResultTable {
+        let mut table = ResultTable::new();
+        for cell in self.cells.iter().filter(|c| c.objective == objective) {
+            let label = cell.label();
+            let metric = cell.family.metric();
+            for setting in &cell.settings {
+                // The static configuration's measured objective on this
+                // setting normalizes every scheme whether or not it met
+                // the constraints there (it is the reference
+                // *performance*, not a feasibility certificate).
+                let baseline = objective_report(&setting.baseline, &setting.goal, metric);
+                for (scheme, summary) in &setting.schemes {
+                    if schemes.contains(&scheme.as_str()) {
+                        let value = objective_report(summary, &setting.goal, metric);
+                        table.cell(&label, scheme).add(summary, value, baseline);
+                    }
+                }
+            }
+        }
+        table
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::PolicyRegistry;
 
     fn small_config() -> ExperimentConfig {
         ExperimentConfig {
@@ -423,66 +408,54 @@ mod tests {
     }
 
     #[test]
-    fn run_setting_produces_full_episode() {
-        let family = FamilyKind::Image.family();
-        let platform = Platform::cpu1();
-        let stream = InputStream::generate(TaskId::Img2, 60, 7);
-        let goal = Goal::minimize_energy(alert_stats::units::Seconds(0.4), 0.9);
-        let ep = run_setting(
-            SchemeKind::Alert,
-            &family,
-            &platform,
-            &Scenario::default_env(),
-            goal,
-            &stream,
-            7,
-        );
-        assert_eq!(ep.records.len(), 60);
-        assert_eq!(ep.scheme, "ALERT");
-    }
-
-    #[test]
     fn cell_covers_all_settings_and_schemes() {
+        // The single sweep rests on this: a scheme's records on a
+        // setting do not depend on which schemes share the cell.
         let platform = Platform::cpu1();
-        let schemes = [SchemeKind::Alert, SchemeKind::OracleStatic];
-        let outcomes = run_cell(
-            Objective::MinimizeEnergy,
-            FamilyKind::Image,
-            &platform,
-            &Scenario::default_env(),
-            &schemes,
-            &small_config(),
-        );
-        assert_eq!(outcomes.len(), 35);
-        for o in &outcomes {
-            assert_eq!(o.episodes.len(), 2);
+        let config = small_config();
+        let cell = |schemes: &[&str]| {
+            run_cell(
+                Objective::MinimizeEnergy,
+                FamilyKind::Image,
+                &platform,
+                &Scenario::default_env(),
+                schemes,
+                &config,
+            )
+        };
+        let alone = cell(&["ALERT"]);
+        let swept = cell(&SWEEP_SCHEMES);
+        assert_eq!(alone.len(), 35);
+        assert_eq!(swept.len(), 35);
+        for (a, s) in alone.iter().zip(&swept) {
+            assert_eq!(a.goal, s.goal);
+            assert_eq!(a.episodes.len(), 1);
+            let names: Vec<&str> = s.episodes.iter().map(|e| e.scheme.as_str()).collect();
+            assert_eq!(names, SWEEP_SCHEMES);
+            for ep in a.episodes.iter().chain(&s.episodes).chain([&a.baseline]) {
+                assert_eq!(ep.records.len(), config.n_inputs, "{}", ep.scheme);
+            }
+            // Records only: `summary.overhead` is sampled CPU time.
+            assert_eq!(a.episodes[0].records, s.episodes[0].records);
+            assert_eq!(a.baseline.records, s.baseline.records);
         }
     }
 
     #[test]
-    fn accumulate_row_normalizes_to_baseline() {
-        let platform = Platform::cpu1();
-        let schemes = [
-            SchemeKind::Alert,
-            SchemeKind::Oracle,
-            SchemeKind::OracleStatic,
-        ];
-        let outcomes = run_cell(
+    fn table_normalizes_to_the_cell_baseline() {
+        let schemes = ["ALERT", "Oracle", "OracleStatic"];
+        let cell = SweepCell::run(
             Objective::MinimizeEnergy,
-            FamilyKind::Image,
-            &platform,
+            (PlatformId::Cpu1, FamilyKind::Image),
             &Scenario::default_env(),
             &schemes,
             &small_config(),
         );
-        let mut table = ResultTable::new();
-        accumulate_row(
-            &mut table,
-            "CPU1/img/Default",
-            &outcomes,
-            QualityMetric::Top5Accuracy,
-        );
-        let row = &table.cells["CPU1/img/Default"];
+        let sweep = PaperSweep { cells: vec![cell] };
+        let error_table = sweep.table(Objective::MinimizeError, &schemes);
+        assert!(error_table.cells.is_empty());
+        let table = sweep.table(Objective::MinimizeEnergy, &schemes);
+        let row = &table.cells["CPU1/SparseResnet/Default"];
         // OracleStatic normalizes to itself: mean ratio ≈ 1.
         let base = row["OracleStatic"].mean_ratio().unwrap();
         assert!((base - 1.0).abs() < 1e-9);
@@ -496,12 +469,24 @@ mod tests {
             alert >= oracle - 0.05,
             "alert ratio {alert} vs oracle {oracle}"
         );
+        // A table shows only the schemes it asks for.
+        let alert_only = sweep.table(Objective::MinimizeEnergy, &["ALERT"]);
+        assert_eq!(alert_only.schemes(), ["ALERT"]);
+        assert_eq!(
+            alert_only.cells["CPU1/SparseResnet/Default"]["ALERT"],
+            row["ALERT"]
+        );
     }
 
     #[test]
-    fn scheme_names_are_unique() {
-        use std::collections::HashSet;
-        let names: HashSet<&str> = SchemeKind::TABLE4.iter().map(|k| k.name()).collect();
-        assert_eq!(names.len(), SchemeKind::TABLE4.len());
+    fn sweep_schemes_are_both_tables_registered_once() {
+        let registry = PolicyRegistry::builtin();
+        for (i, name) in SWEEP_SCHEMES.iter().enumerate() {
+            assert!(registry.contains(name), "{name} is not registered");
+            assert!(!SWEEP_SCHEMES[..i].contains(name), "{name} swept twice");
+        }
+        for name in TABLE4_SCHEMES.iter().chain(&TABLE5_SCHEMES) {
+            assert!(SWEEP_SCHEMES.contains(name), "{name} is not swept");
+        }
     }
 }

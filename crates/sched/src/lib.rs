@@ -1,6 +1,6 @@
 //! Scheduler harness for the ALERT reproduction: the ALERT adapter, every
-//! baseline scheme of paper Table 3, the session runtime, and the Table 4
-//! experiment driver.
+//! baseline scheme of paper Table 3, the session runtime, and the paper
+//! sweep behind Tables 4 and 5 and Figs 7 and 8.
 //!
 //! * [`scheduler`] — the per-input [`Scheduler`](scheduler::Scheduler)
 //!   interface (decide → execute → observe) plus snapshot hooks.
@@ -48,7 +48,9 @@
 //!   [`run_episode`](harness::run_episode) adapter.
 //! * [`metrics`] — Table 4 normalization, violation superscripts,
 //!   harmonic means.
-//! * [`experiment`] — the sweep driver, a thin adapter over the runtime.
+//! * [`experiment`] — the paper sweep ([`PaperSweep`]): every
+//!   (objective, row, environment) cell run once, schemes addressed by
+//!   registry name, a thin adapter over the runtime.
 
 pub mod alert;
 pub mod app_only;
@@ -95,7 +97,7 @@ pub use budget::BudgetTracker;
 pub use capture::TraceRecorder;
 pub use env::{EnvError, EnvRealization, EpisodeEnv};
 pub use error::Error;
-pub use experiment::{run_cell, run_setting, run_table, ExperimentConfig, FamilyKind, SchemeKind};
+pub use experiment::{ExperimentConfig, FamilyKind, PaperSweep};
 pub use harness::{run_episode, Episode, SessionEngine, StepError};
 pub use metrics::{objective_report, CellStat, ResultTable};
 pub use no_coord::NoCoord;

@@ -36,20 +36,19 @@ pub struct CellStat {
 impl CellStat {
     /// Adds one setting's outcome.
     ///
-    /// `baseline` is OracleStatic's objective value for the same setting;
-    /// settings where the baseline itself was disqualified contribute to
-    /// neither the average nor the superscript (no meaningful ratio
-    /// exists).
-    pub fn add(&mut self, summary: &EpisodeSummary, objective_value: f64, baseline: Option<f64>) {
+    /// `baseline` is OracleStatic's objective value for the same setting,
+    /// whether or not OracleStatic met the constraints there. A
+    /// disqualified setting counts toward the superscript only; a
+    /// qualified one adds `objective_value / baseline` to the mean when
+    /// the baseline is positive and the value finite.
+    pub fn add(&mut self, summary: &EpisodeSummary, objective_value: f64, baseline: f64) {
         self.settings += 1;
         if summary.disqualified() {
             self.violations += 1;
             return;
         }
-        if let Some(base) = baseline {
-            if base > 0.0 && objective_value.is_finite() {
-                self.ratios.push(objective_value / base);
-            }
+        if baseline > 0.0 && objective_value.is_finite() {
+            self.ratios.push(objective_value / baseline);
         }
     }
 
@@ -195,9 +194,9 @@ mod tests {
     #[test]
     fn cellstat_accumulates_and_disqualifies() {
         let mut c = CellStat::default();
-        c.add(&summary(0.0, 10.0, 0.9), 10.0, Some(20.0));
-        c.add(&summary(0.0, 30.0, 0.9), 30.0, Some(20.0));
-        c.add(&summary(0.5, 99.0, 0.9), 99.0, Some(20.0)); // disqualified
+        c.add(&summary(0.0, 10.0, 0.9), 10.0, 20.0);
+        c.add(&summary(0.0, 30.0, 0.9), 30.0, 20.0);
+        c.add(&summary(0.5, 99.0, 0.9), 99.0, 20.0); // disqualified
         assert_eq!(c.settings, 3);
         assert_eq!(c.violations, 1);
         assert_eq!(c.qualified(), 2);
@@ -205,10 +204,11 @@ mod tests {
     }
 
     #[test]
-    fn missing_baseline_skips_ratio() {
+    fn zero_baseline_skips_ratio() {
         let mut c = CellStat::default();
-        c.add(&summary(0.0, 10.0, 0.9), 10.0, None);
+        c.add(&summary(0.0, 10.0, 0.9), 10.0, 0.0);
         assert_eq!(c.settings, 1);
+        assert_eq!(c.violations, 0);
         assert_eq!(c.qualified(), 0);
         assert!(c.mean_ratio().is_none());
     }
@@ -217,9 +217,9 @@ mod tests {
     fn table_harmonic_mean() {
         let mut t = ResultTable::new();
         t.cell("row1", "ALERT")
-            .add(&summary(0.0, 1.0, 0.9), 5.0, Some(10.0)); // ratio 0.5
+            .add(&summary(0.0, 1.0, 0.9), 5.0, 10.0); // ratio 0.5
         t.cell("row2", "ALERT")
-            .add(&summary(0.0, 1.0, 0.9), 10.0, Some(10.0)); // ratio 1.0
+            .add(&summary(0.0, 1.0, 0.9), 10.0, 10.0); // ratio 1.0
         let hm = t.harmonic_mean_for("ALERT").unwrap();
         assert!((hm - 2.0 / 3.0).abs() < 1e-12);
     }
@@ -228,9 +228,9 @@ mod tests {
     fn render_contains_rows_and_schemes() {
         let mut t = ResultTable::new();
         t.cell("CPU1/img/Default", "ALERT")
-            .add(&summary(0.0, 1.0, 0.9), 6.4, Some(10.0));
+            .add(&summary(0.0, 1.0, 0.9), 6.4, 10.0);
         t.cell("CPU1/img/Default", "Sys-only")
-            .add(&summary(0.2, 1.0, 0.9), 6.4, Some(10.0));
+            .add(&summary(0.2, 1.0, 0.9), 6.4, 10.0);
         let txt = t.render();
         assert!(txt.contains("CPU1/img/Default"));
         assert!(txt.contains("ALERT"));

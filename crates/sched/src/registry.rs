@@ -1,13 +1,11 @@
 //! The open policy registry: string-keyed scheduler constructors.
 //!
-//! Historically the harness dispatched on a closed `SchemeKind` enum, so
-//! adding a scheme meant editing `experiment.rs`. The registry inverts
-//! that: a [`Policy`] is a named constructor that builds a
-//! [`Scheduler`] for one session from a [`PolicyContext`], and a
-//! [`PolicyRegistry`] maps names to policies. External crates (and
-//! `examples/custom_policy.rs`) register their schemes next to the
-//! built-ins and everything downstream — the runtime, the experiment
-//! sweeps, `RunSpec` files — addresses them by name.
+//! A [`Policy`] is a named constructor that builds a [`Scheduler`] for
+//! one session from a [`PolicyContext`], and a [`PolicyRegistry`] maps
+//! names to policies. A scheme's name is its only identity: external
+//! crates (and `examples/custom_policy.rs`) register their schemes next
+//! to the built-ins, and everything downstream — the runtime, the paper
+//! sweep, `RunSpec` files — addresses them by name.
 //!
 //! All nine paper schemes are pre-registered by
 //! [`PolicyRegistry::builtin`] under their Table 3/4 column labels
@@ -423,24 +421,23 @@ mod tests {
     }
 
     #[test]
-    fn builtin_covers_all_scheme_kinds() {
-        use crate::experiment::SchemeKind;
+    fn builtin_covers_the_nine_paper_schemes() {
         let r = PolicyRegistry::builtin();
-        let kinds = [
-            SchemeKind::Alert,
-            SchemeKind::AlertAny,
-            SchemeKind::AlertTrad,
-            SchemeKind::AlertStar,
-            SchemeKind::Oracle,
-            SchemeKind::OracleStatic,
-            SchemeKind::AppOnly,
-            SchemeKind::SysOnly,
-            SchemeKind::NoCoord,
+        let names = [
+            "ALERT",
+            "ALERT-Any",
+            "ALERT-Trad",
+            "ALERT*",
+            "Oracle",
+            "OracleStatic",
+            "App-only",
+            "Sys-only",
+            "No-coord",
         ];
-        for kind in kinds {
-            assert!(r.contains(kind.name()), "missing {}", kind.name());
+        for name in names {
+            assert!(r.contains(name), "missing {name}");
         }
-        assert_eq!(r.names().len(), kinds.len());
+        assert_eq!(r.names().len(), names.len());
     }
 
     #[test]
