@@ -51,7 +51,7 @@ fn main() {
             {
                 continue; // RNN inference is CPU-only (§5.1).
             }
-            let (table, _) = build_table(&family, &platform).expect("paper family fits");
+            let (table, _) = build_table(&family, &[&platform], None).expect("paper family fits");
             let candidates = table.candidate_count();
             let unit = deadline_unit(&family, &platform);
             let goal = Goal::minimize_error(unit, Watts(35.0) * unit);
@@ -74,7 +74,9 @@ fn main() {
                     latency: t_prof * jitter,
                     profile_equivalent: t_prof,
                     idle_power: Some(Watts(6.0)),
-                    idle_cap: ctl.table().cap(sel.candidate.power),
+                    idle_cap: ctl
+                        .table()
+                        .cap_on(sel.candidate.device, sel.candidate.power),
                 });
             }
             costs.sort_by(f64::total_cmp);

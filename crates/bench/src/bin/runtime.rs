@@ -178,7 +178,9 @@ fn drive_decisions(
             verified += 1;
         }
         let profile = controller.table().t_prof_stage(sel.candidate);
-        let cap = controller.table().cap(sel.candidate.power);
+        let cap = controller
+            .table()
+            .cap_on(sel.candidate.device, sel.candidate.power);
         controller.observe(&observation_for(drift, i, profile, cap));
     }
     (fast_s, full_s, verified)
@@ -190,7 +192,7 @@ fn drive_decisions(
 fn bench_decisions(n_decisions: usize) -> Vec<DecisionMeasurement> {
     let family = FamilyKind::Image.family();
     let platform = alert_platform::Platform::cpu1();
-    let (table, _) = build_table(&family, &platform).expect("paper table builds");
+    let (table, _) = build_table(&family, &[&platform], None).expect("paper table builds");
     let error_goal = Goal::minimize_error(Seconds(0.35), Joules(14.0));
     let energy_goal = Goal::minimize_energy(Seconds(0.35), 0.9);
     let cells = [

@@ -28,7 +28,7 @@ use alert_core::lane::{CandidateLane, LaneScratch};
 use alert_core::select::select_with_period;
 use alert_core::ProbabilityMode;
 use alert_platform::Platform;
-use alert_sched::alert::build_table_multi;
+use alert_sched::alert::build_table;
 use alert_sched::env::EpisodeEnv;
 use alert_sched::runtime::{EpisodeEvent, Runtime, SessionSpec};
 use alert_sched::telemetry::{TelemetryConfig, TelemetryEvent};
@@ -180,7 +180,7 @@ fn assert_lane_matches_reference(
 ) -> usize {
     let family = FamilyKind::Image.family();
     let refs: Vec<&Platform> = platforms.iter().collect();
-    let (table, _) = build_table_multi(&family, &refs, shared_budget).expect("node table builds");
+    let (table, _) = build_table(&family, &refs, shared_budget).expect("node table builds");
     let lane = CandidateLane::build(&table);
     let mut scratch = LaneScratch::for_lane(&lane);
     let mut checks = 0usize;

@@ -4,18 +4,22 @@
 //! immutable [`DecisionTables`] bundle), owns the two online estimators
 //! (ξ and φ), and exposes the per-input cycle:
 //!
-//! * [`AlertController::decide`] — steps 2–4: adjust the goal (shared
-//!   deadlines, overhead compensation), estimate every configuration from
-//!   the current belief, pick the best feasible one;
+//! * [`AlertController::decide`] — steps 2–4: adjust the goal (reserve
+//!   the controller's own overhead out of the deadline), estimate every
+//!   configuration from the current belief, pick the best feasible one;
 //! * [`AlertController::observe`] — step 1 for the *next* input: feed the
-//!   measured latency (as a slowdown sample), the idle power, and the
-//!   consumed group budget back into the estimators.
+//!   measured latency (as a slowdown sample) and the idle power back into
+//!   the estimators.
+//!
+//! A group's shared deadline (the words of a sentence) is split per
+//! member before the controller sees it, by the harness in `alert-sched`;
+//! the controller only ever decides against one input's deadline.
 //!
 //! The controller is deliberately platform- and model-agnostic: it sees
 //! only the profile tables. `alert-sched` wires it to the simulator.
 
 use crate::config::{Candidate, ConfigTable};
-use crate::goal::{Goal, GoalAdjuster};
+use crate::goal::Goal;
 use crate::idle::IdleRatioEstimator;
 use crate::lane::{CandidateLane, LaneScratch};
 use crate::select::{Estimates, Selection};
@@ -115,8 +119,7 @@ pub struct Observation {
 
 /// A serializable checkpoint of an [`AlertController`]'s learned state:
 /// the ξ slowdown belief (Kalman filter + innovation tracker), the φ
-/// idle-power ratio, the goal adjuster (overhead reserve and group
-/// budget), and the decision counters.
+/// idle-power ratio, the overhead reserve, and the decision counters.
 ///
 /// Snapshots exist so long-lived *sessions* can be checkpointed and
 /// migrated between runtimes: a controller restored from a snapshot
@@ -129,8 +132,10 @@ pub struct ControllerSnapshot {
     pub xi: SlowdownEstimator,
     /// The φ idle-power ratio estimator state (Eq. 8 filter).
     pub idle: IdleRatioEstimator,
-    /// Goal adjustment state: overhead reserve, group budget.
-    pub adjuster: GoalAdjuster,
+    /// Time reserved out of every deadline for the controller's own
+    /// overhead (§3.2 step 2): the fixed reserve, or the worst decision
+    /// cost measured so far.
+    pub overhead_reserve: Seconds,
     /// Decisions made so far.
     pub decisions: u64,
     /// Cost charged to the most recent decision (see
@@ -160,8 +165,8 @@ pub struct DecisionTrace {
     pub belief_std: f64,
     /// φ idle-power ratio at decision time.
     pub idle_ratio: f64,
-    /// The deadline actually decided against (after goal adjustment:
-    /// group budget, overhead reserve).
+    /// The deadline actually decided against: the goal's deadline minus
+    /// the overhead reserve, floored at 1 µs.
     pub effective_deadline: Seconds,
     /// Total execution targets in the candidate lane.
     pub candidates: usize,
@@ -254,7 +259,9 @@ pub struct AlertController {
     params: AlertParams,
     xi: SlowdownEstimator,
     idle: IdleRatioEstimator,
-    adjuster: GoalAdjuster,
+    /// Worst controller overhead seen (or the fixed reserve), subtracted
+    /// from every deadline.
+    overhead_reserve: Seconds,
     decisions: u64,
     last_decision_cost: Seconds,
     /// Meters decision cost: every decision under
@@ -282,7 +289,7 @@ impl AlertController {
     }
 
     /// Creates a controller over a shared decision-table bundle. Only the
-    /// per-decision scratch, the estimators and the goal adjuster are
+    /// per-decision scratch, the estimators and the overhead reserve are
     /// this controller's own.
     ///
     /// # Errors
@@ -305,29 +312,38 @@ impl AlertController {
                 return Err(format!("fixed overhead reserve must be >= 0, got {t}"));
             }
         }
-        let mut adjuster = GoalAdjuster::new();
-        if let OverheadPolicy::Fixed(t) = params.overhead {
-            adjuster.record_overhead(t);
-        }
         let scratch = LaneScratch::for_lane(&tables.lane);
-        Ok(AlertController {
+        let mut ctl = AlertController {
             tables,
             scratch,
             xi: SlowdownEstimator::with_params(params.kalman)?,
             idle: IdleRatioEstimator::new(params.initial_idle_ratio),
-            adjuster,
+            overhead_reserve: Seconds::ZERO,
             params,
             decisions: 0,
             last_decision_cost: Seconds::ZERO,
             meter: SampledStopwatch::new(),
             last_trace: None,
-        })
+        };
+        ctl.reset_reserve();
+        Ok(ctl)
     }
 
-    /// Announces a group (sentence) of `members` inputs sharing
-    /// `deadline` of total budget (paper §3.2 step 2).
-    pub fn begin_group(&mut self, deadline: Seconds, members: usize) {
-        self.adjuster.begin_group(deadline, members);
+    /// Grows the overhead reserve to `cost` if `cost` is finite and
+    /// larger: the reserve is the running maximum.
+    fn reserve(&mut self, cost: Seconds) {
+        if cost.is_finite() && cost > self.overhead_reserve {
+            self.overhead_reserve = cost;
+        }
+    }
+
+    /// Sets the reserve a new episode starts from: the
+    /// [`OverheadPolicy::Fixed`] time, else nothing.
+    fn reset_reserve(&mut self) {
+        self.overhead_reserve = Seconds::ZERO;
+        if let OverheadPolicy::Fixed(t) = self.params.overhead {
+            self.reserve(t);
+        }
     }
 
     /// Steps 2–4: picks the execution target for the next input, using the
@@ -358,7 +374,9 @@ impl AlertController {
             self.meter.meter_next();
         }
         let started = self.meter.start();
-        let effective = self.adjuster.next_deadline(goal.deadline);
+        // Floored at 1 µs: a reserve above the deadline degrades to
+        // "everything misses" instead of a non-positive deadline.
+        let effective = Seconds((goal.deadline - self.overhead_reserve).get().max(1e-6));
         let adjusted = goal.with_deadline(effective);
         let xi = self.xi.distribution();
         let idle_ratio = self.idle.ratio();
@@ -376,7 +394,7 @@ impl AlertController {
         let cost = Seconds(self.meter.charge(started).as_secs_f64().max(1e-9));
         self.last_decision_cost = cost;
         if measured {
-            self.adjuster.record_overhead(cost);
+            self.reserve(cost);
         }
         self.decisions += 1;
         // Recorded after the selection is final: the trace is pure
@@ -400,7 +418,6 @@ impl AlertController {
     /// Step 1 (for the next input): feeds measurements back.
     pub fn observe(&mut self, obs: &Observation) {
         self.xi.observe(obs.latency, obs.profile_equivalent);
-        self.adjuster.consume(obs.latency);
         if let Some(p) = obs.idle_power {
             self.idle.observe(p, obs.idle_cap);
         }
@@ -467,7 +484,7 @@ impl AlertController {
         ControllerSnapshot {
             xi: self.xi.clone(),
             idle: self.idle.clone(),
-            adjuster: self.adjuster.clone(),
+            overhead_reserve: self.overhead_reserve,
             decisions: self.decisions,
             last_decision_cost: self.last_decision_cost,
         }
@@ -483,7 +500,7 @@ impl AlertController {
     pub fn restore(&mut self, snapshot: &ControllerSnapshot) {
         self.xi = snapshot.xi.clone();
         self.idle = snapshot.idle.clone();
-        self.adjuster = snapshot.adjuster.clone();
+        self.overhead_reserve = snapshot.overhead_reserve;
         self.decisions = snapshot.decisions;
         self.last_decision_cost = snapshot.last_decision_cost;
         self.meter.meter_next();
@@ -491,15 +508,12 @@ impl AlertController {
         self.last_trace = None;
     }
 
-    /// Resets estimators and goal adjustment (new episode). The next
+    /// Resets estimators and the overhead reserve (new episode). The next
     /// decision is metered.
     pub fn reset(&mut self) {
         self.xi.reset();
         self.idle = IdleRatioEstimator::new(self.params.initial_idle_ratio);
-        self.adjuster = GoalAdjuster::new();
-        if let OverheadPolicy::Fixed(t) = self.params.overhead {
-            self.adjuster.record_overhead(t);
-        }
+        self.reset_reserve();
         self.decisions = 0;
         self.last_decision_cost = Seconds::ZERO;
         self.meter.meter_next();
@@ -560,7 +574,9 @@ mod tests {
                 latency: t_prof, // environment at profile speed
                 profile_equivalent: t_prof,
                 idle_power: Some(Watts(6.0)),
-                idle_cap: ctl.table().cap(sel.candidate.power),
+                idle_cap: ctl
+                    .table()
+                    .cap_on(sel.candidate.device, sel.candidate.power),
             });
             sel = ctl.decide(&goal).unwrap();
         }
@@ -572,7 +588,9 @@ mod tests {
                 latency: t_prof * 1.8,
                 profile_equivalent: t_prof,
                 idle_power: Some(Watts(12.0)),
-                idle_cap: ctl.table().cap(sel.candidate.power),
+                idle_cap: ctl
+                    .table()
+                    .cap_on(sel.candidate.device, sel.candidate.power),
             });
             sel = ctl.decide(&goal).unwrap();
         }
@@ -722,35 +740,6 @@ mod tests {
     }
 
     #[test]
-    fn group_budget_tightens_after_slow_member() {
-        let mut ctl = AlertController::new(
-            table(),
-            AlertParams {
-                overhead: OverheadPolicy::None,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let goal = Goal::minimize_error(Seconds(9.9), Joules(20.0));
-        ctl.begin_group(Seconds(0.4), 2);
-        let first = ctl.decide(&goal).unwrap();
-        assert!((first.deadline.get() - 0.2).abs() < 1e-12);
-        // The first member blows most of the budget.
-        ctl.observe(&Observation {
-            latency: Seconds(0.3),
-            profile_equivalent: Seconds(0.3),
-            idle_power: None,
-            idle_cap: Watts(45.0),
-        });
-        let second = ctl.decide(&goal).unwrap();
-        assert!(
-            (second.deadline.get() - 0.1).abs() < 1e-9,
-            "{}",
-            second.deadline
-        );
-    }
-
-    #[test]
     fn reset_restores_initial_belief() {
         let mut ctl = AlertController::new(table(), AlertParams::default()).unwrap();
         let goal = Goal::minimize_error(Seconds(0.12), Joules(20.0));
@@ -783,9 +772,28 @@ mod tests {
         let mut ctl = AlertController::new(table(), params).unwrap();
         let goal = Goal::minimize_error(Seconds(0.12), Joules(20.0));
         for _ in 0..3 {
+            // A reserve above the deadline clamps to the 1 µs floor.
             let sel = ctl.decide(&goal).unwrap();
-            assert!(sel.deadline.get() > 0.0, "deadline {}", sel.deadline);
+            assert_eq!(sel.deadline, Seconds(1e-6));
         }
+    }
+
+    #[test]
+    fn reserve_is_the_largest_finite_cost_and_comes_off_the_deadline() {
+        let mut ctl = with_overhead(OverheadPolicy::None);
+        let goal = Goal::minimize_error(Seconds(0.1), Joules(20.0));
+        assert_eq!(ctl.decide(&goal).unwrap().deadline, Seconds(0.1));
+        ctl.reserve(Seconds(0.002));
+        ctl.reserve(Seconds(0.001)); // smaller: the reserve keeps the max
+        ctl.reserve(Seconds(f64::NAN));
+        ctl.reserve(Seconds(f64::INFINITY));
+        assert_eq!(ctl.overhead_reserve, Seconds(0.002));
+        let sel = ctl.decide(&goal).unwrap();
+        assert!(
+            (sel.deadline.get() - 0.098).abs() < 1e-12,
+            "{}",
+            sel.deadline
+        );
     }
 
     #[test]
@@ -806,7 +814,9 @@ mod tests {
                 latency: t_prof,
                 profile_equivalent: t_prof,
                 idle_power: None,
-                idle_cap: ctl.table().cap(sel.candidate.power),
+                idle_cap: ctl
+                    .table()
+                    .cap_on(sel.candidate.device, sel.candidate.power),
             });
         }
     }
@@ -822,7 +832,9 @@ mod tests {
                 latency: t_prof * 1.4,
                 profile_equivalent: t_prof,
                 idle_power: Some(Watts(9.0)),
-                idle_cap: ctl.table().cap(sel.candidate.power),
+                idle_cap: ctl
+                    .table()
+                    .cap_on(sel.candidate.device, sel.candidate.power),
             });
             sel = ctl.decide(&goal).unwrap();
         }
@@ -839,6 +851,26 @@ mod tests {
         let b = restored.decide(&goal).unwrap();
         assert_eq!(a.candidate, b.candidate);
         assert_eq!(a.deadline, b.deadline);
+    }
+
+    #[test]
+    fn restored_controller_decides_against_the_measured_reserve() {
+        let goal = Goal::minimize_error(Seconds(0.12), Joules(20.0));
+        let mut ctl = with_overhead(OverheadPolicy::Measured);
+        for _ in 0..5 {
+            charged(&mut ctl, &goal);
+        }
+        let snap = ctl.snapshot();
+        assert!(snap.overhead_reserve > Seconds::ZERO);
+        let mut restored = with_overhead(OverheadPolicy::Measured);
+        restored.restore(&snap);
+        // Both next decisions see the reserve the snapshot carries.
+        let expected = goal.deadline - snap.overhead_reserve;
+        for c in [&mut ctl, &mut restored] {
+            c.decide(&goal).unwrap();
+            let effective = c.last_trace().unwrap().effective_deadline;
+            assert_eq!(effective.get().to_bits(), expected.get().to_bits());
+        }
     }
 
     #[test]
@@ -908,11 +940,6 @@ mod tests {
             Goal::minimize_energy(Seconds(0.15), 0.9),
         ];
         for i in 0..120 {
-            if i % 40 == 0 {
-                for ctl in shared_ctls.iter_mut().chain(own_ctls.iter_mut()) {
-                    ctl.begin_group(Seconds(0.5), 3);
-                }
-            }
             for (k, (s, o)) in shared_ctls.iter_mut().zip(own_ctls.iter_mut()).enumerate() {
                 let goal = goals[(i + k) % 2];
                 // A repeat under an unchanged belief starts from the
@@ -939,7 +966,7 @@ mod tests {
                     latency: t_prof * slow,
                     profile_equivalent: t_prof,
                     idle_power: Some(Watts(5.0 + k as f64)),
-                    idle_cap: s.table().cap(sel.power),
+                    idle_cap: s.table().cap_on(sel.device, sel.power),
                 };
                 s.observe(&obs);
                 o.observe(&obs);
@@ -958,7 +985,7 @@ mod tests {
 
     #[test]
     fn snapshot_serde_roundtrip() {
-        let mut ctl = AlertController::new(table(), AlertParams::default()).unwrap();
+        let mut ctl = with_overhead(OverheadPolicy::Measured);
         let goal = Goal::minimize_error(Seconds(0.12), Joules(20.0));
         let _ = ctl.decide(&goal).unwrap();
         ctl.observe(&Observation {
@@ -967,8 +994,10 @@ mod tests {
             idle_power: Some(Watts(7.0)),
             idle_cap: Watts(45.0),
         });
-        ctl.begin_group(Seconds(0.4), 3);
         let snap = ctl.snapshot();
+        // The measured reserve is an arbitrary cost: it must survive the
+        // text round trip exactly.
+        assert!(snap.overhead_reserve > Seconds::ZERO);
         let json = serde_json::to_string(&snap).unwrap();
         let back: ControllerSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(snap, back);

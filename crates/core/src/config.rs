@@ -117,8 +117,6 @@ pub struct Candidate {
 /// profiled grids at those settings.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct DeviceGrid {
-    /// Human-readable device label ("CPU2", "GPU", …).
-    label: String,
     powers: Vec<Watts>,
     /// `t_prof[i][j]`: full-network profiled latency of model i at cap j.
     t_prof: Vec<Vec<Seconds>>,
@@ -210,7 +208,6 @@ impl ConfigTable {
         Ok(ConfigTable {
             models,
             devices: vec![DeviceGrid {
-                label: "CPU".to_string(),
                 powers,
                 t_prof,
                 p_run,
@@ -219,7 +216,8 @@ impl ConfigTable {
     }
 
     /// Extends the config space with another device's grid over the same
-    /// model set, returning the new device index.
+    /// model set, returning the new device index. `label` names the
+    /// device in error messages.
     ///
     /// # Errors
     ///
@@ -232,22 +230,14 @@ impl ConfigTable {
         t_prof: Vec<Vec<Seconds>>,
         p_run: Vec<Vec<Watts>>,
     ) -> Result<usize, String> {
-        let label = label.into();
         validate_grid(&self.models, &powers, &t_prof, &p_run)
-            .map_err(|e| format!("device {label}: {e}"))?;
+            .map_err(|e| format!("device {}: {e}", label.into()))?;
         self.devices.push(DeviceGrid {
-            label,
             powers,
             t_prof,
             p_run,
         });
         Ok(self.devices.len() - 1)
-    }
-
-    /// Renames device 0 (the [`ConfigTable::new`] grid, labeled "CPU" by
-    /// default).
-    pub fn set_device_label(&mut self, device: usize, label: impl Into<String>) {
-        self.devices[device].label = label.into();
     }
 
     /// The candidate models.
@@ -260,33 +250,9 @@ impl ConfigTable {
         self.devices.len()
     }
 
-    /// Human-readable label of device `d`.
-    pub fn device_label(&self, d: usize) -> &str {
-        &self.devices[d].label
-    }
-
-    /// Device 0's grid — the single-device view the pre-placement code
-    /// paths use.
-    fn primary(&self) -> &DeviceGrid {
-        // lint:allow(no-panic): every constructor installs device 0 and devices only grow
-        &self.devices[0]
-    }
-
-    /// The power settings of device 0 (the single-device view the
-    /// pre-placement code paths use).
-    pub fn powers(&self) -> &[Watts] {
-        &self.primary().powers
-    }
-
     /// The power settings of device `d`.
     pub fn powers_on(&self, d: usize) -> &[Watts] {
         &self.devices[d].powers
-    }
-
-    /// Full-network profiled latency of model `i` at power `j` on
-    /// device 0.
-    pub fn t_prof(&self, i: usize, j: usize) -> Seconds {
-        self.primary().t_prof[i][j]
     }
 
     /// Full-network profiled latency of model `i` at power `j` on
@@ -302,19 +268,9 @@ impl ConfigTable {
         self.devices[c.device].t_prof[c.model][c.power] * frac
     }
 
-    /// Measured run power of model `i` at power `j` on device 0.
-    pub fn p_run(&self, i: usize, j: usize) -> Watts {
-        self.primary().p_run[i][j]
-    }
-
     /// Measured run power of model `i` at power `j` on device `d`.
     pub fn p_run_on(&self, d: usize, i: usize, j: usize) -> Watts {
         self.devices[d].p_run[i][j]
-    }
-
-    /// The cap value of power index `j` on device 0.
-    pub fn cap(&self, j: usize) -> Watts {
-        self.primary().powers[j]
     }
 
     /// The cap value of power index `j` on device `d`.
@@ -349,56 +305,6 @@ impl ConfigTable {
             .iter()
             .map(|dev| stages * dev.powers.len())
             .sum()
-    }
-
-    /// Index of the model with the smallest full-network latency at the
-    /// highest cap on device 0 (the "fastest DNN" the Sys-only baseline
-    /// pins).
-    pub fn fastest_model(&self) -> usize {
-        self.fastest_model_on(0)
-    }
-
-    /// Index of the model with the smallest full-network latency at
-    /// device `d`'s highest cap.
-    pub fn fastest_model_on(&self, d: usize) -> usize {
-        let grid = &self.devices[d];
-        let j = grid.powers.len() - 1;
-        (0..self.models.len())
-            .min_by(|&a, &b| grid.t_prof[a][j].get().total_cmp(&grid.t_prof[b][j].get()))
-            // lint:allow(no-panic): the model table is validated non-empty at construction
-            .expect("non-empty")
-    }
-
-    /// The `(device, model)` pair with the smallest full-network latency,
-    /// each device judged at its own highest cap — where a
-    /// latency-obsessed baseline pins a heterogeneous node. Ties resolve
-    /// to the lower device index (device 0 for single-device tables, so
-    /// this degenerates to [`ConfigTable::fastest_model`]).
-    pub fn fastest_placement(&self) -> (usize, usize) {
-        let mut best = (0, self.fastest_model_on(0));
-        let primary = self.primary();
-        let mut best_t = primary.t_prof[best.1][primary.powers.len() - 1];
-        for d in 1..self.devices.len() {
-            let m = self.fastest_model_on(d);
-            let t = self.devices[d].t_prof[m][self.devices[d].powers.len() - 1];
-            if t.get() < best_t.get() {
-                best = (d, m);
-                best_t = t;
-            }
-        }
-        best
-    }
-
-    /// Index of the model with the best final quality.
-    pub fn most_accurate_model(&self) -> usize {
-        (0..self.models.len())
-            .max_by(|&a, &b| {
-                self.models[a]
-                    .final_quality()
-                    .total_cmp(&self.models[b].final_quality())
-            })
-            // lint:allow(no-panic): the model table is validated non-empty at construction
-            .expect("non-empty")
     }
 }
 
@@ -464,13 +370,6 @@ mod tests {
             power: 1,
         };
         assert!((t.t_prof_stage(c_full).get() - 0.12).abs() < 1e-15);
-    }
-
-    #[test]
-    fn fastest_and_most_accurate() {
-        let t = table();
-        assert_eq!(t.fastest_model(), 0);
-        assert_eq!(t.most_accurate_model(), 1);
     }
 
     #[test]
@@ -558,7 +457,6 @@ mod tests {
             .expect("valid grid");
         assert_eq!(gpu, 1);
         assert_eq!(t.device_count(), 2);
-        assert_eq!(t.device_label(1), "GPU");
         // 4 stage-rows × (2 CPU + 3 GPU powers) = 20.
         assert_eq!(t.candidate_count(), 20);
         let all: Vec<Candidate> = t.candidates().collect();
@@ -576,8 +474,6 @@ mod tests {
             power: 2,
         };
         assert!((t.t_prof_stage(c).get() - 0.4 * 0.018).abs() < 1e-15);
-        // The GPU hosts the fastest placement of the node.
-        assert_eq!(t.fastest_placement(), (1, 0));
     }
 
     #[test]

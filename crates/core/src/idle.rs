@@ -43,11 +43,6 @@ impl IdleRatioEstimator {
         self.filter.ratio()
     }
 
-    /// Predicted idle power under a hypothetical cap: φ·p_cap.
-    pub fn predict_idle_power(&self, cap: Watts) -> Watts {
-        cap * self.filter.ratio()
-    }
-
     /// Number of measurements consumed.
     pub fn observations(&self) -> u64 {
         self.filter.steps()
@@ -65,7 +60,6 @@ mod tests {
             e.observe(Watts(18.0), Watts(90.0)); // ratio 0.2
         }
         assert!((e.ratio() - 0.2).abs() < 0.01);
-        assert!((e.predict_idle_power(Watts(50.0)).get() - 10.0).abs() < 0.5);
     }
 
     #[test]

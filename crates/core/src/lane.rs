@@ -35,8 +35,8 @@
 //!    [`CandidateLane::select_with_period`] and DESIGN.md §6).
 //!
 //! `tests/fast_lane.rs` proves bit-identity of the whole lane against the
-//! reference enumeration over randomized tables, beliefs, goals, group
-//! boundaries, and snapshot/restore cuts; the `runtime` benchmark
+//! reference enumeration over randomized tables, beliefs, goals,
+//! overhead reserves, and snapshot/restore cuts; the `runtime` benchmark
 //! re-asserts lane-vs-enumerated equality on every run.
 
 use crate::alert::ProbabilityMode;

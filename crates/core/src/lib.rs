@@ -7,9 +7,10 @@
 //! (paper §3.2):
 //!
 //! 1. **Measure** the previous input's latency, idle power, quality.
-//! 2. **Adjust goals** — shared (sentence) deadlines shrink as earlier
-//!    members consume budget; the controller's own worst-case overhead is
-//!    subtracted so ALERT never causes a violation itself.
+//! 2. **Adjust goals** — the controller's own worst-case overhead is
+//!    subtracted from the deadline so ALERT never causes a violation
+//!    itself (shared sentence deadlines are split per word before the
+//!    controller sees them, by `alert-sched`'s `BudgetTracker`).
 //! 3. **Estimate** — a single *global slowdown factor* ξ, tracked by an
 //!    adaptive Kalman filter (Eq. 5), rescales every profiled latency;
 //!    its variance feeds the probability each configuration meets the
@@ -21,9 +22,9 @@
 //!    back along the latency > accuracy > power hierarchy when nothing is
 //!    feasible (§4).
 //!
-//! Modules: [`config`] (candidate tables), [`goal`] (objectives and
-//! adjustment), [`slowdown`] (ξ, Eq. 5), [`idle`] (φ, Eq. 8), [`latency`]
-//! (Eq. 6), [`quality`] (Eqs. 7/13), [`energy`] (Eqs. 9/12), [`select`]
+//! Modules: [`config`] (candidate tables), [`goal`] (objectives),
+//! [`slowdown`] (ξ, Eq. 5), [`idle`] (φ, Eq. 8), [`latency`] (Eq. 6),
+//! [`quality`] (Eqs. 7/13), [`energy`] (Eqs. 9/12), [`select`]
 //! (Eqs. 1/2/10/11, the reference enumeration), [`lane`] (the
 //! selection-identical fast lane: SoA precomputation and an exact
 //! minimize-energy early exit), and [`alert`] (the feedback loop).
@@ -38,7 +39,7 @@ pub mod quality;
 pub mod select;
 pub mod slowdown;
 
-/// Goal vocabulary ([`Goal`], [`Objective`], [`GoalAdjuster`]) lives in
+/// Goal vocabulary ([`Goal`], [`Objective`]) lives in
 /// `alert-workload` — goals are workload statements, not controller
 /// state — and is re-exported here so controller code keeps its
 /// `crate::goal::…` paths.
@@ -49,7 +50,7 @@ pub use alert::{
     ProbabilityMode,
 };
 pub use config::{Candidate, CandidateModel, ConfigTable, StagePoint};
-pub use goal::{Goal, GoalAdjuster, Objective};
+pub use goal::{Goal, Objective};
 pub use lane::{CandidateLane, LaneScratch};
 pub use select::{Estimates, Selection};
 pub use slowdown::SlowdownEstimator;

@@ -122,11 +122,6 @@ impl SlowdownEstimator {
     pub fn filter(&self) -> &AdaptiveKalman {
         &self.filter
     }
-
-    /// The realized innovation variance tracker (diagnostics).
-    pub fn innovation_variance(&self) -> f64 {
-        self.innovation_var
-    }
 }
 
 impl Default for SlowdownEstimator {

@@ -2,7 +2,7 @@
 //! memoized, early-exiting decision path must be
 //! **bit-identical** to the reference full enumeration for randomized
 //! tables, beliefs, goals (floors on the lane's quality-ceiling
-//! boundary included), probability modes, group boundaries, and
+//! boundary included), probability modes, overhead reserves, and
 //! snapshot/restore cuts.
 
 use alert_core::alert::{AlertController, AlertParams, Observation, OverheadPolicy};
@@ -228,10 +228,11 @@ proptest! {
         }
     }
 
-    /// The full controller path — goal adjustment *plus* the fast lane
-    /// and its seeded incumbent — against the reference enumeration,
-    /// across observation feedback, repeated decides, group
-    /// boundaries, snapshot/restore migration, and resets. The emitted
+    /// The full controller path — the overhead reserve *plus* the fast
+    /// lane and its seeded incumbent — against the reference
+    /// enumeration, across observation feedback, repeated decides, a
+    /// fresh deadline every step, snapshot/restore migration, and
+    /// resets. The emitted
     /// selection must always equal a fresh full enumeration at the
     /// controller's current belief and the decision's effective deadline.
     #[test]
@@ -242,7 +243,9 @@ proptest! {
         let mut pool = Pool::new(raw);
         let table = random_table(&mut pool);
         let params = AlertParams {
-            overhead: OverheadPolicy::None,
+            // Every effective deadline is the step's goal deadline minus
+            // this reserve, floored at 1 µs when the reserve is larger.
+            overhead: OverheadPolicy::Fixed(Seconds(pool.range(0.0, 0.05))),
             mode: if pool.chance(0.25) {
                 ProbabilityMode::MeanOnly
             } else {
@@ -251,14 +254,11 @@ proptest! {
             ..Default::default()
         };
         let mut ctl = AlertController::new(table.clone(), params).expect("valid params");
-        let goal = random_goal(&mut pool, &table);
+        let base = random_goal(&mut pool, &table);
         let period = Seconds(pool.range(0.001, 1.0));
 
         for step in 0..n_steps {
-            // Occasionally reshape the adjuster state.
-            if pool.chance(0.15) {
-                ctl.begin_group(Seconds(pool.range(0.05, 1.0)), 1 + pool.index(4));
-            }
+            let goal = base.with_deadline(Seconds(pool.range(0.005, 0.6)));
             if pool.chance(0.1) {
                 // Checkpoint, migrate to a fresh controller, continue.
                 let snap = ctl.snapshot();
@@ -286,9 +286,9 @@ proptest! {
             .expect("valid goal");
             assert_bits_equal(&sel, &reference, &format!("step {step}"));
 
-            // Repeat the decision without feedback (outside a group the
-            // inputs are unchanged, and the lane starts from the seed the
-            // first decision left).
+            // Repeat the decision without feedback (the inputs are
+            // unchanged, and the lane starts from the seed the first
+            // decision left).
             if ctl.decisions() > 0 && pool.chance(0.5) {
                 let again = ctl.decide_with_period(&goal, period).expect("valid goal");
                 let reference2 = select_with_period(

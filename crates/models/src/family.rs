@@ -14,7 +14,7 @@
 //! staircase sits slightly below the traditional model of equal latency.
 
 use crate::profile::{AnytimeSpec, AnytimeStage, ModelProfile, QualityMetric};
-use crate::zoo::{imagenet42, IMAGENET_RANDOM_GUESS, PTB_FAIL_PERPLEXITY};
+use crate::zoo::{IMAGENET_RANDOM_GUESS, PTB_FAIL_PERPLEXITY};
 use alert_platform::platform::WorkloadClass;
 use serde::{Deserialize, Serialize};
 
@@ -76,15 +76,6 @@ impl ModelFamily {
         self.models.is_empty()
     }
 
-    /// The member with the lowest reference latency.
-    pub fn fastest(&self) -> &ModelProfile {
-        self.models
-            .iter()
-            .min_by(|a, b| a.ref_latency_s.total_cmp(&b.ref_latency_s))
-            // lint:allow(no-panic): new() asserts families are non-empty
-            .expect("non-empty family")
-    }
-
     /// The member with the highest final quality.
     pub fn most_accurate(&self) -> &ModelProfile {
         self.models
@@ -97,14 +88,6 @@ impl ModelFamily {
     /// The anytime members.
     pub fn anytime_members(&self) -> impl Iterator<Item = &ModelProfile> {
         self.models.iter().filter(|m| m.is_anytime())
-    }
-
-    /// Members that fit in `capacity_gb` of memory.
-    pub fn fitting(&self, capacity_gb: f64) -> Vec<&ModelProfile> {
-        self.models
-            .iter()
-            .filter(|m| m.footprint_gb <= capacity_gb)
-            .collect()
     }
 
     /// Restricts the family to a [`CandidateSet`].
@@ -270,26 +253,22 @@ impl ModelFamily {
         models.push(width_nest());
         ModelFamily::new("sentence_prediction", models)
     }
-
-    /// The 42-network ImageNet zoo as a family (Figs. 2, 6).
-    pub fn imagenet_zoo() -> ModelFamily {
-        ModelFamily::new("imagenet42", imagenet42())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::zoo::imagenet42;
 
     #[test]
     fn families_are_valid() {
-        for f in [
-            ModelFamily::image_classification(),
-            ModelFamily::sentence_prediction(),
-            ModelFamily::imagenet_zoo(),
-        ] {
-            assert!(!f.is_empty());
-            for m in f.models() {
+        let image = ModelFamily::image_classification();
+        let sentence = ModelFamily::sentence_prediction();
+        // The zoo behind Figs. 2 and 6 is a plain profile list.
+        let zoo = imagenet42();
+        for models in [image.models(), sentence.models(), &zoo] {
+            assert!(!models.is_empty());
+            for m in models {
                 assert!(m.validate().is_ok(), "{}: {:?}", m.name, m.validate());
             }
         }
@@ -300,7 +279,6 @@ mod tests {
         let f = ModelFamily::image_classification();
         assert_eq!(f.len(), 6);
         assert_eq!(f.anytime_members().count(), 1);
-        assert_eq!(f.fastest().name, "sparse_resnet_8");
         assert_eq!(f.most_accurate().name, "sparse_resnet_101");
     }
 
@@ -342,14 +320,6 @@ mod tests {
             assert!(w[1].ref_latency_s > w[0].ref_latency_s);
             assert!(w[1].quality > w[0].quality);
         }
-    }
-
-    #[test]
-    fn fitting_respects_capacity() {
-        let f = ModelFamily::image_classification();
-        let small = f.fitting(0.3);
-        assert!(small.len() < f.len());
-        assert!(small.iter().all(|m| m.footprint_gb <= 0.3));
     }
 
     #[test]

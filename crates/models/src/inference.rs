@@ -79,14 +79,6 @@ impl InferenceResult {
         }
         q
     }
-
-    /// Quality of the best output produced at all (no deadline).
-    pub fn best_quality(&self, fail_quality: f64) -> f64 {
-        self.stage_completions
-            .iter()
-            .map(|&(_, q)| q)
-            .fold(fail_quality, f64::max)
-    }
 }
 
 /// Profiled latency of the full network on `platform` at `cap` — the
@@ -102,32 +94,6 @@ pub fn profile_latency(
         profile.rho,
         cap,
     )
-}
-
-/// Profiled completion time of anytime stage `k` (0-based); for
-/// traditional models only `k == 0` is valid and equals the full latency.
-///
-/// # Panics
-///
-/// Panics if `k` is out of range for the model.
-pub fn stage_profile_latency(
-    profile: &ModelProfile,
-    k: usize,
-    platform: &Platform,
-    cap: Watts,
-) -> Result<Seconds, PowerError> {
-    let full = profile_latency(profile, platform, cap)?;
-    match &profile.anytime {
-        None => {
-            assert!(k == 0, "traditional model has a single stage");
-            Ok(full)
-        }
-        Some(spec) => {
-            let stages = spec.stages();
-            assert!(k < stages.len(), "stage {k} out of range");
-            Ok(full * stages[k].frac)
-        }
-    }
 }
 
 /// The per-inference power actually drawn while running, as a fraction of
@@ -261,7 +227,6 @@ mod tests {
         let r = execute(&m, &p, Watts(100.0), 2.0, StopPolicy::RunToCompletion).unwrap();
         let deadline = Seconds(m.ref_latency_s * 1.5);
         assert_eq!(r.quality_by(deadline, m.fail_quality), m.fail_quality);
-        assert_eq!(r.best_quality(m.fail_quality), m.quality);
     }
 
     #[test]
@@ -285,7 +250,6 @@ mod tests {
         let p = cpu2();
         let r = execute(&m, &p, Watts(100.0), 1.0, StopPolicy::AfterStage(1)).unwrap();
         assert_eq!(r.stage_completions.len(), 2);
-        assert!((r.best_quality(m.fail_quality) - 0.904).abs() < 1e-12);
         // Latency is the stage-1 completion time (35% of full).
         assert!((r.latency.get() - 0.35 * r.full_latency.get()).abs() < 1e-12);
         // Early stop keeps the slowdown observation unbiased.
@@ -333,7 +297,6 @@ mod tests {
         )
         .unwrap();
         assert!(r.stage_completions.is_empty());
-        assert_eq!(r.best_quality(m.fail_quality), m.fail_quality);
         // But the slowdown observation from partial work is still valid.
         assert!((r.observed_slowdown().unwrap() - 1.0).abs() < 1e-9);
     }

@@ -37,14 +37,6 @@ impl QualityMetric {
             QualityMetric::Perplexity => -score,
         }
     }
-
-    /// Converts a reporting-unit value back to a score.
-    pub fn score_from_report(&self, report: f64) -> f64 {
-        match self {
-            QualityMetric::Top5Accuracy | QualityMetric::F1 => 1.0 - report / 100.0,
-            QualityMetric::Perplexity => -report,
-        }
-    }
 }
 
 /// One output point of an anytime DNN.
@@ -249,13 +241,11 @@ mod tests {
     }
 
     #[test]
-    fn metric_roundtrip() {
+    fn metric_report_units() {
         let m = QualityMetric::Top5Accuracy;
         assert!((m.report(0.95) - 5.0).abs() < 1e-12);
-        assert!((m.score_from_report(5.0) - 0.95).abs() < 1e-12);
         let p = QualityMetric::Perplexity;
         assert!((p.report(-120.0) - 120.0).abs() < 1e-12);
-        assert!((p.score_from_report(120.0) + 120.0).abs() < 1e-12);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! For a periodic inference workload the energy that matters is the whole
 //! period's: the joules burned while the DNN runs *plus* the joules burned
 //! idling until the next input arrives (paper §2.1, Fig. 3; Eq. 9 models
-//! exactly this split). [`EnergyMeter`] accumulates both components.
+//! exactly this split). [`PeriodEnergy`] holds both components.
 
 use alert_stats::units::{Joules, Seconds, Watts};
 use serde::{Deserialize, Serialize};
@@ -36,57 +36,6 @@ impl PeriodEnergy {
     }
 }
 
-/// Accumulates per-period energy over an episode.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct EnergyMeter {
-    run: Joules,
-    idle: Joules,
-    periods: u64,
-}
-
-impl EnergyMeter {
-    /// Creates an empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one period.
-    pub fn record(&mut self, p: PeriodEnergy) {
-        self.run += p.run;
-        self.idle += p.idle;
-        self.periods += 1;
-    }
-
-    /// Total run energy so far.
-    pub fn run_energy(&self) -> Joules {
-        self.run
-    }
-
-    /// Total idle energy so far.
-    pub fn idle_energy(&self) -> Joules {
-        self.idle
-    }
-
-    /// Total energy so far.
-    pub fn total(&self) -> Joules {
-        self.run + self.idle
-    }
-
-    /// Number of periods recorded.
-    pub fn periods(&self) -> u64 {
-        self.periods
-    }
-
-    /// Average energy per period; zero when empty.
-    pub fn average(&self) -> Joules {
-        if self.periods == 0 {
-            Joules::ZERO
-        } else {
-            self.total() / self.periods as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,25 +53,6 @@ mod tests {
         let p = PeriodEnergy::from_draws(Watts(40.0), Seconds(1.5), Watts(10.0), Seconds(1.0));
         assert_eq!(p.run, Joules(60.0));
         assert_eq!(p.idle, Joules(0.0));
-    }
-
-    #[test]
-    fn meter_accumulates_and_averages() {
-        let mut m = EnergyMeter::new();
-        assert_eq!(m.average(), Joules::ZERO);
-        m.record(PeriodEnergy {
-            run: Joules(3.0),
-            idle: Joules(1.0),
-        });
-        m.record(PeriodEnergy {
-            run: Joules(5.0),
-            idle: Joules(1.0),
-        });
-        assert_eq!(m.periods(), 2);
-        assert_eq!(m.run_energy(), Joules(8.0));
-        assert_eq!(m.idle_energy(), Joules(2.0));
-        assert_eq!(m.total(), Joules(10.0));
-        assert_eq!(m.average(), Joules(5.0));
     }
 
     #[test]

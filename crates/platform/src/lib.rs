@@ -13,8 +13,6 @@
 //!   whose maximum sits mid-range.
 //! * [`power`] — power-cap ranges and validated cap setting
 //!   (2.5 W steps on the laptop, 5 W on server/GPU, per paper §4).
-//! * [`rapl`] — a RAPL-like interface: quantized wrapped energy counter and
-//!   cap register, so the harness reads energy the way real code would.
 //! * [`gpu`] — the PyNVML analogue: a discrete frequency/power lookup
 //!   table (paper §4 builds exactly such a table for the GPU).
 //! * [`energy`] — per-period energy accounting (run + idle), the quantity
@@ -36,14 +34,12 @@ pub mod freq;
 pub mod gpu;
 pub mod platform;
 pub mod power;
-pub mod rapl;
 
 pub use backend::{split_budget, Backend};
 pub use contention::{ContentionKind, ContentionModel, ContentionProcess, PhaseSchedule};
-pub use energy::{EnergyMeter, PeriodEnergy};
+pub use energy::PeriodEnergy;
 pub use error::PowerError;
 pub use freq::ThroughputCurve;
 pub use gpu::{GpuFreqTable, GpuLevel};
 pub use platform::{NoiseParams, Platform, PlatformId, PlatformSpec, WorkloadClass};
 pub use power::CapRange;
-pub use rapl::RaplDomain;

@@ -70,14 +70,6 @@ impl CapRange {
         Ok(cap)
     }
 
-    /// Snaps a cap to the nearest bucket (used by the RAPL emulation: real
-    /// hardware quantizes the cap register).
-    pub fn quantize(&self, cap: Watts) -> Watts {
-        let clamped = cap.clamp(self.min, self.max);
-        let k = ((clamped - self.min) / self.step).round();
-        (self.min + self.step * k).min(self.max)
-    }
-
     /// Enumerates every setting from `min` to `max` inclusive.
     ///
     /// This is the candidate set P = {pⱼ} handed to the controller.
@@ -124,11 +116,6 @@ impl CapRange {
     pub fn settings_with_step(&self, step: Watts) -> Vec<Watts> {
         CapRange::new(self.min, self.max, step).settings()
     }
-
-    /// Number of buckets in [`CapRange::settings`].
-    pub fn bucket_count(&self) -> usize {
-        self.settings().len()
-    }
 }
 
 #[cfg(test)]
@@ -141,9 +128,9 @@ mod tests {
 
     #[test]
     fn settings_enumeration_counts() {
-        assert_eq!(cpu1().bucket_count(), 15);
+        assert_eq!(cpu1().settings().len(), 15);
         let cpu2 = CapRange::new(Watts(40.0), Watts(100.0), Watts(5.0));
-        assert_eq!(cpu2.bucket_count(), 13);
+        assert_eq!(cpu2.settings().len(), 13);
         // Paper Fig. 3: 31 settings at 2 W over 40–100 W.
         assert_eq!(cpu2.settings_with_step(Watts(2.0)).len(), 31);
     }
@@ -177,15 +164,6 @@ mod tests {
             r.validate(Watts(f64::NAN)),
             Err(PowerError::InvalidCap(_))
         ));
-    }
-
-    #[test]
-    fn quantize_snaps_to_buckets() {
-        let r = cpu1();
-        assert_eq!(r.quantize(Watts(11.2)), Watts(10.0));
-        assert_eq!(r.quantize(Watts(11.3)), Watts(12.5));
-        assert_eq!(r.quantize(Watts(200.0)), Watts(45.0));
-        assert_eq!(r.quantize(Watts(1.0)), Watts(10.0));
     }
 
     #[test]

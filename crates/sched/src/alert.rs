@@ -12,27 +12,10 @@ use alert_core::alert::{AlertController, AlertParams, DecisionTables, Observatio
 use alert_core::config::{CandidateModel, ConfigTable, StagePoint};
 use alert_models::family::CandidateSet;
 use alert_models::inference::{self, StopPolicy};
-use alert_models::ModelFamily;
+use alert_models::{ModelFamily, ModelProfile};
 use alert_platform::{split_budget, Backend, Platform};
 use alert_stats::units::{Seconds, Watts};
 use std::sync::Arc;
-
-/// Builds the controller's candidate table from a family on a platform.
-///
-/// Models that do not fit the platform's memory are excluded (the
-/// embedded board cannot host the big CNNs — paper Fig. 4 footnote).
-///
-/// # Errors
-///
-/// Returns a description of the problem when no model of the family fits
-/// the platform, or when the profiled table fails validation — both are
-/// configuration conditions (family × platform come from user specs).
-pub fn build_table(
-    family: &ModelFamily,
-    platform: &Platform,
-) -> Result<(ConfigTable, Vec<usize>), String> {
-    build_table_budgeted(family, platform, None)
-}
 
 /// The platform's power settings restricted to a shared-budget share;
 /// without a share, the full setting table.
@@ -54,36 +37,52 @@ fn budgeted_settings(platform: &Platform, share: Option<Watts>) -> Vec<Watts> {
     }
 }
 
-fn build_table_budgeted(
-    family: &ModelFamily,
+/// The controller's view of a family member: its output staircase.
+fn candidate_model(m: &ModelProfile) -> CandidateModel {
+    match &m.anytime {
+        None => CandidateModel::traditional(m.name.clone(), m.quality, m.fail_quality),
+        Some(spec) => CandidateModel::anytime(
+            m.name.clone(),
+            spec.stages()
+                .iter()
+                .map(|s| StagePoint {
+                    frac: s.frac,
+                    quality: s.quality,
+                })
+                .collect(),
+            m.fail_quality,
+        ),
+    }
+}
+
+/// One device's slice of a candidate table: its power settings and the
+/// `t_prof`/`p_run` grids of every table row at those settings.
+type DeviceGrid = (Vec<Watts>, Vec<Vec<Seconds>>, Vec<Vec<Watts>>);
+
+/// Profiles every table row's model on `platform` at the settings inside
+/// `share` (all settings without one).
+///
+/// # Errors
+///
+/// Returns a description of the problem when a row's model does not fit
+/// the platform.
+fn profile_device(
+    rows: &[&ModelProfile],
     platform: &Platform,
     share: Option<Watts>,
-) -> Result<(ConfigTable, Vec<usize>), String> {
+) -> Result<DeviceGrid, String> {
     let powers = budgeted_settings(platform, share);
-    let mut models = Vec::new();
-    let mut index_map = Vec::new();
-    let mut t_prof = Vec::new();
-    let mut p_run = Vec::new();
-    for (i, m) in family.models().iter().enumerate() {
+    let mut t_prof = Vec::with_capacity(rows.len());
+    let mut p_run = Vec::with_capacity(rows.len());
+    for m in rows {
         if !platform.supports_footprint(m.footprint_gb) {
-            continue;
+            return Err(format!(
+                "model {} does not fit platform {}; restrict the family \
+                 before building a heterogeneous table",
+                m.name,
+                platform.id()
+            ));
         }
-        let candidate = match &m.anytime {
-            None => CandidateModel::traditional(m.name.clone(), m.quality, m.fail_quality),
-            Some(spec) => CandidateModel::anytime(
-                m.name.clone(),
-                spec.stages()
-                    .iter()
-                    .map(|s| StagePoint {
-                        frac: s.frac,
-                        quality: s.quality,
-                    })
-                    .collect(),
-                m.fail_quality,
-            ),
-        };
-        models.push(candidate);
-        index_map.push(i);
         t_prof.push(
             powers
                 .iter()
@@ -98,75 +97,60 @@ fn build_table_budgeted(
                 .collect(),
         );
     }
-    if models.is_empty() {
-        return Err(format!(
-            "no model of family {} fits platform {}",
-            family.name(),
-            platform.id()
-        ));
-    }
-    Ok((ConfigTable::new(models, powers, t_prof, p_run)?, index_map))
+    Ok((powers, t_prof, p_run))
 }
 
-/// Builds a heterogeneous candidate table: `platforms[0]` is device 0
-/// (profiled exactly as [`build_table`] profiles it), each further
-/// platform joins as an extra device with its own power settings and
-/// per-device `t_prof`/`p_run` grids. With a `shared_budget`, the node's
-/// power envelope is split across the backends by [`split_budget`]
-/// (proportional to each backend's maximum draw, floored at its
-/// minimum), and each device only offers the settings inside its share.
+/// Builds the controller's candidate table from a family on a node:
+/// `platforms[0]` is device 0, each further platform joins as an extra
+/// device with its own power settings and per-device `t_prof`/`p_run`
+/// grids. Returns the table and each table model row's family index.
+///
+/// The table's model rows are the family members that fit device 0's
+/// memory (the embedded board cannot host the big CNNs — paper Fig. 4
+/// footnote). With a `shared_budget`, the node's power envelope is split
+/// across the devices by [`split_budget`] (proportional to each
+/// backend's maximum draw, floored at its minimum), and each device only
+/// offers the settings inside its share.
 ///
 /// # Errors
 ///
-/// Returns a description of the problem when no model fits the primary
-/// platform, when a model of the table does not fit one of the extra
-/// devices (restrict the family first — every candidate row must be
-/// placeable on every device), or when a profiled grid fails validation.
-pub fn build_table_multi(
+/// Returns a description of the problem when `platforms` is empty, when
+/// no model of the family fits device 0, when a model row does not fit
+/// one of the extra devices (restrict the family first — every row must
+/// be placeable on every device), or when a profiled grid fails
+/// validation — all configuration conditions (family × node come from
+/// user specs).
+pub fn build_table(
     family: &ModelFamily,
     platforms: &[&Platform],
     shared_budget: Option<Watts>,
 ) -> Result<(ConfigTable, Vec<usize>), String> {
     let (primary, extras) = platforms
         .split_first()
-        .ok_or_else(|| "heterogeneous table needs at least one platform".to_string())?;
+        .ok_or_else(|| "a candidate table needs at least one platform".to_string())?;
     let shares = shared_budget.map(|total| {
         let backends: Vec<&dyn Backend> = platforms.iter().map(|p| *p as &dyn Backend).collect();
         split_budget(total, &backends)
     });
     let share_of = |d: usize| shares.as_ref().map(|s| s[d]);
-    let (mut table, index_map) = build_table_budgeted(family, primary, share_of(0))?;
+    let (index_map, rows): (Vec<usize>, Vec<&ModelProfile>) = family
+        .models()
+        .iter()
+        .enumerate()
+        .filter(|(_, m)| primary.supports_footprint(m.footprint_gb))
+        .unzip();
+    if rows.is_empty() {
+        return Err(format!(
+            "no model of family {} fits platform {}",
+            family.name(),
+            primary.id()
+        ));
+    }
+    let models = rows.iter().map(|m| candidate_model(m)).collect();
+    let (powers, t_prof, p_run) = profile_device(&rows, primary, share_of(0))?;
+    let mut table = ConfigTable::new(models, powers, t_prof, p_run)?;
     for (k, platform) in extras.iter().enumerate() {
-        for &fi in &index_map {
-            let m = &family.models()[fi];
-            if !platform.supports_footprint(m.footprint_gb) {
-                return Err(format!(
-                    "model {} does not fit platform {}; restrict the family \
-                     before building a heterogeneous table",
-                    m.name,
-                    platform.id()
-                ));
-            }
-        }
-        let powers = budgeted_settings(platform, share_of(k + 1));
-        let mut t_prof = Vec::new();
-        let mut p_run = Vec::new();
-        for &fi in &index_map {
-            let m = &family.models()[fi];
-            t_prof.push(
-                powers
-                    .iter()
-                    // lint:allow(no-panic): powers come from the platform's own setting table, so every cap is feasible
-                    .map(|&p| inference::profile_latency(m, platform, p).expect("feasible cap"))
-                    .collect(),
-            );
-            p_run.push(
-                powers
-                    .iter()
-                    .map(|&p| inference::run_power(m, platform, p))
-                    .collect(),
-            );
-        }
+        let (powers, t_prof, p_run) = profile_device(&rows, platform, share_of(k + 1))?;
         table.add_device(platform.id().to_string(), powers, t_prof, p_run)?;
     }
     Ok((table, index_map))
@@ -174,7 +158,7 @@ pub fn build_table_multi(
 
 /// Builds the decision-table bundle ALERT schedules over: `family`
 /// restricted to `set`, profiled on every node device (`platforms[0]`
-/// first, see [`build_table_multi`]) under `shared_budget`, with each
+/// first, see [`build_table`]) under `shared_budget`, with each
 /// table model row mapped back to its index in the unrestricted
 /// `family`. This is the one table construction path of the ALERT
 /// policies and of serving admission
@@ -182,15 +166,27 @@ pub fn build_table_multi(
 ///
 /// # Errors
 ///
-/// See [`build_table_multi`].
+/// Returns a description of the problem when `family` has no member in
+/// `set`; otherwise see [`build_table`].
 pub fn decision_tables(
     family: &ModelFamily,
     set: CandidateSet,
     platforms: &[&Platform],
     shared_budget: Option<Watts>,
 ) -> Result<Arc<DecisionTables>, String> {
+    // `restrict` panics on an empty result (`ModelFamily::new`), so an
+    // empty candidate set must be refused here.
+    let anytime = family.anytime_members().count();
+    let empty = match set {
+        CandidateSet::Standard => false,
+        CandidateSet::AnytimeOnly => anytime == 0,
+        CandidateSet::TraditionalOnly => anytime == family.len(),
+    };
+    if empty {
+        return Err(format!("family {} has no {set:?} candidate", family.name()));
+    }
     let restricted = family.restrict(set);
-    let (table, index_map) = build_table_multi(&restricted, platforms, shared_budget)?;
+    let (table, index_map) = build_table(&restricted, platforms, shared_budget)?;
     // Map restricted indices back to the *original* family indices.
     let family_map: Vec<usize> = index_map
         .iter()
@@ -428,10 +424,10 @@ mod tests {
     fn table_covers_family_times_powers() {
         let family = ModelFamily::image_classification();
         let platform = Platform::cpu1();
-        let (table, map) = build_table(&family, &platform).unwrap();
+        let (table, map) = build_table(&family, &[&platform], None).unwrap();
         assert_eq!(table.models().len(), 6);
         assert_eq!(map.len(), 6);
-        assert_eq!(table.powers().len(), 15);
+        assert_eq!(table.powers_on(0).len(), 15);
         // Anytime model contributes 4 stages: 5×1 + 4 = 9 stage rows.
         assert_eq!(table.candidate_count(), 9 * 15);
     }
@@ -440,14 +436,14 @@ mod tests {
     fn embedded_filters_oversized_models() {
         let family = ModelFamily::sentence_prediction();
         let platform = Platform::embedded();
-        let (table, _) = build_table(&family, &platform).unwrap();
+        let (table, _) = build_table(&family, &[&platform], None).unwrap();
         // Only models ≤ 0.4 GB fit: rnn_w128..w1024 (0.35) and the
         // width-nest (0.38): all six fit.
         assert_eq!(table.models().len(), 6);
         let family = ModelFamily::image_classification();
         // No image model fits 0.4 GB except sparse_resnet_8 (0.15),
         // sparse_resnet_14 (0.22) and sparse_resnet_26 (0.34).
-        let (table, _) = build_table(&family, &platform).unwrap();
+        let (table, _) = build_table(&family, &[&platform], None).unwrap();
         assert_eq!(table.models().len(), 3);
     }
 

@@ -21,22 +21,29 @@ pub struct AppOnly {
 }
 
 impl AppOnly {
-    /// Creates the scheme from a family containing an anytime model.
+    /// Creates the scheme around the family's first anytime model that
+    /// fits `platform`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the family has no anytime member that fits the platform.
-    pub fn new(family: &ModelFamily, platform: &Platform) -> Self {
+    /// Returns a description of the problem when no anytime model of the
+    /// family fits the platform.
+    pub fn new(family: &ModelFamily, platform: &Platform) -> Result<Self, String> {
         let model = family
             .models()
             .iter()
             .position(|m| m.is_anytime() && platform.supports_footprint(m.footprint_gb))
-            // lint:allow(no-panic): documented panic contract — a baseline without its required model is a setup error
-            .expect("App-only needs an anytime model that fits the platform");
-        AppOnly {
+            .ok_or_else(|| {
+                format!(
+                    "App-only needs an anytime model of family {} that fits platform {}",
+                    family.name(),
+                    platform.id()
+                )
+            })?;
+        Ok(AppOnly {
             model,
             default_cap: platform.default_cap(),
-        }
+        })
     }
 }
 
@@ -72,7 +79,7 @@ mod tests {
     fn picks_anytime_at_max_cap() {
         let family = ModelFamily::image_classification();
         let platform = Platform::cpu1();
-        let mut s = AppOnly::new(&family, &platform);
+        let mut s = AppOnly::new(&family, &platform).unwrap();
         let d = s.decide(&InputContext {
             index: 0,
             deadline: Seconds(0.2),
@@ -85,10 +92,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "needs an anytime model")]
     fn rejects_family_without_anytime() {
         let family = ModelFamily::image_classification()
             .restrict(alert_models::family::CandidateSet::TraditionalOnly);
-        let _ = AppOnly::new(&family, &Platform::cpu1());
+        let err = AppOnly::new(&family, &Platform::cpu1()).err().unwrap();
+        assert!(err.contains("needs an anytime model"), "{err}");
     }
 }

@@ -64,11 +64,6 @@ impl BudgetTracker {
         }
     }
 
-    /// Remaining budget of the active group (zero outside groups).
-    pub fn remaining(&self) -> Seconds {
-        self.remaining
-    }
-
     /// `true` while a group's budget is being consumed — i.e. at least
     /// one member's deadline has been claimed and members remain.
     ///
@@ -186,15 +181,6 @@ mod tests {
             assert!(d.get() <= 1e-6, "member {member} got slack {d}");
             b.consume(Seconds(0.0));
         }
-    }
-
-    #[test]
-    fn remaining_is_zero_outside_groups() {
-        let mut b = BudgetTracker::new();
-        assert_eq!(b.remaining(), Seconds::ZERO);
-        let _ = b.next_deadline(Seconds(0.1), None);
-        b.consume(Seconds(0.5));
-        assert_eq!(b.remaining(), Seconds::ZERO);
     }
 
     #[test]

@@ -39,8 +39,6 @@ struct Inner {
     trace: WorkloadTrace,
     /// session id → stream id, learned from `SessionOpened`.
     streams: BTreeMap<u64, u64>,
-    sessions_opened: usize,
-    sessions_closed: usize,
 }
 
 /// Captures runtime events into a [`WorkloadTrace`]. See the module
@@ -58,8 +56,6 @@ impl TraceRecorder {
             inner: Arc::new(Mutex::new(Inner {
                 trace: WorkloadTrace::new(source, seed),
                 streams: BTreeMap::new(),
-                sessions_opened: 0,
-                sessions_closed: 0,
             })),
         }
     }
@@ -72,12 +68,6 @@ impl TraceRecorder {
     /// `true` when nothing has been captured yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Sessions seen opening / closing through this recorder.
-    pub fn session_counts(&self) -> (usize, usize) {
-        let inner = self.inner.lock();
-        (inner.sessions_opened, inner.sessions_closed)
     }
 
     /// A copy of the capture so far.
@@ -102,7 +92,6 @@ impl EventSink for TraceRecorder {
                 session, stream, ..
             } => {
                 inner.streams.insert(session.0, stream.0);
-                inner.sessions_opened += 1;
             }
             EpisodeEvent::InputProcessed { session, record } => {
                 let stream = inner.streams.get(&session.0).copied().unwrap_or(0);
@@ -128,12 +117,10 @@ impl EventSink for TraceRecorder {
                     }),
                 });
             }
-            EpisodeEvent::SessionClosed { .. } => {
-                inner.sessions_closed += 1;
-            }
-            // Telemetry is observability, not workload: a captured trace
-            // must replay identically whether telemetry was on or off.
-            EpisodeEvent::Telemetry { .. } => {}
+            // A close adds nothing to replay. Telemetry is observability,
+            // not workload: a captured trace must replay identically
+            // whether telemetry was on or off.
+            EpisodeEvent::SessionClosed { .. } | EpisodeEvent::Telemetry { .. } => {}
         }
     }
 }
@@ -168,7 +155,6 @@ mod tests {
         let episode = rt.close(id).unwrap();
 
         assert_eq!(recorder.len(), 40);
-        assert_eq!(recorder.session_counts(), (1, 1));
         let trace = recorder.snapshot();
         assert_eq!(trace.sessions(), vec![id.0]);
         for (k, (r, rec)) in trace

@@ -34,17 +34,16 @@
 //! one device, and a
 //! [`ScriptEvent::GpuThrottle`](alert_workload::ScriptEvent) binds to
 //! every GPU backend by mapping clock steps onto that board's power
-//! ceiling. The `*_on` method family ([`EpisodeEnv::realize_on`] etc.)
-//! evaluates any device; the legacy single-device methods delegate to
-//! device `0`, so single-platform episodes are bit-identical to builds
-//! that predate the device axis.
+//! ceiling. The `*_on` methods ([`EpisodeEnv::realize_on`] etc.) take the
+//! device index; a single-platform episode is the one-device case
+//! (device `0`), bit-identical to builds that predate the device axis.
 
 use alert_models::inference::{self, InferenceResult, StopPolicy};
 use alert_models::ModelProfile;
 use alert_platform::contention::{ContentionDraws, ContentionKind};
 use alert_platform::error::PowerError;
 use alert_platform::platform::{FreqResponse, NoiseDraws, PlatformId};
-use alert_platform::Platform;
+use alert_platform::{PeriodEnergy, Platform};
 use alert_stats::rng::stream_rng;
 use alert_stats::units::{Joules, Seconds, Watts};
 use alert_workload::{
@@ -442,33 +441,23 @@ impl EpisodeEnv {
         }
     }
 
-    /// The cap the platform actually programs when `requested` is asked
-    /// for at input `i`: the scripted ceiling clamps silently, exactly
-    /// like a RAPL limit the scheduler was not told about.
-    pub fn effective_cap(&self, i: usize, requested: Watts) -> Watts {
-        self.effective_cap_on(0, i, requested)
-    }
-
-    /// [`EpisodeEnv::effective_cap`] for any device.
-    pub fn effective_cap_on(&self, device: usize, i: usize, requested: Watts) -> Watts {
+    /// The cap `device` actually programs when `requested` is asked for
+    /// at input `i`: the scripted ceiling clamps silently, exactly like a
+    /// RAPL limit the scheduler was not told about.
+    fn effective_cap_on(&self, device: usize, i: usize, requested: Watts) -> Watts {
         match self.cap_limit_on(device, i) {
             Some(limit) => requested.min(limit),
             None => requested,
         }
     }
 
-    /// The deterministic environment factor input `i` applies to `profile`
-    /// (scale × baseline noise × contention inflation of every active
-    /// co-runner kind).
-    pub fn env_factor(&self, i: usize, profile: &ModelProfile) -> f64 {
-        self.env_factor_on(0, i, profile)
-    }
-
-    /// [`EpisodeEnv::env_factor`] for any device: the draws are shared
+    /// The deterministic environment factor input `i` applies to
+    /// `profile` on `device` (scale × baseline noise × contention
+    /// inflation of every active co-runner kind). The draws are shared
     /// (the frozen state is platform-independent), but each device maps
     /// them through its own noise and contention models, so the same
     /// co-runner hurts a GPU and a CPU differently.
-    pub fn env_factor_on(&self, device: usize, i: usize, profile: &ModelProfile) -> f64 {
+    fn env_factor_on(&self, device: usize, i: usize, profile: &ModelProfile) -> f64 {
         let platform = self.platform_on(device);
         let r = &self.realizations[i];
         let mut f = r.scale * platform.noise().factor_from_draws(&r.noise);
@@ -485,8 +474,8 @@ impl EpisodeEnv {
         f
     }
 
-    /// Executes input `i` with `profile` at `cap` under `stop`, after
-    /// applying the scripted cap ceiling.
+    /// Executes input `i` with `profile` on `device` at `cap` under
+    /// `stop`, after applying the device's scripted cap ceiling.
     ///
     /// When a ceiling clamps the request, the execution runs at the
     /// clamped cap but the result's `profile_equivalent` is billed
@@ -497,24 +486,9 @@ impl EpisodeEnv {
     ///
     /// # Errors
     ///
-    /// Fails when the cap is infeasible for the platform — schedulers
-    /// pick caps from [`Platform::power_settings`], so this indicates a
-    /// malformed caller, reported instead of panicking.
-    pub fn realize(
-        &self,
-        i: usize,
-        profile: &ModelProfile,
-        cap: Watts,
-        stop: StopPolicy,
-    ) -> Result<InferenceResult, EnvError> {
-        self.realize_on(0, i, profile, cap, stop)
-    }
-
-    /// [`EpisodeEnv::realize`] for any device.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the cap is infeasible for that device's platform.
+    /// Fails when the cap is infeasible for the device's platform —
+    /// schedulers pick caps from [`Platform::power_settings`], so this
+    /// indicates a malformed caller, reported instead of panicking.
     pub fn realize_on(
         &self,
         device: usize,
@@ -537,14 +511,9 @@ impl EpisodeEnv {
         Ok(result)
     }
 
-    /// Power drawn while input `i`'s pipeline idles at `cap`: the base
-    /// idle draw plus the extra draw of every active co-runner, never
-    /// exceeding the (ceiling-clamped) cap.
-    pub fn idle_draw(&self, i: usize, cap: Watts) -> Watts {
-        self.idle_draw_on(0, i, cap)
-    }
-
-    /// [`EpisodeEnv::idle_draw`] for any device.
+    /// Power `device` draws while input `i`'s pipeline idles at `cap`:
+    /// the base idle draw plus the extra draw of every active co-runner,
+    /// never exceeding the (ceiling-clamped) cap.
     pub fn idle_draw_on(&self, device: usize, i: usize, cap: Watts) -> Watts {
         let platform = self.platform_on(device);
         let cap = self.effective_cap_on(device, i, cap);
@@ -563,19 +532,9 @@ impl EpisodeEnv {
         draw.min(cap)
     }
 
-    /// Period energy of input `i` given the chosen profile/cap and the
-    /// realized execution.
-    pub fn period_energy(
-        &self,
-        i: usize,
-        profile: &ModelProfile,
-        cap: Watts,
-        result: &InferenceResult,
-    ) -> Joules {
-        self.period_energy_on(0, i, profile, cap, result)
-    }
-
-    /// [`EpisodeEnv::period_energy`] for any device.
+    /// Period energy of input `i` on `device`, given the chosen
+    /// profile/cap and the realized execution: run energy plus the idle
+    /// energy of the rest of the period.
     pub fn period_energy_on(
         &self,
         device: usize,
@@ -588,8 +547,7 @@ impl EpisodeEnv {
         let cap = self.effective_cap_on(device, i, cap);
         let run_p = inference::run_power(profile, platform, cap);
         let idle_p = self.idle_draw_on(device, i, cap);
-        let idle_time = Seconds((self.period(i) - result.latency).get().max(0.0));
-        run_p * result.latency + idle_p * idle_time
+        PeriodEnergy::from_draws(run_p, result.latency, idle_p, self.period(i)).total()
     }
 }
 
@@ -646,8 +604,8 @@ mod tests {
         let mut n = 0;
         for i in 0..env.len() {
             if env.active(i) {
-                sens_sum += env.env_factor(i, &mem_sensitive);
-                insens_sum += env.env_factor(i, &mem_insensitive);
+                sens_sum += env.env_factor_on(0, i, &mem_sensitive);
+                insens_sum += env.env_factor_on(0, i, &mem_insensitive);
                 n += 1;
             }
         }
@@ -665,12 +623,12 @@ mod tests {
         let cap = Watts(100.0);
         for i in [0, 50, 150] {
             let r = env
-                .realize(i, &m, cap, StopPolicy::RunToCompletion)
+                .realize_on(0, i, &m, cap, StopPolicy::RunToCompletion)
                 .unwrap();
             let expected = inference::profile_latency(&m, env.platform(), cap)
                 .expect("feasible preset cap")
                 .get()
-                * env.env_factor(i, &m);
+                * env.env_factor_on(0, i, &m);
             assert!((r.latency.get() - expected).abs() < 1e-12);
         }
     }
@@ -680,7 +638,7 @@ mod tests {
         // Regression: this used to `expect()` deep in the env path.
         let (env, _) = setup(Scenario::default_env());
         let m = resnet50();
-        let err = env.realize(0, &m, Watts(1.0), StopPolicy::RunToCompletion);
+        let err = env.realize_on(0, 0, &m, Watts(1.0), StopPolicy::RunToCompletion);
         assert!(matches!(err, Err(EnvError::Power(_))), "{err:?}");
     }
 
@@ -703,9 +661,9 @@ mod tests {
         let m = resnet50();
         let cap = Watts(100.0);
         let r = env
-            .realize(0, &m, cap, StopPolicy::RunToCompletion)
+            .realize_on(0, 0, &m, cap, StopPolicy::RunToCompletion)
             .unwrap();
-        let e = env.period_energy(0, &m, cap, &r);
+        let e = env.period_energy_on(0, 0, &m, cap, &r);
         let run_only = inference::run_power(&m, env.platform(), cap) * r.latency;
         assert!(e > run_only, "idle energy must be accounted");
     }
@@ -719,8 +677,8 @@ mod tests {
         let mut m2 = resnet50();
         m2.ref_latency_s *= 0.5;
         for i in 0..20 {
-            let f1 = env.env_factor(i, &m1);
-            let f2 = env.env_factor(i, &m2);
+            let f1 = env.env_factor_on(0, i, &m1);
+            let f2 = env.env_factor_on(0, i, &m2);
             // Same sensitivity → identical factor (scale & draws shared).
             assert!((f1 - f2).abs() < 1e-12);
         }
@@ -738,20 +696,20 @@ mod tests {
         let cap = Watts(100.0);
         let n = env.len();
         // Before the mark: unrestricted; after: clamped to the range min.
-        assert_eq!(env.effective_cap(0, cap), cap);
-        assert_eq!(env.effective_cap(n - 1, cap), cap_min);
+        assert_eq!(env.effective_cap_on(0, 0, cap), cap);
+        assert_eq!(env.effective_cap_on(0, n - 1, cap), cap_min);
         let boundary = (0..n)
             .find(|&i| env.realization(i).cap_limit.is_some())
             .expect("cap step must land");
         assert!(boundary > n / 3 && boundary < 2 * n / 3, "at {boundary}");
         // Realized latency after the mark equals the min-cap latency.
         let r = env
-            .realize(n - 1, &m, cap, StopPolicy::RunToCompletion)
+            .realize_on(0, n - 1, &m, cap, StopPolicy::RunToCompletion)
             .unwrap();
         let expected = inference::profile_latency(&m, env.platform(), cap_min)
             .expect("min cap feasible")
             .get()
-            * env.env_factor(n - 1, &m);
+            * env.env_factor_on(0, n - 1, &m);
         assert!((r.latency.get() - expected).abs() < 1e-12);
     }
 
@@ -1040,7 +998,7 @@ mod tests {
         assert!(!both.is_empty(), "no overlap for this seed");
         let m = resnet50();
         let i = both[0];
-        let f_both = env.env_factor(i, &m);
+        let f_both = env.env_factor_on(0, i, &m);
         let noise = env
             .platform()
             .noise()
@@ -1067,7 +1025,7 @@ mod tests {
             .contention_model(ContentionKind::Compute)
             .idle_draw_extra;
         assert_eq!(
-            env.idle_draw(i, cap),
+            env.idle_draw_on(0, i, cap),
             (base_idle + extra_mem + extra_cmp).min(cap)
         );
     }
@@ -1091,32 +1049,6 @@ mod tests {
         // No device events scripted → no extra-device ceilings either.
         for i in 0..hetero.len() {
             assert_eq!(hetero.cap_limit_on(1, i), None);
-        }
-    }
-
-    #[test]
-    fn legacy_methods_are_device_zero() {
-        let env = hetero_setup(Scenario::compute_env(5));
-        let m = resnet50();
-        let cap = Watts(100.0);
-        for i in [0, 50, 150] {
-            assert_eq!(env.effective_cap(i, cap), env.effective_cap_on(0, i, cap));
-            assert_eq!(
-                env.env_factor(i, &m).to_bits(),
-                env.env_factor_on(0, i, &m).to_bits()
-            );
-            assert_eq!(env.idle_draw(i, cap), env.idle_draw_on(0, i, cap));
-            let a = env
-                .realize(i, &m, cap, StopPolicy::RunToCompletion)
-                .unwrap();
-            let b = env
-                .realize_on(0, i, &m, cap, StopPolicy::RunToCompletion)
-                .unwrap();
-            assert_eq!(a, b);
-            assert_eq!(
-                env.period_energy(i, &m, cap, &a),
-                env.period_energy_on(0, i, &m, cap, &b)
-            );
         }
     }
 

@@ -195,7 +195,10 @@ fn run_cell(
             )
         })
         .collect();
-    let static_choice = OracleStatic::for_cell(&cell, family.clone(), &stream).choice();
+    let static_choice = OracleStatic::for_cell(&cell, family.clone(), &stream)
+        // lint:allow(no-panic): experiment-harness wiring over the built-in registry and library scenarios; failure is a programming error, not a runtime condition
+        .expect("paper families fit the paper platforms")
+        .choice();
 
     let results: Mutex<Vec<(usize, SettingOutcome)>> = Mutex::new(Vec::new());
     let next: Mutex<usize> = Mutex::new(0);

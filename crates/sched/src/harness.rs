@@ -378,8 +378,8 @@ mod tests {
                 .get()
         };
         let mut alert = AlertScheduler::standard(&f.family, &f.platform, f.goal).unwrap();
-        let mut oracle = Oracle::new(f.env.clone(), f.family.clone(), f.goal);
-        let mut app = AppOnly::new(&f.family, &f.platform);
+        let mut oracle = Oracle::new(f.env.clone(), f.family.clone(), f.goal).unwrap();
+        let mut app = AppOnly::new(&f.family, &f.platform).unwrap();
         let e_alert = run(&mut alert);
         let e_oracle = run(&mut oracle);
         let e_app = run(&mut app);
@@ -402,7 +402,7 @@ mod tests {
             Scenario::default_env(),
             150,
         );
-        let mut sys = SysOnly::new(&f.family, &f.platform, f.goal);
+        let mut sys = SysOnly::new(&f.family, &[&f.platform], f.goal).unwrap();
         let ep = run_episode(&mut sys, &f.env, &f.family, &f.stream, &f.goal).unwrap();
         assert!(
             ep.summary.disqualified(),
@@ -433,7 +433,7 @@ mod tests {
             Scenario::default_env(),
             150,
         );
-        let mut st = OracleStatic::new(f.env.clone(), f.family.clone(), &f.stream, f.goal);
+        let mut st = OracleStatic::new(f.env.clone(), f.family.clone(), &f.stream, f.goal).unwrap();
         let ep = run_episode(&mut st, &f.env, &f.family, &f.stream, &f.goal).unwrap();
         assert!(!ep.summary.disqualified());
         // Static never changes its configuration.

@@ -7,7 +7,8 @@
 //! * [`mod@env`] — frozen episode environments: identical conditions for every
 //!   scheme, exact counterfactuals for the oracles.
 //! * [`budget`] — shared (sentence) deadline budgets, applied uniformly to
-//!   all schemes by the harness.
+//!   all schemes by the harness: the one place a group's deadline is
+//!   split across its members (§3.2 step 2).
 //! * [`alert`] — ALERT wired to the simulator (+ Any/Trad/\* variants).
 //! * [`oracle`] — the per-input Oracle and the OracleStatic baseline.
 //! * [`app_only`], [`sys_only`], [`no_coord`] — the state-of-the-art
@@ -32,8 +33,8 @@
 //!   saturation-curve bench.
 //! * [`telemetry`] — the deterministic observability layer: typed
 //!   [`TelemetryEvent`](telemetry::TelemetryEvent)s on the existing
-//!   event fan-out, deterministic sampling
-//!   ([`SamplingSink`](telemetry::SamplingSink)), metric folding
+//!   event fan-out, deterministic sampling by input index
+//!   ([`TelemetryConfig`](telemetry::TelemetryConfig)), metric folding
 //!   ([`MetricsCollector`](telemetry::MetricsCollector) over
 //!   `alert_stats::telemetry`), and the miss-explanation
 //!   [`FlightRecorder`](telemetry::FlightRecorder) — all strictly off
@@ -83,7 +84,7 @@ pub mod prelude {
         DropTail, RequestContext, ServingConfig,
     };
     pub use crate::telemetry::{
-        AdmissionTelemetry, FlightRecorder, MetricsCollector, SamplingSink, TelemetryConfig,
+        AdmissionTelemetry, FlightRecorder, MetricsCollector, TelemetryConfig,
     };
     pub use alert_workload::{
         generate_storm, AdmissionVerdict, ArrivalProcess, Goal, GoalPatch, RequestArrival,
@@ -115,6 +116,6 @@ pub use serving::{
 pub use sys_only::SysOnly;
 pub use telemetry::{
     AdmissionConstraint, AdmissionCounts, AdmissionEvent, AdmissionProbe, AdmissionTelemetry,
-    DecisionEvent, FlightEntry, FlightRecorder, MetricsCollector, SamplingSink, SessionFlight,
-    TelemetryConfig, TelemetryEvent,
+    DecisionEvent, FlightEntry, FlightRecorder, MetricsCollector, SessionFlight, TelemetryConfig,
+    TelemetryEvent,
 };

@@ -57,45 +57,42 @@ impl NoCoord {
             .map(|(i, m)| (i, m.clone()))
     }
 
-    /// Creates the scheme around the family's anytime model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the family has no anytime model that fits the platform.
-    pub fn new(family: &ModelFamily, platform: &Platform, goal: Goal) -> Self {
-        let (model, profile) = Self::pin(family, platform)
-            // lint:allow(no-panic): documented panic contract — a baseline without its required model is a setup error
-            .expect("No-coord needs an anytime model that fits the platform");
-        Self::assemble(0, model, profile, platform, goal)
-    }
-
-    /// Creates the scheme on a heterogeneous node: homes the anytime
-    /// model on the device where its full run is fastest at that device's
-    /// top cap. Like [`crate::sys_only::SysOnly::new_placed`], the
+    /// Creates the scheme on a node (`platforms[0]` is device 0): homes
+    /// the family's first anytime model that fits on the device where its
+    /// full run is fastest at that device's top cap (ties go to the lower
+    /// device index). Like [`crate::sys_only::SysOnly::new`], the
     /// placement is static — neither uncoordinated level re-places work.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `platforms` is empty or no anytime model fits any of
-    /// them.
-    pub fn new_placed(family: &ModelFamily, platforms: &[&Platform], goal: Goal) -> Self {
+    /// Returns a description of the problem when no anytime model fits
+    /// any of the platforms.
+    pub fn new(family: &ModelFamily, platforms: &[&Platform], goal: Goal) -> Result<Self, String> {
         let mut best: Option<(usize, usize, ModelProfile, Seconds)> = None;
         for (d, platform) in platforms.iter().enumerate() {
             let Some((model, profile)) = Self::pin(family, platform) else {
                 continue;
             };
             let top = platform.cap_range().max();
-            let t = inference::profile_latency(&profile, platform, top)
-                // lint:allow(no-panic): the top of the platform's own cap range is always feasible
-                .expect("top cap feasible");
+            let t =
+                inference::profile_latency(&profile, platform, top).map_err(|e| e.to_string())?;
             if best.as_ref().is_none_or(|&(_, _, _, bt)| t < bt) {
                 best = Some((d, model, profile, t));
             }
         }
-        let (device, model, profile, _) = best
-            // lint:allow(no-panic): documented panic contract — a baseline without its required model is a setup error
-            .expect("No-coord needs an anytime model that fits a platform");
-        Self::assemble(device, model, profile, platforms[device], goal)
+        let (device, model, profile, _) = best.ok_or_else(|| {
+            format!(
+                "No-coord needs an anytime model of family {} that fits the node",
+                family.name()
+            )
+        })?;
+        Ok(Self::assemble(
+            device,
+            model,
+            profile,
+            platforms[device],
+            goal,
+        ))
     }
 
     /// The pinned device.
@@ -248,7 +245,7 @@ mod tests {
         let family = ModelFamily::image_classification();
         let platform = Platform::cpu1();
         let goal = Goal::minimize_energy(Seconds(0.5), 0.9);
-        let mut s = NoCoord::new(&family, &platform, goal);
+        let mut s = NoCoord::new(&family, &[&platform], goal).unwrap();
         let d = s.decide(&ctx(0.5));
         assert!(family.models()[d.model].is_anytime());
     }
@@ -261,7 +258,7 @@ mod tests {
         let family = ModelFamily::image_classification();
         let platform = Platform::cpu1();
         let goal = Goal::minimize_energy(Seconds(0.9), 0.9);
-        let mut s = NoCoord::new(&family, &platform, goal);
+        let mut s = NoCoord::new(&family, &[&platform], goal).unwrap();
         let mut stage_targets = Vec::new();
         let mut d = s.decide(&ctx(0.9));
         for i in 0..20 {

@@ -151,16 +151,34 @@ pub struct Oracle {
     candidates: Vec<OracleCandidate>,
 }
 
+/// The configurations of `family` that fit `env`'s devices, or a
+/// description of the problem when none does.
+fn candidates_on(family: &ModelFamily, env: &EpisodeEnv) -> Result<Vec<OracleCandidate>, String> {
+    let candidates = enumerate(family, env);
+    if candidates.is_empty() {
+        return Err(format!(
+            "no model of family {} fits the node's platforms",
+            family.name()
+        ));
+    }
+    Ok(candidates)
+}
+
 impl Oracle {
     /// Builds the oracle for one episode.
-    pub fn new(env: Arc<EpisodeEnv>, family: ModelFamily, goal: Goal) -> Self {
-        let candidates = enumerate(&family, &env);
-        Oracle {
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the problem when no model of the family
+    /// fits any of the episode's devices.
+    pub fn new(env: Arc<EpisodeEnv>, family: ModelFamily, goal: Goal) -> Result<Self, String> {
+        let candidates = candidates_on(&family, &env)?;
+        Ok(Oracle {
             env,
             family,
             goal,
             candidates,
-        }
+        })
     }
 
     fn pick(&self, i: usize, deadline: Seconds) -> (OracleCandidate, RealizedOutcome) {
@@ -200,7 +218,7 @@ impl Oracle {
         } else {
             best_deadline_only
                 .or(best_any)
-                // lint:allow(no-panic): enumerate() yields at least one candidate for every non-empty family, and families are validated non-empty
+                // lint:allow(no-panic): new() refuses an empty candidate set, and enumerated caps are platform settings, so every candidate realizes and lands in best_any
                 .expect("non-empty candidate set")
         }
     }
@@ -331,12 +349,16 @@ impl OracleStatic {
     /// Exhaustively picks the best static configuration for one episode:
     /// the lowest mean objective among configurations within the 10%
     /// violation budget, else the lowest violation rate.
+    ///
+    /// # Errors
+    ///
+    /// See [`OracleStatic::for_cell`].
     pub fn new(
         env: Arc<EpisodeEnv>,
         family: ModelFamily,
         stream: &InputStream,
         goal: Goal,
-    ) -> Self {
+    ) -> Result<Self, String> {
         Self::for_cell(&[(env, goal)], family, stream)
     }
 
@@ -351,16 +373,19 @@ impl OracleStatic {
     /// Selection: maximize the number of settings met (≤10% of inputs in
     /// violation), then minimize the mean objective across settings.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `cell` is empty or no candidate fits the platform.
+    /// Returns a description of the problem when `cell` is empty or no
+    /// model of the family fits the node's platforms.
     pub fn for_cell(
         cell: &[(Arc<EpisodeEnv>, Goal)],
         family: ModelFamily,
         stream: &InputStream,
-    ) -> Self {
-        assert!(!cell.is_empty(), "cell needs at least one setting");
-        let candidates = enumerate(&family, &cell[0].0); // lint:allow(no-panic): guarded by the non-empty cell assert above
+    ) -> Result<Self, String> {
+        let (first_env, _) = cell
+            .first()
+            .ok_or_else(|| "cell needs at least one setting".to_string())?;
+        let candidates = candidates_on(&family, first_env)?;
         let mut best: Option<(OracleCandidate, usize, f64, StaticScore)> = None;
         for c in candidates {
             let mut met = 0usize;
@@ -388,12 +413,12 @@ impl OracleStatic {
                 best = Some((c, met, mean_obj, first_score.expect("non-empty cell")));
             }
         }
-        // lint:allow(no-panic): enumerate() yields at least one candidate for every non-empty family, and families are validated non-empty
+        // lint:allow(no-panic): candidates_on() refuses an empty candidate set, and the first candidate always lands in best
         let (choice, _, _, score) = best.expect("non-empty candidate set");
-        OracleStatic {
+        Ok(OracleStatic {
             choice,
             score: Some(score),
-        }
+        })
     }
 
     /// Rebuilds the scheme from a previously selected configuration
@@ -460,7 +485,7 @@ mod tests {
     #[test]
     fn oracle_meets_constraints_when_feasible() {
         let (env, family, _, goal) = setup();
-        let mut oracle = Oracle::new(env.clone(), family.clone(), goal);
+        let mut oracle = Oracle::new(env.clone(), family.clone(), goal).unwrap();
         for i in 0..50 {
             let ctx = InputContext {
                 index: i,
@@ -470,7 +495,7 @@ mod tests {
             };
             let d = oracle.decide(&ctx);
             let profile = &family.models()[d.model];
-            let result = env.realize(i, profile, d.cap, d.stop).unwrap();
+            let result = env.realize_on(d.device, i, profile, d.cap, d.stop).unwrap();
             let q = result.quality_by(ctx.deadline, profile.fail_quality);
             assert!(
                 result.latency <= ctx.deadline && q >= 0.90 - 1e-12,
@@ -483,9 +508,9 @@ mod tests {
     #[test]
     fn oracle_beats_static_on_objective() {
         let (env, family, stream, goal) = setup();
-        let static_o = OracleStatic::new(env.clone(), family.clone(), &stream, goal);
+        let static_o = OracleStatic::new(env.clone(), family.clone(), &stream, goal).unwrap();
         let static_score = static_o.score.expect("selection computes a score");
-        let mut oracle = Oracle::new(env.clone(), family.clone(), goal);
+        let mut oracle = Oracle::new(env.clone(), family.clone(), goal).unwrap();
         // Average oracle energy over measured inputs must be ≤ static's.
         let warmup = stream.warmup_len();
         let mut sum = 0.0;
@@ -499,9 +524,11 @@ mod tests {
             };
             let d = oracle.decide(&ctx);
             let profile = &family.models()[d.model];
-            let result = env.realize(i, profile, d.cap, d.stop).unwrap();
+            let result = env.realize_on(d.device, i, profile, d.cap, d.stop).unwrap();
             if i >= warmup {
-                sum += env.period_energy(i, profile, d.cap, &result).get();
+                sum += env
+                    .period_energy_on(d.device, i, profile, d.cap, &result)
+                    .get();
                 n += 1;
             }
         }
@@ -520,7 +547,7 @@ mod tests {
     #[test]
     fn static_choice_is_feasible_when_possible() {
         let (env, family, stream, goal) = setup();
-        let s = OracleStatic::new(env, family, &stream, goal);
+        let s = OracleStatic::new(env, family, &stream, goal).unwrap();
         let score = s.score.expect("selection computes a score");
         assert!(
             score.violation_rate <= VIOLATION_DISQUALIFY_FRACTION,
@@ -546,8 +573,9 @@ mod tests {
             )
         };
         let cell = vec![(mk_env(&loose), loose), (mk_env(&tight), tight)];
-        let cell_static = OracleStatic::for_cell(&cell, family.clone(), &stream);
-        let loose_static = OracleStatic::new(mk_env(&loose), family.clone(), &stream, loose);
+        let cell_static = OracleStatic::for_cell(&cell, family.clone(), &stream).unwrap();
+        let loose_static =
+            OracleStatic::new(mk_env(&loose), family.clone(), &stream, loose).unwrap();
         // The per-setting optimum for the loose setting is cheaper than
         // the cell-level compromise evaluated on that same setting.
         let cell_on_loose =
@@ -580,7 +608,7 @@ mod tests {
         assert!(cands.iter().any(|c| c.device == 0));
         assert!(cands.iter().any(|c| c.device == 1));
 
-        let mut oracle = Oracle::new(env.clone(), family.clone(), goal);
+        let mut oracle = Oracle::new(env.clone(), family.clone(), goal).unwrap();
         for i in 0..50 {
             let ctx = InputContext {
                 index: i,
@@ -606,7 +634,7 @@ mod tests {
         let (env, family, _, _) = setup();
         // 1 ms deadline: nothing completes.
         let goal = Goal::minimize_energy(Seconds(0.001), 0.99);
-        let mut oracle = Oracle::new(env, family, goal);
+        let mut oracle = Oracle::new(env, family, goal).unwrap();
         let d = oracle.decide(&InputContext {
             index: 0,
             deadline: goal.deadline,

@@ -307,35 +307,24 @@ impl PolicyRegistry {
             Some(ProbabilityMode::MeanOnly),
         )));
         r.register_fn("Oracle", |ctx| {
-            Ok(
-                Box::new(Oracle::new(ctx.env.clone(), ctx.family.clone(), ctx.goal))
-                    as Box<dyn Scheduler>,
-            )
+            let oracle = Oracle::new(ctx.env.clone(), ctx.family.clone(), ctx.goal)?;
+            Ok(Box::new(oracle) as Box<dyn Scheduler>)
         });
         r.register_fn("OracleStatic", |ctx| {
-            Ok(Box::new(OracleStatic::new(
-                ctx.env.clone(),
-                ctx.family.clone(),
-                ctx.stream,
-                ctx.goal,
-            )) as Box<dyn Scheduler>)
+            let oracle =
+                OracleStatic::new(ctx.env.clone(), ctx.family.clone(), ctx.stream, ctx.goal)?;
+            Ok(Box::new(oracle) as Box<dyn Scheduler>)
         });
         r.register_fn("App-only", |ctx| {
-            Ok(Box::new(AppOnly::new(ctx.family, ctx.platform)) as Box<dyn Scheduler>)
+            Ok(Box::new(AppOnly::new(ctx.family, ctx.platform)?) as Box<dyn Scheduler>)
         });
         r.register_fn("Sys-only", |ctx| {
-            Ok(Box::new(SysOnly::new_placed(
-                ctx.family,
-                &node_platforms(ctx),
-                ctx.goal,
-            )) as Box<dyn Scheduler>)
+            let sys = SysOnly::new(ctx.family, &node_platforms(ctx), ctx.goal)?;
+            Ok(Box::new(sys) as Box<dyn Scheduler>)
         });
         r.register_fn("No-coord", |ctx| {
-            Ok(Box::new(NoCoord::new_placed(
-                ctx.family,
-                &node_platforms(ctx),
-                ctx.goal,
-            )) as Box<dyn Scheduler>)
+            let nc = NoCoord::new(ctx.family, &node_platforms(ctx), ctx.goal)?;
+            Ok(Box::new(nc) as Box<dyn Scheduler>)
         });
         r
     }
@@ -532,7 +521,7 @@ mod tests {
         };
         let mut r = PolicyRegistry::builtin();
         r.register_fn("ALERT", |ctx| {
-            Ok(Box::new(AppOnly::new(ctx.family, ctx.platform)) as Box<dyn Scheduler>)
+            Ok(Box::new(AppOnly::new(ctx.family, ctx.platform)?) as Box<dyn Scheduler>)
         });
         let s = r.build("ALERT", &ctx).unwrap();
         assert_eq!(s.name(), "App-only");

@@ -370,7 +370,8 @@ impl SessionOptions<'_> {
     /// # Errors
     ///
     /// [`crate::Error::InvalidSpec`] on a malformed spec, an
-    /// out-of-range shard, or a scheduler without an environment;
+    /// out-of-range shard, a scheduler without an environment, or an
+    /// environment with fewer inputs than its stream;
     /// [`crate::Error::Policy`] when the policy name fails to resolve
     /// or rejects the session context.
     pub fn open(self) -> Result<SessionId, crate::Error> {
@@ -857,6 +858,15 @@ impl Runtime {
             // out-of-band state, e.g. a cell-pinned static oracle). Not
             // checkpointable: the runtime cannot rebuild the environment.
             (Some((stream, env)), scheduler) => {
+                // Every input is realized from the environment's frozen
+                // state, so a shorter environment would fail mid-stream.
+                if env.len() < stream.len() {
+                    return Err(RuntimeError::InvalidSpec(format!(
+                        "the environment realizes {} inputs, the stream has {}",
+                        env.len(),
+                        stream.len()
+                    )));
+                }
                 let scheduler = match scheduler {
                     Some(scheduler) => scheduler,
                     None => {
@@ -1279,7 +1289,7 @@ mod tests {
     #[test]
     fn builder_rejects_scheduler_without_environment() {
         let mut rt = runtime();
-        let sched = crate::app_only::AppOnly::new(rt.family(), rt.platform());
+        let sched = crate::app_only::AppOnly::new(rt.family(), rt.platform()).unwrap();
         assert!(matches!(
             rt.session(spec(1)).with(Box::new(sched)).open(),
             Err(crate::Error::InvalidSpec(_))
@@ -1631,6 +1641,32 @@ mod tests {
             rt.snapshot_session(id),
             Err(RuntimeError::NotCheckpointable(_, _))
         ));
+    }
+
+    #[test]
+    fn external_env_must_realize_every_input_of_the_stream() {
+        let mut rt = runtime();
+        let goal = Goal::minimize_energy(Seconds(0.4), 0.9);
+        let stream = InputStream::generate(TaskId::Img2, 10, 9);
+        let short = Arc::new(
+            EpisodeEnv::build(
+                rt.platform(),
+                &Scenario::default_env(),
+                &InputStream::generate(TaskId::Img2, 5, 9),
+                &goal,
+                9,
+            )
+            .unwrap(),
+        );
+        let opened = rt
+            .session(SessionSpec::external(goal))
+            .policy("ALERT")
+            .on(stream, short)
+            .open();
+        assert!(
+            matches!(opened, Err(crate::Error::InvalidSpec(_))),
+            "{opened:?}"
+        );
     }
 
     #[test]

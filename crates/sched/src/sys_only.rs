@@ -80,47 +80,44 @@ impl SysOnly {
         }
     }
 
-    /// Creates the scheme: pins the fastest *traditional* model that fits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no traditional model fits the platform.
-    pub fn new(family: &ModelFamily, platform: &Platform, goal: Goal) -> Self {
-        let (model, profile) = Self::pin(family, platform)
-            // lint:allow(no-panic): documented panic contract — a baseline without its required model is a setup error
-            .expect("Sys-only needs a traditional model that fits the platform");
-        Self::assemble(0, model, profile, platform, goal)
-    }
-
-    /// Creates the scheme on a heterogeneous node: pins the (device,
-    /// model) pair with the fastest profiled latency at each device's top
-    /// cap — \[63\]'s "use the fastest candidate DNN" rule generalized
-    /// across backends. The placement is static; the \[63\]-style power
-    /// controller then manages that one device's cap (system-level
+    /// Creates the scheme on a node (`platforms[0]` is device 0): pins
+    /// the (device, model) pair with the fastest profiled latency at each
+    /// device's top cap — \[63\]'s "use the fastest candidate DNN" rule,
+    /// over the traditional models that fit each device. Ties go to the
+    /// lower device index. The placement is static; the \[63\]-style
+    /// power controller then manages that one device's cap (system-level
     /// adaptation does not re-place work mid-stream).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `platforms` is empty or no traditional model fits any of
-    /// them.
-    pub fn new_placed(family: &ModelFamily, platforms: &[&Platform], goal: Goal) -> Self {
+    /// Returns a description of the problem when no traditional model
+    /// fits any of the platforms.
+    pub fn new(family: &ModelFamily, platforms: &[&Platform], goal: Goal) -> Result<Self, String> {
         let mut best: Option<(usize, usize, ModelProfile, Seconds)> = None;
         for (d, platform) in platforms.iter().enumerate() {
             let Some((model, profile)) = Self::pin(family, platform) else {
                 continue;
             };
             let top = platform.cap_range().max();
-            let t = inference::profile_latency(&profile, platform, top)
-                // lint:allow(no-panic): the top of the platform's own cap range is always feasible
-                .expect("top cap feasible");
+            let t =
+                inference::profile_latency(&profile, platform, top).map_err(|e| e.to_string())?;
             if best.as_ref().is_none_or(|&(_, _, _, bt)| t < bt) {
                 best = Some((d, model, profile, t));
             }
         }
-        let (device, model, profile, _) = best
-            // lint:allow(no-panic): documented panic contract — a baseline without its required model is a setup error
-            .expect("Sys-only needs a traditional model that fits a platform");
-        Self::assemble(device, model, profile, platforms[device], goal)
+        let (device, model, profile, _) = best.ok_or_else(|| {
+            format!(
+                "Sys-only needs a traditional model of family {} that fits the node",
+                family.name()
+            )
+        })?;
+        Ok(Self::assemble(
+            device,
+            model,
+            profile,
+            platforms[device],
+            goal,
+        ))
     }
 
     /// The pinned model's family index.
@@ -213,7 +210,7 @@ mod tests {
         let family = ModelFamily::image_classification();
         let platform = Platform::cpu1();
         let goal = Goal::minimize_energy(Seconds(0.5), 0.9);
-        let s = SysOnly::new(&family, &platform, goal);
+        let s = SysOnly::new(&family, &[&platform], goal).unwrap();
         assert_eq!(family.models()[s.model()].name, "sparse_resnet_8");
     }
 
@@ -222,9 +219,9 @@ mod tests {
         let family = ModelFamily::image_classification();
         let platform = Platform::cpu1();
         let goal = Goal::minimize_energy(Seconds(2.0), 0.5);
-        let mut s = SysOnly::new(&family, &platform, goal);
+        let mut s = SysOnly::new(&family, &[&platform], goal).unwrap();
         let relaxed = s.decide(&ctx(2.0));
-        let mut s2 = SysOnly::new(&family, &platform, goal);
+        let mut s2 = SysOnly::new(&family, &[&platform], goal).unwrap();
         let tight = s2.decide(&ctx(0.05));
         assert!(
             relaxed.cap <= tight.cap,
@@ -239,7 +236,7 @@ mod tests {
         let family = ModelFamily::image_classification();
         let platform = Platform::cpu1();
         let goal = Goal::minimize_energy(Seconds(0.08), 0.5);
-        let mut s = SysOnly::new(&family, &platform, goal);
+        let mut s = SysOnly::new(&family, &[&platform], goal).unwrap();
         let before = s.decide(&ctx(0.08));
         // Feed slow observations: ratio 1.8.
         for _ in 0..20 {
@@ -275,7 +272,7 @@ mod tests {
         let family = ModelFamily::image_classification();
         let platform = Platform::cpu1();
         let goal = Goal::minimize_energy(Seconds(0.0001), 0.5);
-        let mut s = SysOnly::new(&family, &platform, goal);
+        let mut s = SysOnly::new(&family, &[&platform], goal).unwrap();
         let d = s.decide(&ctx(0.0001));
         // Fastest profiled latency is at the max cap.
         assert_eq!(d.cap, Watts(45.0));

@@ -54,11 +54,6 @@ pub enum TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// `true` when no decision events are ever emitted.
-    pub fn is_off(&self) -> bool {
-        matches!(self, TelemetryConfig::Off) || matches!(self, TelemetryConfig::Sampled(0))
-    }
-
     /// Whether the decision for input `index` is recorded.
     pub fn records(&self, index: usize) -> bool {
         match self {
@@ -150,40 +145,6 @@ pub struct AdmissionProbe {
     pub predicted_miss: Option<f64>,
     /// ξ belief `(mean, std_dev)` at decision time.
     pub belief: Option<(f64, f64)>,
-}
-
-/// An [`EventSink`] adapter that forwards lifecycle events untouched
-/// and decision telemetry only for sampled input indices. Compose it
-/// around any sink to thin a full telemetry stream deterministically.
-pub struct SamplingSink<S> {
-    inner: S,
-    config: TelemetryConfig,
-}
-
-impl<S: EventSink> SamplingSink<S> {
-    /// Wraps `inner`, forwarding decision events per `config`.
-    pub fn new(inner: S, config: TelemetryConfig) -> Self {
-        SamplingSink { inner, config }
-    }
-
-    /// Unwraps the inner sink.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: EventSink> EventSink for SamplingSink<S> {
-    fn emit(&mut self, event: &EpisodeEvent) {
-        if let EpisodeEvent::Telemetry {
-            event: TelemetryEvent::Decision(d),
-        } = event
-        {
-            if !self.config.records(d.index) {
-                return;
-            }
-        }
-        self.inner.emit(event);
-    }
 }
 
 /// A clonable-handle [`EventSink`] that folds every event into a
@@ -625,37 +586,12 @@ mod tests {
     }
 
     #[test]
-    fn sampling_sink_thins_decisions_deterministically() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let seen2 = seen.clone();
-        let collector = move |e: &EpisodeEvent| {
-            if let EpisodeEvent::Telemetry {
-                event: TelemetryEvent::Decision(d),
-            } = e
-            {
-                seen2.lock().push(d.index);
-            }
-        };
-        let mut sink = SamplingSink::new(collector, TelemetryConfig::Sampled(3));
-        for i in 0..10 {
-            sink.emit(&telemetry(i, false, 0.2));
-        }
-        assert_eq!(*seen.lock(), vec![0, 3, 6, 9]);
-    }
-
-    #[test]
-    fn sampling_sink_off_drops_all_decisions_but_not_lifecycle() {
-        let count = Arc::new(Mutex::new(0usize));
-        let count2 = count.clone();
-        let mut sink = SamplingSink::new(
-            move |_: &EpisodeEvent| {
-                *count2.lock() += 1;
-            },
-            TelemetryConfig::Off,
-        );
-        sink.emit(&telemetry(0, false, 0.2));
-        assert_eq!(*count.lock(), 0);
-        assert!(TelemetryConfig::Sampled(0).is_off());
+    fn sampling_records_every_kth_input() {
+        let recorded = |c: TelemetryConfig| (0..10).filter(|&i| c.records(i)).collect::<Vec<_>>();
+        assert_eq!(recorded(TelemetryConfig::Sampled(3)), vec![0, 3, 6, 9]);
+        assert!(recorded(TelemetryConfig::Sampled(0)).is_empty());
+        assert!(recorded(TelemetryConfig::Off).is_empty());
+        assert_eq!(recorded(TelemetryConfig::Full).len(), 10);
     }
 
     #[test]

@@ -79,24 +79,6 @@ impl KsStatistic {
         }
         Some(KsStatistic { d, n })
     }
-
-    /// An asymptotic critical value at significance `alpha` (e.g. 0.05):
-    /// `c(alpha) / sqrt(n)` with `c(0.05) ≈ 1.358`.
-    ///
-    /// Only the standard significance levels 0.10, 0.05 and 0.01 are
-    /// supported; anything else returns `None`.
-    pub fn critical_value(&self, alpha: f64) -> Option<f64> {
-        let c = if (alpha - 0.10).abs() < 1e-12 {
-            1.224
-        } else if (alpha - 0.05).abs() < 1e-12 {
-            1.358
-        } else if (alpha - 0.01).abs() < 1e-12 {
-            1.628
-        } else {
-            return None;
-        };
-        Some(c / (self.n as f64).sqrt())
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +116,6 @@ mod tests {
             .collect();
         let ks = KsStatistic::against_normal(&xs, &Normal::new(0.0, 1.0)).unwrap();
         assert!(ks.d < 0.01, "d = {}", ks.d);
-        assert!(ks.d < ks.critical_value(0.05).unwrap());
     }
 
     #[test]
@@ -142,7 +123,6 @@ mod tests {
         let xs: Vec<f64> = (0..1000).map(|i| 10.0 + i as f64 * 0.001).collect();
         let ks = KsStatistic::against_normal(&xs, &Normal::new(0.0, 1.0)).unwrap();
         assert!(ks.d > 0.9, "d = {}", ks.d);
-        assert!(ks.d > ks.critical_value(0.01).unwrap());
     }
 
     #[test]
@@ -151,12 +131,5 @@ mod tests {
         let ks = KsStatistic::against_normal(&xs, &Normal::new(0.0, 1.0)).unwrap();
         assert!(ks.d >= 0.0 && ks.d <= 1.0);
         assert_eq!(ks.n, 5);
-    }
-
-    #[test]
-    fn ks_unsupported_alpha() {
-        let ks = KsStatistic { d: 0.1, n: 100 };
-        assert!(ks.critical_value(0.5).is_none());
-        assert!(ks.critical_value(0.05).is_some());
     }
 }

@@ -86,16 +86,6 @@ impl Welford {
         }
     }
 
-    /// The sample variance (divides by `n − 1`), or `0.0` for fewer than two
-    /// observations.
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.population_variance().sqrt()
@@ -222,11 +212,6 @@ impl FiveNumber {
     pub fn iqr(&self) -> f64 {
         self.p75 - self.p25
     }
-
-    /// Whisker span (p90 − p10).
-    pub fn whisker_span(&self) -> f64 {
-        self.p90 - self.p10
-    }
 }
 
 /// Harmonic mean of strictly positive values, the aggregate of the paper's
@@ -270,7 +255,6 @@ mod tests {
         assert_eq!(w.count(), 5);
         assert!((w.mean() - 3.0).abs() < 1e-12);
         assert!((w.population_variance() - 2.0).abs() < 1e-12);
-        assert!((w.sample_variance() - 2.5).abs() < 1e-12);
         assert_eq!(w.min(), 1.0);
         assert_eq!(w.max(), 5.0);
     }
@@ -350,7 +334,6 @@ mod tests {
         assert!(f.p50 <= f.p75);
         assert!(f.p75 <= f.p90);
         assert!(f.iqr() >= 0.0);
-        assert!(f.whisker_span() >= f.iqr());
     }
 
     #[test]

@@ -228,12 +228,6 @@ impl Seconds {
     pub fn from_millis(ms: f64) -> Self {
         Seconds(ms / 1e3)
     }
-
-    /// Returns the duration in milliseconds.
-    #[inline]
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
-    }
 }
 
 #[cfg(test)]
@@ -275,10 +269,9 @@ mod tests {
     }
 
     #[test]
-    fn millis_roundtrip() {
+    fn from_millis_scales_to_seconds() {
         let s = Seconds::from_millis(125.0);
         assert!((s.get() - 0.125).abs() < 1e-15);
-        assert!((s.as_millis() - 125.0).abs() < 1e-12);
     }
 
     #[test]

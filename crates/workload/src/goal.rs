@@ -1,15 +1,14 @@
-//! Goals (user requirements) and dynamic goal adjustment.
+//! Goals (user requirements).
 //!
 //! A [`Goal`] is the controller-facing statement of paper Eqs. 1–2:
 //! optimize one dimension subject to constraints on the other two, with an
 //! optional probability threshold (Eqs. 10–11).
 //!
-//! [`GoalAdjuster`] implements §3.2 step 2: for grouped inputs (the words
-//! of a sentence in NLP1 share one sentence-wide deadline) the per-input
-//! deadline is the remaining budget divided by the remaining members, so
-//! "delays in previous input processing … shorten the available time for
-//! the next input"; and the controller's own worst-case overhead is
-//! subtracted "so that ALERT itself will not cause violations" (§3.2, §4).
+//! §3.2 step 2 adjusts the goal's deadline per input in two places: the
+//! harness's `BudgetTracker` (in `alert-sched`) splits a group's shared
+//! deadline (the words of a sentence in NLP1) across its members for every
+//! scheme, and ALERT's controller subtracts its own worst-case overhead
+//! "so that ALERT itself will not cause violations" (§3.2, §4).
 
 use alert_stats::units::{Joules, Seconds};
 use serde::{Deserialize, Serialize};
@@ -85,7 +84,7 @@ impl Goal {
         self
     }
 
-    /// Returns a copy with the deadline replaced (used by goal
+    /// Returns a copy with the deadline replaced (used by deadline
     /// adjustment).
     pub fn with_deadline(mut self, deadline: Seconds) -> Self {
         self.deadline = deadline;
@@ -128,93 +127,6 @@ impl Goal {
     }
 }
 
-/// Dynamic per-input deadline computation (paper §3.2 step 2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GoalAdjuster {
-    /// Worst observed controller overhead, reserved out of every deadline.
-    overhead_reserve: Seconds,
-    /// Remaining budget of the current group, if inside one.
-    group_remaining: Option<Seconds>,
-    /// Members of the current group not yet dispatched.
-    group_members_left: usize,
-}
-
-impl GoalAdjuster {
-    /// Creates an adjuster with no overhead observed yet.
-    pub fn new() -> Self {
-        GoalAdjuster {
-            overhead_reserve: Seconds::ZERO,
-            group_remaining: None,
-            group_members_left: 0,
-        }
-    }
-
-    /// Records a measured controller overhead; the reserve keeps the
-    /// worst case seen.
-    pub fn record_overhead(&mut self, overhead: Seconds) {
-        if overhead.is_finite() && overhead > self.overhead_reserve {
-            self.overhead_reserve = overhead;
-        }
-    }
-
-    /// The current overhead reserve.
-    pub fn overhead_reserve(&self) -> Seconds {
-        self.overhead_reserve
-    }
-
-    /// Begins a group (sentence) with `members` inputs sharing
-    /// `group_deadline` of total budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `members == 0`.
-    pub fn begin_group(&mut self, group_deadline: Seconds, members: usize) {
-        assert!(members > 0, "a group needs at least one member");
-        self.group_remaining = Some(group_deadline);
-        self.group_members_left = members;
-    }
-
-    /// Computes the effective deadline for the next input and internally
-    /// claims one group slot. For ungrouped inputs the effective deadline
-    /// is the goal deadline minus the overhead reserve.
-    ///
-    /// The returned deadline is floored at a small positive epsilon so a
-    /// blown group budget degrades (everything misses) rather than
-    /// producing nonsensical non-positive deadlines.
-    pub fn next_deadline(&mut self, goal_deadline: Seconds) -> Seconds {
-        let raw = match (self.group_remaining, self.group_members_left) {
-            (Some(remaining), left) if left > 0 => remaining / left as f64,
-            _ => goal_deadline,
-        };
-        if self.group_members_left > 0 {
-            self.group_members_left -= 1;
-        }
-        Seconds((raw - self.overhead_reserve).get().max(1e-6))
-    }
-
-    /// Records the latency actually consumed by the input just processed,
-    /// shrinking the group budget.
-    pub fn consume(&mut self, latency: Seconds) {
-        if let Some(rem) = self.group_remaining.as_mut() {
-            *rem = Seconds((rem.get() - latency.get()).max(0.0));
-            if self.group_members_left == 0 {
-                self.group_remaining = None;
-            }
-        }
-    }
-
-    /// Remaining budget of the current group, if any.
-    pub fn group_remaining(&self) -> Option<Seconds> {
-        self.group_remaining
-    }
-}
-
-impl Default for GoalAdjuster {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,100 +160,5 @@ mod tests {
     #[should_panic(expected = "threshold must be in (0,1)")]
     fn zero_threshold_is_rejected_at_construction() {
         let _ = Goal::minimize_energy(Seconds(0.1), 0.9).with_prob_threshold(0.0);
-    }
-
-    #[test]
-    fn ungrouped_deadline_subtracts_overhead() {
-        let mut a = GoalAdjuster::new();
-        assert_eq!(a.next_deadline(Seconds(0.1)), Seconds(0.1));
-        a.record_overhead(Seconds(0.002));
-        a.record_overhead(Seconds(0.001)); // smaller: reserve keeps max
-        assert!((a.next_deadline(Seconds(0.1)).get() - 0.098).abs() < 1e-12);
-        assert_eq!(a.overhead_reserve(), Seconds(0.002));
-    }
-
-    #[test]
-    fn group_budget_divides_evenly_when_on_pace() {
-        let mut a = GoalAdjuster::new();
-        a.begin_group(Seconds(1.0), 4);
-        let d1 = a.next_deadline(Seconds(9.9));
-        assert!((d1.get() - 0.25).abs() < 1e-12);
-        a.consume(Seconds(0.25));
-        let d2 = a.next_deadline(Seconds(9.9));
-        assert!((d2.get() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn slow_members_shrink_later_deadlines() {
-        // Paper §3.2: "delays in previous input processing could greatly
-        // shorten the available time for the next input".
-        let mut a = GoalAdjuster::new();
-        a.begin_group(Seconds(1.0), 4);
-        let _ = a.next_deadline(Seconds(9.9));
-        a.consume(Seconds(0.7)); // way over the fair share of 0.25
-        let d2 = a.next_deadline(Seconds(9.9));
-        assert!((d2.get() - 0.1).abs() < 1e-12, "d2 = {d2}");
-    }
-
-    #[test]
-    fn fast_members_relax_later_deadlines() {
-        let mut a = GoalAdjuster::new();
-        a.begin_group(Seconds(1.0), 4);
-        let _ = a.next_deadline(Seconds(9.9));
-        a.consume(Seconds(0.1));
-        let d2 = a.next_deadline(Seconds(9.9));
-        assert!((d2.get() - 0.3).abs() < 1e-12, "d2 = {d2}");
-    }
-
-    #[test]
-    fn blown_budget_floors_at_epsilon() {
-        let mut a = GoalAdjuster::new();
-        a.begin_group(Seconds(0.2), 2);
-        let _ = a.next_deadline(Seconds(9.9));
-        a.consume(Seconds(0.5)); // budget gone
-        let d = a.next_deadline(Seconds(9.9));
-        assert!(d.get() > 0.0 && d.get() <= 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one member")]
-    fn empty_group_rejected() {
-        GoalAdjuster::new().begin_group(Seconds(1.0), 0);
-    }
-
-    #[test]
-    fn deadline_fully_consumed_by_earlier_members_floors_all_later_ones() {
-        let mut a = GoalAdjuster::new();
-        a.begin_group(Seconds(0.3), 3);
-        let _ = a.next_deadline(Seconds(9.9));
-        a.consume(Seconds(0.3)); // exactly the whole budget
-        for _ in 0..2 {
-            let d = a.next_deadline(Seconds(9.9));
-            assert!(d.get() > 0.0 && d.get() <= 1e-6, "d = {d}");
-            a.consume(Seconds(0.0));
-        }
-    }
-
-    #[test]
-    fn overhead_reserve_never_yields_negative_deadline() {
-        // Reserve larger than the goal deadline: the effective deadline
-        // clamps to the epsilon floor instead of going non-positive.
-        let mut a = GoalAdjuster::new();
-        a.record_overhead(Seconds(0.5));
-        let d = a.next_deadline(Seconds(0.1));
-        assert!(d.get() > 0.0 && d.get() <= 1e-6, "d = {d}");
-        // Same inside a group whose fair share is below the reserve.
-        a.begin_group(Seconds(0.4), 4);
-        let d = a.next_deadline(Seconds(9.9));
-        assert!(d.get() > 0.0 && d.get() <= 1e-6, "d = {d}");
-    }
-
-    #[test]
-    fn non_finite_overhead_is_ignored() {
-        let mut a = GoalAdjuster::new();
-        a.record_overhead(Seconds(f64::NAN));
-        a.record_overhead(Seconds(f64::INFINITY));
-        assert_eq!(a.overhead_reserve(), Seconds::ZERO);
-        assert_eq!(a.next_deadline(Seconds(0.1)), Seconds(0.1));
     }
 }

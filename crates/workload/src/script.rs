@@ -120,11 +120,6 @@ impl ArrivalProcess {
             ArrivalProcess::Trace { .. } => Ok(()),
         }
     }
-
-    /// `true` for the trace-replay arrival source.
-    pub fn is_trace(&self) -> bool {
-        matches!(self, ArrivalProcess::Trace { .. })
-    }
 }
 
 /// Samples successive inter-arrival periods for a (possibly switching)

@@ -90,15 +90,16 @@ fn main() {
         let d = alert.decide(&ctx);
         let profile = &family.models()[d.model];
         let result = env
-            .realize(i, profile, d.cap, d.stop)
+            .realize_on(d.device, i, profile, d.cap, d.stop)
             .expect("feasible cap");
         let quality = result.quality_by(ctx.deadline, profile.fail_quality);
-        let energy = env.period_energy(i, profile, d.cap, &result);
+        let energy = env.period_energy_on(d.device, i, profile, d.cap, &result);
         if profile.name != last_model {
             switches += 1;
             last_model = profile.name.clone();
         }
-        let idle_power = (result.latency < env.period(i)).then(|| env.idle_draw(i, d.cap));
+        let idle_power =
+            (result.latency < env.period(i)).then(|| env.idle_draw_on(d.device, i, d.cap));
         alert.observe(&Feedback {
             index: i,
             decision: d,

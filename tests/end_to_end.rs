@@ -48,8 +48,8 @@ fn energy_ordering_holds_under_contention() {
         21,
     );
     let mut alert = AlertScheduler::standard(&w.family, &w.platform, w.goal).unwrap();
-    let mut oracle = Oracle::new(w.env.clone(), w.family.clone(), w.goal);
-    let mut app = AppOnly::new(&w.family, &w.platform);
+    let mut oracle = Oracle::new(w.env.clone(), w.family.clone(), w.goal).unwrap();
+    let mut app = AppOnly::new(&w.family, &w.platform).unwrap();
 
     let ep_alert = run(&w, &mut alert);
     let ep_oracle = run(&w, &mut oracle);
@@ -84,7 +84,7 @@ fn sys_only_structurally_violates_high_floors() {
         200,
         3,
     );
-    let mut sys = SysOnly::new(&w.family, &w.platform, w.goal);
+    let mut sys = SysOnly::new(&w.family, &[&w.platform], w.goal).unwrap();
     let ep = run(&w, &mut sys);
     assert!(ep.summary.disqualified());
     // ALERT meets the same floor.
@@ -104,7 +104,7 @@ fn coordination_beats_no_coordination() {
         5,
     );
     let mut alert_any = AlertScheduler::anytime_only(&w.family, &w.platform, w.goal).unwrap();
-    let mut nc = NoCoord::new(&w.family, &w.platform, w.goal);
+    let mut nc = NoCoord::new(&w.family, &[&w.platform], w.goal).unwrap();
     let ep_any = run(&w, &mut alert_any);
     let ep_nc = run(&w, &mut nc);
     // Table 4 semantics: disqualification first; among qualified episodes,
@@ -164,7 +164,9 @@ fn static_baseline_pays_for_rigidity() {
     let mk_env =
         |g: &Goal| Arc::new(EpisodeEnv::build(&platform, &scenario, &stream, g, 33).unwrap());
     let cell = vec![(mk_env(&tight), tight), (mk_env(&loose), loose)];
-    let choice = OracleStatic::for_cell(&cell, family.clone(), &stream).choice();
+    let choice = OracleStatic::for_cell(&cell, family.clone(), &stream)
+        .unwrap()
+        .choice();
 
     // Replay the pinned configuration on the loose setting.
     let mut st = OracleStatic::from_choice(choice);
@@ -193,7 +195,7 @@ fn sentence_prediction_end_to_end() {
     );
     let mut alert = AlertScheduler::standard(&family, &platform, goal).unwrap();
     let ep_alert = run_episode(&mut alert, &env, &family, &stream, &goal).unwrap();
-    let mut sys = SysOnly::new(&family, &platform, goal);
+    let mut sys = SysOnly::new(&family, &[&platform], goal).unwrap();
     let ep_sys = run_episode(&mut sys, &env, &family, &stream, &goal).unwrap();
     assert!(ep_alert.summary.violation_rate() <= 0.10);
     // Perplexity = -quality; ALERT must be at least as good.

@@ -399,3 +399,63 @@ fn out_of_range_decisions_are_step_errors() {
         }
     }
 }
+
+/// A built-in scheme on a node where none of the models it needs fits
+/// refuses to build: opening its session reports a policy build error,
+/// never a panic. Every scheme that does open serves its first input.
+#[test]
+fn builtin_schemes_refuse_nodes_without_the_models_they_need() {
+    use alert::models::family::rnn_family;
+    use alert::models::zoo::resnet50;
+    use alert::models::ModelFamily;
+    use alert::platform::PlatformId;
+    use alert::sched::{Error, RegistryError};
+
+    let nodes = [
+        // The embedded board hosts no anytime image network.
+        (PlatformId::Embedded, FamilySpec::Kind(FamilyKind::Image)),
+        // A traditional-only family has no anytime network at all.
+        (
+            PlatformId::Cpu1,
+            FamilySpec::Custom {
+                family: ModelFamily::new("rnn-traditional", rnn_family()),
+                task: TaskId::Nlp1,
+            },
+        ),
+        // ResNet50 does not fit the embedded board's memory.
+        (
+            PlatformId::Embedded,
+            FamilySpec::Custom {
+                family: ModelFamily::new("resnet50-only", vec![resnet50()]),
+                task: TaskId::Img2,
+            },
+        ),
+    ];
+    for (platform, family) in nodes {
+        let mut rt = RuntimeBuilder::from_spec(RunSpec {
+            platform,
+            family: family.clone(),
+            ..RunSpec::default()
+        })
+        .build()
+        .unwrap();
+        for name in PolicyRegistry::builtin().names() {
+            let spec = SessionSpec {
+                goal: Goal::minimize_error(Seconds(1.0), Joules(50.0)),
+                scenario: Scenario::default_env(),
+                n_inputs: 8,
+                seed: Some(3),
+                policy: Some(name.clone()),
+            };
+            let label = format!("{name} on {platform} with {}", family.family().name());
+            match rt.session(spec).open() {
+                Ok(id) => {
+                    let record = rt.submit(id).unwrap_or_else(|e| panic!("{label}: {e}"));
+                    assert!(record.is_some(), "{label}: no first input");
+                }
+                Err(Error::Policy(RegistryError::Build { .. })) => {}
+                Err(e) => panic!("{label}: {e}"),
+            }
+        }
+    }
+}

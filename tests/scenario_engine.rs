@@ -82,7 +82,7 @@ proptest! {
         let env_b =
             EpisodeEnv::build_scoped(&platform, scenario, &stream, &goal, seed, Some(span))
                 .unwrap();
-        let mut sys = SysOnly::new(&family, &platform, goal);
+        let mut sys = SysOnly::new(&family, &[&platform], goal).unwrap();
         let _ = run_episode(&mut sys, &env_b, &family, &stream, &goal).unwrap();
 
         // Bit-identical conditions for both schemes, after both ran.
@@ -141,7 +141,7 @@ fn cap_ceiling_is_invisible_in_records_but_physical_in_energy() {
 
     // App-only always requests the default (maximum) cap.
     let run = |env: &EpisodeEnv| {
-        let mut s = alert::sched::AppOnly::new(&family, &platform);
+        let mut s = alert::sched::AppOnly::new(&family, &platform).unwrap();
         run_episode(&mut s, env, &family, &stream, &goal).unwrap()
     };
     let ep_capped = run(&env);
@@ -258,7 +258,7 @@ fn scripted_floor_raise_binds_in_episode_accounting() {
     let stream = InputStream::generate(TaskId::Img2, 120, 5);
     let run = |scenario: &Scenario| {
         let env = EpisodeEnv::build(&platform, scenario, &stream, &goal, 5).unwrap();
-        let mut s = SysOnly::new(&family, &platform, goal);
+        let mut s = SysOnly::new(&family, &[&platform], goal).unwrap();
         run_episode(&mut s, &env, &family, &stream, &goal).unwrap()
     };
     let steady = run(&Scenario::default_env());
@@ -305,7 +305,7 @@ fn relative_floor_raise_binds_for_the_image_family() {
     assert!((raised - span.floor_at(0.85)).abs() < 1e-12);
     assert!(raised > 0.9, "image floor raise lands at {raised}");
 
-    let mut s = SysOnly::new(&family, &platform, goal);
+    let mut s = SysOnly::new(&family, &[&platform], goal).unwrap();
     let ep = run_episode(&mut s, &env, &family, &stream, &goal).unwrap();
     assert!(
         !ep.summary.quality_floor_met,
@@ -338,7 +338,7 @@ fn relative_floor_raise_binds_for_the_sentence_family() {
         span.hi
     );
     // The raise binds against a scheme pinned to the weakest candidate.
-    let mut s = SysOnly::new(&family, &platform, goal);
+    let mut s = SysOnly::new(&family, &[&platform], goal).unwrap();
     let ep = run_episode(&mut s, &env, &family, &stream, &goal).unwrap();
     assert!(
         !ep.summary.quality_floor_met,

@@ -318,7 +318,7 @@ proptest! {
         let _ = run_episode(&mut alert_s, &env_a, &family, &stream, &goal).unwrap();
         let env_b =
             EpisodeEnv::build_scoped(&platform, &replay, &stream, &goal, seed, Some(span)).unwrap();
-        let mut sys = SysOnly::new(&family, &platform, goal);
+        let mut sys = SysOnly::new(&family, &[&platform], goal).unwrap();
         let _ = run_episode(&mut sys, &env_b, &family, &stream, &goal).unwrap();
         prop_assert_eq!(env_a.realizations(), env_b.realizations());
     }
