@@ -4,7 +4,10 @@
 //! drift-ramp, burst/Poisson arrivals, session churn, and compound
 //! stress. Written
 //! to `BENCH_scenarios.json` at the workspace root; CI runs a short grid
-//! and gates on it.
+//! and gates on it. Per-cell decision timing depends on the machine, so
+//! it goes to `results/scenarios_timing.json` instead, and the committed
+//! file reproduces byte for byte at its own arguments
+//! (`scenarios 300 2020`).
 //!
 //! Three guarantees are asserted *inside* the bench (it aborts on the
 //! first violation):
@@ -23,7 +26,7 @@
 //!
 //! Usage: `scenarios [n_inputs_per_episode] [seed]` (defaults 300, 2020).
 
-use alert_bench::{banner, csv_header, csv_row, f};
+use alert_bench::{banner, csv_header, csv_row, f, write_json};
 use alert_core::lane::{CandidateLane, LaneScratch};
 use alert_core::select::select_with_period;
 use alert_core::ProbabilityMode;
@@ -621,7 +624,6 @@ fn main() {
             "violation_rate": c.violation_rate,
             "avg_energy_j": c.avg_energy_j,
             "avg_quality": c.avg_quality,
-            "decision_overhead_us_mean": c.decision_overhead_us_mean,
             "disqualified": c.disqualified,
         })).collect::<Vec<_>>(),
         "placement": serde_json::json!({
@@ -656,4 +658,20 @@ fn main() {
     )
     .expect("write BENCH_scenarios.json");
     println!("[matrix written to {}]", path.display());
+
+    // Decision timing depends on the machine, so it stays out of the
+    // committed matrix, which must reproduce byte for byte.
+    write_json(
+        "scenarios_timing.json",
+        &serde_json::json!({
+            "bench": "scenario_matrix_timing",
+            "n_inputs_per_episode": n_inputs,
+            "seed": seed,
+            "cells": cells.iter().map(|c| serde_json::json!({
+                "scheme": c.scheme,
+                "scenario": c.scenario,
+                "decision_overhead_us_mean": c.decision_overhead_us_mean,
+            })).collect::<Vec<_>>(),
+        }),
+    );
 }

@@ -27,7 +27,8 @@ use alert_sched::serving::{
 use alert_sched::telemetry::{AdmissionTelemetry, TelemetryEvent};
 use alert_stats::units::Seconds;
 use alert_workload::{
-    generate_storm, ArrivalProcess, Goal, GoalPatch, Scenario, ServingReport, StormSpec,
+    generate_storm, AdmissionVerdict, ArrivalProcess, Goal, GoalPatch, Scenario, ServingReport,
+    StormSpec,
 };
 use std::collections::BTreeMap;
 
@@ -116,8 +117,8 @@ fn run_cell(
 
 /// One instrumented ALERT cell: the same storm re-served under an
 /// `AdmissionTelemetry`-wrapped policy. The fingerprint must match the
-/// bare cell's (telemetry is non-perturbing) and the decorator's
-/// verdict counts the report's.
+/// bare cell's (telemetry is non-perturbing), and the verdicts its
+/// admission events carry must add up to the report's counts.
 struct TelemetryCell {
     load: f64,
     admitted: u64,
@@ -157,18 +158,15 @@ fn run_instrumented_alert(
         expected_fingerprint,
         "admission telemetry perturbed the serving fingerprint at load {load}"
     );
-    let counts = policy.counts();
-    // The report's `admitted()` spans full-quality AND degraded service;
-    // the decorator tallies the two verdicts separately.
-    assert_eq!(
-        (counts.admitted + counts.degraded) as usize,
-        report.admitted()
-    );
-    assert_eq!(counts.degraded as usize, report.degraded());
-    assert_eq!(counts.shed as usize, report.shed());
     drop(policy); // releases the sender so the drain below terminates
 
-    let mut constraints = BTreeMap::new();
+    let mut cell = TelemetryCell {
+        load,
+        admitted: 0,
+        degraded: 0,
+        shed: 0,
+        constraints: BTreeMap::new(),
+    };
     let mut events = 0usize;
     for e in rx.iter() {
         if let EpisodeEvent::Telemetry {
@@ -176,19 +174,23 @@ fn run_instrumented_alert(
         } = e
         {
             events += 1;
+            match a.verdict {
+                AdmissionVerdict::Admitted => cell.admitted += 1,
+                AdmissionVerdict::Degraded => cell.degraded += 1,
+                AdmissionVerdict::Shed => cell.shed += 1,
+            }
             if let Some(c) = a.constraint {
-                *constraints.entry(format!("{c:?}")).or_insert(0u64) += 1;
+                *cell.constraints.entry(format!("{c:?}")).or_insert(0u64) += 1;
             }
         }
     }
     assert_eq!(events, n_requests, "one admission event per request");
-    TelemetryCell {
-        load,
-        admitted: counts.admitted,
-        degraded: counts.degraded,
-        shed: counts.shed,
-        constraints,
-    }
+    // The report's `admitted()` spans full-quality AND degraded service;
+    // the events tell the two verdicts apart.
+    assert_eq!((cell.admitted + cell.degraded) as usize, report.admitted());
+    assert_eq!(cell.degraded as usize, report.degraded());
+    assert_eq!(cell.shed as usize, report.shed());
+    cell
 }
 
 fn main() {

@@ -1,114 +1,34 @@
-//! The device abstraction behind heterogeneous placement.
+//! The shared-budget rule behind heterogeneous placement.
 //!
 //! Paper Table 3 evaluates ALERT on CPU *and* GPU setups; a fleet node
-//! serves both at once. [`Backend`] is the narrow surface a scheduler
-//! needs from a device to enumerate its DVFS axis: an identity, the
-//! discrete power levels (RAPL cap series on CPUs, clock-table levels on
-//! the GPU), the feasible power extremes, and which co-runner contention
-//! kinds can hit it. Both the [`Platform`](crate::platform::Platform)
-//! presets and the raw [`GpuFreqTable`](crate::gpu::GpuFreqTable)
-//! implement it, so the core layer can treat "a device" uniformly.
-//!
-//! [`split_budget`] is the shared-budget rule: one node-level `Watts`
-//! budget is divided across backends proportionally to each backend's
-//! maximum useful draw, floored at its minimum feasible level so no
-//! device is starved below its slowest operating point.
+//! serves both at once. [`split_budget`] divides one node-level `Watts`
+//! budget across the node's [`Platform`]s proportionally to each
+//! device's maximum useful draw, floored at its minimum feasible level
+//! so no device is starved below its slowest operating point.
 
-use crate::contention::ContentionKind;
-use crate::gpu::GpuFreqTable;
-use crate::platform::{FreqResponse, Platform, PlatformId};
+use crate::platform::Platform;
 use alert_stats::units::Watts;
 
-/// A schedulable device: the knobs the config space needs.
-pub trait Backend {
-    /// Which platform this device is.
-    fn backend_id(&self) -> PlatformId;
-
-    /// The discrete power levels the device can be held at, slowest
-    /// first (the cap series for CPUs, the clock-table levels for GPUs).
-    fn power_levels(&self) -> Vec<Watts>;
-
-    /// The slowest level's power — the minimum feasible share of a
-    /// split budget.
-    fn min_power(&self) -> Watts;
-
-    /// The fastest level's power — caps above this buy nothing.
-    fn max_power(&self) -> Watts;
-
-    /// Which co-runner contention kinds can disturb this device.
-    fn contention_kinds(&self) -> &'static [ContentionKind];
-}
-
-impl Backend for Platform {
-    fn backend_id(&self) -> PlatformId {
-        self.id()
-    }
-
-    fn power_levels(&self) -> Vec<Watts> {
-        self.power_settings()
-    }
-
-    fn min_power(&self) -> Watts {
-        self.cap_range().min()
-    }
-
-    fn max_power(&self) -> Watts {
-        self.cap_range().max()
-    }
-
-    fn contention_kinds(&self) -> &'static [ContentionKind] {
-        match self.spec().response {
-            // CPUs share the socket with STREAM/Bodytrack co-runners.
-            FreqResponse::Curve(_) => &[ContentionKind::Memory, ContentionKind::Compute],
-            // The GPU's co-runner is Rodinia Backprop (paper §4) — a
-            // compute kernel; host memory traffic barely touches it.
-            FreqResponse::Table { .. } => &[ContentionKind::Compute],
-        }
-    }
-}
-
-impl Backend for GpuFreqTable {
-    fn backend_id(&self) -> PlatformId {
-        PlatformId::Gpu
-    }
-
-    fn power_levels(&self) -> Vec<Watts> {
-        self.power_settings()
-    }
-
-    fn min_power(&self) -> Watts {
-        GpuFreqTable::min_power(self)
-    }
-
-    fn max_power(&self) -> Watts {
-        GpuFreqTable::max_power(self)
-    }
-
-    fn contention_kinds(&self) -> &'static [ContentionKind] {
-        &[ContentionKind::Compute]
-    }
-}
-
-/// Splits one node-level budget across backends proportionally to each
-/// backend's maximum useful draw, then floors every share at that
-/// backend's minimum feasible level.
+/// Splits one node-level budget across devices proportionally to each
+/// device's maximum useful draw (the top of its cap range), then floors
+/// every share at that device's minimum feasible level (the bottom).
 ///
-/// The proportional rule keeps a single-backend split equal to the whole
+/// The proportional rule keeps a single-device split equal to the whole
 /// budget (CPU-only configurations are bit-compatible with the
 /// pre-placement code path), and the floor guarantees every device can
 /// at least run its slowest level — the same "never pick an infeasible
 /// setting" discipline the §4 fallback hierarchy applies to caps.
-pub fn split_budget(total: Watts, backends: &[&dyn Backend]) -> Vec<Watts> {
-    let sum_max: f64 = backends.iter().map(|b| b.max_power().get()).sum();
-    backends
+pub fn split_budget(total: Watts, platforms: &[&Platform]) -> Vec<Watts> {
+    let sum_max: f64 = platforms.iter().map(|p| p.cap_range().max().get()).sum();
+    platforms
         .iter()
-        .map(|b| {
+        .map(|p| {
             let share = if sum_max > 0.0 {
-                Watts(total.get() * b.max_power().get() / sum_max)
+                Watts(total.get() * p.cap_range().max().get() / sum_max)
             } else {
                 total
             };
-            share.max(b.min_power())
+            share.max(p.cap_range().min())
         })
         .collect()
 }
@@ -116,24 +36,6 @@ pub fn split_budget(total: Watts, backends: &[&dyn Backend]) -> Vec<Watts> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn platform_and_table_agree_on_gpu_levels() {
-        let p = Platform::gpu();
-        let t = GpuFreqTable::rtx2080();
-        assert_eq!(Backend::power_levels(&p), Backend::power_levels(&t));
-        assert_eq!(Backend::backend_id(&t), PlatformId::Gpu);
-        assert_eq!(Backend::min_power(&t), t.levels()[0].power);
-    }
-
-    #[test]
-    fn contention_kinds_differ_by_device_class() {
-        assert_eq!(Platform::cpu2().contention_kinds().len(), 2);
-        assert_eq!(
-            Platform::gpu().contention_kinds(),
-            &[ContentionKind::Compute]
-        );
-    }
 
     #[test]
     fn single_backend_split_is_the_whole_budget() {
@@ -162,7 +64,7 @@ mod tests {
                                    // A tight budget would give the GPU less than its slowest level;
                                    // the floor lifts it back so the device stays operable.
         let shares = split_budget(Watts(60.0), &[&cpu, &gpu]);
-        assert!(shares[0] >= Backend::min_power(&cpu));
-        assert!(shares[1] >= Backend::min_power(&gpu));
+        assert!(shares[0] >= cpu.cap_range().min());
+        assert!(shares[1] >= gpu.cap_range().min());
     }
 }

@@ -22,9 +22,8 @@
 //! * [`platform`] — the four platform presets and the glue that turns
 //!   (reference latency, workload class, cap, environment) into realized
 //!   latency and power draw.
-//! * [`backend`] — the device abstraction for heterogeneous placement:
-//!   CPUs and the GPU table expose one uniform (id, power levels,
-//!   contention kinds) surface, plus the shared-budget split rule.
+//! * [`backend`] — the shared-budget split rule for heterogeneous
+//!   placement: one node budget divided across the node's platforms.
 
 pub mod backend;
 pub mod contention;
@@ -35,7 +34,7 @@ pub mod gpu;
 pub mod platform;
 pub mod power;
 
-pub use backend::{split_budget, Backend};
+pub use backend::split_budget;
 pub use contention::{ContentionKind, ContentionModel, ContentionProcess, PhaseSchedule};
 pub use energy::PeriodEnergy;
 pub use error::PowerError;

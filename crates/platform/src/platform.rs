@@ -454,6 +454,10 @@ mod tests {
         assert_eq!(Platform::cpu2().power_settings().len(), 13);
         assert_eq!(Platform::gpu().power_settings().len(), 26);
         assert_eq!(Platform::embedded().power_settings().len(), 9);
+        assert_eq!(
+            Platform::gpu().power_settings(),
+            crate::gpu::GpuFreqTable::rtx2080().power_settings()
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@ use alert_core::config::{CandidateModel, ConfigTable, StagePoint};
 use alert_models::family::CandidateSet;
 use alert_models::inference::{self, StopPolicy};
 use alert_models::{ModelFamily, ModelProfile};
-use alert_platform::{split_budget, Backend, Platform};
+use alert_platform::{split_budget, Platform};
 use alert_stats::units::{Seconds, Watts};
 use std::sync::Arc;
 
@@ -128,10 +128,7 @@ pub fn build_table(
     let (primary, extras) = platforms
         .split_first()
         .ok_or_else(|| "a candidate table needs at least one platform".to_string())?;
-    let shares = shared_budget.map(|total| {
-        let backends: Vec<&dyn Backend> = platforms.iter().map(|p| *p as &dyn Backend).collect();
-        split_budget(total, &backends)
-    });
+    let shares = shared_budget.map(|total| split_budget(total, platforms));
     let share_of = |d: usize| shares.as_ref().map(|s| s[d]);
     let (index_map, rows): (Vec<usize>, Vec<&ModelProfile>) = family
         .models()

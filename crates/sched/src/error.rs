@@ -1,22 +1,23 @@
 //! The unified error taxonomy of the crate.
 //!
-//! Every fallible surface in the serving stack keeps its precise,
-//! layer-local error — [`RegistryError`] for policy resolution,
-//! [`RuntimeError`] for session lifecycle, [`StepError`]/[`EnvError`]
-//! for execution, [`TraceError`] for capture/replay — and all of them
-//! convert *losslessly* into the one top-level [`enum@Error`], so an
-//! application can `?` across any mix of runtime, serving, and trace
-//! calls with a single error type:
+//! Every fallible surface in the serving stack returns or converts into
+//! the one top-level [`enum@Error`]. The runtime returns it directly, and
+//! the layer errors — [`RegistryError`] for policy resolution,
+//! [`StepError`]/[`EnvError`] for execution, [`TraceError`] for
+//! capture/replay — convert into it *losslessly*, so an application can
+//! `?` across any mix of runtime, serving, and trace calls with a single
+//! error type:
 //!
 //! | layer error | lands in |
 //! |---|---|
-//! | [`RuntimeError::Policy`] / [`RegistryError`] / [`UnknownPolicy`] | [`Error::Policy`] |
-//! | [`RuntimeError::UnknownSession`] | [`Error::UnknownSession`] |
-//! | [`RuntimeError::NotCheckpointable`] | [`Error::NotCheckpointable`] |
-//! | [`RuntimeError::InvalidSpec`] | [`Error::InvalidSpec`] |
-//! | [`RuntimeError::Step`] / [`StepError`] | [`Error::Step`] |
+//! | [`RegistryError`] / [`UnknownPolicy`] | [`Error::Policy`] |
+//! | [`StepError`] | [`Error::Step`] |
 //! | [`EnvError`] | [`Error::Env`] |
 //! | [`TraceError`] | [`Error::Trace`] |
+//!
+//! [`Error::UnknownSession`], [`Error::NotCheckpointable`] and
+//! [`Error::InvalidSpec`] have no layer error: the runtime raises them
+//! itself.
 //!
 //! The enum is `#[non_exhaustive]`: downstream matches must carry a
 //! wildcard arm, which lets later PRs grow the taxonomy (new subsystems,
@@ -25,7 +26,6 @@
 use crate::env::EnvError;
 use crate::harness::StepError;
 use crate::registry::{RegistryError, UnknownPolicy};
-use crate::runtime::RuntimeError;
 use alert_workload::{SessionId, TraceError};
 
 /// Top-level error of `alert-sched`: every layer error converts in via
@@ -78,20 +78,6 @@ impl std::error::Error for Error {
     }
 }
 
-impl From<RuntimeError> for Error {
-    /// Lossless: every [`RuntimeError`] variant has a same-shaped
-    /// [`enum@Error`] variant.
-    fn from(e: RuntimeError) -> Self {
-        match e {
-            RuntimeError::Policy(e) => Error::Policy(e),
-            RuntimeError::UnknownSession(id) => Error::UnknownSession(id),
-            RuntimeError::NotCheckpointable(id, why) => Error::NotCheckpointable(id, why),
-            RuntimeError::InvalidSpec(why) => Error::InvalidSpec(why),
-            RuntimeError::Step(e) => Error::Step(e),
-        }
-    }
-}
-
 impl From<RegistryError> for Error {
     fn from(e: RegistryError) -> Self {
         Error::Policy(e)
@@ -127,29 +113,22 @@ mod tests {
     use super::*;
     use std::error::Error as _;
 
-    type ErrCase = (RuntimeError, fn(&Error) -> bool);
-
     #[test]
-    fn runtime_error_maps_variant_for_variant() {
-        let cases: Vec<ErrCase> = vec![
-            (RuntimeError::UnknownSession(SessionId(7)), |e| {
-                matches!(e, Error::UnknownSession(SessionId(7)))
-            }),
+    fn runtime_errors_display_their_cause() {
+        let cases = [
             (
-                RuntimeError::NotCheckpointable(SessionId(3), "external env".into()),
-                |e| matches!(e, Error::NotCheckpointable(SessionId(3), _)),
+                Error::UnknownSession(SessionId(7)),
+                "no open session session-7",
             ),
             (
-                RuntimeError::InvalidSpec("bad".into()),
-                |e| matches!(e, Error::InvalidSpec(m) if m == "bad"),
+                Error::NotCheckpointable(SessionId(3), "external env".into()),
+                "session-3 cannot be checkpointed: external env",
             ),
+            (Error::InvalidSpec("bad".into()), "invalid spec: bad"),
         ];
-        for (src, check) in cases {
-            let display = src.to_string();
-            let unified: Error = src.into();
-            assert!(check(&unified));
-            // Display survives the conversion verbatim.
-            assert_eq!(unified.to_string(), display);
+        for (e, shown) in cases {
+            assert_eq!(e.to_string(), shown);
+            assert!(e.source().is_none());
         }
     }
 

@@ -22,8 +22,9 @@
 //!   thread scheduling. Without sinks there is no channel and no
 //!   per-record clone.
 
+use crate::error::Error;
 use crate::harness::Episode;
-use crate::runtime::{fan_out, EpisodeEvent, EventSink, Runtime, RuntimeError, Session};
+use crate::runtime::{fan_out, EpisodeEvent, EventSink, Runtime, Session};
 use crate::telemetry::TelemetryConfig;
 use alert_models::ModelFamily;
 use alert_workload::SessionId;
@@ -41,7 +42,7 @@ pub(crate) fn drain_shards(
     family: &ModelFamily,
     sinks: &mut [Box<dyn EventSink>],
     telemetry: TelemetryConfig,
-) -> Result<Vec<(SessionId, Episode)>, RuntimeError> {
+) -> Result<Vec<(SessionId, Episode)>, Error> {
     let (tx, rx) = if sinks.is_empty() {
         (None, None)
     } else {
@@ -69,7 +70,7 @@ pub(crate) fn drain_shards(
             .into_iter()
             // lint:allow(no-panic): join() only errs if the worker panicked; re-raising that panic is the correct propagation
             .map(|h| h.join().expect("executor worker panicked"))
-            .collect::<Result<Vec<_>, RuntimeError>>()
+            .collect::<Result<Vec<_>, Error>>()
             .map(|per_shard| per_shard.into_iter().flatten().collect())
     })?;
     episodes.sort_by_key(|(id, _)| *id);
@@ -85,7 +86,7 @@ fn drain_shard(
     family: &ModelFamily,
     tx: Option<mpsc::Sender<EpisodeEvent>>,
     telemetry: TelemetryConfig,
-) -> Result<Vec<(SessionId, Episode)>, RuntimeError> {
+) -> Result<Vec<(SessionId, Episode)>, Error> {
     let mut shard: Vec<(SessionId, Session)> = shard.into_iter().collect();
     let mut live: Vec<usize> = (0..shard.len()).collect();
     while !live.is_empty() {

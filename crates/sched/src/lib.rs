@@ -105,8 +105,8 @@ pub use no_coord::NoCoord;
 pub use oracle::{Oracle, OracleStatic};
 pub use registry::{FnPolicy, Policy, PolicyContext, PolicyRegistry, RegistryError, UnknownPolicy};
 pub use runtime::{
-    EpisodeEvent, EventSink, FamilySpec, RunSpec, Runtime, RuntimeBuilder, RuntimeError,
-    SessionOptions, SessionSnapshot, SessionSpec,
+    EpisodeEvent, EventSink, FamilySpec, RunSpec, Runtime, RuntimeBuilder, SessionOptions,
+    SessionSnapshot, SessionSpec,
 };
 pub use scheduler::{Decision, Feedback, InputContext, Scheduler};
 pub use serving::{
@@ -115,7 +115,6 @@ pub use serving::{
 };
 pub use sys_only::SysOnly;
 pub use telemetry::{
-    AdmissionConstraint, AdmissionCounts, AdmissionEvent, AdmissionProbe, AdmissionTelemetry,
-    DecisionEvent, FlightEntry, FlightRecorder, MetricsCollector, SessionFlight, TelemetryConfig,
-    TelemetryEvent,
+    AdmissionConstraint, AdmissionEvent, AdmissionProbe, AdmissionTelemetry, DecisionEvent,
+    FlightEntry, FlightRecorder, MetricsCollector, SessionFlight, TelemetryConfig, TelemetryEvent,
 };

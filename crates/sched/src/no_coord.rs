@@ -12,6 +12,9 @@
 //! * the **system** adapter picks the minimum-energy cap whose predicted
 //!   latency fits the deadline — extrapolating from the *last observed
 //!   latency*, with no idea which stage the application will target next.
+//!   It is Sys-only's \[63\] power manager ([`crate::sys_only`]: the
+//!   placement, cap grid, idle-power EWMA and cap search) with this
+//!   predictor, falling back to the default cap when no cap qualifies.
 //!
 //! The two "can work at cross purposes; e.g., the application switches to
 //! a faster DNN to save energy while the system makes more power
@@ -19,30 +22,27 @@
 //! ALERT's joint selection exists to avoid.
 
 use crate::scheduler::{Decision, Feedback, InputContext, Scheduler};
-use alert_models::inference::{self, StopPolicy};
+use crate::sys_only::PowerManager;
+use alert_models::inference::StopPolicy;
 use alert_models::{ModelFamily, ModelProfile};
 use alert_platform::Platform;
 use alert_stats::kalman::ScalarKalman;
-use alert_stats::units::{Seconds, Watts};
-use alert_workload::{Goal, Objective};
+use alert_workload::Goal;
 
 /// No-coord: independent app-level and sys-level adaptation.
 pub struct NoCoord {
-    device: usize,
-    model: usize,
+    /// The sys level: Sys-only's \[63\] power manager.
+    power: PowerManager,
+    /// The pinned anytime model's profile (its stage table).
     profile: ModelProfile,
-    caps: Vec<Watts>,
-    t_prof: Vec<Seconds>,
-    p_run: Vec<Watts>,
     /// App-level slowdown filter, *relative to the default-cap profile*.
     app_filter: ScalarKalman,
     /// Sys-level latency filter (absolute seconds of the last executions).
     sys_filter: ScalarKalman,
-    /// Index of the default cap in `caps`.
+    /// Index of the default cap (the top setting) in the cap grid.
     default_idx: usize,
     /// Cap index chosen on the previous input (sys-level memory).
     last_cap_idx: usize,
-    idle_est: Watts,
     goal: Goal,
 }
 
@@ -68,70 +68,28 @@ impl NoCoord {
     /// Returns a description of the problem when no anytime model fits
     /// any of the platforms.
     pub fn new(family: &ModelFamily, platforms: &[&Platform], goal: Goal) -> Result<Self, String> {
-        let mut best: Option<(usize, usize, ModelProfile, Seconds)> = None;
-        for (d, platform) in platforms.iter().enumerate() {
-            let Some((model, profile)) = Self::pin(family, platform) else {
-                continue;
-            };
-            let top = platform.cap_range().max();
-            let t =
-                inference::profile_latency(&profile, platform, top).map_err(|e| e.to_string())?;
-            if best.as_ref().is_none_or(|&(_, _, _, bt)| t < bt) {
-                best = Some((d, model, profile, t));
-            }
-        }
-        let (device, model, profile, _) = best.ok_or_else(|| {
-            format!(
-                "No-coord needs an anytime model of family {} that fits the node",
-                family.name()
-            )
-        })?;
-        Ok(Self::assemble(
-            device,
-            model,
+        let (power, profile) = PowerManager::place(platforms, |p| Self::pin(family, p))?
+            .ok_or_else(|| {
+                format!(
+                    "No-coord needs an anytime model of family {} that fits the node",
+                    family.name()
+                )
+            })?;
+        let default_idx = power.caps.len() - 1;
+        Ok(NoCoord {
+            power,
             profile,
-            platforms[device],
-            goal,
-        ))
-    }
-
-    /// The pinned device.
-    pub fn device(&self) -> usize {
-        self.device
-    }
-
-    fn assemble(
-        device: usize,
-        model: usize,
-        profile: ModelProfile,
-        platform: &Platform,
-        goal: Goal,
-    ) -> Self {
-        let caps = platform.power_settings();
-        let t_prof: Vec<Seconds> = caps
-            .iter()
-            // lint:allow(no-panic): caps come from the platform's own setting table, so every cap is feasible
-            .map(|&c| inference::profile_latency(&profile, platform, c).expect("feasible"))
-            .collect();
-        let p_run = caps
-            .iter()
-            .map(|&c| inference::run_power(&profile, platform, c))
-            .collect();
-        let default_idx = caps.len() - 1;
-        NoCoord {
-            device,
-            model,
-            profile,
-            caps,
-            t_prof,
-            p_run,
             app_filter: ScalarKalman::new(1.0, 0.1, 0.01, 0.01),
             sys_filter: ScalarKalman::new(0.0, 1.0, 0.01, 0.01),
             default_idx,
             last_cap_idx: default_idx,
-            idle_est: platform.idle_draw(platform.default_cap(), None),
             goal,
-        }
+        })
+    }
+
+    /// The pinned device.
+    pub fn device(&self) -> usize {
+        self.power.device
     }
 }
 
@@ -154,11 +112,12 @@ impl Scheduler for NoCoord {
             // lint:allow(no-panic): new() selects an anytime member, so the profile always carries stages
             .expect("anytime model")
             .stages();
+        let t_prof = &self.power.t_prof;
 
         // --- Application level: target the deepest stage whose completion
         // fits the deadline, predicted against the *default cap* profile.
         let app_ratio = self.app_filter.estimate().max(0.1);
-        let t_full_default = self.t_prof[self.default_idx].get() * app_ratio;
+        let t_full_default = t_prof[self.default_idx].get() * app_ratio;
         let mut target = 0usize;
         for (k, s) in stages.iter().enumerate() {
             if t_full_default * s.frac <= ctx.deadline.get() {
@@ -170,40 +129,21 @@ impl Scheduler for NoCoord {
         // fits the deadline, extrapolating the last observed latency by
         // the profile's cap-to-cap ratios, with no knowledge of `target`.
         let last_t = self.sys_filter.estimate();
-        let mut best: Option<(usize, f64)> = None;
-        for j in 0..self.caps.len() {
-            let scale = self.t_prof[j].get() / self.t_prof[self.last_cap_idx].get();
-            let t_hat = if last_t > 0.0 {
+        let t_hat = |j: usize| {
+            let scale = t_prof[j].get() / t_prof[self.last_cap_idx].get();
+            if last_t > 0.0 {
                 last_t * scale
             } else {
-                self.t_prof[j].get()
-            };
-            if t_hat > ctx.deadline.get() {
-                continue;
+                t_prof[j].get()
             }
-            let idle = (ctx.period.get() - t_hat).max(0.0);
-            let e =
-                self.p_run[j].get() * t_hat + self.idle_est.get().min(self.caps[j].get()) * idle;
-            if let Objective::MinimizeError = self.goal.objective {
-                if let Some(budget) = self.goal.energy_budget {
-                    if e > budget.get() {
-                        continue;
-                    }
-                }
-            }
-            if best.is_none_or(|(_, cur)| e < cur) {
-                best = Some((j, e));
-            }
-        }
-        let j = best.map(|(j, _)| j).unwrap_or(self.default_idx);
+        };
+        let j = self
+            .power
+            .min_energy_cap(ctx, &self.goal, t_hat)
+            .unwrap_or(self.default_idx);
         self.last_cap_idx = j;
-
-        Decision {
-            device: self.device,
-            model: self.model,
-            cap: self.caps[j],
-            stop: StopPolicy::AtTimeOrStage(ctx.deadline, target),
-        }
+        self.power
+            .decision(j, StopPolicy::AtTimeOrStage(ctx.deadline, target))
     }
 
     fn observe(&mut self, fb: &Feedback) {
@@ -211,8 +151,9 @@ impl Scheduler for NoCoord {
         // profile of the fraction it ran — cap effects masquerade as
         // environment slowdown (the miscoordination).
         if fb.result.profile_equivalent.get() > 0.0 {
-            let frac_prof_default = self.t_prof[self.default_idx].get()
-                * (fb.result.profile_equivalent.get() / self.t_prof[self.last_cap_idx].get());
+            let t_prof = &self.power.t_prof;
+            let frac_prof_default = t_prof[self.default_idx].get()
+                * (fb.result.profile_equivalent.get() / t_prof[self.last_cap_idx].get());
             if frac_prof_default > 0.0 {
                 self.app_filter
                     .update(fb.result.latency.get() / frac_prof_default);
@@ -220,16 +161,14 @@ impl Scheduler for NoCoord {
         }
         // Sys level: filters raw latency.
         self.sys_filter.update(fb.result.latency.get());
-        if let Some(p) = fb.idle_power {
-            self.idle_est = Watts(0.8 * self.idle_est.get() + 0.2 * p.get());
-        }
+        self.power.observe_idle(fb.idle_power);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alert_stats::units::Joules;
+    use alert_stats::units::{Joules, Seconds, Watts};
 
     fn ctx(deadline: f64) -> InputContext {
         InputContext {

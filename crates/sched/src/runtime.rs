@@ -39,10 +39,11 @@
 //! stored in a file and rebuilt with [`RuntimeBuilder::from_spec`].
 
 use crate::env::EpisodeEnv;
+use crate::error::Error;
 use crate::executor;
 use crate::experiment::FamilyKind;
 use crate::harness::{Episode, SessionEngine, StepError};
-use crate::registry::{PolicyContext, PolicyRegistry, RegistryError, UnknownPolicy};
+use crate::registry::{PolicyContext, PolicyRegistry, UnknownPolicy};
 use crate::scheduler::Scheduler;
 use alert_core::alert::AlertParams;
 use alert_core::ControllerSnapshot;
@@ -185,6 +186,8 @@ pub struct SessionSnapshot {
     /// Engine state: cursor, shared-deadline budget, records, overhead.
     pub engine: SessionEngine,
     /// The scheduler's learned state, when the policy supports export.
+    /// A snapshot past input 0 must carry it: restore rejects one that
+    /// does not.
     pub controller: Option<ControllerSnapshot>,
 }
 
@@ -256,58 +259,6 @@ pub(crate) fn fan_out(sinks: &mut [Box<dyn EventSink>], event: &EpisodeEvent) {
     }
 }
 
-/// Runtime operation errors.
-#[derive(Debug)]
-pub enum RuntimeError {
-    /// A policy name failed to resolve, or resolved but rejected the
-    /// session context (invalid goal, no fitting model, bad controller
-    /// parameters) — see [`RegistryError`].
-    Policy(RegistryError),
-    /// No open session has this id.
-    UnknownSession(SessionId),
-    /// The session cannot be checkpointed (see message).
-    NotCheckpointable(SessionId, String),
-    /// A spec failed validation (see message).
-    InvalidSpec(String),
-    /// A session step failed (the scheduler handed back a configuration
-    /// the platform cannot execute) — see [`StepError`].
-    Step(StepError),
-}
-
-impl std::fmt::Display for RuntimeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RuntimeError::Policy(e) => write!(f, "{e}"),
-            RuntimeError::UnknownSession(id) => write!(f, "no open session {id}"),
-            RuntimeError::NotCheckpointable(id, why) => {
-                write!(f, "{id} cannot be checkpointed: {why}")
-            }
-            RuntimeError::InvalidSpec(why) => write!(f, "invalid spec: {why}"),
-            RuntimeError::Step(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for RuntimeError {}
-
-impl From<UnknownPolicy> for RuntimeError {
-    fn from(e: UnknownPolicy) -> Self {
-        RuntimeError::Policy(RegistryError::Unknown(e))
-    }
-}
-
-impl From<RegistryError> for RuntimeError {
-    fn from(e: RegistryError) -> Self {
-        RuntimeError::Policy(e)
-    }
-}
-
-impl From<StepError> for RuntimeError {
-    fn from(e: StepError) -> Self {
-        RuntimeError::Step(e)
-    }
-}
-
 /// The one builder behind every way of opening a session, returned by
 /// [`Runtime::session`]. The plain form materializes the spec and can be
 /// checkpointed; sessions opened with [`SessionOptions::on`] or
@@ -369,12 +320,12 @@ impl SessionOptions<'_> {
     ///
     /// # Errors
     ///
-    /// [`crate::Error::InvalidSpec`] on a malformed spec, an
+    /// [`Error::InvalidSpec`] on a malformed spec, an
     /// out-of-range shard, a scheduler without an environment, or an
     /// environment with fewer inputs than its stream;
-    /// [`crate::Error::Policy`] when the policy name fails to resolve
+    /// [`Error::Policy`] when the policy name fails to resolve
     /// or rejects the session context.
-    pub fn open(self) -> Result<SessionId, crate::Error> {
+    pub fn open(self) -> Result<SessionId, Error> {
         let SessionOptions {
             rt,
             spec,
@@ -382,7 +333,7 @@ impl SessionOptions<'_> {
             external,
             scheduler,
         } = self;
-        Ok(rt.open_parts(shard, spec, external, scheduler)?)
+        rt.open_parts(shard, spec, external, scheduler)
     }
 }
 
@@ -525,7 +476,7 @@ impl RuntimeBuilder {
     /// # Errors
     ///
     /// Fails when the default policy does not resolve.
-    pub fn build(self) -> Result<Runtime, RuntimeError> {
+    pub fn build(self) -> Result<Runtime, Error> {
         self.build_sharded(1)
     }
 
@@ -536,7 +487,7 @@ impl RuntimeBuilder {
     /// # Errors
     ///
     /// Fails when the default policy does not resolve.
-    pub fn build_sharded(self, workers: usize) -> Result<Runtime, RuntimeError> {
+    pub fn build_sharded(self, workers: usize) -> Result<Runtime, Error> {
         let RuntimeBuilder {
             spec,
             registry,
@@ -621,12 +572,12 @@ pub struct Runtime {
 /// The open session `id` among `shards`, routed by [`SessionId::shard_of`].
 /// A free function so callers can keep borrowing the runtime's other
 /// fields (family, sinks) while they hold the session.
-fn routed(shards: &mut [Shard], id: SessionId) -> Result<&mut Session, RuntimeError> {
+fn routed(shards: &mut [Shard], id: SessionId) -> Result<&mut Session, Error> {
     let k = id.shard_of(shards.len());
     shards
         .get_mut(k)
         .and_then(|shard| shard.sessions.get_mut(&id))
-        .ok_or(RuntimeError::UnknownSession(id))
+        .ok_or(Error::UnknownSession(id))
 }
 
 impl Runtime {
@@ -723,7 +674,7 @@ impl Runtime {
         goal: Goal,
         env: &Arc<EpisodeEnv>,
         stream: &InputStream,
-    ) -> Result<Box<dyn Scheduler>, RuntimeError> {
+    ) -> Result<Box<dyn Scheduler>, Error> {
         let ctx = PolicyContext {
             family: &self.family,
             platform: &self.platform,
@@ -753,12 +704,12 @@ impl Runtime {
             Arc<EpisodeEnv>,
             Box<dyn Scheduler>,
         ),
-        RuntimeError,
+        Error,
     > {
         if spec.n_inputs == 0 {
-            return Err(RuntimeError::InvalidSpec("n_inputs must be > 0".into()));
+            return Err(Error::InvalidSpec("n_inputs must be > 0".into()));
         }
-        spec.goal.validate().map_err(RuntimeError::InvalidSpec)?;
+        spec.goal.validate().map_err(Error::InvalidSpec)?;
         let seed = spec.seed.unwrap_or(self.spec.seed);
         spec.seed = Some(seed);
         let policy = spec
@@ -782,7 +733,7 @@ impl Runtime {
                 seed,
                 Some(span),
             )
-            .map_err(|e| RuntimeError::InvalidSpec(e.to_string()))?,
+            .map_err(|e| Error::InvalidSpec(e.to_string()))?,
         );
         let scheduler = self.build_scheduler(&policy, spec.goal, &env, &stream)?;
         // Store the spec fully resolved so later checkpoints are
@@ -822,16 +773,16 @@ impl Runtime {
         spec: SessionSpec,
         external: Option<(InputStream, Arc<EpisodeEnv>)>,
         scheduler: Option<Box<dyn Scheduler>>,
-    ) -> Result<SessionId, RuntimeError> {
+    ) -> Result<SessionId, Error> {
         if let Some(k) = pin.filter(|&k| k >= self.shards.len()) {
-            return Err(RuntimeError::InvalidSpec(format!(
+            return Err(Error::InvalidSpec(format!(
                 "no shard {k}: this runtime has {} shard(s)",
                 self.shards.len()
             )));
         }
         let session = match (external, scheduler) {
             (None, Some(_)) => {
-                return Err(RuntimeError::InvalidSpec(
+                return Err(Error::InvalidSpec(
                     "a pre-built scheduler needs an external environment: chain \
                      .on(stream, env) before .with(scheduler)"
                         .into(),
@@ -861,7 +812,7 @@ impl Runtime {
                 // Every input is realized from the environment's frozen
                 // state, so a shorter environment would fail mid-stream.
                 if env.len() < stream.len() {
-                    return Err(RuntimeError::InvalidSpec(format!(
+                    return Err(Error::InvalidSpec(format!(
                         "the environment realizes {} inputs, the stream has {}",
                         env.len(),
                         stream.len()
@@ -888,26 +839,26 @@ impl Runtime {
         Ok(self.insert_session(pin, session))
     }
 
-    fn session_ref(&self, id: SessionId) -> Result<&Session, RuntimeError> {
+    fn session_ref(&self, id: SessionId) -> Result<&Session, Error> {
         self.shards
             .get(id.shard_of(self.shards.len()))
             .and_then(|shard| shard.sessions.get(&id))
-            .ok_or(RuntimeError::UnknownSession(id))
+            .ok_or(Error::UnknownSession(id))
     }
 
     /// `true` once the session has processed its whole stream.
-    pub fn is_finished(&self, id: SessionId) -> Result<bool, RuntimeError> {
+    pub fn is_finished(&self, id: SessionId) -> Result<bool, Error> {
         let s = self.session_ref(id)?;
         Ok(s.engine.is_finished(&s.stream))
     }
 
     /// Inputs processed so far.
-    pub fn progress(&self, id: SessionId) -> Result<usize, RuntimeError> {
+    pub fn progress(&self, id: SessionId) -> Result<usize, Error> {
         Ok(self.session_ref(id)?.engine.cursor())
     }
 
     /// The scheme name driving a session.
-    pub fn scheme(&self, id: SessionId) -> Result<&str, RuntimeError> {
+    pub fn scheme(&self, id: SessionId) -> Result<&str, Error> {
         Ok(&self.session_ref(id)?.scheme)
     }
 
@@ -951,7 +902,7 @@ impl Runtime {
         &mut self,
         id: SessionId,
         keep: bool,
-    ) -> Result<Option<Option<InputRecord>>, RuntimeError> {
+    ) -> Result<Option<Option<InputRecord>>, Error> {
         let s = routed(&mut self.shards, id)?;
         let Some(record) = s.step(&self.family)? else {
             return Ok(None);
@@ -985,11 +936,11 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::UnknownSession`] for an id that is not open;
-    /// [`RuntimeError::Step`] when the scheduler hands back a
+    /// [`Error::UnknownSession`] for an id that is not open;
+    /// [`Error::Step`] when the scheduler hands back a
     /// configuration the node cannot execute. A step error is terminal
     /// for the session (see [`SessionEngine::step`]): close it.
-    pub fn submit(&mut self, id: SessionId) -> Result<Option<InputRecord>, RuntimeError> {
+    pub fn submit(&mut self, id: SessionId) -> Result<Option<InputRecord>, Error> {
         Ok(self.step_session(id, true)?.flatten())
     }
 
@@ -999,7 +950,7 @@ impl Runtime {
     /// # Errors
     ///
     /// As [`Runtime::submit`].
-    pub fn run_to_completion(&mut self, id: SessionId) -> Result<usize, RuntimeError> {
+    pub fn run_to_completion(&mut self, id: SessionId) -> Result<usize, Error> {
         let mut n = 0;
         while self.step_session(id, false)?.is_some() {
             n += 1;
@@ -1009,13 +960,13 @@ impl Runtime {
 
     /// Closes a session, returning its [`Episode`]. The session need not
     /// be finished; the episode covers the inputs processed so far.
-    pub fn close(&mut self, id: SessionId) -> Result<Episode, RuntimeError> {
+    pub fn close(&mut self, id: SessionId) -> Result<Episode, Error> {
         let k = id.shard_of(self.shards.len());
         let s = self
             .shards
             .get_mut(k)
             .and_then(|shard| shard.sessions.remove(&id))
-            .ok_or(RuntimeError::UnknownSession(id))?;
+            .ok_or(Error::UnknownSession(id))?;
         let episode = s.engine.finish(&s.scheme, &s.goal);
         if !self.sinks.is_empty() {
             let event = EpisodeEvent::SessionClosed {
@@ -1049,12 +1000,12 @@ impl Runtime {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::Step`] when a scheduler hands back a configuration
+    /// [`Error::Step`] when a scheduler hands back a configuration
     /// the node cannot execute — the first such error in shard order.
     /// The drain takes every session out of the runtime before it
     /// starts, so the sessions are gone on error as on success:
     /// `session_count() == 0` afterwards.
-    pub fn drain(&mut self) -> Result<Vec<(SessionId, Episode)>, RuntimeError> {
+    pub fn drain(&mut self) -> Result<Vec<(SessionId, Episode)>, Error> {
         let shards = self
             .shards
             .iter_mut()
@@ -1068,19 +1019,19 @@ impl Runtime {
     /// Fails for sessions opened on external environments (no rebuild
     /// recipe) and for policies that cannot export their state once the
     /// session has started (nothing to carry the learned state over).
-    pub fn snapshot_session(&self, id: SessionId) -> Result<SessionSnapshot, RuntimeError> {
+    pub fn snapshot_session(&self, id: SessionId) -> Result<SessionSnapshot, Error> {
         let s = self.session_ref(id)?;
         // Session specs are stored fully resolved (seed + policy), so
         // the snapshot is self-contained.
         let spec = s.spec.clone().ok_or_else(|| {
-            RuntimeError::NotCheckpointable(
+            Error::NotCheckpointable(
                 id,
                 "opened on an external environment (no rebuild recipe)".into(),
             )
         })?;
         let controller = s.scheduler.controller_snapshot();
         if controller.is_none() && s.engine.cursor() > 0 {
-            return Err(RuntimeError::NotCheckpointable(
+            return Err(Error::NotCheckpointable(
                 id,
                 format!("policy '{}' does not export controller state", s.scheme),
             ));
@@ -1105,12 +1056,20 @@ impl Runtime {
     /// path): rebuilds the stream and environment from the snapshot's
     /// spec, builds a fresh scheduler, restores its learned state, and
     /// resumes from the recorded cursor. Returns the new session id.
-    pub fn restore_session(&mut self, snap: &SessionSnapshot) -> Result<SessionId, RuntimeError> {
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidSpec`] when this runtime differs from the
+    /// snapshot's origin, when the engine state is inconsistent, when a
+    /// started session carries no controller state, or when a
+    /// mid-sentence cut lost its budget tracker; otherwise as
+    /// [`Runtime::session`].
+    pub fn restore_session(&mut self, snap: &SessionSnapshot) -> Result<SessionId, Error> {
         // The target runtime must match the snapshot's origin on
         // everything that shaped the already-recorded half of the
         // episode; otherwise the resumed records would silently diverge.
         if self.spec.platform != snap.origin.platform {
-            return Err(RuntimeError::InvalidSpec(format!(
+            return Err(Error::InvalidSpec(format!(
                 "snapshot was taken on platform {:?}, this runtime is {:?}",
                 snap.origin.platform, self.spec.platform
             )));
@@ -1118,7 +1077,7 @@ impl Runtime {
         if self.spec.extra_backends != snap.origin.extra_backends
             || self.spec.shared_budget != snap.origin.shared_budget
         {
-            return Err(RuntimeError::InvalidSpec(format!(
+            return Err(Error::InvalidSpec(format!(
                 "snapshot was taken on a different device topology \
                  (origin extras {:?} budget {:?}, this runtime {:?} / {:?}) — \
                  already-recorded placements would not be reproducible",
@@ -1129,23 +1088,34 @@ impl Runtime {
             )));
         }
         if self.spec.family != snap.origin.family {
-            return Err(RuntimeError::InvalidSpec(
+            return Err(Error::InvalidSpec(
                 "snapshot was taken over a different candidate family".into(),
             ));
         }
         if self.spec.params != snap.origin.params {
-            return Err(RuntimeError::InvalidSpec(
+            return Err(Error::InvalidSpec(
                 "snapshot was taken under different controller params".into(),
             ));
         }
         if snap.engine.cursor() > snap.spec.n_inputs
             || snap.engine.records().len() != snap.engine.cursor()
         {
-            return Err(RuntimeError::InvalidSpec(format!(
+            return Err(Error::InvalidSpec(format!(
                 "engine state inconsistent: cursor {} / {} records over a {}-input stream",
                 snap.engine.cursor(),
                 snap.engine.records().len(),
                 snap.spec.n_inputs
+            )));
+        }
+        // A started session's records were shaped by what its controller
+        // learned; resuming on a fresh one would silently diverge from
+        // an uninterrupted run. `snapshot_session` never writes such a
+        // snapshot, but snapshots also arrive as JSON from outside.
+        if snap.controller.is_none() && snap.engine.cursor() > 0 {
+            return Err(Error::InvalidSpec(format!(
+                "snapshot cut at input {} carries no controller state, so the resumed \
+                 controller would forget everything it learned",
+                snap.engine.cursor()
             )));
         }
         let (spec, stream, env, mut scheduler) = self.materialize(snap.spec.clone())?;
@@ -1164,7 +1134,7 @@ impl Runtime {
                 if g.member_idx != 0
                     && (!budget.in_group() || budget.members_left() != expected_left)
                 {
-                    return Err(RuntimeError::InvalidSpec(format!(
+                    return Err(Error::InvalidSpec(format!(
                         "snapshot cut mid-sentence (next input is member {} of a {}-word \
                          group, so {} members' budget should remain claimable) but its \
                          budget tracker carries {} — the tracker was reset or the snapshot \
@@ -1240,7 +1210,7 @@ mod tests {
     #[test]
     fn builder_rejects_unknown_default_policy() {
         let err = Runtime::builder().policy("NoSuch").build().unwrap_err();
-        assert!(matches!(err, RuntimeError::Policy(_)), "{err}");
+        assert!(matches!(err, Error::Policy(_)), "{err}");
     }
 
     #[test]
@@ -1260,10 +1230,7 @@ mod tests {
         assert_eq!(ep.records.len(), 60);
         assert_eq!(ep.scheme, "ALERT");
         assert_eq!(rt.session_count(), 0);
-        assert!(matches!(
-            rt.submit(id),
-            Err(RuntimeError::UnknownSession(_))
-        ));
+        assert!(matches!(rt.submit(id), Err(Error::UnknownSession(_))));
     }
 
     #[test]
@@ -1271,19 +1238,13 @@ mod tests {
         let mut rt = runtime();
         let mut s = spec(1);
         s.n_inputs = 0;
-        assert!(matches!(
-            rt.session(s).open(),
-            Err(crate::Error::InvalidSpec(_))
-        ));
+        assert!(matches!(rt.session(s).open(), Err(Error::InvalidSpec(_))));
         let mut s = spec(1);
         s.goal.min_quality = None;
-        assert!(matches!(
-            rt.session(s).open(),
-            Err(crate::Error::InvalidSpec(_))
-        ));
+        assert!(matches!(rt.session(s).open(), Err(Error::InvalidSpec(_))));
         let mut s = spec(1);
         s.policy = Some("NoSuch".into());
-        assert!(matches!(rt.session(s).open(), Err(crate::Error::Policy(_))));
+        assert!(matches!(rt.session(s).open(), Err(Error::Policy(_))));
     }
 
     #[test]
@@ -1292,7 +1253,7 @@ mod tests {
         let sched = crate::app_only::AppOnly::new(rt.family(), rt.platform()).unwrap();
         assert!(matches!(
             rt.session(spec(1)).with(Box::new(sched)).open(),
-            Err(crate::Error::InvalidSpec(_))
+            Err(Error::InvalidSpec(_))
         ));
     }
 
@@ -1304,7 +1265,7 @@ mod tests {
             assert_eq!(id.shard_of(shards), shards - 1);
             assert!(matches!(
                 rt.session(spec(1)).on_shard(shards).open(),
-                Err(crate::Error::InvalidSpec(_))
+                Err(Error::InvalidSpec(_))
             ));
         }
     }
@@ -1484,7 +1445,7 @@ mod tests {
             .unwrap();
         assert!(matches!(
             gpu.restore_session(&snap),
-            Err(RuntimeError::InvalidSpec(_))
+            Err(Error::InvalidSpec(_))
         ));
 
         // Different controller params.
@@ -1497,7 +1458,7 @@ mod tests {
             .unwrap();
         assert!(matches!(
             other.restore_session(&snap),
-            Err(RuntimeError::InvalidSpec(_))
+            Err(Error::InvalidSpec(_))
         ));
 
         // A different *default policy* is fine: the snapshot carries the
@@ -1540,7 +1501,7 @@ mod tests {
         let mut cpu_only = runtime();
         assert!(matches!(
             cpu_only.restore_session(&snap),
-            Err(RuntimeError::InvalidSpec(_))
+            Err(Error::InvalidSpec(_))
         ));
     }
 
@@ -1572,21 +1533,21 @@ mod tests {
         zero.spec.n_inputs = 0;
         assert!(matches!(
             rt.restore_session(&zero),
-            Err(RuntimeError::InvalidSpec(_))
+            Err(Error::InvalidSpec(_))
         ));
 
         let mut bad_goal = good.clone();
         bad_goal.spec.goal.min_quality = None;
         assert!(matches!(
             rt.restore_session(&bad_goal),
-            Err(RuntimeError::InvalidSpec(_))
+            Err(Error::InvalidSpec(_))
         ));
 
         let mut short = good.clone();
         short.spec.n_inputs = 3; // cursor 5 > stream of 3
         assert!(matches!(
             rt.restore_session(&short),
-            Err(RuntimeError::InvalidSpec(_))
+            Err(Error::InvalidSpec(_))
         ));
     }
 
@@ -1619,7 +1580,7 @@ mod tests {
         // ...started ones cannot: App-only exports no controller state.
         assert!(matches!(
             rt.snapshot_session(id),
-            Err(RuntimeError::NotCheckpointable(_, _))
+            Err(Error::NotCheckpointable(_, _))
         ));
     }
 
@@ -1639,7 +1600,7 @@ mod tests {
             .unwrap();
         assert!(matches!(
             rt.snapshot_session(id),
-            Err(RuntimeError::NotCheckpointable(_, _))
+            Err(Error::NotCheckpointable(_, _))
         ));
     }
 
@@ -1663,10 +1624,7 @@ mod tests {
             .policy("ALERT")
             .on(stream, short)
             .open();
-        assert!(
-            matches!(opened, Err(crate::Error::InvalidSpec(_))),
-            "{opened:?}"
-        );
+        assert!(matches!(opened, Err(Error::InvalidSpec(_))), "{opened:?}");
     }
 
     #[test]

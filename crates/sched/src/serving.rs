@@ -39,7 +39,7 @@
 
 use crate::runtime::{Runtime, SessionSpec};
 use crate::telemetry::{AdmissionConstraint, AdmissionProbe};
-use alert_core::alert::{AlertController, AlertParams, Observation};
+use alert_core::alert::{AlertController, Observation};
 use alert_models::family::CandidateSet;
 use alert_platform::Platform;
 use alert_stats::units::Seconds;
@@ -235,7 +235,9 @@ impl AlertAdmission {
     /// A policy whose belief table is built from the runtime's own
     /// family over its whole node under its shared budget — the same
     /// candidates its (standard ALERT) sessions schedule over, built by
-    /// the same [`decision_tables`](crate::alert::decision_tables).
+    /// the same [`decision_tables`](crate::alert::decision_tables) —
+    /// and whose controller runs the runtime's own
+    /// [`params`](crate::runtime::RunSpec::params).
     ///
     /// # Errors
     ///
@@ -254,7 +256,7 @@ impl AlertAdmission {
             rt.spec().shared_budget,
         )
         .map_err(crate::Error::InvalidSpec)?;
-        let controller = AlertController::with_tables(tables, AlertParams::default())
+        let controller = AlertController::with_tables(tables, rt.spec().params)
             .map_err(crate::Error::InvalidSpec)?;
         let span = quality_span(rt.family(), rt.platform());
         AlertAdmission::new(controller, span, degrade, miss_threshold)

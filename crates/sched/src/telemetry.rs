@@ -413,27 +413,15 @@ impl EventSink for FlightRecorder {
     }
 }
 
-/// Counts of the three admission verdicts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct AdmissionCounts {
-    /// Requests served at full quality.
-    pub admitted: u64,
-    /// Requests served under the degraded goal.
-    pub degraded: u64,
-    /// Requests rejected without service.
-    pub shed: u64,
-}
-
 /// An [`crate::serving::AdmissionPolicy`] decorator that delegates
 /// every judgment verbatim to the wrapped policy and, off the verdict's
-/// value path, counts verdicts and emits [`AdmissionEvent`]s through a
-/// sink. Because `assess`/`observe` pass through unchanged, a serving
-/// run under `AdmissionTelemetry<P>` produces a report fingerprint
-/// identical to `P` alone.
+/// value path, emits [`AdmissionEvent`]s through a sink. Because
+/// `assess`/`observe` pass through unchanged, a serving run under
+/// `AdmissionTelemetry<P>` produces a report fingerprint identical to
+/// `P` alone.
 pub struct AdmissionTelemetry<P> {
     inner: P,
     sink: Box<dyn EventSink>,
-    counts: AdmissionCounts,
 }
 
 impl<P> AdmissionTelemetry<P> {
@@ -442,18 +430,7 @@ impl<P> AdmissionTelemetry<P> {
         AdmissionTelemetry {
             inner: policy,
             sink: Box::new(sink),
-            counts: AdmissionCounts::default(),
         }
-    }
-
-    /// Verdict counts so far.
-    pub fn counts(&self) -> AdmissionCounts {
-        self.counts
-    }
-
-    /// Unwraps the decorated policy.
-    pub fn into_inner(self) -> P {
-        self.inner
     }
 }
 
@@ -480,11 +457,6 @@ impl<P: crate::serving::AdmissionPolicy> crate::serving::AdmissionPolicy for Adm
                 (AdmissionVerdict::Shed, *predicted_miss)
             }
         };
-        match verdict {
-            AdmissionVerdict::Admitted => self.counts.admitted += 1,
-            AdmissionVerdict::Degraded => self.counts.degraded += 1,
-            AdmissionVerdict::Shed => self.counts.shed += 1,
-        }
         let probe = self.inner.last_probe();
         self.sink.emit(&EpisodeEvent::Telemetry {
             event: TelemetryEvent::Admission(AdmissionEvent {

@@ -54,6 +54,6 @@ pub use session::{SessionId, StreamId};
 pub use stream::{GroupPos, InputSpec, InputStream};
 pub use task::TaskId;
 pub use trace::{
-    TraceError, TraceFit, TraceHeader, TraceOutcome, TraceReader, TraceRecord, TraceSource,
-    TraceStep, TraceWriter, WorkloadTrace,
+    TraceError, TraceFit, TraceHeader, TraceOutcome, TraceRecord, TraceSource, TraceStep,
+    WorkloadTrace,
 };

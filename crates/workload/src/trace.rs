@@ -39,12 +39,9 @@
 //! → replay reproduces every inter-arrival and scale to the bit — the
 //! identity the replay benches and CI gate on.
 //!
-//! ## Streaming
-//!
-//! [`TraceWriter`] and [`TraceReader`] stream one record at a time over
-//! any `Write`/`BufRead`, so multi-million-input traces never need to
-//! live fully in memory; [`WorkloadTrace`] is the materialized
-//! convenience for traces that do fit.
+//! [`WorkloadTrace`] holds a trace in memory; its `write_to`/`read_from`
+//! write and read the format over any `Write`/`BufRead`, and
+//! `save`/`load` over files.
 
 use alert_stats::units::{Joules, Seconds, Watts};
 use serde::{Deserialize, Serialize};
@@ -184,108 +181,6 @@ pub struct TraceRecord {
     pub outcome: Option<TraceOutcome>,
 }
 
-/// Streams [`TraceRecord`]s to any writer, one JSON line each, after a
-/// header line. Constant memory regardless of trace length.
-pub struct TraceWriter<W: Write> {
-    w: W,
-    written: usize,
-}
-
-impl<W: Write> TraceWriter<W> {
-    /// Starts a trace on `w` by writing the header line.
-    pub fn create(mut w: W, header: &TraceHeader) -> Result<Self, TraceError> {
-        let line =
-            serde_json::to_string(header).map_err(|e| TraceError::Serialize(e.to_string()))?;
-        writeln!(w, "{line}")?;
-        Ok(TraceWriter { w, written: 0 })
-    }
-
-    /// Appends one record line.
-    pub fn write(&mut self, record: &TraceRecord) -> Result<(), TraceError> {
-        let line =
-            serde_json::to_string(record).map_err(|e| TraceError::Serialize(e.to_string()))?;
-        writeln!(self.w, "{line}")?;
-        self.written += 1;
-        Ok(())
-    }
-
-    /// Records written so far.
-    pub fn written(&self) -> usize {
-        self.written
-    }
-
-    /// Flushes and returns the underlying writer.
-    pub fn finish(mut self) -> Result<W, TraceError> {
-        self.w.flush()?;
-        Ok(self.w)
-    }
-}
-
-/// Streams [`TraceRecord`]s from any buffered reader, validating the
-/// header eagerly (on construction) and each record lazily (per line).
-pub struct TraceReader<R: BufRead> {
-    lines: std::io::Lines<R>,
-    header: TraceHeader,
-    line_no: usize,
-}
-
-impl<R: BufRead> TraceReader<R> {
-    /// Opens a trace: reads and validates the header line.
-    pub fn new(r: R) -> Result<Self, TraceError> {
-        let mut lines = r.lines();
-        let first = lines
-            .next()
-            .ok_or_else(|| TraceError::NotATrace("empty file".into()))??;
-        let header: TraceHeader = serde_json::from_str(&first)
-            .map_err(|e| TraceError::NotATrace(format!("unreadable header line: {e}")))?;
-        if header.format != TRACE_FORMAT {
-            return Err(TraceError::NotATrace(format!(
-                "header declares format '{}', expected '{TRACE_FORMAT}'",
-                header.format
-            )));
-        }
-        if header.version != TRACE_VERSION {
-            return Err(TraceError::Version {
-                found: header.version,
-                supported: TRACE_VERSION,
-            });
-        }
-        Ok(TraceReader {
-            lines,
-            header,
-            line_no: 1,
-        })
-    }
-
-    /// The validated header.
-    pub fn header(&self) -> &TraceHeader {
-        &self.header
-    }
-}
-
-impl<R: BufRead> Iterator for TraceReader<R> {
-    type Item = Result<TraceRecord, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let line = match self.lines.next()? {
-                Ok(l) => l,
-                Err(e) => return Some(Err(e.into())),
-            };
-            self.line_no += 1;
-            if line.trim().is_empty() {
-                continue; // tolerate blank (e.g. trailing) lines
-            }
-            return Some(serde_json::from_str::<TraceRecord>(&line).map_err(|e| {
-                TraceError::Malformed {
-                    line: self.line_no,
-                    message: e.to_string(),
-                }
-            }));
-        }
-    }
-}
-
 /// A fully materialized trace: header plus records in capture order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadTrace {
@@ -368,21 +263,59 @@ impl WorkloadTrace {
         ))
     }
 
-    /// Streams the whole trace to `w` in the line-delimited format.
-    pub fn write_to<W: Write>(&self, w: W) -> Result<(), TraceError> {
-        let mut writer = TraceWriter::create(w, &self.header)?;
-        for r in &self.records {
-            writer.write(r)?;
+    /// Writes the whole trace to `w` in the line-delimited format: the
+    /// header line, then one line per record.
+    pub fn write_to<W: Write>(&self, mut w: W) -> Result<(), TraceError> {
+        let header = std::iter::once(serde_json::to_string(&self.header));
+        let records = self.records.iter().map(serde_json::to_string);
+        for line in header.chain(records) {
+            let line = line.map_err(|e| TraceError::Serialize(e.to_string()))?;
+            writeln!(w, "{line}")?;
         }
-        writer.finish()?;
+        w.flush()?;
         Ok(())
     }
 
-    /// Materializes a trace from a streaming reader.
+    /// Reads a trace in the line-delimited format, validating the header
+    /// line first and then each record line. Blank lines are skipped.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::NotATrace`] or [`TraceError::Version`] for a bad
+    /// header, [`TraceError::Malformed`] (with the 1-based line number)
+    /// for a bad record line, [`TraceError::Io`] for a failed read.
     pub fn read_from<R: BufRead>(r: R) -> Result<Self, TraceError> {
-        let reader = TraceReader::new(r)?;
-        let header = reader.header().clone();
-        let records = reader.collect::<Result<Vec<_>, _>>()?;
+        let mut lines = r.lines();
+        let first = lines
+            .next()
+            .ok_or_else(|| TraceError::NotATrace("empty file".into()))??;
+        let header: TraceHeader = serde_json::from_str(&first)
+            .map_err(|e| TraceError::NotATrace(format!("unreadable header line: {e}")))?;
+        if header.format != TRACE_FORMAT {
+            return Err(TraceError::NotATrace(format!(
+                "header declares format '{}', expected '{TRACE_FORMAT}'",
+                header.format
+            )));
+        }
+        if header.version != TRACE_VERSION {
+            return Err(TraceError::Version {
+                found: header.version,
+                supported: TRACE_VERSION,
+            });
+        }
+        let mut records = Vec::new();
+        // The header is line 1, so item k (from 0) of `lines` is line k + 2.
+        for (k, line) in lines.enumerate() {
+            let line = line?;
+            if line.trim().is_empty() {
+                continue; // tolerate blank (e.g. trailing) lines
+            }
+            let record = serde_json::from_str(&line).map_err(|e| TraceError::Malformed {
+                line: k + 2,
+                message: e.to_string(),
+            })?;
+            records.push(record);
+        }
         Ok(WorkloadTrace { header, records })
     }
 
@@ -615,19 +548,27 @@ mod tests {
     }
 
     #[test]
-    fn streaming_reader_yields_records_in_order() {
+    fn blank_lines_are_skipped_but_counted() {
         let t = sample_trace();
         let mut buf = Vec::new();
         t.write_to(&mut buf).unwrap();
-        let reader = TraceReader::new(Cursor::new(&buf)).unwrap();
-        assert_eq!(reader.header().source, "UnitTest");
-        let seqs: Vec<(u64, usize)> = reader
-            .map(|r| {
-                let r = r.unwrap();
-                (r.session, r.seq)
-            })
-            .collect();
-        assert_eq!(seqs, vec![(0, 0), (1, 0), (0, 1)]);
+        let text = String::from_utf8(buf).unwrap();
+        // A blank line after the header, a whitespace-only line between
+        // records, and trailing blank lines.
+        let spaced = text
+            .replacen('\n', "\n\n", 1)
+            .replacen("}\n{", "}\n  \n{", 1)
+            + "\n\n";
+        let back = WorkloadTrace::read_from(Cursor::new(&spaced)).unwrap();
+        assert_eq!(back, t);
+        // Blank lines still count toward the 1-based line numbers: the
+        // header, 3 records and 2 blank lines occupy lines 1-6, and the
+        // trailing blanks 7-8.
+        let bad = spaced + "{ not a record }\n";
+        match WorkloadTrace::read_from(Cursor::new(bad)).unwrap_err() {
+            TraceError::Malformed { line, .. } => assert_eq!(line, 9),
+            other => panic!("expected Malformed, got {other}"),
+        }
     }
 
     #[test]

@@ -5,10 +5,10 @@
 
 use alert::models::inference::StopPolicy;
 use alert::sched::runtime::{
-    EpisodeEvent, FamilySpec, RunSpec, Runtime, RuntimeBuilder, RuntimeError, SessionSpec,
+    EpisodeEvent, FamilySpec, RunSpec, Runtime, RuntimeBuilder, SessionSpec,
 };
 use alert::sched::{
-    run_episode, AlertScheduler, Decision, EpisodeEnv, FamilyKind, Feedback, InputContext,
+    run_episode, AlertScheduler, Decision, EpisodeEnv, Error, FamilyKind, Feedback, InputContext,
     PolicyRegistry, Scheduler, StepError,
 };
 use alert::stats::units::{Joules, Seconds};
@@ -276,7 +276,7 @@ fn restore_rejects_mid_sentence_snapshot_with_reset_budget() {
     let mut destination = sentence_runtime();
     let err = destination.restore_session(&doctored).unwrap_err();
     assert!(
-        matches!(err, RuntimeError::InvalidSpec(_)),
+        matches!(err, Error::InvalidSpec(_)),
         "expected InvalidSpec, got {err}"
     );
     assert!(
@@ -379,7 +379,7 @@ fn out_of_range_decisions_are_step_errors() {
         let id = rt.session(fixed.clone()).open().unwrap();
         let err = rt.submit(id).unwrap_err();
         assert!(
-            matches!(err, RuntimeError::Step(StepError::OutOfRange { .. })),
+            matches!(err, Error::Step(StepError::OutOfRange { .. })),
             "model {model}, device {device}: {err}"
         );
 
@@ -392,7 +392,7 @@ fn out_of_range_decisions_are_step_errors() {
             rt.session(fixed.clone()).open().unwrap();
             let err = rt.drain().unwrap_err();
             assert!(
-                matches!(err, RuntimeError::Step(StepError::OutOfRange { .. })),
+                matches!(err, Error::Step(StepError::OutOfRange { .. })),
                 "{workers} shard(s): {err}"
             );
             assert_eq!(rt.session_count(), 0, "{workers} shard(s)");
@@ -409,7 +409,7 @@ fn builtin_schemes_refuse_nodes_without_the_models_they_need() {
     use alert::models::zoo::resnet50;
     use alert::models::ModelFamily;
     use alert::platform::PlatformId;
-    use alert::sched::{Error, RegistryError};
+    use alert::sched::RegistryError;
 
     let nodes = [
         // The embedded board hosts no anytime image network.
@@ -458,4 +458,45 @@ fn builtin_schemes_refuse_nodes_without_the_models_they_need() {
             }
         }
     }
+}
+
+/// A snapshot of a started session that carries no controller state
+/// would resume on a fresh controller: the belief, idle ratio and
+/// reserve it learned are gone, and the resumed records silently
+/// diverge from an uninterrupted run. `snapshot_session` never writes
+/// one, but a snapshot is JSON from outside the program, so restore
+/// rejects it. At cursor 0 nothing is learned yet, and a snapshot
+/// without controller state still restores.
+#[test]
+fn restore_rejects_a_started_snapshot_without_controller_state() {
+    let spec = SessionSpec {
+        goal: Goal::minimize_energy(Seconds(0.4), 0.9),
+        scenario: Scenario::memory_env(7),
+        n_inputs: 60,
+        seed: Some(7),
+        policy: None,
+    };
+    let mut rt = Runtime::builder().build().unwrap();
+    let id = rt.session(spec.clone()).open().unwrap();
+    rt.run_to_completion(id).unwrap();
+    let reference = rt.close(id).unwrap();
+
+    let id = rt.session(spec).open().unwrap();
+    let mut fresh = rt.snapshot_session(id).unwrap();
+    for _ in 0..30 {
+        rt.submit(id).unwrap();
+    }
+    let mut started = rt.snapshot_session(id).unwrap();
+    assert!(started.controller.is_some(), "ALERT exports its state");
+    started.controller = None;
+    let err = rt.restore_session(&started).unwrap_err();
+    assert!(
+        matches!(err, Error::InvalidSpec(_)),
+        "expected InvalidSpec, got {err}"
+    );
+
+    fresh.controller = None;
+    let id = rt.restore_session(&fresh).unwrap();
+    rt.run_to_completion(id).unwrap();
+    assert_eq!(rt.close(id).unwrap().records, reference.records);
 }

@@ -259,3 +259,81 @@ proptest! {
         }
     }
 }
+
+/// ALERT admission builds its controller from the runtime's own
+/// params, so its belief tracks serving conditions exactly as an
+/// in-session ALERT scheduler's would: after the same observed records,
+/// its probe reports the belief of a controller built with those
+/// params.
+#[test]
+fn admission_belief_follows_the_runtime_params() {
+    use alert::core::alert::{AlertController, AlertParams};
+    use alert::models::family::CandidateSet;
+    use alert::stats::kalman::AdaptiveKalmanParams;
+
+    let params = AlertParams {
+        kalman: AdaptiveKalmanParams {
+            mu0: 1.5,
+            q0: 0.2,
+            ..AdaptiveKalmanParams::default()
+        },
+        ..AlertParams::default()
+    };
+    let mut rt = Runtime::builder()
+        .seed(7)
+        .params(params)
+        .build()
+        .expect("builtin policies resolve");
+    let degrade = GoalPatch::floor_frac(alert::sched::serving::DEFAULT_DEGRADE_FRAC);
+    let threshold = alert::sched::serving::DEFAULT_MISS_THRESHOLD;
+    let mut admission = AlertAdmission::for_runtime(&rt, degrade, threshold).unwrap();
+    let node: Vec<&alert::platform::Platform> = rt.node().iter().collect();
+    let tables = alert::sched::alert::decision_tables(
+        rt.family(),
+        CandidateSet::Standard,
+        &node,
+        rt.spec().shared_budget,
+    )
+    .unwrap();
+    let mut reference = AlertAdmission::new(
+        AlertController::with_tables(tables, params).unwrap(),
+        quality_span(rt.family(), rt.platform()),
+        degrade,
+        threshold,
+    )
+    .unwrap();
+
+    let id = rt
+        .session(SessionSpec {
+            goal: config().goal,
+            scenario: Scenario::memory_env(7),
+            n_inputs: 40,
+            seed: Some(7),
+            policy: None,
+        })
+        .open()
+        .unwrap();
+    rt.run_to_completion(id).unwrap();
+    for record in &rt.close(id).unwrap().records {
+        admission.observe(record);
+        reference.observe(record);
+    }
+    let ctx = RequestContext {
+        index: 0,
+        arrival: Seconds(0.0),
+        shard: 0,
+        queue_depth: 0,
+        queue_capacity: 4,
+        predicted_wait: Seconds(0.0),
+        goal: config().goal,
+        inputs_per_request: 1,
+    };
+    admission.assess(&ctx);
+    reference.assess(&ctx);
+    let belief = |p: &AlertAdmission| p.last_probe().and_then(|probe| probe.belief);
+    assert!(
+        belief(&reference).is_some(),
+        "ALERT admission keeps a belief"
+    );
+    assert_eq!(belief(&admission), belief(&reference));
+}
