@@ -21,7 +21,9 @@
 //! without polluting the measurement. The `stable` and `drift` cells
 //! decide a minimize-error goal; `stable-energy` and `drift-energy` walk
 //! the same two trajectories under a minimize-energy goal, the objective
-//! whose decisions skip the candidates that cannot win.
+//! whose decisions skip the candidates that cannot win. `hetero-energy`
+//! walks the drifting trajectory under that goal on the 315-candidate
+//! CPU1 + GPU table (230 W shared budget), so rows cross devices.
 //!
 //! Usage: `runtime [n_inputs_per_session] [seed]` (defaults 300, 2020).
 
@@ -188,18 +190,24 @@ fn drive_decisions(
 
 /// The `bench decisions` grid: per-decision scheduler cost of the fast
 /// lane (SoA + memo + early exit) against the reference full
-/// enumeration, on the CPU1 × image-family candidate table.
+/// enumeration, on the CPU1 × image-family candidate table, plus one
+/// minimize-energy cell on the CPU1 + GPU table of the benchmark's
+/// `volatile` node (230 W shared budget), whose rows cross devices.
 fn bench_decisions(n_decisions: usize) -> Vec<DecisionMeasurement> {
     let family = FamilyKind::Image.family();
-    let platform = alert_platform::Platform::cpu1();
-    let (table, _) = build_table(&family, &[&platform], None).expect("paper table builds");
+    let cpu1 = alert_platform::Platform::cpu1();
+    let gpu = alert_platform::Platform::gpu();
+    let (table, _) = build_table(&family, &[&cpu1], None).expect("paper table builds");
+    let (hetero, _) =
+        build_table(&family, &[&cpu1, &gpu], Some(Watts(230.0))).expect("CPU+GPU table builds");
     let error_goal = Goal::minimize_error(Seconds(0.35), Joules(14.0));
     let energy_goal = Goal::minimize_energy(Seconds(0.35), 0.9);
     let cells = [
-        ("stable", false, error_goal),
-        ("drift", true, error_goal),
-        ("stable-energy", false, energy_goal),
-        ("drift-energy", true, energy_goal),
+        ("stable", false, error_goal, &table),
+        ("drift", true, error_goal, &table),
+        ("stable-energy", false, energy_goal, &table),
+        ("drift-energy", true, energy_goal, &table),
+        ("hetero-energy", true, energy_goal, &hetero),
     ];
     let params = AlertParams {
         // No overhead reserve: keeps the effective deadline equal to the
@@ -210,7 +218,7 @@ fn bench_decisions(n_decisions: usize) -> Vec<DecisionMeasurement> {
     };
     let mut out = Vec::new();
     let warmup = (n_decisions / 4).max(64);
-    for (env, drift, goal) in cells {
+    for (env, drift, goal, table) in cells {
         // Verification pass: one continuous run over the *identical*
         // warmup + measurement trajectory the timing pass walks below
         // (the controller is deterministic, so the belief states match

@@ -145,6 +145,32 @@ pub struct ControllerSnapshot {
     pub last_decision_cost: Seconds,
 }
 
+impl ControllerSnapshot {
+    /// Checks that this state is one a controller can reach: a valid ξ
+    /// belief ([`SlowdownEstimator::validate`]), φ in [0, 1], and a
+    /// finite, non-negative overhead reserve and last decision cost.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first value out of range.
+    pub fn validate(&self) -> Result<(), String> {
+        self.xi.validate()?;
+        let phi = self.idle.ratio();
+        if !(0.0..=1.0).contains(&phi) {
+            return Err(format!("idle ratio φ must be in [0, 1], got {phi}"));
+        }
+        for (name, t) in [
+            ("overhead reserve", self.overhead_reserve),
+            ("last decision cost", self.last_decision_cost),
+        ] {
+            if !(t.is_finite() && t.get() >= 0.0) {
+                return Err(format!("{name} must be finite and non-negative, got {t}"));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// The full causal record of one decision, captured *after* the
 /// selection is made (strictly off the value path: nothing downstream
 /// of [`AlertController::decide_with_period`] reads it back).
@@ -254,7 +280,8 @@ pub struct AlertController {
     /// The shared, immutable table and fast lane.
     tables: Arc<DecisionTables>,
     /// Reusable per-decision scratch (probability memo, quality buffer,
-    /// seeded incumbent). Not learned state: restore/reset clear the seed.
+    /// `Φ⁻¹` memo, seeded incumbent). Not learned state: restore/reset
+    /// clear the seed.
     scratch: LaneScratch,
     params: AlertParams,
     xi: SlowdownEstimator,

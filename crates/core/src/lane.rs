@@ -10,29 +10,36 @@
 //! [`crate::select::select_with_period`]:
 //!
 //! 1. **Static precomputation** ([`CandidateLane`]) — per-candidate
-//!    profile terms (`t^prof` stage latencies, run power, cap, staircase,
-//!    quality guard, quality ceiling) are flattened at construction into
-//!    a cache-friendly structure-of-arrays, so a decision does no
-//!    nested-`Vec` chasing.
+//!    profile terms (`t^prof` stage latencies, run power, cap, run
+//!    energy, staircase) are flattened at construction into a
+//!    cache-friendly structure-of-arrays, so a decision does no
+//!    nested-`Vec` chasing. The power settings of one
+//!    `(device, model, stage)` *row* are contiguous in enumeration
+//!    order and share their quality guard, quality ceiling, anytime flag
+//!    and fallback quality, so the lane stores those once per row.
 //!    Stage-completion probabilities are *memoized per decision* across
 //!    sibling candidates (the stage-`k` target probability of `(i, k, j)`
 //!    is the same number as stage `k` of `(i, k+1, j)`'s staircase), and
 //!    the `Φ⁻¹(Pr_th)` of the Eq. 12 energy bound — constant across
-//!    candidates — is hoisted out of the loop
+//!    candidates — is computed once per threshold and kept in the
+//!    [`LaneScratch`] across decisions
 //!    ([`crate::latency::percentile_latency_with_z`]). Every reused value
 //!    is produced by the *same* floating-point expression as the
 //!    reference path, so sharing cannot change a bit.
 //! 2. **Scoring only candidates that can win** — under
-//!    [`Objective::MinimizeEnergy`] a candidate gets no Eq. 6/7/13 work
-//!    when it provably cannot be the reference's winner: its best
-//!    reachable quality cannot clear the floor, it is traditional and its
-//!    mean latency misses the deadline, or its Eq. 9 energy is strictly
-//!    above a valid incumbent's. The previous decision's winner is scored
-//!    first so the energy bound bites from the start, and incumbents are
-//!    compared index-aware, so the earliest-enumerated minimum wins as in
-//!    the reference. With no valid candidate the full loop runs, and the
-//!    §4 fallbacks come out unchanged (see
-//!    [`CandidateLane::select_with_period`] and DESIGN.md §6).
+//!    [`Objective::MinimizeEnergy`] a decision skips every row whose best
+//!    reachable quality cannot clear the floor, walks each other row in
+//!    ascending profiled run energy, and stops the row once a rounding-safe
+//!    lower bound on its Eq. 9 energy exceeds a valid incumbent's. A
+//!    visited candidate gets no Eq. 6/7/13 work when it is traditional
+//!    and its mean latency misses the deadline, or when its Eq. 9 energy
+//!    is strictly above the incumbent's. The previous decision's
+//!    winner is scored first so the energy bounds bite from the start,
+//!    and incumbents are compared index-aware, so the earliest-enumerated
+//!    minimum wins as in the reference, whatever the visiting order. With
+//!    no valid candidate the full loop runs, and the §4 fallbacks come
+//!    out unchanged (see [`CandidateLane::select_with_period`] and
+//!    DESIGN.md §6).
 //!
 //! `tests/fast_lane.rs` proves bit-identity of the whole lane against the
 //! reference enumeration over randomized tables, beliefs, goals,
@@ -49,6 +56,30 @@ use crate::select::{
 use crate::Selection;
 use alert_stats::normal::{inv_phi, Normal};
 use alert_stats::units::{Seconds, Watts};
+use std::ops::{Range, RangeInclusive};
+
+/// The operand range the run-energy stop's proof covers: a run power or
+/// stage latency outside it keeps its entry out of the stop
+/// ([`run_energy_key`]), and a belief mean `ξ̄` outside it turns the
+/// stop off for the decision. Every product of up to three such factors
+/// lies within [1e-90, 1e90], far inside f64's normal range, so each of
+/// their roundings is relative ([`STOP_FACTOR`]).
+const STOP_RANGE: RangeInclusive<f64> = 1e-30..=1e30;
+
+/// `1 − 4ε` (ε = [`f64::EPSILON`]): the rounding allowance of the
+/// run-energy stop in [`CandidateLane::cheapest_valid`].
+///
+/// Eq. 9 computes `fl(fl(p_run · fl(t_stage · ξ̄)) + idle)`. With a
+/// non-negative cap and φ the idle term is non-negative, so the energy
+/// is at least `fl(p_run · fl(t_stage · ξ̄))`, or NaN, which never beats
+/// a NaN-free incumbent. With u = ε/2 and every operand in
+/// [`STOP_RANGE`], that is at least `P·(1 − u)²` for the exact
+/// `P = p_run · t_stage · ξ̄`, while the stop's bound
+/// `fl(fl(r · ξ̄) · (1 − 8u))`, with `r = fl(p_run · t_stage)`, is at
+/// most `P·(1 + u)³·(1 − 8u)`. Since `(1 − u)² / (1 + u)³ > 1 − 8u`,
+/// the bound is strictly below the energy. Rounding is monotone, so the
+/// bound never decreases along a row walked in ascending `r`.
+const STOP_FACTOR: f64 = 1.0 - 4.0 * f64::EPSILON;
 
 /// One flattened execution target.
 #[derive(Debug, Clone, Copy)]
@@ -58,16 +89,37 @@ struct LaneEntry {
     t_stage: Seconds,
     p_run: Watts,
     cap: Watts,
+    /// The key its row is walked in ([`run_energy_key`]).
+    run_energy: f64,
+    /// Index of the entry's row.
+    row: u32,
+    /// First probability-memo slot of this candidate's `(model, power)`
+    /// block; the block holds one slot per staircase stage.
+    slot_base: u32,
+}
+
+/// One `(device, model, stage)` row: the power settings of one target,
+/// contiguous in enumeration order, and the model facts they share.
+#[derive(Debug, Clone, Copy)]
+struct LaneRow {
+    /// First entry of the row.
+    start: u32,
+    /// One past its last entry.
+    end: u32,
     is_anytime: bool,
     fail_quality: f64,
     /// Precomputed [`QUALITY_GUARD_FRACTION`] span margin.
     guard: f64,
-    /// Upper bound on every expected quality this target's estimate can
+    /// Upper bound on every expected quality the row's estimates can
     /// compute ([`quality_ceiling`]).
     quality_ceiling: f64,
-    /// First probability-memo slot of this candidate's `(model, power)`
-    /// block; the block holds one slot per staircase stage.
-    slot_base: u32,
+}
+
+impl LaneRow {
+    /// The row's entry indices.
+    fn range(&self) -> Range<usize> {
+        self.start as usize..self.end as usize
+    }
 }
 
 /// The static fast-lane tables, built from a [`ConfigTable`] and
@@ -78,6 +130,11 @@ struct LaneEntry {
 pub struct CandidateLane {
     /// Every execution target, in exact table-enumeration order.
     entries: Vec<LaneEntry>,
+    /// The `(device, model, stage)` rows, in enumeration order.
+    rows: Vec<LaneRow>,
+    /// Over each row's index range, that row's entry indices in ascending
+    /// run energy, ties in enumeration order.
+    cheapest_first: Vec<u32>,
     /// Stage-latency arena: per `(model, power)` block, the profiled
     /// completion time of every staircase stage (`t^prof_{i,j} · frac_s`,
     /// the exact product the reference path computes).
@@ -89,15 +146,18 @@ pub struct CandidateLane {
 }
 
 /// Reusable per-decision mutable state: the stage-probability memo, the
-/// quality staging buffer, and the previous minimize-energy winner that
-/// seeds the next decision's incumbent. Owned by the controller so
-/// decisions allocate nothing.
+/// quality staging buffer, the `Φ⁻¹` of the latest Eq. 12 threshold, and
+/// the previous minimize-energy winner that seeds the next decision's
+/// incumbent. Owned by the controller so decisions allocate nothing.
 #[derive(Debug, Clone)]
 pub struct LaneScratch {
     probs: Vec<f64>,
     stamp: Vec<u64>,
     generation: u64,
     quality_buf: Vec<f64>,
+    /// `(threshold bits, Φ⁻¹(threshold))` of the latest Eq. 12 bound. A
+    /// pure function of its key, so it never needs invalidating.
+    z_memo: Option<(u64, f64)>,
     /// Entry index of the most recent valid minimize-energy winner. A
     /// hint for scoring order only: any seed gives the same selection.
     seed: Option<u32>,
@@ -113,6 +173,7 @@ impl LaneScratch {
             stamp: vec![0; lane.stage_lat.len()],
             generation: 0,
             quality_buf: vec![0.0; lane.max_stages],
+            z_memo: None,
             seed: None,
             scored: 0,
         }
@@ -125,6 +186,20 @@ impl LaneScratch {
         self.probs.len() == slots
             && self.stamp.len() == slots
             && self.quality_buf.len() >= lane.max_stages
+    }
+
+    /// `Φ⁻¹(pr)`, computed only when `pr` differs from the previous
+    /// threshold.
+    fn memo_inv_phi(&mut self, pr: f64) -> f64 {
+        let key = pr.to_bits();
+        match self.z_memo {
+            Some((k, z)) if k == key => z,
+            _ => {
+                let z = inv_phi(pr);
+                self.z_memo = Some((key, z));
+                z
+            }
+        }
     }
 
     /// Candidates the most recent decision scored with Eq. 6/7/13 work
@@ -147,9 +222,17 @@ struct DecisionInputs<'a> {
     goal: &'a Goal,
     period: Seconds,
     mode: ProbabilityMode,
-    /// The hoisted `Φ⁻¹` of the Eq. 12 bound; `None` when the bound is the
-    /// mean energy.
+    /// The Eq. 12 `Φ⁻¹`; `None` when the bound is the mean energy.
     z_bound: Option<f64>,
+}
+
+/// The running winner of [`CandidateLane::cheapest_valid`].
+#[derive(Default)]
+struct Incumbent {
+    best: Option<(u32, Estimates)>,
+    /// The energy a challenger must not exceed ([`energy_to_beat`]).
+    to_beat: Option<f64>,
+    scored: usize,
 }
 
 impl CandidateLane {
@@ -180,27 +263,56 @@ impl CandidateLane {
         }
 
         // Entries in exact enumeration order (device → model → stage →
-        // power).
+        // power). Power is the innermost axis, so every power-0 target
+        // opens the next row.
         let mut entries = Vec::with_capacity(table.candidate_count());
+        let mut rows: Vec<LaneRow> = Vec::new();
         for c in table.candidates() {
             let m = &models[c.model];
+            if c.power == 0 {
+                let start = entries.len() as u32;
+                rows.push(LaneRow {
+                    start,
+                    end: start,
+                    is_anytime: m.is_anytime(),
+                    fail_quality: m.fail_quality,
+                    guard: QUALITY_GUARD_FRACTION * (m.final_quality() - m.fail_quality),
+                    quality_ceiling: quality_ceiling(&m.stages[..=c.stage], m.fail_quality),
+                });
+            }
+            let Some(row) = rows.last_mut() else {
+                continue; // unreachable: the first target has power 0
+            };
+            row.end += 1;
             let base = slot_base[c.device][c.model][c.power];
+            let t_stage = stage_lat[base as usize + c.stage];
+            let p_run = table.p_run_on(c.device, c.model, c.power);
+            let cap = table.cap_on(c.device, c.power);
             entries.push(LaneEntry {
                 cand: c,
-                t_stage: stage_lat[base as usize + c.stage],
-                p_run: table.p_run_on(c.device, c.model, c.power),
-                cap: table.cap_on(c.device, c.power),
-                is_anytime: m.is_anytime(),
-                fail_quality: m.fail_quality,
-                guard: QUALITY_GUARD_FRACTION * (m.final_quality() - m.fail_quality),
-                quality_ceiling: quality_ceiling(&m.stages[..=c.stage], m.fail_quality),
+                t_stage,
+                p_run,
+                cap,
+                run_energy: run_energy_key(t_stage, p_run, cap),
+                row: rows.len() as u32 - 1,
                 slot_base: base,
+            });
+        }
+
+        let mut cheapest_first: Vec<u32> = (0..entries.len() as u32).collect();
+        for row in &rows {
+            // A stable sort, so equal keys keep enumeration order.
+            cheapest_first[row.range()].sort_by(|&a, &b| {
+                let key = |k: u32| entries[k as usize].run_energy;
+                key(a).total_cmp(&key(b))
             });
         }
 
         let max_stages = models.iter().map(|m| m.stages.len()).max().unwrap_or(1);
         CandidateLane {
             entries,
+            rows,
+            cheapest_first,
             stage_lat,
             stage_points,
             max_stages,
@@ -214,7 +326,7 @@ impl CandidateLane {
 
     /// Fast-lane counterpart of [`crate::select::select_with_period`]:
     /// same inputs, same output, bit for bit — enumeration runs over every
-    /// entry with memoized stage probabilities and a hoisted `Φ⁻¹`, and a
+    /// entry with memoized stage probabilities and a memoized `Φ⁻¹`, and a
     /// minimize-energy goal scores only the candidates that can still win
     /// (mechanism 2 of the module docs). A `scratch` sized for another
     /// lane is replaced by [`LaneScratch::for_lane`] first; a scratch is
@@ -238,12 +350,12 @@ impl CandidateLane {
             *scratch = LaneScratch::for_lane(self);
         }
 
-        // Hoist the Eq. 12 standard-normal quantile: constant across
-        // candidates within one decision.
+        // The Eq. 12 standard-normal quantile: constant across
+        // candidates, and across decisions at the same threshold.
         let z_bound = match mode {
-            ProbabilityMode::Full if xi.std_dev() > 0.0 => Some(inv_phi(
-                goal.prob_threshold.unwrap_or(ENERGY_GUARD_PERCENTILE),
-            )),
+            ProbabilityMode::Full if xi.std_dev() > 0.0 => {
+                Some(scratch.memo_inv_phi(goal.prob_threshold.unwrap_or(ENERGY_GUARD_PERCENTILE)))
+            }
             _ => None,
         };
 
@@ -273,9 +385,11 @@ impl CandidateLane {
         }
         scratch.scored = self.entries.len();
         let mut acc = SelectionAccumulator::new();
-        for e in &self.entries {
-            let est = self.evaluate_entry(e, scratch, &inputs);
-            acc.consider(e.cand, est, e.is_anytime, e.guard, goal);
+        for row in &self.rows {
+            for e in &self.entries[row.range()] {
+                let est = self.evaluate_entry(e, row, scratch, &inputs);
+                acc.consider(e.cand, est, row.is_anytime, row.guard, goal);
+            }
         }
         acc.finish(goal)
     }
@@ -287,29 +401,72 @@ impl CandidateLane {
     /// Each skip is exact at the computed-f64 level (DESIGN.md §6,
     /// "Scoring only candidates that can win"):
     ///
-    /// 1. *Quality ceiling* — an expected quality never exceeds the
-    ///    entry's [`quality_ceiling`], so a ceiling below the floor plus
-    ///    guard fails [`other_ok`].
+    /// 1. *Row skip* — an expected quality never exceeds its row's
+    ///    [`quality_ceiling`], so a row whose ceiling is below the floor
+    ///    plus guard fails [`other_ok`] at every power setting.
     /// 2. *Mean latency* — a traditional target whose `t_stage · ξ̄` (the
     ///    same f64 expression as its estimate) exceeds the deadline fails
     ///    [`latency_ok`].
-    /// 3. *Energy bound* — once a valid incumbent has a NaN-free key, a
-    ///    candidate whose Eq. 9 energy (the same call
+    /// 3. *Run-energy stop* — each row is walked in ascending
+    ///    [`run_energy_key`] `r`. Once a valid incumbent has a NaN-free
+    ///    key and energy `E*`, the walk leaves the row at the first entry
+    ///    with `fl(fl(r · ξ̄) · (1 − 4ε)) > E*`: that entry's Eq. 9 energy
+    ///    and every later one's are strictly above `E*` ([`STOP_FACTOR`]),
+    ///    so they lose to the incumbent in [`better`] both ways round.
+    /// 4. *Energy bound* — a candidate whose Eq. 9 energy (the same call
     ///    [`CandidateLane::evaluate_entry`] makes) is strictly above the
-    ///    incumbent's loses to it in [`better`]
-    ///    ([`energy_to_beat`]).
+    ///    incumbent's loses to it likewise ([`energy_to_beat`]).
     ///
     /// The incumbent is seeded with the previous valid winner, scored
     /// first. An incumbent is replaced when the challenger is better, or
     /// when neither is better and the challenger enumerates earlier. That
     /// picks the earliest-enumerated minimum — the reference's rule, NaN
-    /// keys included — whatever the scoring order.
+    /// keys included — whatever the visiting order.
     fn cheapest_valid(
         &self,
         scratch: &mut LaneScratch,
         inputs: &DecisionInputs,
         floor: f64,
     ) -> Option<(u32, Estimates)> {
+        let xi_mean = inputs.xi.mean();
+        // Rule 3's proof needs ξ̄ in range and φ ≥ 0.
+        let stop = STOP_RANGE.contains(&xi_mean) && inputs.idle_ratio >= 0.0;
+        let skip_row = |row: &LaneRow| row.quality_ceiling < quality_threshold(floor, row.guard);
+        let mut inc = Incumbent::default();
+        let seed = scratch.seed.filter(|&k| (k as usize) < self.entries.len());
+        if let Some(k) = seed {
+            let row = &self.rows[self.entries[k as usize].row as usize];
+            if !skip_row(row) {
+                self.offer(k, row, &mut inc, scratch, inputs);
+            }
+        }
+        for row in self.rows.iter().filter(|row| !skip_row(row)) {
+            for &k in &self.cheapest_first[row.range()] {
+                if let (true, Some(limit)) = (stop, inc.to_beat) {
+                    if self.entries[k as usize].run_energy * xi_mean * STOP_FACTOR > limit {
+                        break;
+                    }
+                }
+                if Some(k) != seed {
+                    self.offer(k, row, &mut inc, scratch, inputs);
+                }
+            }
+        }
+        scratch.scored = inc.scored;
+        inc.best
+    }
+
+    /// Entry `k` (of `row`) against the incumbent: skipped by rules 2 and
+    /// 4 of [`CandidateLane::cheapest_valid`], otherwise scored, and kept
+    /// when it is valid and wins.
+    fn offer(
+        &self,
+        k: u32,
+        row: &LaneRow,
+        inc: &mut Incumbent,
+        scratch: &mut LaneScratch,
+        inputs: &DecisionInputs,
+    ) {
         let DecisionInputs {
             xi,
             idle_ratio,
@@ -317,47 +474,34 @@ impl CandidateLane {
             period,
             ..
         } = *inputs;
-        let mut best: Option<(u32, Estimates)> = None;
-        let mut to_beat: Option<f64> = None;
-        let mut scored = 0;
-        let n = self.entries.len() as u32;
-        let seed = scratch.seed.filter(|&k| k < n);
-        for k in seed.into_iter().chain((0..n).filter(|&k| Some(k) != seed)) {
-            let e = &self.entries[k as usize];
-            if e.quality_ceiling < quality_threshold(floor, e.guard) {
-                continue;
-            }
-            if !e.is_anytime
-                && crate::latency::predict_mean(xi, e.t_stage).get() > goal.deadline.get()
-            {
-                continue;
-            }
-            if let Some(limit) = to_beat {
-                let energy = crate::energy::estimate_energy(
-                    xi, e.t_stage, e.p_run, e.cap, idle_ratio, period,
-                );
-                if energy.get() > limit {
-                    continue;
-                }
-            }
-            scored += 1;
-            let est = self.evaluate_entry(e, scratch, inputs);
-            if !(latency_ok(e.is_anytime, e.cand.stage, &est, goal)
-                && other_ok(e.guard, &est, goal))
-            {
-                continue;
-            }
-            let replace = match &best {
-                None => true,
-                Some((b, inc)) => better(goal, &est, inc) || (!better(goal, inc, &est) && k < *b),
-            };
-            if replace {
-                to_beat = energy_to_beat(&est);
-                best = Some((k, est));
+        let e = &self.entries[k as usize];
+        if !row.is_anytime
+            && crate::latency::predict_mean(xi, e.t_stage).get() > goal.deadline.get()
+        {
+            return;
+        }
+        if let Some(limit) = inc.to_beat {
+            let energy =
+                crate::energy::estimate_energy(xi, e.t_stage, e.p_run, e.cap, idle_ratio, period);
+            if energy.get() > limit {
+                return;
             }
         }
-        scratch.scored = scored;
-        best
+        inc.scored += 1;
+        let est = self.evaluate_entry(e, row, scratch, inputs);
+        if !(latency_ok(row.is_anytime, e.cand.stage, &est, goal)
+            && other_ok(row.guard, &est, goal))
+        {
+            return;
+        }
+        let replace = match &inc.best {
+            None => true,
+            Some((b, cur)) => better(goal, &est, cur) || (!better(goal, cur, &est) && k < *b),
+        };
+        if replace {
+            inc.to_beat = energy_to_beat(&est);
+            inc.best = Some((k, est));
+        }
     }
 
     /// Per-candidate estimates, arithmetically identical to
@@ -366,6 +510,7 @@ impl CandidateLane {
     fn evaluate_entry(
         &self,
         e: &LaneEntry,
+        row: &LaneRow,
         scratch: &mut LaneScratch,
         inputs: &DecisionInputs,
     ) -> Estimates {
@@ -423,7 +568,7 @@ impl CandidateLane {
                 }
                 crate::quality::expected_quality_from_probs(
                     &self.stage_points[base..base + n_stages],
-                    e.fail_quality,
+                    row.fail_quality,
                     &mut quality_buf[..n_stages],
                 )
             }
@@ -432,7 +577,7 @@ impl CandidateLane {
                     .iter()
                     .zip(&self.stage_points[base..base + n_stages])
                     .map(|(&t, s)| (t, s.quality)),
-                e.fail_quality,
+                row.fail_quality,
                 xi.mean(),
                 deadline,
             ),
@@ -453,6 +598,23 @@ impl CandidateLane {
             energy,
             energy_bound,
         }
+    }
+}
+
+/// The key a row is walked in: the entry's profiled run energy
+/// `p_run · t_stage`, or `−∞` where the run-energy stop's proof does not
+/// cover the entry ([`STOP_FACTOR`]) — a negative or NaN cap, whose idle
+/// term could be negative, or a run power or stage latency outside
+/// [`STOP_RANGE`]. A `−∞` key sorts first and its bound exceeds no
+/// energy, so such an entry is always visited and never stops its row.
+fn run_energy_key(t_stage: Seconds, p_run: Watts, cap: Watts) -> f64 {
+    let covered = cap.get() >= 0.0
+        && STOP_RANGE.contains(&p_run.get())
+        && STOP_RANGE.contains(&t_stage.get());
+    if covered {
+        (p_run * t_stage).get()
+    } else {
+        f64::NEG_INFINITY
     }
 }
 

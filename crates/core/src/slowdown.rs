@@ -122,6 +122,32 @@ impl SlowdownEstimator {
     pub fn filter(&self) -> &AdaptiveKalman {
         &self.filter
     }
+
+    /// Checks that this belief is one observations can produce: a finite,
+    /// positive mean and finite, non-negative filter and innovation
+    /// variances. Restored state arrives from outside, and anything else
+    /// would panic or mislead the next decision.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first value out of range.
+    pub fn validate(&self) -> Result<(), String> {
+        let mean = self.filter.mean();
+        if !(mean.is_finite() && mean > 0.0) {
+            return Err(format!("ξ mean must be finite and positive, got {mean}"));
+        }
+        for (name, var) in [
+            ("filter variance", self.filter.variance()),
+            ("innovation variance", self.innovation_var),
+        ] {
+            if !(var.is_finite() && var >= 0.0) {
+                return Err(format!(
+                    "ξ {name} must be finite and non-negative, got {var}"
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Default for SlowdownEstimator {

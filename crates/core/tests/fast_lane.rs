@@ -1,9 +1,10 @@
 //! Soundness proofs-by-property for the selection fast lane: the
 //! memoized, early-exiting decision path must be
 //! **bit-identical** to the reference full enumeration for randomized
-//! tables, beliefs, goals (floors on the lane's quality-ceiling
-//! boundary included), probability modes, overhead reserves, and
-//! snapshot/restore cuts.
+//! tables (one or two devices, rows walked out of power order, exact
+//! run-energy ties), beliefs, idle ratios (φ = 0 included), goals
+//! (floors on the lane's quality-ceiling boundary included),
+//! probability modes, overhead reserves, and snapshot/restore cuts.
 
 use alert_core::alert::{AlertController, AlertParams, Observation, OverheadPolicy};
 use alert_core::lane::{CandidateLane, LaneScratch};
@@ -46,52 +47,77 @@ impl Pool {
     }
 }
 
-/// A randomized candidate table: 1–4 models (traditional and anytime),
-/// 1–4 power settings, saturating cap responses with deliberate exact
+/// A randomized candidate table: 1–4 models (traditional and anytime) on
+/// one device, sometimes two, so rows cross devices. Each device has 1–4
+/// power settings and saturating cap responses with deliberate exact
 /// latency ties and occasional near-ties, which the early exit's
 /// index-aware tie rule must resolve as the reference does.
 fn random_table(pool: &mut Pool) -> ConfigTable {
     let n_models = 1 + pool.index(4);
+    let models: Vec<CandidateModel> = (0..n_models).map(|m| random_model(pool, m)).collect();
+    let (caps, t_prof, p_run) = random_grid(pool, n_models);
+    let mut table =
+        ConfigTable::new(models, caps, t_prof, p_run).expect("generated table is valid");
+    if pool.chance(0.3) {
+        let (caps, t_prof, p_run) = random_grid(pool, n_models);
+        table
+            .add_device("second", caps, t_prof, p_run)
+            .expect("generated grid is valid");
+    }
+    table
+}
+
+fn random_model(pool: &mut Pool, m: usize) -> CandidateModel {
+    let fail = pool.range(0.0, 0.2);
+    if !pool.chance(0.4) {
+        let q = fail + pool.range(0.1, 0.8);
+        return CandidateModel::traditional(format!("trad{m}"), q, fail);
+    }
+    let n_stages = 2 + pool.index(3);
+    let mut stages = Vec::new();
+    let mut frac = pool.range(0.2, 0.5);
+    let mut q = fail + pool.range(0.05, 0.3);
+    for s in 0..n_stages {
+        let last = s == n_stages - 1;
+        stages.push(StagePoint {
+            frac: if last { 1.0 } else { frac },
+            quality: q,
+        });
+        frac += pool.range(0.05, 0.4 / n_stages as f64);
+        q += pool.range(0.01, 0.1);
+    }
+    CandidateModel::anytime(format!("any{m}"), stages, fail)
+}
+
+/// One device's grid: ascending caps, and per model a latency row and a
+/// run-power row. Run power usually follows the cap, but some rows draw
+/// it regardless of the cap, and a setting sometimes halves the previous
+/// latency at twice its run power, an exact run-energy tie, so rows are
+/// walked out of power order.
+#[allow(clippy::type_complexity)]
+fn random_grid(
+    pool: &mut Pool,
+    n_models: usize,
+) -> (Vec<Watts>, Vec<Vec<Seconds>>, Vec<Vec<Watts>>) {
     let n_powers = 1 + pool.index(4);
-    let mut models = Vec::new();
-    let mut t_prof = Vec::new();
-    let mut p_run = Vec::new();
-    // Ascending caps.
     let mut caps = Vec::new();
     let mut cap = pool.range(5.0, 20.0);
     for _ in 0..n_powers {
         caps.push(Watts(cap));
         cap += pool.range(2.0, 20.0);
     }
-    for m in 0..n_models {
-        let anytime = pool.chance(0.4);
-        let fail = pool.range(0.0, 0.2);
-        if anytime {
-            let n_stages = 2 + pool.index(3);
-            let mut stages = Vec::new();
-            let mut frac = pool.range(0.2, 0.5);
-            let mut q = fail + pool.range(0.05, 0.3);
-            for s in 0..n_stages {
-                let last = s == n_stages - 1;
-                stages.push(StagePoint {
-                    frac: if last { 1.0 } else { frac },
-                    quality: q,
-                });
-                frac += pool.range(0.05, 0.4 / n_stages as f64);
-                q += pool.range(0.01, 0.1);
-            }
-            models.push(CandidateModel::anytime(format!("any{m}"), stages, fail));
-        } else {
-            let q = fail + pool.range(0.1, 0.8);
-            models.push(CandidateModel::traditional(format!("trad{m}"), q, fail));
-        }
+    let top = caps[n_powers - 1].get();
+    let mut t_prof = Vec::new();
+    let mut p_run = Vec::new();
+    for _ in 0..n_models {
         // Latency row: decreasing in cap, but with a saturation point
         // after which extra cap buys *exactly* nothing (ties), and a
         // small chance of a near-tie, 1e-12 relative apart.
         let base = pool.range(0.01, 0.4);
         let saturate_from = pool.index(n_powers);
-        let mut row_t = Vec::new();
-        let mut row_p = Vec::new();
+        let scrambled = pool.chance(0.3);
+        let mut row_t: Vec<Seconds> = Vec::new();
+        let mut row_p: Vec<Watts> = Vec::new();
         let mut t = base;
         for j in 0..n_powers {
             if j > saturate_from {
@@ -101,17 +127,25 @@ fn random_table(pool: &mut Pool) -> ConfigTable {
             } else if j > 0 {
                 t *= pool.range(0.5, 0.95);
             }
+            // Run power near the cap, sometimes saturated as well, or
+            // drawn regardless of the cap.
+            let draw = if scrambled {
+                pool.range(1.0, top)
+            } else {
+                caps[j].get().min(pool.range(0.6, 1.0) * top).max(1.0)
+            };
+            if j > 0 && pool.chance(0.15) {
+                t = row_t[j - 1].get() * 0.5;
+                row_p.push(row_p[j - 1] * 2.0);
+            } else {
+                row_p.push(Watts(draw));
+            }
             row_t.push(Seconds(t));
-            // Run power near the cap, sometimes saturated as well.
-            let draw = caps[j]
-                .get()
-                .min(pool.range(0.6, 1.0) * caps[n_powers - 1].get());
-            row_p.push(Watts(draw.max(1.0)));
         }
         t_prof.push(row_t);
         p_run.push(row_p);
     }
-    ConfigTable::new(models, caps, t_prof, p_run).expect("generated table is valid")
+    (caps, t_prof, p_run)
 }
 
 /// A minimize-energy floor: usually uniform, sometimes exactly where one
@@ -156,6 +190,16 @@ fn random_belief(pool: &mut Pool) -> Normal {
         pool.range(0.001, 0.6)
     };
     Normal::new(mean, sd)
+}
+
+/// An idle ratio φ, sometimes exactly 0 (no idle energy, so Eq. 9 is
+/// the run energy alone and the run-energy stop is at its tightest).
+fn random_idle(pool: &mut Pool) -> f64 {
+    if pool.chance(0.15) {
+        0.0
+    } else {
+        pool.range(0.0, 1.0)
+    }
 }
 
 /// Bit-level equality of two selections (plain `==` would call NaN
@@ -211,7 +255,7 @@ proptest! {
         let mut scratch = LaneScratch::for_lane(&lane);
         for q in 0..n_queries {
             let xi = random_belief(&mut pool);
-            let idle = pool.range(0.0, 1.0);
+            let idle = random_idle(&mut pool);
             let goal = random_goal(&mut pool, &table);
             let period = Seconds(pool.range(0.001, 1.0));
             let mode = if pool.chance(0.25) {
@@ -326,7 +370,7 @@ proptest! {
         let lane = CandidateLane::build(&table);
         let mut scratch = LaneScratch::for_lane(&lane);
         let xi = random_belief(&mut pool);
-        let idle = pool.range(0.0, 1.0);
+        let idle = random_idle(&mut pool);
         for &deadline in &[0.004, 0.02, 0.08, 0.3] {
             for goal in [
                 Goal::minimize_energy(Seconds(deadline), 0.5),
@@ -616,5 +660,100 @@ fn prob_thresholds_outside_the_open_unit_interval_are_errors_not_panics() {
         for err in errors {
             assert!(err.starts_with("invalid goal: "), "threshold {pr}: {err}");
         }
+    }
+}
+
+/// One traditional model at two caps. The first cap has the higher run
+/// energy (5 J against 4 J), so the walk visits it second, but its lower
+/// cap's idle energy makes up the difference exactly: at ξ̄ = 1, φ = 0.25
+/// and a 0.375 s period both cost 8 J, with the same latency and quality.
+fn idle_tie_table() -> ConfigTable {
+    ConfigTable::new(
+        vec![CandidateModel::traditional("only", 0.9, 0.0)],
+        vec![Watts(48.0), Watts(64.0)],
+        vec![vec![Seconds(0.125), Seconds(0.125)]],
+        vec![vec![Watts(40.0), Watts(32.0)]],
+    )
+    .expect("valid table")
+}
+
+#[test]
+fn an_exact_energy_tie_visited_after_the_incumbent_is_scored_and_wins() {
+    let table = idle_tie_table();
+    let lane = CandidateLane::build(&table);
+    let goal = Goal::minimize_energy(Seconds(0.375), 0.5);
+    let xi = Normal::new(1.0, 0.0);
+    for mode in [ProbabilityMode::Full, ProbabilityMode::MeanOnly] {
+        let mut scratch = LaneScratch::for_lane(&lane);
+        let sel = lane_matches_reference(&lane, &mut scratch, &table, &xi, &goal, mode, "tie");
+        assert_eq!(sel.estimates.energy, Joules(8.0), "{mode:?}");
+        assert_eq!(
+            sel.candidate.power, 0,
+            "{mode:?}: the earlier-enumerated twin wins the tie"
+        );
+    }
+}
+
+/// One traditional model at two caps with the same run energy, 3 J: the
+/// high cap halves the latency at twice the power, so it completes more
+/// surely and, at φ = 0, ties the low cap in energy.
+fn run_energy_tie_table() -> ConfigTable {
+    ConfigTable::new(
+        vec![CandidateModel::traditional("only", 0.9, 0.0)],
+        vec![Watts(20.0), Watts(40.0)],
+        vec![vec![Seconds(0.25), Seconds(0.125)]],
+        vec![vec![Watts(12.0), Watts(24.0)]],
+    )
+    .expect("valid table")
+}
+
+#[test]
+fn with_no_idle_energy_a_run_energy_tie_is_scored_and_the_surer_cap_wins() {
+    let table = run_energy_tie_table();
+    let lane = CandidateLane::build(&table);
+    let goal = Goal::minimize_energy(Seconds(0.27), 0.5);
+    let xi = Normal::new(1.0, 0.1);
+    let mode = ProbabilityMode::Full;
+    let mut scratch = LaneScratch::for_lane(&lane);
+    let fast = lane
+        .select_with_period(&mut scratch, &xi, 0.0, &goal, goal.deadline, mode)
+        .expect("valid goal");
+    let full =
+        select_with_period(&table, &xi, 0.0, &goal, goal.deadline, mode).expect("valid goal");
+    assert_bits_equal(&fast, &full, "phi = 0");
+    assert_eq!(fast.estimates.energy, Joules(3.0));
+    assert_eq!(fast.candidate.power, 1, "the surer cap wins the energy tie");
+}
+
+/// A negative cap makes the idle term negative, so Eq. 9 can fall below
+/// the run energy: the walk must visit such an entry whatever its run
+/// energy. Here the low-run-energy setting is valid first at 4 J, and
+/// the negative-cap setting, at 5 J of run energy, costs −7.5 J at
+/// φ = 0.25.
+#[test]
+fn a_negative_cap_is_never_cut_by_the_run_energy_stop() {
+    let table = ConfigTable::new(
+        vec![CandidateModel::traditional("only", 0.9, 0.0)],
+        vec![Watts(-100.0), Watts(0.0)],
+        vec![vec![Seconds(0.5), Seconds(0.5)]],
+        vec![vec![Watts(10.0), Watts(8.0)]],
+    )
+    .expect("valid table");
+    let lane = CandidateLane::build(&table);
+    let mut scratch = LaneScratch::for_lane(&lane);
+    let goal = Goal::minimize_energy(Seconds(1.0), 0.5);
+    let xi = Normal::new(1.0, 0.0);
+    for mode in [ProbabilityMode::Full, ProbabilityMode::MeanOnly] {
+        let sel = lane_matches_reference(
+            &lane,
+            &mut scratch,
+            &table,
+            &xi,
+            &goal,
+            mode,
+            "negative cap",
+        );
+        assert_eq!(sel.candidate.power, 0, "{mode:?}");
+        assert_eq!(sel.estimates.energy, Joules(-7.5), "{mode:?}");
     }
 }

@@ -108,6 +108,15 @@ pub fn run_power(profile: &ModelProfile, platform: &Platform, cap: Watts) -> Wat
     platform.run_draw(cap) * power_utilization(profile)
 }
 
+/// Stage `k` of the schedule when the full network takes `full`: its
+/// realized completion time and quality, or `None` past the last stage.
+fn scheduled_stage(profile: &ModelProfile, full: Seconds, k: usize) -> Option<(Seconds, f64)> {
+    match &profile.anytime {
+        None => (k == 0).then_some((full, profile.quality)),
+        Some(spec) => spec.stages().get(k).map(|s| (full * s.frac, s.quality)),
+    }
+}
+
 /// Executes one inference.
 ///
 /// `env_factor` multiplies every profiled duration; it bundles contention,
@@ -132,19 +141,10 @@ pub fn execute(
     let t_prof_full = profile_latency(profile, platform, cap)?;
     let full = t_prof_full * env_factor;
 
-    // Stage schedule: (realized completion time, quality).
-    let schedule: Vec<(Seconds, f64)> = match &profile.anytime {
-        None => vec![(full, profile.quality)],
-        Some(spec) => spec
-            .stages()
-            .iter()
-            .map(|s| (full * s.frac, s.quality))
-            .collect(),
-    };
-
     let stage_bound = |k: usize| -> Seconds {
-        assert!(k < schedule.len(), "stop stage {k} out of range");
-        schedule[k].0
+        let stage = scheduled_stage(profile, full, k);
+        assert!(stage.is_some(), "stop stage {k} out of range");
+        stage.map_or(full, |(t, _)| t)
     };
     let stop_at: Seconds = match policy {
         StopPolicy::RunToCompletion => full,
@@ -153,9 +153,8 @@ pub fn execute(
         StopPolicy::AtTimeOrStage(t, k) => stage_bound(k).min(full.min(Seconds(t.get().max(0.0)))),
     };
 
-    let stage_completions: Vec<(Seconds, f64)> = schedule
-        .iter()
-        .copied()
+    let stage_completions: Vec<(Seconds, f64)> = (0..)
+        .map_while(|k| scheduled_stage(profile, full, k))
         .filter(|&(t, _)| t <= stop_at + Seconds(1e-15))
         .collect();
     let ran_to_completion = (stop_at - full).get().abs() < 1e-15 || stop_at >= full;

@@ -11,8 +11,8 @@
 //!
 //! Modules:
 //!
-//! * [`profile`] — [`ModelProfile`](profile::ModelProfile) and the anytime
-//!   staircase ([`AnytimeSpec`](profile::AnytimeSpec)); quality metrics
+//! * [`profile`] — [`ModelProfile`] and the anytime
+//!   staircase ([`AnytimeSpec`]); quality metrics
 //!   (top-5 accuracy for images, perplexity for sentence prediction).
 //! * [`zoo`] — the 42 ImageNet classification networks of paper Fig. 2 and
 //!   the individual reference models (VGG16, ResNet50, RNN, BERT).

@@ -5,7 +5,7 @@
 //! ([`crate::runtime::RuntimeBuilder::sink`]) — of a one-shard
 //! [`Runtime`] or a many-shard one alike — and captures every processed
 //! input as one
-//! [`TraceRecord`](alert_workload::TraceRecord): session/stream
+//! [`TraceRecord`]: session/stream
 //! identity, the inter-arrival time and realized input scale (the
 //! replayable half), the goal in force at dispatch, the device the
 //! input was placed on (written only for off-primary placements, so

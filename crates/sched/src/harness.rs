@@ -257,6 +257,7 @@ impl SessionEngine {
             warmup: i < stream.warmup_len(),
         });
 
+        let latency = result.latency;
         scheduler.observe(&Feedback {
             index: i,
             decision,
@@ -264,9 +265,9 @@ impl SessionEngine {
             energy,
             idle_power,
             deadline,
-            result: result.clone(),
+            result,
         });
-        self.budget.consume(result.latency);
+        self.budget.consume(latency);
         Ok(self.records.last())
     }
 

@@ -2,7 +2,7 @@
 //! baseline scheme of paper Table 3, the session runtime, and the paper
 //! sweep behind Tables 4 and 5 and Figs 7 and 8.
 //!
-//! * [`scheduler`] — the per-input [`Scheduler`](scheduler::Scheduler)
+//! * [`scheduler`] — the per-input [`Scheduler`]
 //!   interface (decide → execute → observe) plus snapshot hooks.
 //! * [`mod@env`] — frozen episode environments: identical conditions for every
 //!   scheme, exact counterfactuals for the oracles.
@@ -13,40 +13,40 @@
 //! * [`oracle`] — the per-input Oracle and the OracleStatic baseline.
 //! * [`app_only`], [`sys_only`], [`no_coord`] — the state-of-the-art
 //!   comparison points of §5.2.
-//! * [`registry`] — the open [`Policy`](registry::Policy) trait and the
-//!   string-keyed [`PolicyRegistry`](registry::PolicyRegistry) (all nine
+//! * [`registry`] — the open [`Policy`] trait and the
+//!   string-keyed [`PolicyRegistry`] (all nine
 //!   paper schemes pre-registered; external crates add their own).
-//! * [`runtime`] — the session runtime: one [`Runtime`](runtime::Runtime)
+//! * [`runtime`] — the session runtime: one [`Runtime`]
 //!   type multiplexing long-lived sessions over one or more shards
 //!   (`session(spec).open()` / `submit` / `close` / `drain`), per-input
-//!   [`EpisodeEvent`](runtime::EpisodeEvent) emission,
-//!   checkpoint/migration, serde [`RunSpec`](runtime::RunSpec).
+//!   [`EpisodeEvent`] emission,
+//!   checkpoint/migration, serde [`RunSpec`].
 //! * [`executor`] — the parallel drain behind
 //!   [`Runtime::drain`](runtime::Runtime::drain): one thread per
 //!   non-empty shard, bit-identical per session for every shard count.
 //! * [`serving`] — the serving front-end: frozen offered-load storms
 //!   replayed against the runtime's shards under an
-//!   [`AdmissionPolicy`](serving::AdmissionPolicy) (ALERT-native
+//!   [`AdmissionPolicy`] (ALERT-native
 //!   belief-driven admit/degrade/shed, plus always-admit and drop-tail
 //!   baselines), emitting per-request
 //!   [`ServingReport`](alert_workload::ServingReport)s for the
 //!   saturation-curve bench.
 //! * [`telemetry`] — the deterministic observability layer: typed
-//!   [`TelemetryEvent`](telemetry::TelemetryEvent)s on the existing
+//!   [`TelemetryEvent`]s on the existing
 //!   event fan-out, deterministic sampling by input index
-//!   ([`TelemetryConfig`](telemetry::TelemetryConfig)), metric folding
-//!   ([`MetricsCollector`](telemetry::MetricsCollector) over
+//!   ([`TelemetryConfig`]), metric folding
+//!   ([`MetricsCollector`] over
 //!   `alert_stats::telemetry`), and the miss-explanation
-//!   [`FlightRecorder`](telemetry::FlightRecorder) — all strictly off
+//!   [`FlightRecorder`] — all strictly off
 //!   the decision value path, so every bit-identity gate holds with
 //!   telemetry enabled.
 //! * [`capture`] — trace capture: the
-//!   [`TraceRecorder`](capture::TraceRecorder) event sink records live
+//!   [`TraceRecorder`] event sink records live
 //!   runtime traffic (one shard or many) into the versioned
 //!   `alert-workload` trace format for later replay as a scenario.
 //! * [`harness`] — the resumable per-stream
-//!   [`SessionEngine`](harness::SessionEngine) and the one-shot
-//!   [`run_episode`](harness::run_episode) adapter.
+//!   [`SessionEngine`] and the one-shot
+//!   [`run_episode`] adapter.
 //! * [`metrics`] — Table 4 normalization, violation superscripts,
 //!   harmonic means.
 //! * [`experiment`] — the paper sweep ([`PaperSweep`]): every

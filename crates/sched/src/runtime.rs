@@ -1118,6 +1118,13 @@ impl Runtime {
                 snap.engine.cursor()
             )));
         }
+        // Controller state also arrives as JSON: a belief no controller can
+        // reach would panic the next decision or plan against the wrong
+        // deadline.
+        if let Some(ctl) = &snap.controller {
+            ctl.validate()
+                .map_err(|e| Error::InvalidSpec(format!("controller state: {e}")))?;
+        }
         let (spec, stream, env, mut scheduler) = self.materialize(snap.spec.clone())?;
         // Mid-sentence integrity (NLP1 grouped streams, paper §3.2 step
         // 2): when the next input is a non-leading group member, the

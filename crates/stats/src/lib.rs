@@ -3,12 +3,12 @@
 //! This crate is the leaf of the workspace dependency graph. It hosts
 //! everything that is "pure math" and shared by every other crate:
 //!
-//! * [`units`] — scalar newtypes ([`Seconds`](units::Seconds),
-//!   [`Watts`](units::Watts), [`Joules`](units::Joules)) used at all API
+//! * [`units`] — scalar newtypes ([`Seconds`],
+//!   [`Watts`], [`Joules`]) used at all API
 //!   boundaries so that latency/power/energy cannot be mixed up silently.
 //! * [`normal`] — the standard normal distribution: `erf`, CDF, inverse CDF
 //!   (Acklam's algorithm refined with Halley steps), and a parameterized
-//!   [`Normal`](normal::Normal) type. ALERT's deadline-meeting probability
+//!   [`Normal`] type. ALERT's deadline-meeting probability
 //!   (paper Eq. 6) and percentile energy bound (Eq. 12) are built on these.
 //! * [`kalman`] — scalar Kalman filters: the textbook filter, the
 //!   adaptive-process-noise extension used for the global slowdown factor

@@ -500,3 +500,64 @@ fn restore_rejects_a_started_snapshot_without_controller_state() {
     rt.run_to_completion(id).unwrap();
     assert_eq!(rt.close(id).unwrap().records, reference.records);
 }
+
+/// `snap` with the number at `path` in its JSON replaced by `value`.
+fn doctored(
+    snap: &alert::sched::runtime::SessionSnapshot,
+    path: &[&str],
+    value: f64,
+) -> alert::sched::runtime::SessionSnapshot {
+    let mut json = serde_json::to_value(snap);
+    let mut node = &mut json;
+    for key in path {
+        node = match node {
+            serde_json::Value::Object(map) => map.get_mut(*key).expect("snapshot field exists"),
+            other => panic!("{key}: not an object: {other:?}"),
+        };
+    }
+    *node = serde_json::Value::F64(value);
+    serde_json::from_str(&serde_json::to_string(&json).unwrap()).unwrap()
+}
+
+/// Controller state arrives as JSON too, so restore rejects a belief no
+/// controller can reach. Restored, a negative ξ variance panics the next
+/// decision, φ above 1 trips the energy estimate's debug assertion, and
+/// a negative overhead reserve plans every input against a deadline
+/// longer than the goal's.
+#[test]
+fn restore_rejects_controller_state_no_controller_can_reach() {
+    let spec = SessionSpec {
+        goal: Goal::minimize_energy(Seconds(0.4), 0.9),
+        scenario: Scenario::memory_env(7),
+        n_inputs: 60,
+        seed: Some(7),
+        policy: None,
+    };
+    let mut rt = Runtime::builder().build().unwrap();
+    let id = rt.session(spec).open().unwrap();
+    for _ in 0..5 {
+        rt.submit(id).unwrap();
+    }
+    let good = rt.snapshot_session(id).unwrap();
+    let cases: [(&[&str], f64); 6] = [
+        (&["controller", "xi", "filter", "mu"], -1.0),
+        (&["controller", "xi", "filter", "var"], -1.0),
+        (&["controller", "xi", "innovation_var"], -1.0),
+        (&["controller", "idle", "filter", "phi"], 2.0),
+        (&["controller", "overhead_reserve"], -5.0),
+        (&["controller", "last_decision_cost"], -1.0),
+    ];
+    for (path, value) in cases {
+        let err = rt
+            .restore_session(&doctored(&good, path, value))
+            .unwrap_err();
+        assert!(
+            matches!(err, Error::InvalidSpec(_)),
+            "{path:?} = {value}: expected InvalidSpec, got {err}"
+        );
+    }
+
+    // The untouched snapshot still restores and resumes.
+    let id = rt.restore_session(&good).unwrap();
+    assert!(rt.submit(id).unwrap().is_some());
+}
