@@ -89,16 +89,15 @@ fn random_model(pool: &mut Pool, m: usize) -> CandidateModel {
     CandidateModel::anytime(format!("any{m}"), stages, fail)
 }
 
+/// One device's caps, `t_prof` rows and `p_run` rows.
+type Grid = (Vec<Watts>, Vec<Vec<Seconds>>, Vec<Vec<Watts>>);
+
 /// One device's grid: ascending caps, and per model a latency row and a
 /// run-power row. Run power usually follows the cap, but some rows draw
 /// it regardless of the cap, and a setting sometimes halves the previous
 /// latency at twice its run power, an exact run-energy tie, so rows are
 /// walked out of power order.
-#[allow(clippy::type_complexity)]
-fn random_grid(
-    pool: &mut Pool,
-    n_models: usize,
-) -> (Vec<Watts>, Vec<Vec<Seconds>>, Vec<Vec<Watts>>) {
+fn random_grid(pool: &mut Pool, n_models: usize) -> Grid {
     let n_powers = 1 + pool.index(4);
     let mut caps = Vec::new();
     let mut cap = pool.range(5.0, 20.0);
