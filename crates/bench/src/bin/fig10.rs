@@ -30,10 +30,10 @@ fn main() {
         "Figure 10",
         "ALERT vs ALERT* (mean-only) perplexity, sentence prediction @ CPU1",
     );
-    let platform = Platform::cpu1();
+    let node = [Platform::cpu1()];
     let family = ModelFamily::sentence_prediction();
     let stream = InputStream::generate(TaskId::Nlp1, n_inputs, seed);
-    let grid = constraint_grid(Objective::MinimizeError, &family, &platform);
+    let grid = constraint_grid(Objective::MinimizeError, &family, &node[0]);
 
     let sets = [
         ("Standard", CandidateSet::Standard),
@@ -56,15 +56,15 @@ fn main() {
             for (scheme_label, mean_only) in [("ALERT", false), ("ALERT*", true)] {
                 let mut ppls = Vec::new();
                 for goal in &grid {
-                    let env =
-                        EpisodeEnv::build(&platform, scenario, &stream, goal, seed).expect("valid");
+                    let env = EpisodeEnv::build(&node, scenario, &stream, goal, seed, None)
+                        .expect("valid");
                     let params = if mean_only {
                         AlertParams::mean_only()
                     } else {
                         AlertParams::default()
                     };
                     let mut s =
-                        AlertScheduler::new(scheme_label, &family, set, &platform, *goal, params)
+                        AlertScheduler::new(scheme_label, &family, set, &node[0], *goal, params)
                             .expect("paper family fits");
                     let ep = run_episode(&mut s, &env, &family, &stream, goal).expect("episode");
                     // Perplexity = -quality score.

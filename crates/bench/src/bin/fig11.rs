@@ -23,7 +23,7 @@ fn main() {
         "Figure 11",
         "Distribution of observed ξ for image classification on CPU1",
     );
-    let platform = Platform::cpu1();
+    let node = [Platform::cpu1()];
     let family = ModelFamily::image_classification();
     let stream = InputStream::generate(TaskId::Img2, 1200, 3);
     let goal = Goal::minimize_energy(Seconds(0.5), 0.90);
@@ -34,8 +34,8 @@ fn main() {
         Scenario::compute_env(11),
         Scenario::memory_env(12),
     ] {
-        let env = EpisodeEnv::build(&platform, &scenario, &stream, &goal, 77).expect("valid");
-        let mut s = AlertScheduler::standard(&family, &platform, goal).expect("paper family fits");
+        let env = EpisodeEnv::build(&node, &scenario, &stream, &goal, 77, None).expect("valid");
+        let mut s = AlertScheduler::standard(&family, &node[0], goal).expect("paper family fits");
         let ep = run_episode(&mut s, &env, &family, &stream, &goal).expect("episode");
         // Contended scenarios: keep only the samples observed while the
         // co-runner was active (the paper plots the contended regime).

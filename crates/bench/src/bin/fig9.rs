@@ -28,9 +28,9 @@ fn main() {
         "Figure 9",
         "Minimize error w/ latency+energy constraints @ CPU1, scripted memory window",
     );
-    let platform = Platform::cpu1();
+    let node = [Platform::cpu1()];
     let family = ModelFamily::image_classification();
-    let unit = deadline_unit(&family, &platform);
+    let unit = deadline_unit(&family, &node[0]);
     let deadline = unit * 1.25;
     let budget = Watts(35.0) * deadline;
     let goal = Goal::minimize_error(deadline, budget);
@@ -38,12 +38,12 @@ fn main() {
     let stream = InputStream::generate(TaskId::Img2, n, 9);
     // Contention from input ~46 to ~119 on the fixed dispatch grid.
     let scenario = Scenario::scripted_memory_window(deadline * 46.0, deadline * 119.0);
-    let env = EpisodeEnv::build(&platform, &scenario, &stream, &goal, 2020).expect("valid");
+    let env = EpisodeEnv::build(&node, &scenario, &stream, &goal, 2020, None).expect("valid");
 
-    let mut alert = AlertScheduler::standard(&family, &platform, goal).expect("paper family fits");
+    let mut alert = AlertScheduler::standard(&family, &node[0], goal).expect("paper family fits");
     let ep_alert = run_episode(&mut alert, &env, &family, &stream, &goal).expect("episode");
     let mut trad =
-        AlertScheduler::traditional_only(&family, &platform, goal).expect("paper family fits");
+        AlertScheduler::traditional_only(&family, &node[0], goal).expect("paper family fits");
     let ep_trad = run_episode(&mut trad, &env, &family, &stream, &goal).expect("episode");
 
     csv_header(&[

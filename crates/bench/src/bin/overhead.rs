@@ -51,7 +51,8 @@ fn main() {
             {
                 continue; // RNN inference is CPU-only (§5.1).
             }
-            let (table, _) = build_table(&family, &[&platform], None).expect("paper family fits");
+            let (table, _) = build_table(&family, std::slice::from_ref(&platform), None)
+                .expect("paper family fits");
             let candidates = table.candidate_count();
             let unit = deadline_unit(&family, &platform);
             let goal = Goal::minimize_error(unit, Watts(35.0) * unit);

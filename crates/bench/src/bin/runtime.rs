@@ -1,15 +1,20 @@
 //! Session-runtime throughput baseline: inputs/sec and per-decision
 //! scheduler overhead across a (sessions × workers) grid, plus the
 //! `decisions` microbench grid (fast-lane vs full-enumeration decision
-//! cost under stable and drifting beliefs), written to
-//! `BENCH_runtime.json` at the workspace root so later scaling PRs have
-//! a machine-readable perf baseline to compare against.
+//! cost under stable and drifting beliefs). `BENCH_runtime.json` at the
+//! workspace root keeps what every run reproduces (grid shape, input and
+//! decision counts, verification counts, misses) and rewrites byte for
+//! byte at its own arguments (`runtime 300 2020`); the timings, the
+//! machine's `available_parallelism` and the metrics snapshot
+//! (`TELEMETRY_runtime.json`, whose decision-cost buckets are timings)
+//! go to `results/runtime_timing.json` and `results/`.
 //!
 //! Each grid point drains a `build_sharded(workers)` runtime, one thread
 //! per shard; `workers == 1` is the one-shard baseline. Episodes are
 //! bit-identical for every shard count — the benchmark asserts that on
-//! the smallest grid point. The speedup scales with physical cores; `available_parallelism` is
-//! recorded in the JSON so single-core CI readings are interpretable.
+//! the smallest grid point. The speedup scales with physical cores;
+//! `available_parallelism` is recorded next to the timings so
+//! single-core CI readings are interpretable.
 //!
 //! The decisions grid drives one `AlertController` through a decide →
 //! observe loop and, for **every** decision, replays the reference full
@@ -27,7 +32,7 @@
 //!
 //! Usage: `runtime [n_inputs_per_session] [seed]` (defaults 300, 2020).
 
-use alert_bench::{banner, csv_header, csv_row, f};
+use alert_bench::{banner, csv_header, csv_row, f, results_dir, write_json};
 use alert_core::alert::{AlertController, AlertParams, Observation, OverheadPolicy};
 use alert_core::select::select_with_period;
 use alert_sched::alert::build_table;
@@ -195,11 +200,13 @@ fn drive_decisions(
 /// `volatile` node (230 W shared budget), whose rows cross devices.
 fn bench_decisions(n_decisions: usize) -> Vec<DecisionMeasurement> {
     let family = FamilyKind::Image.family();
-    let cpu1 = alert_platform::Platform::cpu1();
-    let gpu = alert_platform::Platform::gpu();
-    let (table, _) = build_table(&family, &[&cpu1], None).expect("paper table builds");
+    let node = [
+        alert_platform::Platform::cpu1(),
+        alert_platform::Platform::gpu(),
+    ];
+    let (table, _) = build_table(&family, &node[..1], None).expect("paper table builds");
     let (hetero, _) =
-        build_table(&family, &[&cpu1, &gpu], Some(Watts(230.0))).expect("CPU+GPU table builds");
+        build_table(&family, &node, Some(Watts(230.0))).expect("CPU+GPU table builds");
     let error_goal = Goal::minimize_error(Seconds(0.35), Joules(14.0));
     let energy_goal = Goal::minimize_energy(Seconds(0.35), 0.9);
     let cells = [
@@ -562,6 +569,7 @@ fn main() {
     ]);
 
     let mut results = Vec::new();
+    let mut results_timing = Vec::new();
     for sessions in [1usize, 8, 64] {
         for workers in [1usize, 2, 4, 8] {
             if workers > sessions {
@@ -580,6 +588,10 @@ fn main() {
                 "sessions": m.sessions,
                 "workers": m.workers,
                 "inputs_total": m.inputs_total,
+            }));
+            results_timing.push(serde_json::json!({
+                "sessions": m.sessions,
+                "workers": m.workers,
                 "elapsed_s": m.elapsed_s,
                 "inputs_per_sec": m.inputs_per_sec,
                 "decision_overhead_us_mean": m.decision_overhead_us_mean,
@@ -602,6 +614,7 @@ fn main() {
     ]);
     let decision_grid = bench_decisions((n_inputs * 4).clamp(400, 4000));
     let mut decision_results = Vec::new();
+    let mut decision_timing = Vec::new();
     for m in &decision_grid {
         csv_row(&[
             m.env.to_string(),
@@ -615,10 +628,13 @@ fn main() {
             "candidates": m.candidates,
             "warmup": m.warmup,
             "decisions": m.decisions,
+            "verified_identical": m.verified_identical,
+        }));
+        decision_timing.push(serde_json::json!({
+            "env": m.env,
             "decision_overhead_us_mean": m.decision_us_fast,
             "decision_overhead_us_mean_full_enum": m.decision_us_full,
             "speedup": m.speedup,
-            "verified_identical": m.verified_identical,
         }));
     }
 
@@ -673,9 +689,8 @@ fn main() {
         "[records bit-identical with telemetry on; overhead ratio {:.3} <= 1.10]",
         tm.overhead_ratio
     );
-    let snapshot_path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("TELEMETRY_runtime.json");
+    // The decision-cost histogram's bucket counts are timings too.
+    let snapshot_path = results_dir().join("TELEMETRY_runtime.json");
     std::fs::write(&snapshot_path, &snapshot_json).expect("write TELEMETRY_runtime.json");
     println!("[metrics snapshot written to {}]", snapshot_path.display());
 
@@ -683,29 +698,19 @@ fn main() {
         "bench": "runtime_sessions",
         "n_inputs_per_session": n_inputs,
         "seed": seed,
-        "available_parallelism": cores,
         "results": results,
         "decisions": decision_results,
         "telemetry": serde_json::json!({
             "sessions": tm.sessions,
             "inputs_total": tm.inputs_total,
-            "baseline_inputs_per_sec": tm.baseline_inputs_per_sec,
-            "no_sink_full_inputs_per_sec": tm.no_sink_full_inputs_per_sec,
-            "instrumented_inputs_per_sec": tm.instrumented_inputs_per_sec,
-            "baseline_overhead_us": tm.baseline_overhead_us,
-            "instrumented_overhead_us": tm.instrumented_overhead_us,
-            "overhead_ratio": tm.overhead_ratio,
             "decisions": tm.decisions,
             "deadline_misses": tm.deadline_misses,
-            "flight_recording_cost_s": tm.flight_recording_cost_s,
             "records_identical": tm.records_identical,
         }),
         "churn": serde_json::json!({
             "workers": churn.workers,
             "waves": churn.waves,
             "background_sessions": churn.background_sessions,
-            "opens_per_sec": churn.opens_per_sec,
-            "closes_per_sec": churn.closes_per_sec,
             "isolation_verified": churn.isolation_verified,
         }),
     });
@@ -718,4 +723,32 @@ fn main() {
     )
     .expect("write BENCH_runtime.json");
     println!("\n[baseline written to {}]", path.display());
+
+    // Timings and the machine's parallelism differ from run to run and
+    // box to box, so they stay out of the committed file, which must
+    // reproduce byte for byte.
+    write_json(
+        "runtime_timing.json",
+        &serde_json::json!({
+            "bench": "runtime_sessions_timing",
+            "n_inputs_per_session": n_inputs,
+            "seed": seed,
+            "available_parallelism": cores,
+            "results": results_timing,
+            "decisions": decision_timing,
+            "telemetry": serde_json::json!({
+                "baseline_inputs_per_sec": tm.baseline_inputs_per_sec,
+                "no_sink_full_inputs_per_sec": tm.no_sink_full_inputs_per_sec,
+                "instrumented_inputs_per_sec": tm.instrumented_inputs_per_sec,
+                "baseline_overhead_us": tm.baseline_overhead_us,
+                "instrumented_overhead_us": tm.instrumented_overhead_us,
+                "overhead_ratio": tm.overhead_ratio,
+                "flight_recording_cost_s": tm.flight_recording_cost_s,
+            }),
+            "churn": serde_json::json!({
+                "opens_per_sec": churn.opens_per_sec,
+                "closes_per_sec": churn.closes_per_sec,
+            }),
+        }),
+    );
 }

@@ -13,10 +13,11 @@
 //! first violation):
 //!
 //! * **Frozen-environment bit-identity** — for every cell, the
-//!   environment is rebuilt from (scenario, stream, goal, seed) and its
-//!   realizations compared wholesale against the shared reference env,
-//!   so every scheme of a scenario row provably faced bit-identical
-//!   conditions (including through cap/goal phase boundaries).
+//!   environment is rebuilt from (node, scenario, stream, goal, seed)
+//!   and compared with the shared reference env (every device's
+//!   realizations and cap timeline, `alert_bench::run_schemes`), so
+//!   every scheme of a row provably faced bit-identical conditions
+//!   (including through cap/goal phase boundaries).
 //! * **Cell completeness** — the matrix has one result per
 //!   scheme × scenario pair.
 //! * **Churn isolation** — for scenarios scripting session churn, the
@@ -26,33 +27,18 @@
 //!
 //! Usage: `scenarios [n_inputs_per_episode] [seed]` (defaults 300, 2020).
 
-use alert_bench::{banner, csv_header, csv_row, f, write_json};
+use alert_bench::{banner, base_goal, csv_header, csv_row, f, run_schemes, write_json, SCHEMES};
 use alert_core::lane::{CandidateLane, LaneScratch};
 use alert_core::select::select_with_period;
 use alert_core::ProbabilityMode;
 use alert_platform::Platform;
 use alert_sched::alert::build_table;
-use alert_sched::env::EpisodeEnv;
 use alert_sched::runtime::{EpisodeEvent, Runtime, SessionSpec};
 use alert_sched::telemetry::{TelemetryConfig, TelemetryEvent};
 use alert_sched::FamilyKind;
 use alert_stats::units::{Joules, Seconds, Watts};
 use alert_stats::Normal;
 use alert_workload::{Goal, InputStream, Scenario};
-use std::sync::Arc;
-
-/// The matrix rows: every practical paper scheme plus the two oracle
-/// references (all resolved through the policy registry, like any
-/// serving deployment would).
-const SCHEMES: [&str; 7] = [
-    "ALERT",
-    "ALERT-Any",
-    "App-only",
-    "Sys-only",
-    "No-coord",
-    "Oracle",
-    "OracleStatic",
-];
 
 struct Cell {
     scheme: &'static str,
@@ -67,10 +53,6 @@ struct Cell {
     disqualified: bool,
 }
 
-fn base_goal() -> Goal {
-    Goal::minimize_energy(Seconds(0.4), 0.9)
-}
-
 fn matrix_runtime(seed: u64) -> Runtime {
     Runtime::builder()
         .platform(alert_platform::PlatformId::Cpu1)
@@ -78,68 +60,6 @@ fn matrix_runtime(seed: u64) -> Runtime {
         .seed(seed)
         .build()
         .expect("builtin policy resolves")
-}
-
-/// Runs one scenario row: every scheme on the *same* shared frozen
-/// environment, with the per-scheme rebuild asserted bit-identical.
-fn run_row(
-    scenario: &Scenario,
-    stream: &InputStream,
-    seed: u64,
-    identity_checks: &mut usize,
-) -> Vec<Cell> {
-    let goal = base_goal();
-    let platform = alert_platform::Platform::cpu1();
-    // Span-aware realization: the library's FloorRaise row expresses its
-    // quality floor relative to the serving family's achievable range.
-    let span = alert_workload::quality_span(&FamilyKind::Image.family(), &platform);
-    let reference = Arc::new(
-        EpisodeEnv::build_scoped(&platform, scenario, stream, &goal, seed, Some(span))
-            .expect("library scenarios validate"),
-    );
-    let stress = scenario.name() != "Default";
-    SCHEMES
-        .iter()
-        .map(|&scheme| {
-            // The frozen-randomness guarantee, asserted per cell: a
-            // rebuild from the same recipe is bit-identical to the env
-            // every other scheme of this row runs on.
-            let rebuilt =
-                EpisodeEnv::build_scoped(&platform, scenario, stream, &goal, seed, Some(span))
-                    .expect("library scenarios validate");
-            assert_eq!(
-                rebuilt.realizations(),
-                reference.realizations(),
-                "environment realization diverged for {scheme} on {}",
-                scenario.name()
-            );
-            *identity_checks += 1;
-
-            let mut rt = matrix_runtime(seed);
-            let id = rt
-                .session(SessionSpec::external(goal))
-                .policy(scheme)
-                .on(stream.clone(), reference.clone())
-                .open()
-                .expect("registered policy builds");
-            rt.run_to_completion(id).expect("episode runs");
-            let ep = rt.close(id).expect("session open");
-            Cell {
-                scheme,
-                scenario: scenario.name().to_string(),
-                stress,
-                measured: ep.summary.measured,
-                deadline_miss_rate: ep.summary.deadline_miss_rate,
-                violation_rate: ep.summary.violation_rate(),
-                avg_energy_j: ep.summary.avg_energy.get(),
-                avg_quality: ep.summary.avg_quality,
-                decision_overhead_us_mean: ep.summary.overhead.get()
-                    / ep.records.len().max(1) as f64
-                    * 1e6,
-                disqualified: ep.summary.disqualified(),
-            }
-        })
-        .collect()
 }
 
 /// One cell of the placement matrix (a node row × scheme × scenario).
@@ -182,8 +102,7 @@ fn assert_lane_matches_reference(
     shared_budget: Option<Watts>,
 ) -> usize {
     let family = FamilyKind::Image.family();
-    let refs: Vec<&Platform> = platforms.iter().collect();
-    let (table, _) = build_table(&family, &refs, shared_budget).expect("node table builds");
+    let (table, _) = build_table(&family, platforms, shared_budget).expect("node table builds");
     let lane = CandidateLane::build(&table);
     let mut scratch = LaneScratch::for_lane(&lane);
     let mut checks = 0usize;
@@ -209,87 +128,6 @@ fn assert_lane_matches_reference(
         }
     }
     checks
-}
-
-/// Runs one placement row: every scheme on the same shared heterogeneous
-/// frozen environment, with the per-scheme rebuild asserted bit-identical
-/// across *every device's* realization grid and cap-ceiling timeline.
-fn run_placement_row(
-    node: &'static str,
-    platforms: &[Platform],
-    shared_budget: Option<Watts>,
-    scenario: &Scenario,
-    stream: &InputStream,
-    seed: u64,
-    identity_checks: &mut usize,
-) -> Vec<PlacementCell> {
-    let goal = base_goal();
-    let primary = &platforms[0];
-    let span = alert_workload::quality_span(&FamilyKind::Image.family(), primary);
-    let build = || {
-        EpisodeEnv::build_hetero(platforms, scenario, stream, &goal, seed, Some(span))
-            .expect("library scenarios validate")
-    };
-    let reference = Arc::new(build());
-    SCHEMES
-        .iter()
-        .map(|&scheme| {
-            // The frozen-randomness guarantee, extended over placement:
-            // a rebuild must match on device 0's realizations *and* on
-            // every extra device's scripted cap-ceiling timeline.
-            let rebuilt = build();
-            assert_eq!(
-                rebuilt.realizations(),
-                reference.realizations(),
-                "environment realization diverged for {scheme} on {node}/{}",
-                scenario.name()
-            );
-            for d in 1..reference.device_count() {
-                for i in 0..reference.len() {
-                    assert_eq!(
-                        rebuilt.cap_limit_on(d, i),
-                        reference.cap_limit_on(d, i),
-                        "device {d} cap timeline diverged for {scheme} on {node}/{}",
-                        scenario.name()
-                    );
-                }
-            }
-            *identity_checks += 1;
-
-            let mut builder = Runtime::builder()
-                .platform(primary.id())
-                .family(FamilyKind::Image)
-                .seed(seed);
-            for p in &platforms[1..] {
-                builder = builder.extra_backend(p.id());
-            }
-            if let Some(b) = shared_budget {
-                builder = builder.shared_budget(b);
-            }
-            let mut rt = builder.build().expect("builtin policy resolves");
-            let id = rt
-                .session(SessionSpec::external(goal))
-                .policy(scheme)
-                .on(stream.clone(), reference.clone())
-                .open()
-                .expect("registered policy builds");
-            rt.run_to_completion(id).expect("episode runs");
-            let ep = rt.close(id).expect("session open");
-            let off_primary = ep.records.iter().filter(|r| r.device > 0).count();
-            PlacementCell {
-                node,
-                scheme,
-                scenario: scenario.name().to_string(),
-                measured: ep.summary.measured,
-                deadline_miss_rate: ep.summary.deadline_miss_rate,
-                violation_rate: ep.summary.violation_rate(),
-                avg_energy_j: ep.summary.avg_energy.get(),
-                avg_quality: ep.summary.avg_quality,
-                off_primary_share: off_primary as f64 / ep.records.len().max(1) as f64,
-                disqualified: ep.summary.disqualified(),
-            }
-        })
-        .collect()
 }
 
 /// Replays the scripted churn waves against a 4-shard `Runtime`: the
@@ -468,7 +306,30 @@ fn main() {
         "overhead_us",
     ]);
     for scenario in &library {
-        for cell in run_row(scenario, &stream, seed, &mut identity_checks) {
+        let episodes = run_schemes(
+            &[Platform::cpu1()],
+            None,
+            scenario,
+            &stream,
+            seed,
+            |_| {},
+            &mut identity_checks,
+        );
+        for (&scheme, ep) in SCHEMES.iter().zip(episodes) {
+            let cell = Cell {
+                scheme,
+                scenario: scenario.name().to_string(),
+                stress: scenario.name() != "Default",
+                measured: ep.summary.measured,
+                deadline_miss_rate: ep.summary.deadline_miss_rate,
+                violation_rate: ep.summary.violation_rate(),
+                avg_energy_j: ep.summary.avg_energy.get(),
+                avg_quality: ep.summary.avg_quality,
+                decision_overhead_us_mean: ep.summary.overhead.get()
+                    / ep.records.len().max(1) as f64
+                    * 1e6,
+                disqualified: ep.summary.disqualified(),
+            };
             csv_row(&[
                 cell.scenario.clone(),
                 cell.scheme.to_string(),
@@ -547,15 +408,29 @@ fn main() {
     for (node, platforms, budget) in &nodes {
         lane_checks += assert_lane_matches_reference(node, platforms, *budget);
         for scenario in &placement_scenarios {
-            for cell in run_placement_row(
-                node,
+            let episodes = run_schemes(
                 platforms,
                 *budget,
                 scenario,
                 &stream,
                 seed,
+                |_| {},
                 &mut placement_identity_checks,
-            ) {
+            );
+            for (&scheme, ep) in SCHEMES.iter().zip(episodes) {
+                let off_primary = ep.records.iter().filter(|r| r.device > 0).count();
+                let cell = PlacementCell {
+                    node,
+                    scheme,
+                    scenario: scenario.name().to_string(),
+                    measured: ep.summary.measured,
+                    deadline_miss_rate: ep.summary.deadline_miss_rate,
+                    violation_rate: ep.summary.violation_rate(),
+                    avg_energy_j: ep.summary.avg_energy.get(),
+                    avg_quality: ep.summary.avg_quality,
+                    off_primary_share: off_primary as f64 / ep.records.len().max(1) as f64,
+                    disqualified: ep.summary.disqualified(),
+                };
                 csv_row(&[
                     cell.node.to_string(),
                     cell.scenario.clone(),

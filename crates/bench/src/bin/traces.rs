@@ -24,47 +24,25 @@
 //!
 //! Usage: `traces [n_inputs_per_episode] [seed]` (defaults 240, 2020).
 
-use alert_bench::{banner, csv_header, csv_row, f, results_dir};
+use alert_bench::{banner, base_goal, csv_header, csv_row, f, results_dir, run_schemes, SCHEMES};
+use alert_platform::{Platform, PlatformId};
 use alert_sched::capture::TraceRecorder;
 use alert_sched::env::EpisodeEnv;
 use alert_sched::runtime::{Runtime, SessionSpec};
 use alert_sched::FamilyKind;
-use alert_stats::units::Seconds;
 use alert_workload::{
-    quality_span, Goal, GoalPatch, InputStream, QualitySpan, Scenario, ScenarioScript, ScriptEvent,
-    TraceFit, WorkloadTrace,
+    GoalPatch, InputStream, Scenario, ScenarioScript, ScriptEvent, TraceFit, WorkloadTrace,
 };
 use std::path::PathBuf;
-use std::sync::Arc;
-
-/// The matrix rows: every practical paper scheme plus the two oracle
-/// references (resolved through the policy registry).
-const SCHEMES: [&str; 7] = [
-    "ALERT",
-    "ALERT-Any",
-    "App-only",
-    "Sys-only",
-    "No-coord",
-    "Oracle",
-    "OracleStatic",
-];
-
-fn base_goal() -> Goal {
-    Goal::minimize_energy(Seconds(0.4), 0.9)
-}
-
-fn runtime(seed: u64) -> alert_sched::runtime::RuntimeBuilder {
-    Runtime::builder()
-        .platform(alert_platform::PlatformId::Cpu1)
-        .family(FamilyKind::Image)
-        .seed(seed)
-}
 
 /// Records one scenario through the live runtime's sink; returns the
 /// capture and the recorded session id.
 fn capture(scenario: &Scenario, n_inputs: usize, seed: u64) -> (WorkloadTrace, u64) {
     let recorder = TraceRecorder::new(scenario.name(), Some(seed));
-    let mut rt = runtime(seed)
+    let mut rt = Runtime::builder()
+        .platform(PlatformId::Cpu1)
+        .family(FamilyKind::Image)
+        .seed(seed)
         .sink(recorder.clone())
         .build()
         .expect("builtin policy resolves");
@@ -114,61 +92,39 @@ struct Cell {
 }
 
 /// Runs one scheme×trace matrix row on `scenario` (a replay scenario,
-/// plain or counterfactual), asserting per cell that a rebuilt
-/// environment still replays the trace bit-exactly.
-#[allow(clippy::too_many_arguments)]
+/// plain or counterfactual), asserting that the shared environment and
+/// every cell's rebuild replay the trace bit-exactly.
 fn run_row(
     scenario: &Scenario,
     trace: &WorkloadTrace,
     session: u64,
     stream: &InputStream,
     seed: u64,
-    span: QualitySpan,
     counterfactual: bool,
     identity_checks: &mut usize,
 ) -> Vec<Cell> {
-    let goal = base_goal();
-    let platform = alert_platform::Platform::cpu1();
-    let reference = Arc::new(
-        EpisodeEnv::build_scoped(&platform, scenario, stream, &goal, seed, Some(span))
-            .expect("replay scenario validates"),
+    let episodes = run_schemes(
+        &[Platform::cpu1()],
+        None,
+        scenario,
+        stream,
+        seed,
+        |env| assert_replay_identity(env, trace, session, scenario.name()),
+        identity_checks,
     );
-    assert_replay_identity(&reference, trace, session, scenario.name());
     SCHEMES
         .iter()
-        .map(|&scheme| {
-            let rebuilt =
-                EpisodeEnv::build_scoped(&platform, scenario, stream, &goal, seed, Some(span))
-                    .expect("replay scenario validates");
-            assert_eq!(
-                rebuilt.realizations(),
-                reference.realizations(),
-                "environment realization diverged for {scheme} on {}",
-                scenario.name()
-            );
-            assert_replay_identity(&rebuilt, trace, session, scenario.name());
-            *identity_checks += 1;
-
-            let mut rt = runtime(seed).build().expect("builtin policy resolves");
-            let id = rt
-                .session(SessionSpec::external(goal))
-                .policy(scheme)
-                .on(stream.clone(), reference.clone())
-                .open()
-                .expect("registered policy builds");
-            rt.run_to_completion(id).expect("episode runs");
-            let ep = rt.close(id).expect("session open");
-            Cell {
-                scheme,
-                trace: trace.header().source.clone(),
-                counterfactual,
-                measured: ep.summary.measured,
-                deadline_miss_rate: ep.summary.deadline_miss_rate,
-                violation_rate: ep.summary.violation_rate(),
-                avg_energy_j: ep.summary.avg_energy.get(),
-                avg_quality: ep.summary.avg_quality,
-                disqualified: ep.summary.disqualified(),
-            }
+        .zip(episodes)
+        .map(|(&scheme, ep)| Cell {
+            scheme,
+            trace: trace.header().source.clone(),
+            counterfactual,
+            measured: ep.summary.measured,
+            deadline_miss_rate: ep.summary.deadline_miss_rate,
+            violation_rate: ep.summary.violation_rate(),
+            avg_energy_j: ep.summary.avg_energy.get(),
+            avg_quality: ep.summary.avg_quality,
+            disqualified: ep.summary.disqualified(),
         })
         .collect()
 }
@@ -204,10 +160,6 @@ fn main() {
 
     let library = Scenario::library(seed);
     let stream = InputStream::generate(alert_workload::TaskId::Img2, n_inputs, seed);
-    let span = quality_span(
-        &FamilyKind::Image.family(),
-        &alert_platform::Platform::cpu1(),
-    );
     let trace_dir = results_dir().join("traces");
     std::fs::create_dir_all(&trace_dir).expect("create trace dir");
 
@@ -261,7 +213,6 @@ fn main() {
             session,
             &stream,
             seed,
-            span,
             false,
             &mut identity_checks,
         );
@@ -280,7 +231,6 @@ fn main() {
             session,
             &stream,
             seed,
-            span,
             true,
             &mut identity_checks,
         );

@@ -3,10 +3,100 @@
 //! The binaries in `src/bin/` regenerate the paper's tables and figures
 //! (see `DESIGN.md` §4 for the index). They print human-readable tables
 //! plus machine-readable CSV blocks, and write JSON result files under
-//! `results/` at the workspace root.
+//! `results/` at the workspace root. The scenario and trace matrices
+//! run their rows through [`run_schemes`].
 
+use alert_platform::Platform;
+use alert_sched::env::EpisodeEnv;
+use alert_sched::runtime::{Runtime, SessionSpec};
+use alert_sched::{Episode, FamilyKind};
+use alert_stats::units::{Seconds, Watts};
+use alert_workload::{quality_span, Goal, InputStream, Scenario};
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
+
+/// The rows of the scheme matrices: every practical paper scheme plus
+/// the two oracle references, resolved through the policy registry like
+/// any serving deployment would.
+pub const SCHEMES: [&str; 7] = [
+    "ALERT",
+    "ALERT-Any",
+    "App-only",
+    "Sys-only",
+    "No-coord",
+    "Oracle",
+    "OracleStatic",
+];
+
+/// The goal every matrix cell runs under.
+pub fn base_goal() -> Goal {
+    Goal::minimize_energy(Seconds(0.4), 0.9)
+}
+
+/// Runs every scheme of [`SCHEMES`] on one shared frozen environment of
+/// `scenario`, as sessions of one image-classification runtime on `node`
+/// (device 0 first) under `shared_budget`, and returns each scheme's
+/// episode in [`SCHEMES`] order.
+///
+/// Before each scheme runs, the environment is rebuilt from the same
+/// recipe and asserted equal to the shared one — every device's
+/// realization grid and cap timeline — which counts one identity check
+/// in `identity_checks`. `check` runs on the shared environment and on
+/// every rebuild.
+pub fn run_schemes(
+    node: &[Platform],
+    shared_budget: Option<Watts>,
+    scenario: &Scenario,
+    stream: &InputStream,
+    seed: u64,
+    check: impl Fn(&EpisodeEnv),
+    identity_checks: &mut usize,
+) -> Vec<Episode> {
+    let goal = base_goal();
+    // Span-aware realization: the library's FloorRaise row expresses its
+    // quality floor relative to the serving family's achievable range.
+    let span = quality_span(&FamilyKind::Image.family(), &node[0]);
+    let build = || {
+        EpisodeEnv::build(node, scenario, stream, &goal, seed, Some(span))
+            .expect("matrix scenarios validate")
+    };
+    let reference = Arc::new(build());
+    check(&reference);
+    let mut builder = Runtime::builder()
+        .platform(node[0].id())
+        .family(FamilyKind::Image)
+        .seed(seed);
+    for p in &node[1..] {
+        builder = builder.extra_backend(p.id());
+    }
+    if let Some(budget) = shared_budget {
+        builder = builder.shared_budget(budget);
+    }
+    let mut rt = builder.build().expect("builtin policy resolves");
+    SCHEMES
+        .iter()
+        .map(|&scheme| {
+            let rebuilt = build();
+            assert!(
+                rebuilt == *reference,
+                "environment realization diverged for {scheme} on {}",
+                scenario.name()
+            );
+            check(&rebuilt);
+            *identity_checks += 1;
+
+            let id = rt
+                .session(SessionSpec::external(goal))
+                .policy(scheme)
+                .on(stream.clone(), reference.clone())
+                .open()
+                .expect("registered policy builds");
+            rt.run_to_completion(id).expect("episode runs");
+            rt.close(id).expect("session open")
+        })
+        .collect()
+}
 
 /// Prints a banner for one experiment.
 pub fn banner(id: &str, caption: &str) {

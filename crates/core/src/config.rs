@@ -144,6 +144,11 @@ fn validate_grid(
     if powers.is_empty() {
         return Err("no power settings".into());
     }
+    for (j, &cap) in powers.iter().enumerate() {
+        if !(cap.is_finite() && cap.get() > 0.0) {
+            return Err(format!("powers[{j}] must be a positive cap, got {cap}"));
+        }
+    }
     if t_prof.len() != models.len() {
         return Err(format!(
             "t_prof rows != models ({} vs {})",
@@ -187,7 +192,8 @@ impl ConfigTable {
     /// # Errors
     ///
     /// Returns a description of the first problem found — dimension
-    /// mismatches, invalid candidates, or non-positive profile entries.
+    /// mismatches, invalid candidates, or non-positive (or non-finite)
+    /// caps and profile entries.
     /// Candidate tables are user input (profiling passes, config files),
     /// so malformed tables are a runtime condition the caller must be
     /// able to surface, not a panic.
@@ -432,6 +438,31 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("must be positive"), "{err}");
+    }
+
+    #[test]
+    fn non_positive_and_non_finite_caps_are_rejected() {
+        for cap in [-100.0, 0.0, f64::NAN, f64::INFINITY] {
+            let err = ConfigTable::new(
+                vec![CandidateModel::traditional("m", 0.9, 0.0)],
+                vec![Watts(cap)],
+                vec![vec![Seconds(0.1)]],
+                vec![vec![Watts(9.0)]],
+            )
+            .unwrap_err();
+            assert!(err.contains("powers[0] must be a positive cap"), "{err}");
+            let mut t = table();
+            let err = t
+                .add_device(
+                    "GPU",
+                    vec![Watts(100.0), Watts(cap)],
+                    vec![vec![Seconds(0.01), Seconds(0.01)]; 3],
+                    vec![vec![Watts(90.0), Watts(90.0)]; 3],
+                )
+                .unwrap_err();
+            assert!(err.contains("device GPU: powers[1]"), "{err}");
+            assert_eq!(t.device_count(), 1, "failed add must not mutate");
+        }
     }
 
     #[test]

@@ -50,12 +50,18 @@ impl SlowdownEstimator {
     /// # Errors
     ///
     /// Returns a description of the first invalid parameter (the
-    /// parameters usually come from user configuration).
+    /// parameters usually come from user configuration), including an
+    /// initial belief that [`SlowdownEstimator::validate`] rejects: a
+    /// slowdown ratio is positive, so `mu0` must be too.
     pub fn with_params(params: AdaptiveKalmanParams) -> Result<Self, String> {
-        Ok(SlowdownEstimator {
+        let estimator = SlowdownEstimator {
             filter: AdaptiveKalman::new(params)?,
             innovation_var: INNOVATION_VAR0,
-        })
+        };
+        estimator
+            .validate()
+            .map_err(|e| format!("invalid AdaptiveKalmanParams: {e}"))?;
+        Ok(estimator)
     }
 
     /// Feeds one observation: the measured execution time of the work that

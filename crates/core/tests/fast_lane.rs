@@ -728,16 +728,17 @@ fn with_no_idle_energy_a_run_energy_tie_is_scored_and_the_surer_cap_wins() {
 /// the run energy: the walk must visit such an entry whatever its run
 /// energy. Here the low-run-energy setting is valid first at 4 J, and
 /// the negative-cap setting, at 5 J of run energy, costs −7.5 J at
-/// φ = 0.25.
+/// φ = 0.25. `ConfigTable::new` refuses such caps, but a table read
+/// from JSON is not validated, so the lane must stay exact on one.
 #[test]
 fn a_negative_cap_is_never_cut_by_the_run_energy_stop() {
-    let table = ConfigTable::new(
-        vec![CandidateModel::traditional("only", 0.9, 0.0)],
-        vec![Watts(-100.0), Watts(0.0)],
-        vec![vec![Seconds(0.5), Seconds(0.5)]],
-        vec![vec![Watts(10.0), Watts(8.0)]],
+    let table: ConfigTable = serde_json::from_str(
+        r#"{
+            "models": [{"name": "only", "stages": [{"frac": 1.0, "quality": 0.9}], "fail_quality": 0.0}],
+            "devices": [{"powers": [-100.0, 0.0], "t_prof": [[0.5, 0.5]], "p_run": [[10.0, 8.0]]}]
+        }"#,
     )
-    .expect("valid table");
+    .expect("table JSON parses");
     let lane = CandidateLane::build(&table);
     let mut scratch = LaneScratch::for_lane(&lane);
     let goal = Goal::minimize_energy(Seconds(1.0), 0.5);

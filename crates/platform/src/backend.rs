@@ -18,10 +18,9 @@ use alert_stats::units::Watts;
 /// pre-placement code path), and the floor guarantees every device can
 /// at least run its slowest level — the same "never pick an infeasible
 /// setting" discipline the §4 fallback hierarchy applies to caps.
-pub fn split_budget(total: Watts, platforms: &[&Platform]) -> Vec<Watts> {
-    let sum_max: f64 = platforms.iter().map(|p| p.cap_range().max().get()).sum();
-    platforms
-        .iter()
+pub fn split_budget(total: Watts, node: &[Platform]) -> Vec<Watts> {
+    let sum_max: f64 = node.iter().map(|p| p.cap_range().max().get()).sum();
+    node.iter()
         .map(|p| {
             let share = if sum_max > 0.0 {
                 Watts(total.get() * p.cap_range().max().get() / sum_max)
@@ -39,17 +38,15 @@ mod tests {
 
     #[test]
     fn single_backend_split_is_the_whole_budget() {
-        let cpu = Platform::cpu1();
-        let shares = split_budget(Watts(45.0), &[&cpu]);
+        let shares = split_budget(Watts(45.0), &[Platform::cpu1()]);
         assert_eq!(shares, vec![Watts(45.0)]);
     }
 
     #[test]
     fn split_is_proportional_to_max_power() {
-        let cpu = Platform::cpu1(); // max 45 W
-        let gpu = Platform::gpu(); // max 215 W
+        // CPU1 draws at most 45 W, the GPU 215 W.
         let total = Watts(195.0);
-        let shares = split_budget(total, &[&cpu, &gpu]);
+        let shares = split_budget(total, &[Platform::cpu1(), Platform::gpu()]);
         assert_eq!(shares.len(), 2);
         let expected_cpu = 195.0 * 45.0 / (45.0 + 215.0);
         assert!((shares[0].get() - expected_cpu).abs() < 1e-9);
@@ -59,12 +56,12 @@ mod tests {
 
     #[test]
     fn split_floors_at_min_power() {
-        let cpu = Platform::cpu1(); // min 10 W
-        let gpu = Platform::gpu(); // min 100 W
-                                   // A tight budget would give the GPU less than its slowest level;
-                                   // the floor lifts it back so the device stays operable.
-        let shares = split_budget(Watts(60.0), &[&cpu, &gpu]);
-        assert!(shares[0] >= cpu.cap_range().min());
-        assert!(shares[1] >= gpu.cap_range().min());
+        // CPU1 draws at least 10 W, the GPU 100 W. A tight budget would
+        // give the GPU less than its slowest level; the floor lifts it
+        // back so the device stays operable.
+        let node = [Platform::cpu1(), Platform::gpu()];
+        let shares = split_budget(Watts(60.0), &node);
+        assert!(shares[0] >= node[0].cap_range().min());
+        assert!(shares[1] >= node[1].cap_range().min());
     }
 }

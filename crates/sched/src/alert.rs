@@ -101,7 +101,7 @@ fn profile_device(
 }
 
 /// Builds the controller's candidate table from a family on a node:
-/// `platforms[0]` is device 0, each further platform joins as an extra
+/// `node[0]` is device 0, each further platform joins as an extra
 /// device with its own power settings and per-device `t_prof`/`p_run`
 /// grids. Returns the table and each table model row's family index.
 ///
@@ -114,7 +114,7 @@ fn profile_device(
 ///
 /// # Errors
 ///
-/// Returns a description of the problem when `platforms` is empty, when
+/// Returns a description of the problem when `node` is empty, when
 /// no model of the family fits device 0, when a model row does not fit
 /// one of the extra devices (restrict the family first — every row must
 /// be placeable on every device), or when a profiled grid fails
@@ -122,13 +122,13 @@ fn profile_device(
 /// user specs).
 pub fn build_table(
     family: &ModelFamily,
-    platforms: &[&Platform],
+    node: &[Platform],
     shared_budget: Option<Watts>,
 ) -> Result<(ConfigTable, Vec<usize>), String> {
-    let (primary, extras) = platforms
+    let (primary, extras) = node
         .split_first()
         .ok_or_else(|| "a candidate table needs at least one platform".to_string())?;
-    let shares = shared_budget.map(|total| split_budget(total, platforms));
+    let shares = shared_budget.map(|total| split_budget(total, node));
     let share_of = |d: usize| shares.as_ref().map(|s| s[d]);
     let (index_map, rows): (Vec<usize>, Vec<&ModelProfile>) = family
         .models()
@@ -154,7 +154,7 @@ pub fn build_table(
 }
 
 /// Builds the decision-table bundle ALERT schedules over: `family`
-/// restricted to `set`, profiled on every node device (`platforms[0]`
+/// restricted to `set`, profiled on every node device (`node[0]`
 /// first, see [`build_table`]) under `shared_budget`, with each
 /// table model row mapped back to its index in the unrestricted
 /// `family`. This is the one table construction path of the ALERT
@@ -168,7 +168,7 @@ pub fn build_table(
 pub fn decision_tables(
     family: &ModelFamily,
     set: CandidateSet,
-    platforms: &[&Platform],
+    node: &[Platform],
     shared_budget: Option<Watts>,
 ) -> Result<Arc<DecisionTables>, String> {
     // `restrict` panics on an empty result (`ModelFamily::new`), so an
@@ -183,7 +183,7 @@ pub fn decision_tables(
         return Err(format!("family {} has no {set:?} candidate", family.name()));
     }
     let restricted = family.restrict(set);
-    let (table, index_map) = build_table(&restricted, platforms, shared_budget)?;
+    let (table, index_map) = build_table(&restricted, node, shared_budget)?;
     // Map restricted indices back to the *original* family indices.
     let family_map: Vec<usize> = index_map
         .iter()
@@ -226,7 +226,7 @@ impl AlertScheduler {
         goal: alert_core::Goal,
         params: AlertParams,
     ) -> Result<Self, String> {
-        let tables = decision_tables(family, set, &[platform], None)?;
+        let tables = decision_tables(family, set, std::slice::from_ref(platform), None)?;
         Self::with_tables(name, tables, goal, params)
     }
 
@@ -420,8 +420,7 @@ mod tests {
     #[test]
     fn table_covers_family_times_powers() {
         let family = ModelFamily::image_classification();
-        let platform = Platform::cpu1();
-        let (table, map) = build_table(&family, &[&platform], None).unwrap();
+        let (table, map) = build_table(&family, &[Platform::cpu1()], None).unwrap();
         assert_eq!(table.models().len(), 6);
         assert_eq!(map.len(), 6);
         assert_eq!(table.powers_on(0).len(), 15);
@@ -432,15 +431,15 @@ mod tests {
     #[test]
     fn embedded_filters_oversized_models() {
         let family = ModelFamily::sentence_prediction();
-        let platform = Platform::embedded();
-        let (table, _) = build_table(&family, &[&platform], None).unwrap();
+        let node = [Platform::embedded()];
+        let (table, _) = build_table(&family, &node, None).unwrap();
         // Only models ≤ 0.4 GB fit: rnn_w128..w1024 (0.35) and the
         // width-nest (0.38): all six fit.
         assert_eq!(table.models().len(), 6);
         let family = ModelFamily::image_classification();
         // No image model fits 0.4 GB except sparse_resnet_8 (0.15),
         // sparse_resnet_14 (0.22) and sparse_resnet_26 (0.34).
-        let (table, _) = build_table(&family, &[&platform], None).unwrap();
+        let (table, _) = build_table(&family, &node, None).unwrap();
         assert_eq!(table.models().len(), 3);
     }
 

@@ -21,22 +21,22 @@
 //! timeline are identical across schemes — including through cap/goal
 //! phase boundaries.
 //!
-//! # Heterogeneous nodes
+//! # Nodes
 //!
-//! [`EpisodeEnv::build_hetero`] realizes the same episode across several
-//! backends (device `0` is the primary platform, devices `1..` the
-//! extras). Every random draw is shared across devices — the frozen
-//! per-input state is platform-independent — so a placement decision is
-//! a pure counterfactual: the Oracle can ask "what if this input had run
-//! on the GPU" and get the exact answer from the same draws. Only the
-//! scripted cap timeline is per-device: a
+//! [`EpisodeEnv::build`] realizes the episode on a node: a device list
+//! with device `0` first. Every random draw is shared across devices —
+//! the frozen per-input state is platform-independent — so a placement
+//! decision is a pure counterfactual: the Oracle can ask "what if this
+//! input had run on the GPU" and get the exact answer from the same
+//! draws. Only the scripted cap timeline is per-device: a
 //! [`ScriptEvent::DeviceCapStep`](alert_workload::ScriptEvent) binds to
-//! one device, and a
+//! one device, a
 //! [`ScriptEvent::GpuThrottle`](alert_workload::ScriptEvent) binds to
 //! every GPU backend by mapping clock steps onto that board's power
-//! ceiling. The `*_on` methods ([`EpisodeEnv::realize_on`] etc.) take the
-//! device index; a single-platform episode is the one-device case
-//! (device `0`), bit-identical to builds that predate the device axis.
+//! ceiling, and a [`ScriptEvent::CapStep`](alert_workload::ScriptEvent)
+//! keeps its device-0 meaning. The `*_on` methods
+//! ([`EpisodeEnv::realize_on`] etc.) take the device index; a
+//! single-platform episode is the one-device node.
 
 use alert_models::inference::{self, InferenceResult, StopPolicy};
 use alert_models::ModelProfile;
@@ -92,8 +92,6 @@ pub struct EnvRealization {
     /// The requirement in force at dispatch (base goal + scripted
     /// changes).
     pub goal: Goal,
-    /// Enforced power-cap ceiling, if the script caps the platform here.
-    pub cap_limit: Option<Watts>,
     /// Whether a memory co-runner is active at dispatch.
     pub mem_active: bool,
     /// Whether a compute co-runner is active at dispatch.
@@ -113,29 +111,26 @@ impl EnvRealization {
     }
 }
 
-/// A fully realized episode environment.
-#[derive(Debug, Clone)]
+/// A fully realized episode environment. Two environments compare
+/// equal when every device, every frozen per-input state and every
+/// device's cap timeline match, which is what "a rebuild is
+/// bit-identical" means.
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpisodeEnv {
-    platform: Platform,
+    /// The node's devices, device `0` first; never empty.
+    node: Vec<Platform>,
     kind: Option<ContentionKind>,
     realizations: Vec<EnvRealization>,
-    /// Extra backends (devices `1..`) of a heterogeneous episode; empty
-    /// for single-platform builds.
-    extra_platforms: Vec<Platform>,
-    /// Per-input scripted cap ceilings of each extra device, indexed
-    /// `[device - 1][input]` (device 0's ceiling lives in
-    /// [`EnvRealization::cap_limit`] so the frozen state stays
-    /// serde-stable).
-    extra_cap_limits: Vec<Vec<Option<Watts>>>,
+    /// Per-input scripted cap ceilings, indexed `[device][input]`.
+    cap_limits: Vec<Vec<Option<Watts>>>,
 }
 
 /// The scripted cap ceiling in force for `device` on `platform` at
-/// horizon fraction `frac`: a device-targeted cap step composed (by
-/// `min`) with a GPU clock throttle when the platform is a GPU backend.
-/// The global [`ScenarioScript::cap_frac_at`] ceiling is *not* included
-/// — it keeps its historical device-0 meaning and is composed by the
-/// caller.
-fn scripted_device_limit(
+/// horizon fraction `frac`: on device 0 the global
+/// [`ScenarioScript::cap_frac_at`] step (its historical meaning),
+/// composed (by `min`) with a device-targeted cap step and, on a GPU
+/// backend, a clock throttle.
+fn scripted_limit(
     script: &ScenarioScript,
     frac: f64,
     device: usize,
@@ -143,9 +138,9 @@ fn scripted_device_limit(
 ) -> Option<Watts> {
     let range = platform.cap_range();
     let (lo, hi) = (range.min(), range.max());
-    let stepped = script
-        .device_cap_frac_at(frac, device)
-        .map(|f| Watts(lo.get() + f * (hi.get() - lo.get())));
+    let at = |f: f64| Watts(lo.get() + f * (hi.get() - lo.get()));
+    let global = script.cap_frac_at(frac).filter(|_| device == 0).map(at);
+    let stepped = script.device_cap_frac_at(frac, device).map(at);
     let throttled = if platform.id() == PlatformId::Gpu {
         script
             .gpu_throttle_at(frac)
@@ -156,7 +151,7 @@ fn scripted_device_limit(
     } else {
         None
     };
-    compose_limits(stepped, throttled)
+    compose_limits(global, compose_limits(stepped, throttled))
 }
 
 /// Min-composition of two optional ceilings.
@@ -169,35 +164,18 @@ fn compose_limits(a: Option<Watts>, b: Option<Watts>) -> Option<Watts> {
 }
 
 impl EpisodeEnv {
-    /// Builds the environment for `stream` under `scenario` on `platform`.
-    ///
-    /// Equivalent to [`EpisodeEnv::build_scoped`] without a
-    /// [`QualitySpan`]; scenarios that move the quality floor *relative*
-    /// to the family range must use the scoped constructor.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the scenario script does not validate.
-    pub fn build(
-        platform: &Platform,
-        scenario: &Scenario,
-        stream: &InputStream,
-        goal: &Goal,
-        seed: u64,
-    ) -> Result<Self, EnvError> {
-        Self::build_scoped(platform, scenario, stream, goal, seed, None)
-    }
-
-    /// Builds the environment for `stream` under `scenario` on
-    /// `platform`, resolving relative quality-floor patches against
-    /// `span` (the serving family's achievable quality range,
+    /// Builds the environment for `stream` under `scenario` on `node`
+    /// (device `0` first), resolving relative quality-floor patches
+    /// against `span` (the serving family's achievable quality range,
     /// [`alert_workload::quality_span`]).
     ///
     /// The arrival grid follows the script's arrival process (the default
     /// is periodic at the effective goal deadline; for grouped tasks the
     /// per-word period equals the per-word share of the sentence budget).
     /// Event marks are resolved against the nominal horizon
-    /// `stream.len() × goal.deadline`.
+    /// `stream.len() × goal.deadline`. The frozen per-input state is the
+    /// same whatever the node; each device gets its own scripted cap
+    /// timeline.
     ///
     /// Under [`ArrivalProcess::Trace`] both the period *and* the
     /// per-input scale come from the script's attached
@@ -210,23 +188,29 @@ impl EpisodeEnv {
     ///
     /// # Errors
     ///
-    /// Fails when the scenario script does not validate, when a relative
-    /// floor is scripted without a `span`, or when the attached trace
-    /// cannot cover the horizon under its fit mode.
-    pub fn build_scoped(
-        platform: &Platform,
+    /// Fails when `node` is empty, when the scenario script does not
+    /// validate, when a relative floor is scripted without a `span`, or
+    /// when the attached trace cannot cover the horizon under its fit
+    /// mode.
+    pub fn build(
+        node: &[Platform],
         scenario: &Scenario,
         stream: &InputStream,
         goal: &Goal,
         seed: u64,
         span: Option<QualitySpan>,
     ) -> Result<Self, EnvError> {
+        if node.is_empty() {
+            return Err(EnvError::Script(
+                "an episode needs at least one platform".into(),
+            ));
+        }
         let script = scenario.script();
         script.validate().map_err(EnvError::Script)?;
         if script.uses_relative_floor() && span.is_none() {
             return Err(EnvError::Script(
                 "script moves the quality floor relative to the family range; \
-                 realize with EpisodeEnv::build_scoped and the family's QualitySpan"
+                 pass the family's QualitySpan to EpisodeEnv::build"
                     .into(),
             ));
         }
@@ -245,26 +229,21 @@ impl EpisodeEnv {
         let mut processes = script.contention_processes();
         let kind = scenario.kind();
 
-        let cap_range = platform.cap_range();
-        let (cap_min, cap_max) = (cap_range.min(), cap_range.max());
         let horizon = goal.deadline.get() * stream.len() as f64;
         let mut sampler = ArrivalSampler::new();
 
         let mut realizations = Vec::with_capacity(stream.len());
+        let mut cap_limits: Vec<Vec<Option<Watts>>> = node
+            .iter()
+            .map(|_| Vec::with_capacity(stream.len()))
+            .collect();
         let mut now = Seconds::ZERO;
         for (i, input) in stream.inputs().iter().enumerate() {
             let frac = (now.get() / horizon).clamp(0.0, 1.0);
             let eff_goal = script.goal_at(frac, goal, span);
-            // Device 0's ceiling composes the global cap step (its
-            // historical meaning) with any device-targeted events; when
-            // no device events are scripted this reduces to the global
-            // value alone, keeping pre-device builds bit-identical.
-            let cap_limit = compose_limits(
-                script
-                    .cap_frac_at(frac)
-                    .map(|f| Watts(cap_min.get() + f * (cap_max.get() - cap_min.get()))),
-                scripted_device_limit(script, frac, 0, platform),
-            );
+            for (device, (platform, limits)) in node.iter().zip(&mut cap_limits).enumerate() {
+                limits.push(scripted_limit(script, frac, device, platform));
+            }
             // One arrival draw per input regardless of the process in
             // force (trace replay included), so the frozen streams never
             // re-align across arrival switches.
@@ -304,7 +283,6 @@ impl EpisodeEnv {
                 period,
                 scale: base_scale * script.drift_at(frac),
                 goal: eff_goal,
-                cap_limit,
                 mem_active,
                 cmp_active,
                 mem_draws: ContentionDraws::sample(&mut cont_rng),
@@ -314,78 +292,16 @@ impl EpisodeEnv {
             now += period;
         }
         Ok(EpisodeEnv {
-            platform: platform.clone(),
+            node: node.to_vec(),
             kind,
             realizations,
-            extra_platforms: Vec::new(),
-            extra_cap_limits: Vec::new(),
+            cap_limits,
         })
     }
 
-    /// Builds a heterogeneous episode: `platforms[0]` is the primary
-    /// device, the rest join as devices `1..`. The frozen per-input
-    /// state (scale, noise, contention and arrival draws, goal and
-    /// global-cap timelines) is built exactly as
-    /// [`EpisodeEnv::build_scoped`] builds it on the primary alone — the
-    /// draws are platform-independent, so every device faces the same
-    /// realized conditions and placement is a pure counterfactual. On
-    /// top, each extra device gets its own scripted cap timeline from
-    /// device-targeted and GPU-throttle events.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `platforms` is empty or the scenario script does not
-    /// validate.
-    pub fn build_hetero(
-        platforms: &[Platform],
-        scenario: &Scenario,
-        stream: &InputStream,
-        goal: &Goal,
-        seed: u64,
-        span: Option<QualitySpan>,
-    ) -> Result<Self, EnvError> {
-        let (primary, extras) = platforms
-            .split_first()
-            .ok_or_else(|| EnvError::Script("hetero build needs at least one platform".into()))?;
-        let mut env = Self::build_scoped(primary, scenario, stream, goal, seed, span)?;
-        let script = scenario.script();
-        let horizon = goal.deadline.get() * stream.len() as f64;
-        for (k, platform) in extras.iter().enumerate() {
-            let device = k + 1;
-            let limits = env
-                .realizations
-                .iter()
-                .map(|r| {
-                    // Same fraction expression as the build loop, so
-                    // device timelines line up with device 0's grid.
-                    let frac = (r.dispatch_time.get() / horizon).clamp(0.0, 1.0);
-                    scripted_device_limit(script, frac, device, platform)
-                })
-                .collect();
-            env.extra_platforms.push(platform.clone());
-            env.extra_cap_limits.push(limits);
-        }
-        Ok(env)
-    }
-
-    /// The platform this episode runs on.
-    pub fn platform(&self) -> &Platform {
-        &self.platform
-    }
-
-    /// Number of devices in the episode (`1` for single-platform
-    /// builds; [`EpisodeEnv::build_hetero`] adds the rest).
-    pub fn device_count(&self) -> usize {
-        1 + self.extra_platforms.len()
-    }
-
-    /// The platform backing `device` (`0` is the primary).
-    pub fn platform_on(&self, device: usize) -> &Platform {
-        if device == 0 {
-            &self.platform
-        } else {
-            &self.extra_platforms[device - 1]
-        }
+    /// The node's devices, device `0` first.
+    pub fn node(&self) -> &[Platform] {
+        &self.node
     }
 
     /// The primary contention kind of the scenario, if any (reporting
@@ -409,12 +325,6 @@ impl EpisodeEnv {
         &self.realizations[i]
     }
 
-    /// All frozen per-input states, in dispatch order (cross-scheme
-    /// bit-identity assertions compare these wholesale).
-    pub fn realizations(&self) -> &[EnvRealization] {
-        &self.realizations
-    }
-
     /// Whether any co-runner is active at input `i`'s dispatch.
     pub fn active(&self, i: usize) -> bool {
         self.realizations[i].contention_active()
@@ -431,14 +341,9 @@ impl EpisodeEnv {
     }
 
     /// The scripted cap ceiling in force for `device` at input `i`, if
-    /// any (device 0's ceiling is the one frozen in
-    /// [`EnvRealization::cap_limit`]).
+    /// any.
     pub fn cap_limit_on(&self, device: usize, i: usize) -> Option<Watts> {
-        if device == 0 {
-            self.realizations[i].cap_limit
-        } else {
-            self.extra_cap_limits[device - 1][i]
-        }
+        self.cap_limits[device][i]
     }
 
     /// The cap `device` actually programs when `requested` is asked for
@@ -458,7 +363,7 @@ impl EpisodeEnv {
     /// them through its own noise and contention models, so the same
     /// co-runner hurts a GPU and a CPU differently.
     fn env_factor_on(&self, device: usize, i: usize, profile: &ModelProfile) -> f64 {
-        let platform = self.platform_on(device);
+        let platform = &self.node[device];
         let r = &self.realizations[i];
         let mut f = r.scale * platform.noise().factor_from_draws(&r.noise);
         if r.mem_active {
@@ -497,7 +402,7 @@ impl EpisodeEnv {
         cap: Watts,
         stop: StopPolicy,
     ) -> Result<InferenceResult, EnvError> {
-        let platform = self.platform_on(device);
+        let platform = &self.node[device];
         let eff = self.effective_cap_on(device, i, cap);
         let f = self.env_factor_on(device, i, profile);
         let mut result = inference::execute(profile, platform, eff, f, stop)?;
@@ -515,7 +420,7 @@ impl EpisodeEnv {
     /// the base idle draw plus the extra draw of every active co-runner,
     /// never exceeding the (ceiling-clamped) cap.
     pub fn idle_draw_on(&self, device: usize, i: usize, cap: Watts) -> Watts {
-        let platform = self.platform_on(device);
+        let platform = &self.node[device];
         let cap = self.effective_cap_on(device, i, cap);
         let r = &self.realizations[i];
         let mut draw = platform.idle_draw(cap, None);
@@ -543,7 +448,7 @@ impl EpisodeEnv {
         cap: Watts,
         result: &InferenceResult,
     ) -> Joules {
-        let platform = self.platform_on(device);
+        let platform = &self.node[device];
         let cap = self.effective_cap_on(device, i, cap);
         let run_p = inference::run_power(profile, platform, cap);
         let idle_p = self.idle_draw_on(device, i, cap);
@@ -561,7 +466,8 @@ mod tests {
         let platform = Platform::cpu2();
         let stream = InputStream::generate(TaskId::Img2, 200, 7);
         let goal = Goal::minimize_energy(Seconds(0.2), 0.9);
-        let env = EpisodeEnv::build(&platform, &scenario, &stream, &goal, 99).expect("valid");
+        let env =
+            EpisodeEnv::build(&[platform], &scenario, &stream, &goal, 99, None).expect("valid");
         (env, stream)
     }
 
@@ -569,7 +475,7 @@ mod tests {
     fn build_is_deterministic() {
         let (a, _) = setup(Scenario::memory_env(3));
         let (b, _) = setup(Scenario::memory_env(3));
-        assert_eq!(a.realizations, b.realizations);
+        assert!(a == b);
     }
 
     #[test]
@@ -577,7 +483,7 @@ mod tests {
         let (env, _) = setup(Scenario::default_env());
         for i in 0..env.len() {
             assert!(!env.active(i));
-            assert_eq!(env.realization(i).cap_limit, None);
+            assert_eq!(env.cap_limit_on(0, i), None);
             assert_eq!(env.goal_of(i), &Goal::minimize_energy(Seconds(0.2), 0.9));
             assert_eq!(env.period(i), Seconds(0.2));
         }
@@ -625,7 +531,7 @@ mod tests {
             let r = env
                 .realize_on(0, i, &m, cap, StopPolicy::RunToCompletion)
                 .unwrap();
-            let expected = inference::profile_latency(&m, env.platform(), cap)
+            let expected = inference::profile_latency(&m, &env.node()[0], cap)
                 .expect("feasible preset cap")
                 .get()
                 * env.env_factor_on(0, i, &m);
@@ -644,14 +550,17 @@ mod tests {
 
     #[test]
     fn build_rejects_invalid_scripts() {
-        let platform = Platform::cpu2();
         let stream = InputStream::generate(TaskId::Img2, 10, 7);
         let goal = Goal::minimize_energy(Seconds(0.2), 0.9);
         let bad = Scenario::from_script(
             "Bad",
             ScenarioScript::new().with(ScriptEvent::CapStep { at: 2.0, frac: 0.5 }),
         );
-        let err = EpisodeEnv::build(&platform, &bad, &stream, &goal, 1);
+        let err = EpisodeEnv::build(&[Platform::cpu2()], &bad, &stream, &goal, 1, None);
+        assert!(matches!(err, Err(EnvError::Script(_))), "{err:?}");
+        // An empty node has no device to realize the script on.
+        let default = Scenario::default_env();
+        let err = EpisodeEnv::build(&[], &default, &stream, &goal, 1, None);
         assert!(matches!(err, Err(EnvError::Script(_))), "{err:?}");
     }
 
@@ -664,7 +573,7 @@ mod tests {
             .realize_on(0, 0, &m, cap, StopPolicy::RunToCompletion)
             .unwrap();
         let e = env.period_energy_on(0, 0, &m, cap, &r);
-        let run_only = inference::run_power(&m, env.platform(), cap) * r.latency;
+        let run_only = inference::run_power(&m, &env.node()[0], cap) * r.latency;
         assert!(e > run_only, "idle energy must be accounted");
     }
 
@@ -691,7 +600,7 @@ mod tests {
             ScenarioScript::new().with(ScriptEvent::CapStep { at: 0.5, frac: 0.0 }),
         );
         let (env, _) = setup(scenario);
-        let cap_min = env.platform().cap_range().min();
+        let cap_min = env.node()[0].cap_range().min();
         let m = resnet50();
         let cap = Watts(100.0);
         let n = env.len();
@@ -699,14 +608,14 @@ mod tests {
         assert_eq!(env.effective_cap_on(0, 0, cap), cap);
         assert_eq!(env.effective_cap_on(0, n - 1, cap), cap_min);
         let boundary = (0..n)
-            .find(|&i| env.realization(i).cap_limit.is_some())
+            .find(|&i| env.cap_limit_on(0, i).is_some())
             .expect("cap step must land");
         assert!(boundary > n / 3 && boundary < 2 * n / 3, "at {boundary}");
         // Realized latency after the mark equals the min-cap latency.
         let r = env
             .realize_on(0, n - 1, &m, cap, StopPolicy::RunToCompletion)
             .unwrap();
-        let expected = inference::profile_latency(&m, env.platform(), cap_min)
+        let expected = inference::profile_latency(&m, &env.node()[0], cap_min)
             .expect("min cap feasible")
             .get()
             * env.env_factor_on(0, n - 1, &m);
@@ -750,17 +659,16 @@ mod tests {
 
     #[test]
     fn relative_floor_needs_a_span_and_resolves_with_one() {
-        let platform = Platform::cpu2();
+        let node = [Platform::cpu2()];
         let stream = InputStream::generate(TaskId::Img2, 100, 7);
         let goal = Goal::minimize_energy(Seconds(0.2), 0.9);
         let scenario = Scenario::floor_raise();
         // Span-less realization refuses loudly...
-        let err = EpisodeEnv::build(&platform, &scenario, &stream, &goal, 3);
+        let err = EpisodeEnv::build(&node, &scenario, &stream, &goal, 3, None);
         assert!(matches!(err, Err(EnvError::Script(_))), "{err:?}");
-        // ...and the scoped path resolves the floor inside the span.
+        // ...and a span resolves the floor inside it.
         let span = alert_workload::QualitySpan::new(0.855, 0.935);
-        let env =
-            EpisodeEnv::build_scoped(&platform, &scenario, &stream, &goal, 3, Some(span)).unwrap();
+        let env = EpisodeEnv::build(&node, &scenario, &stream, &goal, 3, Some(span)).unwrap();
         assert_eq!(env.goal_of(0).min_quality, Some(0.9));
         let raised = env.goal_of(env.len() - 1).min_quality.unwrap();
         assert!((raised - span.floor_at(0.85)).abs() < 1e-12, "{raised}");
@@ -836,7 +744,7 @@ mod tests {
             );
         }
         // The overlaid events bind: the tail is capped and tightened.
-        assert!(env.realization(n - 1).cap_limit.is_some());
+        assert!(env.cap_limit_on(0, n - 1).is_some());
         assert!(env.goal_of(n - 1).deadline < env.goal_of(0).deadline);
         // Unlike periodic arrivals, the recorded grid does NOT follow the
         // tightened deadline — it is historical traffic.
@@ -912,15 +820,15 @@ mod tests {
         );
         // Truncate refuses a 200-input horizon over a 10-step trace...
         let err = || {
-            let platform = Platform::cpu2();
             let stream = InputStream::generate(TaskId::Img2, 200, 7);
             let goal = Goal::minimize_energy(Seconds(0.2), 0.9);
             EpisodeEnv::build(
-                &platform,
+                &[Platform::cpu2()],
                 &Scenario::replay("R", short.clone(), TraceFit::Truncate),
                 &stream,
                 &goal,
                 99,
+                None,
             )
         };
         assert!(matches!(err(), Err(EnvError::Script(_))));
@@ -981,7 +889,7 @@ mod tests {
         );
         let (a, _) = setup(scenario.clone());
         let (b, _) = setup(scenario);
-        assert_eq!(a.realizations, b.realizations, "frozen across builds");
+        assert!(a == b, "frozen across builds");
         let distinct: std::collections::BTreeSet<u64> =
             (0..a.len()).map(|i| a.period(i).get().to_bits()).collect();
         assert!(distinct.len() > a.len() / 2, "Poisson periods must vary");
@@ -999,29 +907,25 @@ mod tests {
         let m = resnet50();
         let i = both[0];
         let f_both = env.env_factor_on(0, i, &m);
-        let noise = env
-            .platform()
+        let platform = &env.node()[0];
+        let noise = platform
             .noise()
             .factor_from_draws(&env.realization(i).noise);
-        let f_mem = env
-            .platform()
+        let f_mem = platform
             .contention_model(ContentionKind::Memory)
             .factor_from_draws(&env.realization(i).mem_draws, m.mem_intensity);
-        let f_cmp = env
-            .platform()
+        let f_cmp = platform
             .contention_model(ContentionKind::Compute)
             .factor_from_draws(&env.realization(i).cmp_draws, m.rho);
         let expected = env.realization(i).scale * noise * f_mem * f_cmp;
         assert!((f_both - expected).abs() < 1e-12);
         // Idle draw includes both extras (below the cap).
         let cap = Watts(100.0);
-        let base_idle = env.platform().idle_draw(cap, None);
-        let extra_mem = env
-            .platform()
+        let base_idle = platform.idle_draw(cap, None);
+        let extra_mem = platform
             .contention_model(ContentionKind::Memory)
             .idle_draw_extra;
-        let extra_cmp = env
-            .platform()
+        let extra_cmp = platform
             .contention_model(ContentionKind::Compute)
             .idle_draw_extra;
         assert_eq!(
@@ -1031,10 +935,10 @@ mod tests {
     }
 
     fn hetero_setup(scenario: Scenario) -> EpisodeEnv {
-        let platforms = [Platform::cpu2(), Platform::gpu()];
+        let node = [Platform::cpu2(), Platform::gpu()];
         let stream = InputStream::generate(TaskId::Img2, 200, 7);
         let goal = Goal::minimize_energy(Seconds(0.2), 0.9);
-        EpisodeEnv::build_hetero(&platforms, &scenario, &stream, &goal, 99, None).expect("valid")
+        EpisodeEnv::build(&node, &scenario, &stream, &goal, 99, None).expect("valid")
     }
 
     #[test]
@@ -1043,13 +947,12 @@ mod tests {
         // not perturb a single frozen draw of the primary device.
         let (single, _) = setup(Scenario::memory_env(3));
         let hetero = hetero_setup(Scenario::memory_env(3));
-        assert_eq!(hetero.device_count(), 2);
-        assert_eq!(hetero.platform_on(1).id(), PlatformId::Gpu);
-        assert_eq!(single.realizations(), hetero.realizations());
-        // No device events scripted → no extra-device ceilings either.
-        for i in 0..hetero.len() {
-            assert_eq!(hetero.cap_limit_on(1, i), None);
-        }
+        assert_eq!(hetero.node().len(), 2);
+        assert_eq!(hetero.node()[1].id(), PlatformId::Gpu);
+        assert_eq!(single.realizations, hetero.realizations);
+        assert_eq!(single.cap_limits[0], hetero.cap_limits[0]);
+        // No device events scripted → no device-1 ceilings either.
+        assert!(hetero.cap_limits[1].iter().all(Option::is_none));
     }
 
     #[test]
@@ -1060,7 +963,7 @@ mod tests {
         let r = env
             .realize_on(1, 0, &m, gpu_cap, StopPolicy::RunToCompletion)
             .unwrap();
-        let expected = inference::profile_latency(&m, env.platform_on(1), gpu_cap)
+        let expected = inference::profile_latency(&m, &env.node()[1], gpu_cap)
             .expect("top GPU cap feasible")
             .get()
             * env.env_factor_on(1, 0, &m);
@@ -1084,10 +987,11 @@ mod tests {
         let env = hetero_setup(scenario);
         let (baseline, _) = setup(Scenario::default_env());
         // Device 0's frozen state is untouched by a device-1 event...
-        assert_eq!(env.realizations(), baseline.realizations());
+        assert_eq!(env.realizations, baseline.realizations);
+        assert_eq!(env.cap_limits[0], baseline.cap_limits[0]);
         // ...while device 1 is clamped to its range floor from the mark.
         let n = env.len();
-        let gpu_min = env.platform_on(1).cap_range().min();
+        let gpu_min = env.node()[1].cap_range().min();
         assert_eq!(env.cap_limit_on(1, 0), None);
         assert_eq!(env.cap_limit_on(1, n - 1), Some(gpu_min));
         assert_eq!(env.effective_cap_on(1, n - 1, Watts(215.0)), gpu_min);
@@ -1103,8 +1007,9 @@ mod tests {
         let env = hetero_setup(scenario);
         let (baseline, _) = setup(Scenario::default_env());
         // The CPU device never sees a throttle event.
-        assert_eq!(env.realizations(), baseline.realizations());
-        let expected = match &env.platform_on(1).spec().response {
+        assert_eq!(env.realizations, baseline.realizations);
+        assert_eq!(env.cap_limits[0], baseline.cap_limits[0]);
+        let expected = match &env.node()[1].spec().response {
             FreqResponse::Table { table, .. } => table.throttled_power(steps),
             FreqResponse::Curve(_) => unreachable!("GPU platform uses a table"),
         };
@@ -1127,13 +1032,13 @@ mod tests {
                 }),
         );
         let (env, _) = setup(scenario);
-        let range = env.platform().cap_range();
+        let range = env.node()[0].cap_range();
         let (lo, hi) = (range.min(), range.max());
         let half = Watts(lo.get() + 0.5 * (hi.get() - lo.get()));
         let n = env.len();
         // Before the targeted step the global ceiling rules; after, the
         // tighter targeted ceiling wins the min-composition.
-        assert_eq!(env.realization(0).cap_limit, Some(half));
-        assert_eq!(env.realization(n - 1).cap_limit, Some(lo));
+        assert_eq!(env.cap_limit_on(0, 0), Some(half));
+        assert_eq!(env.cap_limit_on(0, n - 1), Some(lo));
     }
 }

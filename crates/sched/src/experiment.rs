@@ -179,6 +179,7 @@ fn run_cell(
     let family = family_kind.family();
     let stream = InputStream::generate(family_kind.task(), config.n_inputs, config.seed);
     let settings = constraint_grid(objective, &family, platform);
+    let node = std::slice::from_ref(platform);
 
     // Frozen environment per setting (period = deadline, so each setting
     // has its own realization, deterministically seeded).
@@ -187,7 +188,7 @@ fn run_cell(
         .map(|&goal| {
             (
                 Arc::new(
-                    EpisodeEnv::build(platform, scenario, &stream, &goal, config.seed)
+                    EpisodeEnv::build(node, scenario, &stream, &goal, config.seed, None)
                         // lint:allow(no-panic): experiment-harness wiring over the built-in registry and library scenarios; failure is a programming error, not a runtime condition
                         .expect("library scenarios validate"),
                 ),

@@ -202,18 +202,17 @@ impl SessionEngine {
 
         // An open `Scheduler` may hand back any index: check both before
         // use instead of panicking on them.
-        let profile = family
+        let (profile, device_platform) = family
             .models()
             .get(decision.model)
-            .filter(|_| decision.device < env.device_count())
+            .zip(env.node().get(decision.device))
             .ok_or_else(|| StepError::OutOfRange {
                 scheme: scheduler.name().to_string(),
                 model: decision.model,
                 models: family.len(),
                 device: decision.device,
-                devices: env.device_count(),
+                devices: env.node().len(),
             })?;
-        let device_platform = env.platform_on(decision.device);
         if !device_platform.supports_footprint(profile.footprint_gb) {
             return Err(StepError::ModelDoesNotFit {
                 scheme: scheduler.name().to_string(),
@@ -333,7 +332,17 @@ mod tests {
         let platform = Platform::cpu1();
         let family = ModelFamily::image_classification();
         let stream = InputStream::generate(TaskId::Img2, n, 5);
-        let env = Arc::new(EpisodeEnv::build(&platform, &scenario, &stream, &goal, 31).unwrap());
+        let env = Arc::new(
+            EpisodeEnv::build(
+                std::slice::from_ref(&platform),
+                &scenario,
+                &stream,
+                &goal,
+                31,
+                None,
+            )
+            .unwrap(),
+        );
         Fixture {
             env,
             family,
@@ -403,7 +412,7 @@ mod tests {
             Scenario::default_env(),
             150,
         );
-        let mut sys = SysOnly::new(&f.family, &[&f.platform], f.goal).unwrap();
+        let mut sys = SysOnly::new(&f.family, std::slice::from_ref(&f.platform), f.goal).unwrap();
         let ep = run_episode(&mut sys, &f.env, &f.family, &f.stream, &f.goal).unwrap();
         assert!(
             ep.summary.disqualified(),
@@ -451,7 +460,15 @@ mod tests {
         let stream = InputStream::generate(TaskId::Nlp1, 400, 5);
         let goal = Goal::minimize_error(Seconds(0.12), Joules(6.0));
         let env = Arc::new(
-            EpisodeEnv::build(&platform, &Scenario::default_env(), &stream, &goal, 31).unwrap(),
+            EpisodeEnv::build(
+                std::slice::from_ref(&platform),
+                &Scenario::default_env(),
+                &stream,
+                &goal,
+                31,
+                None,
+            )
+            .unwrap(),
         );
         let mut s = AlertScheduler::standard(&family, &platform, goal).unwrap();
         let ep = run_episode(&mut s, &env, &family, &stream, &goal).unwrap();

@@ -57,7 +57,7 @@ impl NoCoord {
             .map(|(i, m)| (i, m.clone()))
     }
 
-    /// Creates the scheme on a node (`platforms[0]` is device 0): homes
+    /// Creates the scheme on `node` (device 0 first): homes
     /// the family's first anytime model that fits on the device where its
     /// full run is fastest at that device's top cap (ties go to the lower
     /// device index). Like [`crate::sys_only::SysOnly::new`], the
@@ -67,9 +67,9 @@ impl NoCoord {
     ///
     /// Returns a description of the problem when no anytime model fits
     /// any of the platforms.
-    pub fn new(family: &ModelFamily, platforms: &[&Platform], goal: Goal) -> Result<Self, String> {
-        let (power, profile) = PowerManager::place(platforms, |p| Self::pin(family, p))?
-            .ok_or_else(|| {
+    pub fn new(family: &ModelFamily, node: &[Platform], goal: Goal) -> Result<Self, String> {
+        let (power, profile) =
+            PowerManager::place(node, |p| Self::pin(family, p))?.ok_or_else(|| {
                 format!(
                     "No-coord needs an anytime model of family {} that fits the node",
                     family.name()
@@ -182,9 +182,8 @@ mod tests {
     #[test]
     fn uses_anytime_model() {
         let family = ModelFamily::image_classification();
-        let platform = Platform::cpu1();
         let goal = Goal::minimize_energy(Seconds(0.5), 0.9);
-        let mut s = NoCoord::new(&family, &[&platform], goal).unwrap();
+        let mut s = NoCoord::new(&family, &[Platform::cpu1()], goal).unwrap();
         let d = s.decide(&ctx(0.5));
         assert!(family.models()[d.model].is_anytime());
     }
@@ -195,9 +194,9 @@ mod tests {
         // level (blind to the cap) reads that as environmental slowdown
         // and cuts its stage target although time was available.
         let family = ModelFamily::image_classification();
-        let platform = Platform::cpu1();
+        let node = [Platform::cpu1()];
         let goal = Goal::minimize_energy(Seconds(0.9), 0.9);
-        let mut s = NoCoord::new(&family, &[&platform], goal).unwrap();
+        let mut s = NoCoord::new(&family, &node, goal).unwrap();
         let mut stage_targets = Vec::new();
         let mut d = s.decide(&ctx(0.9));
         for i in 0..20 {
@@ -205,7 +204,7 @@ mod tests {
             // Environment at profile speed — any slowdown the app sees is
             // purely self-inflicted by the sys level's cap choice.
             let result =
-                alert_models::inference::execute(profile, &platform, d.cap, 1.0, d.stop).unwrap();
+                alert_models::inference::execute(profile, &node[0], d.cap, 1.0, d.stop).unwrap();
             if let StopPolicy::AtTimeOrStage(_, k) = d.stop {
                 stage_targets.push(k);
             }

@@ -39,8 +39,7 @@ pub struct OracleCandidate {
 /// single-device episode enumerates in the historical order.
 pub fn enumerate(family: &ModelFamily, env: &EpisodeEnv) -> Vec<OracleCandidate> {
     let mut out = Vec::new();
-    for device in 0..env.device_count() {
-        let platform = env.platform_on(device);
+    for (device, platform) in env.node().iter().enumerate() {
         let caps = platform.power_settings();
         for (mi, m) in family.models().iter().enumerate() {
             if !platform.supports_footprint(m.footprint_gb) {
@@ -464,12 +463,12 @@ mod tests {
     use alert_workload::{Scenario, TaskId};
 
     fn setup() -> (Arc<EpisodeEnv>, ModelFamily, InputStream, Goal) {
-        let platform = Platform::cpu1();
+        let node = [Platform::cpu1()];
         let family = ModelFamily::image_classification();
         let stream = InputStream::generate(TaskId::Img2, 150, 11);
         let goal = Goal::minimize_energy(Seconds(0.5), 0.90);
         let env = Arc::new(
-            EpisodeEnv::build(&platform, &Scenario::default_env(), &stream, &goal, 42).unwrap(),
+            EpisodeEnv::build(&node, &Scenario::default_env(), &stream, &goal, 42, None).unwrap(),
         );
         (env, family, stream, goal)
     }
@@ -562,14 +561,14 @@ mod tests {
         // configuration must work for the *tight* settings, so it cannot
         // be the per-setting optimum of the loose ones — the headroom the
         // dynamic schemes get credited for (§5.2).
-        let platform = Platform::cpu1();
+        let node = [Platform::cpu1()];
         let family = ModelFamily::image_classification();
         let stream = InputStream::generate(TaskId::Img2, 120, 11);
         let loose = Goal::minimize_energy(Seconds(0.8), 0.86);
         let tight = Goal::minimize_energy(Seconds(0.15), 0.86);
         let mk_env = |g: &Goal| {
             Arc::new(
-                EpisodeEnv::build(&platform, &Scenario::default_env(), &stream, g, 42).unwrap(),
+                EpisodeEnv::build(&node, &Scenario::default_env(), &stream, g, 42, None).unwrap(),
             )
         };
         let cell = vec![(mk_env(&loose), loose), (mk_env(&tight), tight)];
@@ -600,8 +599,7 @@ mod tests {
         let stream = InputStream::generate(TaskId::Img2, 100, 11);
         let goal = Goal::minimize_energy(Seconds(0.05), 0.90);
         let env = Arc::new(
-            EpisodeEnv::build_hetero(&node, &Scenario::default_env(), &stream, &goal, 42, None)
-                .unwrap(),
+            EpisodeEnv::build(&node, &Scenario::default_env(), &stream, &goal, 42, None).unwrap(),
         );
         // Device-major enumeration covers both platforms' cap tables.
         let cands = enumerate(&family, &env);

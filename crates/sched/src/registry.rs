@@ -34,15 +34,15 @@ use std::sync::Arc;
 /// session. The frozen environment and the input stream are included
 /// for the oracle schemes (paper §5.1 calls them impractical for
 /// exactly this reason); honest policies should touch only the family,
-/// platform, goal and params — plus the node's *device topology*
-/// ([`EpisodeEnv::device_count`] / [`EpisodeEnv::platform_on`]), which
-/// is physical configuration visible to any real scheduler, not
-/// foreknowledge of the environment's draws.
+/// node, goal and params — the node's device list is physical
+/// configuration visible to any real scheduler, not foreknowledge of
+/// the environment's draws.
 pub struct PolicyContext<'a> {
     /// The candidate model family of the session.
     pub family: &'a ModelFamily,
-    /// The platform the session runs on.
-    pub platform: &'a Platform,
+    /// The node the session runs on, device `0` first (the environment
+    /// is realized on the same node).
+    pub node: &'a [Platform],
     /// The session's goal.
     pub goal: Goal,
     /// Controller parameters from the run specification (ALERT-family
@@ -56,15 +56,6 @@ pub struct PolicyContext<'a> {
     pub env: &'a Arc<EpisodeEnv>,
     /// The session's input stream (OracleStatic needs lookahead).
     pub stream: &'a InputStream,
-}
-
-/// The node's device list, primary first. Device `0` is the context's
-/// own platform (so single-device sessions keep the exact historical
-/// construction path); extras come from the environment's topology.
-fn node_platforms<'a>(ctx: &PolicyContext<'a>) -> Vec<&'a Platform> {
-    let mut platforms = vec![ctx.platform];
-    platforms.extend((1..ctx.env.device_count()).map(|d| ctx.env.platform_on(d)));
-    platforms
 }
 
 /// A named scheduler constructor.
@@ -122,15 +113,13 @@ impl Policy for FnPolicy {
 /// configurations share a bundle whatever allocation they come from.
 struct TablesKey {
     family: ModelFamily,
-    platforms: Vec<Platform>,
+    node: Vec<Platform>,
     shared_budget: Option<u64>,
 }
 
 impl TablesKey {
-    fn matches(&self, family: &ModelFamily, platforms: &[&Platform], budget: Option<u64>) -> bool {
-        self.shared_budget == budget
-            && self.family == *family
-            && self.platforms.iter().eq(platforms.iter().copied())
+    fn matches(&self, family: &ModelFamily, node: &[Platform], budget: Option<u64>) -> bool {
+        self.shared_budget == budget && self.family == *family && self.node == node
     }
 }
 
@@ -138,7 +127,7 @@ impl TablesKey {
 /// optionally forcing a probability mode (ALERT\*'s mean-only ablation).
 ///
 /// The candidate table and its fast lane depend only on the family, the
-/// candidate set, the node's platforms and the shared budget, so the
+/// candidate set, the node and the shared budget, so the
 /// policy keeps the last [`DecisionTables`] bundle it built and hands
 /// every session over the same configuration an `Arc` clone of it; a
 /// different configuration builds a fresh bundle that replaces the
@@ -165,27 +154,27 @@ impl AlertPolicy {
         }
     }
 
-    /// The bundle for `family` on `platforms` under `shared_budget`:
-    /// the kept one when its key matches, else a freshly built one that
+    /// The bundle for `family` on `node` under `shared_budget`: the
+    /// kept one when its key matches, else a freshly built one that
     /// replaces it.
     fn tables(
         &self,
         family: &ModelFamily,
-        platforms: &[&Platform],
+        node: &[Platform],
         shared_budget: Option<Watts>,
     ) -> Result<Arc<DecisionTables>, String> {
         let budget = shared_budget.map(|w| w.get().to_bits());
         if let Some((key, tables)) = &*self.last.lock() {
-            if key.matches(family, platforms, budget) {
+            if key.matches(family, node, budget) {
                 return Ok(tables.clone());
             }
         }
         // Built outside the lock: a concurrent miss builds an equal
         // bundle, and either may stay.
-        let tables = decision_tables(family, self.set, platforms, shared_budget)?;
+        let tables = decision_tables(family, self.set, node, shared_budget)?;
         let key = TablesKey {
             family: family.clone(),
-            platforms: platforms.iter().map(|p| (*p).clone()).collect(),
+            node: node.to_vec(),
             shared_budget: budget,
         };
         *self.last.lock() = Some((key, tables.clone()));
@@ -199,7 +188,7 @@ impl Policy for AlertPolicy {
     }
 
     fn build(&self, ctx: &PolicyContext<'_>) -> Result<Box<dyn Scheduler>, String> {
-        let tables = self.tables(ctx.family, &node_platforms(ctx), ctx.shared_budget)?;
+        let tables = self.tables(ctx.family, ctx.node, ctx.shared_budget)?;
         let params = AlertParams {
             mode: self.mode.unwrap_or(ctx.params.mode),
             ..ctx.params
@@ -316,14 +305,15 @@ impl PolicyRegistry {
             Ok(Box::new(oracle) as Box<dyn Scheduler>)
         });
         r.register_fn("App-only", |ctx| {
-            Ok(Box::new(AppOnly::new(ctx.family, ctx.platform)?) as Box<dyn Scheduler>)
+            let platform = ctx.node.first().ok_or("App-only needs a node device")?;
+            Ok(Box::new(AppOnly::new(ctx.family, platform)?) as Box<dyn Scheduler>)
         });
         r.register_fn("Sys-only", |ctx| {
-            let sys = SysOnly::new(ctx.family, &node_platforms(ctx), ctx.goal)?;
+            let sys = SysOnly::new(ctx.family, ctx.node, ctx.goal)?;
             Ok(Box::new(sys) as Box<dyn Scheduler>)
         });
         r.register_fn("No-coord", |ctx| {
-            let nc = NoCoord::new(ctx.family, &node_platforms(ctx), ctx.goal)?;
+            let nc = NoCoord::new(ctx.family, ctx.node, ctx.goal)?;
             Ok(Box::new(nc) as Box<dyn Scheduler>)
         });
         r
@@ -398,15 +388,21 @@ mod tests {
     use alert_stats::units::Seconds;
     use alert_workload::{Scenario, TaskId};
 
-    fn ctx_parts() -> (ModelFamily, Platform, Goal, InputStream, Arc<EpisodeEnv>) {
+    fn ctx_parts() -> (
+        ModelFamily,
+        [Platform; 1],
+        Goal,
+        InputStream,
+        Arc<EpisodeEnv>,
+    ) {
         let family = ModelFamily::image_classification();
-        let platform = Platform::cpu1();
+        let node = [Platform::cpu1()];
         let goal = Goal::minimize_energy(Seconds(0.4), 0.9);
         let stream = InputStream::generate(TaskId::Img2, 40, 3);
         let env = Arc::new(
-            EpisodeEnv::build(&platform, &Scenario::default_env(), &stream, &goal, 3).unwrap(),
+            EpisodeEnv::build(&node, &Scenario::default_env(), &stream, &goal, 3, None).unwrap(),
         );
-        (family, platform, goal, stream, env)
+        (family, node, goal, stream, env)
     }
 
     #[test]
@@ -431,10 +427,10 @@ mod tests {
 
     #[test]
     fn builtin_policies_build_correctly_named_schedulers() {
-        let (family, platform, goal, stream, env) = ctx_parts();
+        let (family, node, goal, stream, env) = ctx_parts();
         let ctx = PolicyContext {
             family: &family,
-            platform: &platform,
+            node: &node,
             goal,
             params: AlertParams::default(),
             shared_budget: None,
@@ -451,27 +447,18 @@ mod tests {
     #[test]
     fn builtin_policies_build_on_heterogeneous_nodes() {
         // On a CPU+GPU node every built-in must still build; the
-        // placement-capable schemes see both devices through the env's
-        // topology, the rest stay pinned to device 0.
+        // placement-capable schemes see both devices, the rest stay
+        // pinned to device 0.
         let family = ModelFamily::image_classification();
-        let cpu = Platform::cpu1();
-        let gpu = Platform::gpu();
+        let node = [Platform::cpu1(), Platform::gpu()];
         let goal = Goal::minimize_energy(Seconds(0.4), 0.9);
         let stream = InputStream::generate(TaskId::Img2, 40, 3);
         let env = Arc::new(
-            EpisodeEnv::build_hetero(
-                &[cpu.clone(), gpu],
-                &Scenario::default_env(),
-                &stream,
-                &goal,
-                3,
-                None,
-            )
-            .unwrap(),
+            EpisodeEnv::build(&node, &Scenario::default_env(), &stream, &goal, 3, None).unwrap(),
         );
         let ctx = PolicyContext {
             family: &family,
-            platform: &cpu,
+            node: &node,
             goal,
             params: AlertParams::default(),
             shared_budget: Some(Watts(200.0)),
@@ -487,10 +474,10 @@ mod tests {
 
     #[test]
     fn unknown_name_reports_known_set() {
-        let (family, platform, goal, stream, env) = ctx_parts();
+        let (family, node, goal, stream, env) = ctx_parts();
         let ctx = PolicyContext {
             family: &family,
-            platform: &platform,
+            node: &node,
             goal,
             params: AlertParams::default(),
             shared_budget: None,
@@ -509,10 +496,10 @@ mod tests {
 
     #[test]
     fn custom_registration_shadows_builtin() {
-        let (family, platform, goal, stream, env) = ctx_parts();
+        let (family, node, goal, stream, env) = ctx_parts();
         let ctx = PolicyContext {
             family: &family,
-            platform: &platform,
+            node: &node,
             goal,
             params: AlertParams::default(),
             shared_budget: None,
@@ -521,7 +508,7 @@ mod tests {
         };
         let mut r = PolicyRegistry::builtin();
         r.register_fn("ALERT", |ctx| {
-            Ok(Box::new(AppOnly::new(ctx.family, ctx.platform)?) as Box<dyn Scheduler>)
+            Ok(Box::new(AppOnly::new(ctx.family, &ctx.node[0])?) as Box<dyn Scheduler>)
         });
         let s = r.build("ALERT", &ctx).unwrap();
         assert_eq!(s.name(), "App-only");
@@ -529,14 +516,14 @@ mod tests {
 
     #[test]
     fn params_reach_alert_policies() {
-        let (family, platform, goal, stream, env) = ctx_parts();
+        let (family, node, goal, stream, env) = ctx_parts();
         let params = AlertParams {
             initial_idle_ratio: 0.55,
             ..Default::default()
         };
         let ctx = PolicyContext {
             family: &family,
-            platform: &platform,
+            node: &node,
             goal,
             params,
             shared_budget: None,

@@ -51,7 +51,8 @@ use alert_models::ModelFamily;
 use alert_platform::{Platform, PlatformId};
 use alert_stats::units::Watts;
 use alert_workload::{
-    EpisodeSummary, Goal, InputRecord, InputStream, Scenario, SessionId, StreamId, TaskId,
+    EpisodeSummary, Goal, InputRecord, InputStream, QualitySpan, Scenario, SessionId, StreamId,
+    TaskId,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -300,9 +301,9 @@ impl SessionOptions<'_> {
     /// Opens on an externally built (possibly shared) frozen
     /// environment instead of materializing the spec's scenario — the
     /// experiment-sweep path, where every scheme must face bit-identical
-    /// conditions. The spec's scenario/n_inputs/seed are ignored; its
-    /// goal and policy still apply. Such sessions cannot be
-    /// checkpointed.
+    /// conditions. The environment must be realized on this runtime's
+    /// node. The spec's scenario/n_inputs/seed are ignored; its goal and
+    /// policy still apply. Such sessions cannot be checkpointed.
     pub fn on(mut self, stream: InputStream, env: Arc<EpisodeEnv>) -> Self {
         self.external = Some((stream, env));
         self
@@ -321,8 +322,9 @@ impl SessionOptions<'_> {
     /// # Errors
     ///
     /// [`Error::InvalidSpec`] on a malformed spec, an
-    /// out-of-range shard, a scheduler without an environment, or an
-    /// environment with fewer inputs than its stream;
+    /// out-of-range shard, a scheduler without an environment, an
+    /// environment realized on another node, or an environment with
+    /// fewer inputs than its stream;
     /// [`Error::Policy`] when the policy name fails to resolve
     /// or rejects the session context.
     pub fn open(self) -> Result<SessionId, Error> {
@@ -502,16 +504,18 @@ impl RuntimeBuilder {
             }
             .into());
         }
-        let platform = Platform::by_id(spec.platform);
-        // The node's device list, primary first — the environment
+        let family = spec.family.family();
+        let device0 = Platform::by_id(spec.platform);
+        let span = alert_workload::quality_span(&family, &device0);
+        // The node's device list, device 0 first — the environment
         // rebuild recipe for every session this runtime opens.
-        let node: Vec<Platform> = std::iter::once(platform.clone())
+        let node: Vec<Platform> = std::iter::once(device0)
             .chain(spec.extra_backends.iter().map(|&id| Platform::by_id(id)))
             .collect();
         Ok(Runtime {
-            platform,
             node,
-            family: spec.family.family(),
+            span,
+            family,
             task: spec.family.task(),
             spec,
             registry,
@@ -554,9 +558,11 @@ impl Shard {
 /// assert_eq!(rt.shard_count(), 4);
 /// ```
 pub struct Runtime {
-    platform: Platform,
-    /// All node devices, primary first (`node[0]` mirrors `platform`).
+    /// All node devices, device 0 first; never empty.
     node: Vec<Platform>,
+    /// The family's achievable quality range on device 0, which
+    /// relative quality floors resolve against.
+    span: QualitySpan,
     family: ModelFamily,
     task: TaskId,
     spec: RunSpec,
@@ -591,12 +597,7 @@ impl Runtime {
         &self.spec
     }
 
-    /// The platform sessions run on (device `0` of the node).
-    pub fn platform(&self) -> &Platform {
-        &self.platform
-    }
-
-    /// All node devices, primary first — length `1` for the classic
+    /// All node devices, device 0 first — length `1` for the classic
     /// single-device runtime.
     pub fn node(&self) -> &[Platform] {
         &self.node
@@ -605,6 +606,12 @@ impl Runtime {
     /// The candidate family sessions schedule over.
     pub fn family(&self) -> &ModelFamily {
         &self.family
+    }
+
+    /// The family's achievable quality range on device 0
+    /// ([`alert_workload::quality_span`]).
+    pub(crate) fn span(&self) -> QualitySpan {
+        self.span
     }
 
     /// The policy registry in force.
@@ -677,7 +684,7 @@ impl Runtime {
     ) -> Result<Box<dyn Scheduler>, Error> {
         let ctx = PolicyContext {
             family: &self.family,
-            platform: &self.platform,
+            node: &self.node,
             goal,
             params: self.spec.params,
             shared_budget: self.spec.shared_budget,
@@ -720,18 +727,14 @@ impl Runtime {
         // Sessions always realize span-aware: scenarios that move the
         // quality floor relative to the family range resolve it against
         // the serving family (a no-op for absolute scripts).
-        let span = alert_workload::quality_span(&self.family, &self.platform);
-        // `build_hetero` over a one-platform node is exactly
-        // `build_scoped`, so single-device runtimes keep their
-        // historical environments bit-identical.
         let env = Arc::new(
-            EpisodeEnv::build_hetero(
+            EpisodeEnv::build(
                 &self.node,
                 &spec.scenario,
                 &stream,
                 &spec.goal,
                 seed,
-                Some(span),
+                Some(self.span),
             )
             .map_err(|e| Error::InvalidSpec(e.to_string()))?,
         );
@@ -809,6 +812,16 @@ impl Runtime {
             // out-of-band state, e.g. a cell-pinned static oracle). Not
             // checkpointable: the runtime cannot rebuild the environment.
             (Some((stream, env)), scheduler) => {
+                // The policy builds for this runtime's node while every
+                // input runs on the environment's, so the two must match.
+                if env.node() != self.node.as_slice() {
+                    let ids = |node: &[Platform]| node.iter().map(Platform::id).collect::<Vec<_>>();
+                    return Err(Error::InvalidSpec(format!(
+                        "the environment was realized on node {:?}, this runtime's node is {:?}",
+                        ids(env.node()),
+                        ids(&self.node)
+                    )));
+                }
                 // Every input is realized from the environment's frozen
                 // state, so a shorter environment would fail mid-stream.
                 if env.len() < stream.len() {
@@ -1257,7 +1270,7 @@ mod tests {
     #[test]
     fn builder_rejects_scheduler_without_environment() {
         let mut rt = runtime();
-        let sched = crate::app_only::AppOnly::new(rt.family(), rt.platform()).unwrap();
+        let sched = crate::app_only::AppOnly::new(rt.family(), &rt.node()[0]).unwrap();
         assert!(matches!(
             rt.session(spec(1)).with(Box::new(sched)).open(),
             Err(Error::InvalidSpec(_))
@@ -1362,7 +1375,7 @@ mod tests {
         // The runtime realizes sessions span-aware, so the family-generic
         // FloorRaise scenario needs no extra plumbing from callers.
         let mut rt = runtime();
-        let span = alert_workload::quality_span(rt.family(), rt.platform());
+        let span = alert_workload::quality_span(rt.family(), &rt.node()[0]);
         let id = rt
             .session(SessionSpec {
                 scenario: Scenario::floor_raise(),
@@ -1597,7 +1610,8 @@ mod tests {
         let goal = Goal::minimize_energy(Seconds(0.4), 0.9);
         let stream = InputStream::generate(TaskId::Img2, 30, 9);
         let env = Arc::new(
-            EpisodeEnv::build(rt.platform(), &Scenario::default_env(), &stream, &goal, 9).unwrap(),
+            EpisodeEnv::build(rt.node(), &Scenario::default_env(), &stream, &goal, 9, None)
+                .unwrap(),
         );
         let id = rt
             .session(SessionSpec::external(goal))
@@ -1618,11 +1632,12 @@ mod tests {
         let stream = InputStream::generate(TaskId::Img2, 10, 9);
         let short = Arc::new(
             EpisodeEnv::build(
-                rt.platform(),
+                rt.node(),
                 &Scenario::default_env(),
                 &InputStream::generate(TaskId::Img2, 5, 9),
                 &goal,
                 9,
+                None,
             )
             .unwrap(),
         );
@@ -1632,6 +1647,37 @@ mod tests {
             .on(stream, short)
             .open();
         assert!(matches!(opened, Err(Error::InvalidSpec(_))), "{opened:?}");
+    }
+
+    #[test]
+    fn external_env_must_be_realized_on_the_runtime_node() {
+        let goal = Goal::minimize_energy(Seconds(0.4), 0.9);
+        let stream = InputStream::generate(TaskId::Img2, 40, 9);
+        let env_on = |node: &[Platform]| {
+            Arc::new(
+                EpisodeEnv::build(node, &Scenario::default_env(), &stream, &goal, 9, None).unwrap(),
+            )
+        };
+        let open = |rt: &mut Runtime, env| {
+            rt.session(SessionSpec::external(goal))
+                .on(stream.clone(), env)
+                .open()
+        };
+        // A CPU1 runtime over a CPU2 environment, and a CPU1 + GPU
+        // runtime over a CPU1-only one: the policy would build its
+        // tables for one node while every input ran on the other.
+        let mut cpu1 = runtime();
+        let opened = open(&mut cpu1, env_on(&[Platform::cpu2()]));
+        assert!(matches!(opened, Err(Error::InvalidSpec(_))), "{opened:?}");
+        let mut hetero = hetero_runtime();
+        let opened = open(&mut hetero, env_on(&[Platform::cpu1()]));
+        assert!(matches!(opened, Err(Error::InvalidSpec(_))), "{opened:?}");
+        // Each runtime still opens on an environment of its own node.
+        for rt in [&mut cpu1, &mut hetero] {
+            let env = env_on(rt.node());
+            let id = open(rt, env).expect("matching node opens");
+            rt.run_to_completion(id).unwrap();
+        }
     }
 
     #[test]

@@ -41,11 +41,10 @@ use crate::runtime::{Runtime, SessionSpec};
 use crate::telemetry::{AdmissionConstraint, AdmissionProbe};
 use alert_core::alert::{AlertController, Observation};
 use alert_models::family::CandidateSet;
-use alert_platform::Platform;
 use alert_stats::units::Seconds;
 use alert_workload::{
-    quality_span, AdmissionVerdict, Goal, GoalPatch, InputRecord, QualitySpan, RequestArrival,
-    RequestOutcome, Scenario, ServingReport,
+    AdmissionVerdict, Goal, GoalPatch, InputRecord, QualitySpan, RequestArrival, RequestOutcome,
+    Scenario, ServingReport,
 };
 
 /// Default fraction of the family quality span a degraded request's
@@ -248,18 +247,16 @@ impl AlertAdmission {
         degrade: GoalPatch,
         miss_threshold: f64,
     ) -> Result<Self, crate::Error> {
-        let node: Vec<&Platform> = rt.node().iter().collect();
         let tables = crate::alert::decision_tables(
             rt.family(),
             CandidateSet::Standard,
-            &node,
+            rt.node(),
             rt.spec().shared_budget,
         )
         .map_err(crate::Error::InvalidSpec)?;
         let controller = AlertController::with_tables(tables, rt.spec().params)
             .map_err(crate::Error::InvalidSpec)?;
-        let span = quality_span(rt.family(), rt.platform());
-        AlertAdmission::new(controller, span, degrade, miss_threshold)
+        AlertAdmission::new(controller, rt.span(), degrade, miss_threshold)
     }
 
     /// Probes the controller with `goal` under the request's idle
@@ -472,7 +469,7 @@ pub fn serve(
     }
     config.goal.validate().map_err(crate::Error::InvalidSpec)?;
     let workers = rt.shard_count();
-    let span = quality_span(rt.family(), rt.platform());
+    let span = rt.span();
     let mut busy_until = vec![Seconds(0.0); workers];
     let mut in_flight: Vec<InFlight> = Vec::new();
     let mut outcomes = Vec::with_capacity(storm.len());

@@ -46,8 +46,8 @@ pub(crate) struct PowerManager {
 }
 
 impl PowerManager {
-    /// Asks `pin` for the model to pin on each device (`platforms[0]` is
-    /// device 0) and places it on the device where it profiles fastest
+    /// Asks `pin` for the model to pin on each device of `node` (device
+    /// 0 first) and places it on the device where it profiles fastest
     /// at that device's top cap; ties go to the lower device index.
     /// Returns the manager and the pinned model's profile, or `None`
     /// when `pin` picks nothing on any device. The placement is static:
@@ -58,11 +58,11 @@ impl PowerManager {
     /// A description of the problem when a pinned model fails to
     /// profile at its device's top cap.
     pub(crate) fn place(
-        platforms: &[&Platform],
+        node: &[Platform],
         pin: impl Fn(&Platform) -> Option<(usize, ModelProfile)>,
     ) -> Result<Option<(Self, ModelProfile)>, String> {
         let mut best: Option<(usize, usize, ModelProfile, Seconds)> = None;
-        for (d, platform) in platforms.iter().enumerate() {
+        for (d, platform) in node.iter().enumerate() {
             let Some((model, profile)) = pin(platform) else {
                 continue;
             };
@@ -76,7 +76,7 @@ impl PowerManager {
         let Some((device, model, profile, _)) = best else {
             return Ok(None);
         };
-        let platform = platforms[device];
+        let platform = &node[device];
         let caps = platform.power_settings();
         let t_prof = caps
             .iter()
@@ -171,7 +171,7 @@ impl SysOnly {
             .map(|(i, m)| (i, m.clone()))
     }
 
-    /// Creates the scheme on a node (`platforms[0]` is device 0): pins
+    /// Creates the scheme on `node` (device 0 first): pins
     /// the fastest traditional model that fits each device — \[63\]'s
     /// "use the fastest candidate DNN" rule — and places it where it
     /// runs fastest (`PowerManager::place`); the \[63\]-style power
@@ -181,14 +181,13 @@ impl SysOnly {
     ///
     /// Returns a description of the problem when no traditional model
     /// fits any of the platforms.
-    pub fn new(family: &ModelFamily, platforms: &[&Platform], goal: Goal) -> Result<Self, String> {
-        let (power, _) =
-            PowerManager::place(platforms, |p| Self::pin(family, p))?.ok_or_else(|| {
-                format!(
-                    "Sys-only needs a traditional model of family {} that fits the node",
-                    family.name()
-                )
-            })?;
+    pub fn new(family: &ModelFamily, node: &[Platform], goal: Goal) -> Result<Self, String> {
+        let (power, _) = PowerManager::place(node, |p| Self::pin(family, p))?.ok_or_else(|| {
+            format!(
+                "Sys-only needs a traditional model of family {} that fits the node",
+                family.name()
+            )
+        })?;
         Ok(SysOnly {
             power,
             filter: ScalarKalman::new(1.0, 0.1, 0.01, 0.01),
@@ -265,20 +264,18 @@ mod tests {
     #[test]
     fn pins_the_fastest_traditional_model() {
         let family = ModelFamily::image_classification();
-        let platform = Platform::cpu1();
         let goal = Goal::minimize_energy(Seconds(0.5), 0.9);
-        let s = SysOnly::new(&family, &[&platform], goal).unwrap();
+        let s = SysOnly::new(&family, &[Platform::cpu1()], goal).unwrap();
         assert_eq!(family.models()[s.model()].name, "sparse_resnet_8");
     }
 
     #[test]
     fn loose_deadline_lowers_power() {
         let family = ModelFamily::image_classification();
-        let platform = Platform::cpu1();
         let goal = Goal::minimize_energy(Seconds(2.0), 0.5);
-        let mut s = SysOnly::new(&family, &[&platform], goal).unwrap();
+        let mut s = SysOnly::new(&family, &[Platform::cpu1()], goal).unwrap();
         let relaxed = s.decide(&ctx(2.0));
-        let mut s2 = SysOnly::new(&family, &[&platform], goal).unwrap();
+        let mut s2 = SysOnly::new(&family, &[Platform::cpu1()], goal).unwrap();
         let tight = s2.decide(&ctx(0.05));
         assert!(
             relaxed.cap <= tight.cap,
@@ -291,15 +288,15 @@ mod tests {
     #[test]
     fn contention_pushes_power_up() {
         let family = ModelFamily::image_classification();
-        let platform = Platform::cpu1();
+        let node = [Platform::cpu1()];
         let goal = Goal::minimize_energy(Seconds(0.08), 0.5);
-        let mut s = SysOnly::new(&family, &[&platform], goal).unwrap();
+        let mut s = SysOnly::new(&family, &node, goal).unwrap();
         let before = s.decide(&ctx(0.08));
         // Feed slow observations: ratio 1.8.
         for _ in 0..20 {
             let result = inference::execute(
                 &family.models()[s.model()],
-                &platform,
+                &node[0],
                 before.cap,
                 1.8,
                 StopPolicy::RunToCompletion,
@@ -327,9 +324,8 @@ mod tests {
     #[test]
     fn impossible_deadline_falls_back_to_fastest_cap() {
         let family = ModelFamily::image_classification();
-        let platform = Platform::cpu1();
         let goal = Goal::minimize_energy(Seconds(0.0001), 0.5);
-        let mut s = SysOnly::new(&family, &[&platform], goal).unwrap();
+        let mut s = SysOnly::new(&family, &[Platform::cpu1()], goal).unwrap();
         let d = s.decide(&ctx(0.0001));
         // Fastest profiled latency is at the max cap.
         assert_eq!(d.cap, Watts(45.0));

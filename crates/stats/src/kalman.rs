@@ -84,11 +84,11 @@ impl AdaptiveKalmanParams {
         if !(0.0..1.0).contains(&self.k0) {
             return Err(format!("k0 must be in [0,1), got {}", self.k0));
         }
-        if self.r <= 0.0 {
-            return Err(format!("r must be positive, got {}", self.r));
+        if !(self.r.is_finite() && self.r > 0.0) {
+            return Err(format!("r must be finite and positive, got {}", self.r));
         }
-        if self.q0 <= 0.0 {
-            return Err(format!("q0 must be positive, got {}", self.q0));
+        if !(self.q0.is_finite() && self.q0 > 0.0) {
+            return Err(format!("q0 must be finite and positive, got {}", self.q0));
         }
         if !(self.q_min > 0.0 && self.q_min <= self.q0) {
             return Err(format!(
@@ -96,8 +96,11 @@ impl AdaptiveKalmanParams {
                 self.q_min, self.q0
             ));
         }
-        if self.var0 < 0.0 {
-            return Err(format!("var0 must be non-negative, got {}", self.var0));
+        if !(self.var0.is_finite() && self.var0 >= 0.0) {
+            return Err(format!(
+                "var0 must be finite and non-negative, got {}",
+                self.var0
+            ));
         }
         if !self.mu0.is_finite() {
             return Err("mu0 must be finite".to_string());

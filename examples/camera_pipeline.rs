@@ -26,7 +26,7 @@ use alert::stats::units::Seconds;
 use alert::workload::{Goal, InputStream, Scenario, TaskId};
 
 fn main() {
-    let platform = Platform::cpu2();
+    let node = [Platform::cpu2()];
     let family = ModelFamily::image_classification();
     let n = 600;
     let fps_period = Seconds(0.250);
@@ -36,13 +36,13 @@ fn main() {
 
     let stream = InputStream::generate(TaskId::Img2, n, 1234);
     let scenario = Scenario::scripted_memory_window(fps_period * 200.0, fps_period * 400.0);
-    let env = EpisodeEnv::build(&platform, &scenario, &stream, &relaxed, 1234).expect("valid");
+    let env = EpisodeEnv::build(&node, &scenario, &stream, &relaxed, 1234, None).expect("valid");
 
     // Drive the scheduler manually so the goal can flip mid-stream:
     // "critical" phase covers inputs 300..450 (overlapping the
     // contention window 200..400 — the hardest combination).
     let mut alert =
-        AlertScheduler::standard(&family, &platform, relaxed).expect("paper family fits");
+        AlertScheduler::standard(&family, &node[0], relaxed).expect("paper family fits");
     let mut switches = 0usize;
     let mut last_model = String::new();
     let mut phase_stats: Vec<(String, f64, f64, usize)> = Vec::new();

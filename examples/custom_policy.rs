@@ -96,11 +96,12 @@ impl Scheduler for GreedyRaceToIdle {
 
 fn main() {
     // 1. Register the custom policy next to the nine built-ins. The
-    //    closure receives the session's context (family, platform, goal,
+    //    closure receives the session's context (family, node, goal,
     //    params, frozen env for oracles) and returns a fresh scheduler.
+    //    Greedy runs on device 0, the node's first platform.
     let mut registry = PolicyRegistry::builtin();
     registry.register_fn("Greedy", |ctx| {
-        Ok(Box::new(GreedyRaceToIdle::new(ctx.family, ctx.platform)) as Box<dyn Scheduler>)
+        Ok(Box::new(GreedyRaceToIdle::new(ctx.family, &ctx.node[0])) as Box<dyn Scheduler>)
     });
     println!("registered policies: {}\n", registry.names().join(", "));
 

@@ -34,7 +34,7 @@ fn main() {
         .build()
         .expect("builtin policy");
     let env =
-        Arc::new(EpisodeEnv::build(rt.platform(), &scenario, &stream, &goal, 99).expect("valid"));
+        Arc::new(EpisodeEnv::build(rt.node(), &scenario, &stream, &goal, 99, None).expect("valid"));
 
     let alert_id = rt
         .session(SessionSpec::external(goal))

@@ -30,7 +30,7 @@ fn ctx(deadline: Seconds) -> InputContext {
 /// alone.
 fn fastest_device(
     family: &ModelFamily,
-    node: &[&Platform],
+    node: &[Platform],
     pinned: impl Fn(&Platform) -> usize,
 ) -> usize {
     let mut best: Option<(usize, Seconds)> = None;
@@ -66,11 +66,11 @@ fn predicted_energy(
     inference::run_power(profile, platform, cap).get() * t + idle_w * (period.get() - t).max(0.0)
 }
 
-fn sys_only(node: &[&Platform], goal: Goal) -> SysOnly {
+fn sys_only(node: &[Platform], goal: Goal) -> SysOnly {
     SysOnly::new(&ModelFamily::image_classification(), node, goal).unwrap()
 }
 
-fn no_coord(node: &[&Platform], goal: Goal) -> NoCoord {
+fn no_coord(node: &[Platform], goal: Goal) -> NoCoord {
     NoCoord::new(&ModelFamily::image_classification(), node, goal).unwrap()
 }
 
@@ -78,10 +78,14 @@ fn no_coord(node: &[&Platform], goal: Goal) -> NoCoord {
 fn both_baselines_place_where_their_model_profiles_fastest() {
     let family = ModelFamily::image_classification();
     let goal = Goal::minimize_energy(Seconds(0.5), 0.9);
-    let (cpu, cpu_twin, gpu) = (Platform::cpu1(), Platform::cpu1(), Platform::gpu());
-    let sys_pin = |p: &Platform| sys_only(&[p], goal).model();
-    let no_coord_pin = |p: &Platform| no_coord(&[p], goal).decide(&ctx(Seconds(0.5))).model;
-    for node in [[&cpu, &gpu], [&gpu, &cpu], [&cpu, &cpu_twin]] {
+    let (cpu, gpu) = (Platform::cpu1, Platform::gpu);
+    let sys_pin = |p: &Platform| sys_only(std::slice::from_ref(p), goal).model();
+    let no_coord_pin = |p: &Platform| {
+        no_coord(std::slice::from_ref(p), goal)
+            .decide(&ctx(Seconds(0.5)))
+            .model
+    };
+    for node in [[cpu(), gpu()], [gpu(), cpu()], [cpu(), cpu()]] {
         let s = sys_only(&node, goal);
         assert_eq!(s.device(), fastest_device(&family, &node, sys_pin));
         let mut n = no_coord(&node, goal);
@@ -90,11 +94,11 @@ fn both_baselines_place_where_their_model_profiles_fastest() {
         assert_eq!(n.decide(&ctx(Seconds(0.5))).device, n.device());
     }
     // The GPU runs either pinned model fastest, whichever index it has.
-    assert_eq!(sys_only(&[&cpu, &gpu], goal).device(), 1);
-    assert_eq!(no_coord(&[&gpu, &cpu], goal).device(), 0);
+    assert_eq!(sys_only(&[cpu(), gpu()], goal).device(), 1);
+    assert_eq!(no_coord(&[gpu(), cpu()], goal).device(), 0);
     // Two identical devices tie at their top cap: the lower index wins.
-    assert_eq!(sys_only(&[&cpu, &cpu_twin], goal).device(), 0);
-    assert_eq!(no_coord(&[&cpu, &cpu_twin], goal).device(), 0);
+    assert_eq!(sys_only(&[cpu(), cpu()], goal).device(), 0);
+    assert_eq!(no_coord(&[cpu(), cpu()], goal).device(), 0);
 }
 
 /// The budget binds at the cheapest cap that meets the deadline: a
@@ -125,9 +129,9 @@ fn assert_pick_fits_budget(decide: impl Fn(Goal) -> Decision) {
 
 #[test]
 fn minimize_error_picks_a_cap_within_the_energy_budget() {
-    let platform = Platform::cpu1();
-    assert_pick_fits_budget(|goal| sys_only(&[&platform], goal).decide(&ctx(goal.deadline)));
-    assert_pick_fits_budget(|goal| no_coord(&[&platform], goal).decide(&ctx(goal.deadline)));
+    let node = [Platform::cpu1()];
+    assert_pick_fits_budget(|goal| sys_only(&node, goal).decide(&ctx(goal.deadline)));
+    assert_pick_fits_budget(|goal| no_coord(&node, goal).decide(&ctx(goal.deadline)));
 }
 
 #[test]
@@ -140,7 +144,7 @@ fn a_budget_below_every_cap_falls_back_per_scheme() {
 
     // Sys-only falls back to the cap with the fastest predicted
     // latency (first minimum).
-    let mut s = sys_only(&[&platform], goal);
+    let mut s = sys_only(std::slice::from_ref(&platform), goal);
     let profile = &family.models()[s.model()];
     let mut fastest = (caps[0], f64::INFINITY);
     for &cap in &caps {
@@ -155,7 +159,7 @@ fn a_budget_below_every_cap_falls_back_per_scheme() {
     assert_eq!(s.decide(&ctx(deadline)).cap, fastest.0);
 
     // No-coord falls back to its default cap, the top setting.
-    let mut n = no_coord(&[&platform], goal);
+    let mut n = no_coord(std::slice::from_ref(&platform), goal);
     let d = n.decide(&ctx(deadline));
     assert!(caps
         .iter()

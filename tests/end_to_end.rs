@@ -12,7 +12,7 @@ use alert::workload::{Goal, InputStream, Scenario, TaskId};
 use std::sync::Arc;
 
 struct World {
-    platform: Platform,
+    node: [Platform; 1],
     family: ModelFamily,
     stream: InputStream,
     goal: Goal,
@@ -20,12 +20,12 @@ struct World {
 }
 
 fn world(goal: Goal, scenario: Scenario, n: usize, seed: u64) -> World {
-    let platform = Platform::cpu1();
+    let node = [Platform::cpu1()];
     let family = ModelFamily::image_classification();
     let stream = InputStream::generate(TaskId::Img2, n, seed);
-    let env = Arc::new(EpisodeEnv::build(&platform, &scenario, &stream, &goal, seed).unwrap());
+    let env = Arc::new(EpisodeEnv::build(&node, &scenario, &stream, &goal, seed, None).unwrap());
     World {
-        platform,
+        node,
         family,
         stream,
         goal,
@@ -47,9 +47,9 @@ fn energy_ordering_holds_under_contention() {
         400,
         21,
     );
-    let mut alert = AlertScheduler::standard(&w.family, &w.platform, w.goal).unwrap();
+    let mut alert = AlertScheduler::standard(&w.family, &w.node[0], w.goal).unwrap();
     let mut oracle = Oracle::new(w.env.clone(), w.family.clone(), w.goal).unwrap();
-    let mut app = AppOnly::new(&w.family, &w.platform).unwrap();
+    let mut app = AppOnly::new(&w.family, &w.node[0]).unwrap();
 
     let ep_alert = run(&w, &mut alert);
     let ep_oracle = run(&w, &mut oracle);
@@ -84,11 +84,11 @@ fn sys_only_structurally_violates_high_floors() {
         200,
         3,
     );
-    let mut sys = SysOnly::new(&w.family, &[&w.platform], w.goal).unwrap();
+    let mut sys = SysOnly::new(&w.family, &w.node, w.goal).unwrap();
     let ep = run(&w, &mut sys);
     assert!(ep.summary.disqualified());
     // ALERT meets the same floor.
-    let mut alert = AlertScheduler::standard(&w.family, &w.platform, w.goal).unwrap();
+    let mut alert = AlertScheduler::standard(&w.family, &w.node[0], w.goal).unwrap();
     let ep = run(&w, &mut alert);
     assert!(!ep.summary.disqualified());
 }
@@ -103,8 +103,8 @@ fn coordination_beats_no_coordination() {
         400,
         5,
     );
-    let mut alert_any = AlertScheduler::anytime_only(&w.family, &w.platform, w.goal).unwrap();
-    let mut nc = NoCoord::new(&w.family, &[&w.platform], w.goal).unwrap();
+    let mut alert_any = AlertScheduler::anytime_only(&w.family, &w.node[0], w.goal).unwrap();
+    let mut nc = NoCoord::new(&w.family, &w.node, w.goal).unwrap();
     let ep_any = run(&w, &mut alert_any);
     let ep_nc = run(&w, &mut nc);
     // Table 4 semantics: disqualification first; among qualified episodes,
@@ -128,7 +128,7 @@ fn determinism_and_seed_sensitivity() {
             150,
             seed,
         );
-        let mut alert = AlertScheduler::standard(&w.family, &w.platform, w.goal).unwrap();
+        let mut alert = AlertScheduler::standard(&w.family, &w.node[0], w.goal).unwrap();
         run(&w, &mut alert)
     };
     let a = mk(9);
@@ -153,7 +153,7 @@ fn determinism_and_seed_sensitivity() {
 /// it must waste energy on the loose one, where ALERT downshifts.
 #[test]
 fn static_baseline_pays_for_rigidity() {
-    let platform = Platform::cpu1();
+    let node = [Platform::cpu1()];
     let family = ModelFamily::image_classification();
     let stream = InputStream::generate(TaskId::Img2, 300, 33);
     // Conflicting demands: the tight setting needs an accurate model at
@@ -162,7 +162,7 @@ fn static_baseline_pays_for_rigidity() {
     let loose = Goal::minimize_energy(Seconds(0.70), 0.80);
     let scenario = Scenario::memory_env(33);
     let mk_env =
-        |g: &Goal| Arc::new(EpisodeEnv::build(&platform, &scenario, &stream, g, 33).unwrap());
+        |g: &Goal| Arc::new(EpisodeEnv::build(&node, &scenario, &stream, g, 33, None).unwrap());
     let cell = vec![(mk_env(&tight), tight), (mk_env(&loose), loose)];
     let choice = OracleStatic::for_cell(&cell, family.clone(), &stream)
         .unwrap()
@@ -172,7 +172,7 @@ fn static_baseline_pays_for_rigidity() {
     let mut st = OracleStatic::from_choice(choice);
     let loose_env = mk_env(&loose);
     let ep_static = run_episode(&mut st, &loose_env, &family, &stream, &loose).unwrap();
-    let mut alert = AlertScheduler::standard(&family, &platform, loose).unwrap();
+    let mut alert = AlertScheduler::standard(&family, &node[0], loose).unwrap();
     let ep_alert = run_episode(&mut alert, &loose_env, &family, &stream, &loose).unwrap();
     assert!(
         ep_alert.summary.avg_energy.get() < ep_static.summary.avg_energy.get(),
@@ -186,16 +186,16 @@ fn static_baseline_pays_for_rigidity() {
 /// deadlines and beats Sys-only on perplexity.
 #[test]
 fn sentence_prediction_end_to_end() {
-    let platform = Platform::cpu1();
+    let node = [Platform::cpu1()];
     let family = ModelFamily::sentence_prediction();
     let stream = InputStream::generate(TaskId::Nlp1, 600, 8);
     let goal = Goal::minimize_error(Seconds(0.08), Watts(30.0) * Seconds(0.08));
     let env = Arc::new(
-        EpisodeEnv::build(&platform, &Scenario::default_env(), &stream, &goal, 8).unwrap(),
+        EpisodeEnv::build(&node, &Scenario::default_env(), &stream, &goal, 8, None).unwrap(),
     );
-    let mut alert = AlertScheduler::standard(&family, &platform, goal).unwrap();
+    let mut alert = AlertScheduler::standard(&family, &node[0], goal).unwrap();
     let ep_alert = run_episode(&mut alert, &env, &family, &stream, &goal).unwrap();
-    let mut sys = SysOnly::new(&family, &[&platform], goal).unwrap();
+    let mut sys = SysOnly::new(&family, &node, goal).unwrap();
     let ep_sys = run_episode(&mut sys, &env, &family, &stream, &goal).unwrap();
     assert!(ep_alert.summary.violation_rate() <= 0.10);
     // Perplexity = -quality; ALERT must be at least as good.
@@ -212,14 +212,14 @@ fn sentence_prediction_end_to_end() {
 #[test]
 fn single_model_family_works() {
     use alert::models::family::sparse_resnet_family;
-    let platform = Platform::cpu1();
+    let node = [Platform::cpu1()];
     let family = ModelFamily::new("single", vec![sparse_resnet_family()[2].clone()]);
     let stream = InputStream::generate(TaskId::Img2, 150, 4);
     let goal = Goal::minimize_energy(Seconds(0.5), 0.90);
     let env = Arc::new(
-        EpisodeEnv::build(&platform, &Scenario::default_env(), &stream, &goal, 4).unwrap(),
+        EpisodeEnv::build(&node, &Scenario::default_env(), &stream, &goal, 4, None).unwrap(),
     );
-    let mut alert = AlertScheduler::standard(&family, &platform, goal).unwrap();
+    let mut alert = AlertScheduler::standard(&family, &node[0], goal).unwrap();
     let ep = run_episode(&mut alert, &env, &family, &stream, &goal).unwrap();
     assert_eq!(ep.records.len(), 150);
     // All decisions use the single model; caps may vary.
@@ -236,7 +236,7 @@ fn impossible_deadline_degrades_gracefully() {
         80,
         6,
     );
-    let mut alert = AlertScheduler::standard(&w.family, &w.platform, w.goal).unwrap();
+    let mut alert = AlertScheduler::standard(&w.family, &w.node[0], w.goal).unwrap();
     let ep = run(&w, &mut alert);
     assert_eq!(ep.records.len(), 80);
     assert!(ep.summary.disqualified(), "everything misses, by design");

@@ -40,7 +40,7 @@ fn sixty_four_interleaved_sessions_match_sequential_episodes() {
     const N: u64 = 64;
 
     // Reference: the classic one-shot path, one scheduler per stream.
-    let platform = alert::platform::Platform::cpu1();
+    let node = [alert::platform::Platform::cpu1()];
     let family = FamilyKind::Image.family();
     let reference: Vec<_> = (0..N)
         .map(|i| {
@@ -48,8 +48,8 @@ fn sixty_four_interleaved_sessions_match_sequential_episodes() {
             let seed = spec.seed.expect("session_spec sets a seed");
             let stream = InputStream::generate(TaskId::Img2, spec.n_inputs, seed);
             let env =
-                EpisodeEnv::build(&platform, &spec.scenario, &stream, &spec.goal, seed).unwrap();
-            let mut s = AlertScheduler::standard(&family, &platform, spec.goal).unwrap();
+                EpisodeEnv::build(&node, &spec.scenario, &stream, &spec.goal, seed, None).unwrap();
+            let mut s = AlertScheduler::standard(&family, &node[0], spec.goal).unwrap();
             run_episode(&mut s, &env, &family, &stream, &spec.goal).unwrap()
         })
         .collect();
@@ -315,7 +315,7 @@ fn custom_policy_runs_as_session() {
         // constructor but under a custom registry name.
         Ok(Box::new(AlertScheduler::traditional_only(
             ctx.family,
-            ctx.platform,
+            &ctx.node[0],
             ctx.goal,
         )?) as Box<dyn alert::sched::Scheduler>)
     });
@@ -366,7 +366,7 @@ fn out_of_range_decisions_are_step_errors() {
     for (model, device) in [(999, 0), (0, 3)] {
         let mut registry = PolicyRegistry::builtin();
         registry.register_fn("FixedPick", move |ctx| {
-            let cap = ctx.platform.default_cap();
+            let cap = ctx.node[0].default_cap();
             Ok(Box::new(FixedPick { model, device, cap }) as Box<dyn Scheduler>)
         });
         let fixed = SessionSpec {

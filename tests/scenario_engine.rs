@@ -28,12 +28,12 @@ fn scripted_scenario_survives_json_bit_exactly() {
     assert_eq!(scenario, back);
     assert_eq!(json, serde_json::to_string_pretty(&back).unwrap());
 
-    let platform = Platform::cpu1();
+    let node = [Platform::cpu1()];
     let goal = Goal::minimize_energy(Seconds(0.4), 0.9);
     let stream = InputStream::generate(TaskId::Img2, 150, 9);
-    let a = EpisodeEnv::build(&platform, &scenario, &stream, &goal, 9).unwrap();
-    let b = EpisodeEnv::build(&platform, &back, &stream, &goal, 9).unwrap();
-    assert_eq!(a.realizations(), b.realizations());
+    let a = EpisodeEnv::build(&node, &scenario, &stream, &goal, 9, None).unwrap();
+    let b = EpisodeEnv::build(&node, &back, &stream, &goal, 9, None).unwrap();
+    assert!(a == b);
 }
 
 #[test]
@@ -64,29 +64,29 @@ proptest! {
     ) {
         let seed = seed as u64;
         let scenario = &Scenario::library(7)[scenario_idx];
-        let platform = Platform::cpu1();
+        let node = [Platform::cpu1()];
         let family = alert::models::ModelFamily::image_classification();
         let goal = Goal::minimize_energy(Seconds(0.4), 0.9);
         let stream = InputStream::generate(TaskId::Img2, n, seed);
         // Span-aware build: the library's FloorRaise scenario expresses
         // its floor relative to the family's quality range.
-        let span = alert::workload::quality_span(&family, &platform);
+        let span = alert::workload::quality_span(&family, &node[0]);
 
         let env_a =
-            EpisodeEnv::build_scoped(&platform, scenario, &stream, &goal, seed, Some(span))
+            EpisodeEnv::build(&node, scenario, &stream, &goal, seed, Some(span))
                 .unwrap();
-        let mut alert = AlertScheduler::standard(&family, &platform, goal).unwrap();
+        let mut alert = AlertScheduler::standard(&family, &node[0], goal).unwrap();
         let ep_alert = run_episode(&mut alert, &env_a, &family, &stream, &goal).unwrap();
         prop_assert_eq!(ep_alert.records.len(), n);
 
         let env_b =
-            EpisodeEnv::build_scoped(&platform, scenario, &stream, &goal, seed, Some(span))
+            EpisodeEnv::build(&node, scenario, &stream, &goal, seed, Some(span))
                 .unwrap();
-        let mut sys = SysOnly::new(&family, &[&platform], goal).unwrap();
+        let mut sys = SysOnly::new(&family, &node, goal).unwrap();
         let _ = run_episode(&mut sys, &env_b, &family, &stream, &goal).unwrap();
 
         // Bit-identical conditions for both schemes, after both ran.
-        prop_assert_eq!(env_a.realizations(), env_b.realizations());
+        prop_assert!(env_a == env_b);
     }
 }
 
@@ -96,13 +96,13 @@ fn alert_tracks_a_goal_flip_mid_stream() {
     // third; ALERT must meet the tightened deadlines too (Sys-only's
     // pinned model also fits — the point here is the *adaptive* scheme
     // never blows the flipped phase).
-    let platform = Platform::cpu1();
+    let node = [Platform::cpu1()];
     let family = alert::models::ModelFamily::image_classification();
     let goal = Goal::minimize_energy(Seconds(0.4), 0.9);
     let stream = InputStream::generate(TaskId::Img2, 240, 11);
     let scenario = Scenario::goal_flip();
-    let env = EpisodeEnv::build(&platform, &scenario, &stream, &goal, 11).unwrap();
-    let mut s = AlertScheduler::standard(&family, &platform, goal).unwrap();
+    let env = EpisodeEnv::build(&node, &scenario, &stream, &goal, 11, None).unwrap();
+    let mut s = AlertScheduler::standard(&family, &node[0], goal).unwrap();
     let ep = run_episode(&mut s, &env, &family, &stream, &goal).unwrap();
 
     let flipped: Vec<_> = ep
@@ -128,7 +128,7 @@ fn cap_ceiling_is_invisible_in_records_but_physical_in_energy() {
     // keep reporting the caps the scheduler programmed, while the
     // realized latencies follow the clamped cap (observed slowdown ≫ 1
     // for a scheme predicting at high caps).
-    let platform = Platform::cpu1();
+    let node = [Platform::cpu1()];
     let family = alert::models::ModelFamily::image_classification();
     let goal = Goal::minimize_energy(Seconds(0.8), 0.85);
     let stream = InputStream::generate(TaskId::Img2, 100, 3);
@@ -136,17 +136,17 @@ fn cap_ceiling_is_invisible_in_records_but_physical_in_energy() {
         "FloorCap",
         ScenarioScript::new().with(ScriptEvent::CapStep { at: 0.0, frac: 0.0 }),
     );
-    let env = EpisodeEnv::build(&platform, &capped, &stream, &goal, 3).unwrap();
-    let free = EpisodeEnv::build(&platform, &Scenario::default_env(), &stream, &goal, 3).unwrap();
+    let env = EpisodeEnv::build(&node, &capped, &stream, &goal, 3, None).unwrap();
+    let free = EpisodeEnv::build(&node, &Scenario::default_env(), &stream, &goal, 3, None).unwrap();
 
     // App-only always requests the default (maximum) cap.
     let run = |env: &EpisodeEnv| {
-        let mut s = alert::sched::AppOnly::new(&family, &platform).unwrap();
+        let mut s = alert::sched::AppOnly::new(&family, &node[0]).unwrap();
         run_episode(&mut s, env, &family, &stream, &goal).unwrap()
     };
     let ep_capped = run(&env);
     let ep_free = run(&free);
-    let max_cap = platform.default_cap();
+    let max_cap = node[0].default_cap();
     assert!(ep_capped.records.iter().all(|r| r.cap == max_cap));
     // Same programmed cap, but the physical clamp slows execution and
     // cuts the drawn power.
@@ -221,7 +221,7 @@ fn arrival_processes_keep_schemes_comparable() {
     // Arrival switches reshape the dispatch grid, but two builds of the
     // same scenario still agree bit-exactly (the Poisson draws come from
     // a dedicated frozen stream).
-    let platform = Platform::cpu1();
+    let node = [Platform::cpu1()];
     let goal = Goal::minimize_energy(Seconds(0.4), 0.9);
     let stream = InputStream::generate(TaskId::Img2, 120, 13);
     let scenario = Scenario::from_script(
@@ -236,9 +236,9 @@ fn arrival_processes_keep_schemes_comparable() {
                 process: ArrivalProcess::Poisson { rate_scale: 1.5 },
             }),
     );
-    let a = EpisodeEnv::build(&platform, &scenario, &stream, &goal, 13).unwrap();
-    let b = EpisodeEnv::build(&platform, &scenario, &stream, &goal, 13).unwrap();
-    assert_eq!(a.realizations(), b.realizations());
+    let a = EpisodeEnv::build(&node, &scenario, &stream, &goal, 13, None).unwrap();
+    let b = EpisodeEnv::build(&node, &scenario, &stream, &goal, 13, None).unwrap();
+    assert!(a == b);
     // Dispatch times are strictly non-decreasing across the switch.
     for i in 1..a.len() {
         assert!(a.realization(i).dispatch_time >= a.realization(i - 1).dispatch_time);
@@ -252,13 +252,13 @@ fn scripted_floor_raise_binds_in_episode_accounting() {
     // to 0.90 mid-stream, the records carry the effective floor and the
     // episode is disqualified — even though the base goal alone would
     // judge it compliant.
-    let platform = Platform::cpu1();
+    let node = [Platform::cpu1()];
     let family = alert::models::ModelFamily::image_classification();
     let goal = Goal::minimize_energy(Seconds(0.5), 0.85);
     let stream = InputStream::generate(TaskId::Img2, 120, 5);
     let run = |scenario: &Scenario| {
-        let env = EpisodeEnv::build(&platform, scenario, &stream, &goal, 5).unwrap();
-        let mut s = SysOnly::new(&family, &[&platform], goal).unwrap();
+        let env = EpisodeEnv::build(&node, scenario, &stream, &goal, 5, None).unwrap();
+        let mut s = SysOnly::new(&family, &node, goal).unwrap();
         run_episode(&mut s, &env, &family, &stream, &goal).unwrap()
     };
     let steady = run(&Scenario::default_env());
@@ -292,20 +292,19 @@ fn relative_floor_raise_binds_for_the_image_family() {
     // family's quality range. For the image family that lands around
     // 0.92 — above Sys-only's pinned 0.855 model, so the raise must
     // disqualify it even though the base 0.85 floor is satisfied.
-    let platform = Platform::cpu1();
+    let node = [Platform::cpu1()];
     let family = alert::models::ModelFamily::image_classification();
-    let span = alert::workload::quality_span(&family, &platform);
+    let span = alert::workload::quality_span(&family, &node[0]);
     let goal = Goal::minimize_energy(Seconds(0.5), 0.85);
     let stream = InputStream::generate(TaskId::Img2, 120, 5);
     let scenario = Scenario::floor_raise();
-    let env =
-        EpisodeEnv::build_scoped(&platform, &scenario, &stream, &goal, 5, Some(span)).unwrap();
+    let env = EpisodeEnv::build(&node, &scenario, &stream, &goal, 5, Some(span)).unwrap();
     assert_eq!(env.goal_of(0).min_quality, Some(0.85));
     let raised = env.goal_of(env.len() - 1).min_quality.unwrap();
     assert!((raised - span.floor_at(0.85)).abs() < 1e-12);
     assert!(raised > 0.9, "image floor raise lands at {raised}");
 
-    let mut s = SysOnly::new(&family, &[&platform], goal).unwrap();
+    let mut s = SysOnly::new(&family, &node, goal).unwrap();
     let ep = run_episode(&mut s, &env, &family, &stream, &goal).unwrap();
     assert!(
         !ep.summary.quality_floor_met,
@@ -319,15 +318,14 @@ fn relative_floor_raise_binds_for_the_sentence_family() {
     // The SAME named scenario, realized for the sentence-prediction
     // family, resolves to a negative-perplexity floor inside that
     // family's range — no per-family retuning.
-    let platform = Platform::cpu1();
+    let node = [Platform::cpu1()];
     let family = alert::models::ModelFamily::sentence_prediction();
-    let span = alert::workload::quality_span(&family, &platform);
+    let span = alert::workload::quality_span(&family, &node[0]);
     assert!(span.hi < 0.0, "perplexity scores are negative");
     let goal = Goal::minimize_energy(Seconds(0.2), span.lo);
     let stream = InputStream::generate(TaskId::Nlp1, 200, 5);
     let scenario = Scenario::floor_raise();
-    let env =
-        EpisodeEnv::build_scoped(&platform, &scenario, &stream, &goal, 5, Some(span)).unwrap();
+    let env = EpisodeEnv::build(&node, &scenario, &stream, &goal, 5, Some(span)).unwrap();
     assert_eq!(env.goal_of(0).min_quality, Some(span.lo));
     let raised = env.goal_of(env.len() - 1).min_quality.unwrap();
     assert!((raised - span.floor_at(0.85)).abs() < 1e-12);
@@ -338,7 +336,7 @@ fn relative_floor_raise_binds_for_the_sentence_family() {
         span.hi
     );
     // The raise binds against a scheme pinned to the weakest candidate.
-    let mut s = SysOnly::new(&family, &[&platform], goal).unwrap();
+    let mut s = SysOnly::new(&family, &node, goal).unwrap();
     let ep = run_episode(&mut s, &env, &family, &stream, &goal).unwrap();
     assert!(
         !ep.summary.quality_floor_met,

@@ -142,7 +142,7 @@ fn degraded_requests_are_billed_against_the_degraded_floor() {
     // but whose degraded form is comfortably feasible: every admitted
     // request must come out Degraded.
     let mut rt = runtime(2);
-    let span = quality_span(rt.family(), rt.platform());
+    let span = quality_span(rt.family(), &rt.node()[0]);
     let goal = Goal::minimize_energy(Seconds(0.25), 0.93);
     let mut cfg = config();
     cfg.goal = goal;
@@ -287,17 +287,16 @@ fn admission_belief_follows_the_runtime_params() {
     let degrade = GoalPatch::floor_frac(alert::sched::serving::DEFAULT_DEGRADE_FRAC);
     let threshold = alert::sched::serving::DEFAULT_MISS_THRESHOLD;
     let mut admission = AlertAdmission::for_runtime(&rt, degrade, threshold).unwrap();
-    let node: Vec<&alert::platform::Platform> = rt.node().iter().collect();
     let tables = alert::sched::alert::decision_tables(
         rt.family(),
         CandidateSet::Standard,
-        &node,
+        rt.node(),
         rt.spec().shared_budget,
     )
     .unwrap();
     let mut reference = AlertAdmission::new(
         AlertController::with_tables(tables, params).unwrap(),
-        quality_span(rt.family(), rt.platform()),
+        quality_span(rt.family(), &rt.node()[0]),
         degrade,
         threshold,
     )
