@@ -10,7 +10,7 @@
 //!
 //! Usage: `fig10 [n_inputs] [seed]` (defaults 400 words, 2020).
 
-use alert_bench::{banner, csv_header, csv_row, f, write_json};
+use alert_bench::{args_or_usage, banner, csv_header, csv_row, f, write_json};
 use alert_core::alert::AlertParams;
 use alert_models::family::CandidateSet;
 use alert_models::ModelFamily;
@@ -20,11 +20,12 @@ use alert_sched::harness::run_episode;
 use alert_sched::AlertScheduler;
 use alert_workload::{constraint_grid, InputStream, Objective, Scenario, TaskId};
 use std::collections::BTreeMap;
+use std::process::ExitCode;
 
-fn main() {
-    let mut args = std::env::args().skip(1);
-    let n_inputs: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(400);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(2020);
+fn main() -> ExitCode {
+    let Some((n_inputs, seed)) = args_or_usage("fig10", "n_inputs", 400, 1) else {
+        return ExitCode::FAILURE;
+    };
 
     banner(
         "Figure 10",
@@ -91,4 +92,5 @@ fn main() {
     write_json("fig10.json", &out);
     println!("\npaper shape: ALERT mean ≤ ALERT* mean in every column; largest gaps");
     println!("for the Standard candidate set and under Memory contention.");
+    ExitCode::SUCCESS
 }

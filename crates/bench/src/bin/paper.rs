@@ -35,33 +35,15 @@
 //! be positive). Writes `table4.json`, `table5.json`, `fig7.json` and
 //! `fig8.json` under `results/`.
 
-use alert_bench::{banner, csv_header, csv_row, f, write_json};
+use alert_bench::{args_or_usage, banner, csv_header, csv_row, f, write_json};
 use alert_platform::PlatformId;
 use alert_sched::experiment::{TABLE4_SCHEMES, TABLE5_SCHEMES};
 use alert_sched::{ExperimentConfig, PaperSweep, ResultTable};
 use alert_workload::Objective;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: paper [n_inputs] [seed]  (defaults 300, 2020; n_inputs > 0)";
-
-/// Parses `[n_inputs] [seed]` into `(n_inputs, seed)`; `None` for an
-/// unparsable value, a zero input count or a third argument.
-fn parse_args(args: &[String]) -> Option<(usize, u64)> {
-    let n_inputs = match args.first() {
-        Some(s) => s.parse().ok().filter(|&n| n > 0)?,
-        None => 300,
-    };
-    let seed = match args.get(1) {
-        Some(s) => s.parse().ok()?,
-        None => 2020,
-    };
-    (args.len() <= 2).then_some((n_inputs, seed))
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((n_inputs, seed)) = parse_args(&args) else {
-        eprintln!("{USAGE}");
+    let Some((n_inputs, seed)) = args_or_usage("paper", "n_inputs", 300, 1) else {
         return ExitCode::FAILURE;
     };
     let config = ExperimentConfig {
@@ -240,31 +222,4 @@ fn figure_8(sweep: &PaperSweep) {
         }
     }
     write_json("fig8.json", &rows);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::parse_args;
-
-    fn parse(args: &[&str]) -> Option<(usize, u64)> {
-        parse_args(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    }
-
-    #[test]
-    fn arguments_default_and_parse() {
-        assert_eq!(parse(&[]), Some((300, 2020)));
-        assert_eq!(parse(&["60"]), Some((60, 2020)));
-        assert_eq!(parse(&["60", "7"]), Some((60, 7)));
-        assert_eq!(parse(&["60", "0"]), Some((60, 0)));
-    }
-
-    #[test]
-    fn zero_unparsable_or_extra_arguments_are_rejected() {
-        assert_eq!(parse(&["0"]), None);
-        assert_eq!(parse(&["0", "2020"]), None);
-        assert_eq!(parse(&["3OO"]), None);
-        assert_eq!(parse(&["-1"]), None);
-        assert_eq!(parse(&["300", "2O20"]), None);
-        assert_eq!(parse(&["300", "2020", "1"]), None);
-    }
 }

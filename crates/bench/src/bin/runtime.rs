@@ -32,7 +32,7 @@
 //!
 //! Usage: `runtime [n_inputs_per_session] [seed]` (defaults 300, 2020).
 
-use alert_bench::{banner, csv_header, csv_row, f, results_dir, write_json};
+use alert_bench::{args_or_usage, banner, csv_header, csv_row, f, results_dir, write_json};
 use alert_core::alert::{AlertController, AlertParams, Observation, OverheadPolicy};
 use alert_core::select::select_with_period;
 use alert_sched::alert::build_table;
@@ -42,6 +42,7 @@ use alert_sched::{Episode, FamilyKind};
 use alert_stats::telemetry::Scope;
 use alert_stats::units::{Joules, Seconds, Watts};
 use alert_workload::{Goal, Scenario, SessionId};
+use std::process::ExitCode;
 use std::time::Instant;
 
 fn scenario_for(i: u64) -> Scenario {
@@ -397,6 +398,10 @@ struct TelemetryMeasurement {
     instrumented_overhead_us: f64,
     /// instrumented / baseline decision overhead (CPU time, not wall).
     overhead_ratio: f64,
+    /// Per-round overhead totals (s), in round order: the samples
+    /// behind the two minima the ratio compares.
+    baseline_overhead_rounds: Vec<f64>,
+    instrumented_overhead_rounds: Vec<f64>,
     decisions: u64,
     deadline_misses: u64,
     flight_recording_cost_s: f64,
@@ -418,10 +423,12 @@ fn timed_drain(
 
 /// Best wall-clock rate and lowest CPU overhead of one configuration
 /// over the rounds folded so far — best-of filtering keeps CI scheduler
-/// hiccups out of the ratios.
+/// hiccups out of the ratios — plus every round's overhead total, so a
+/// tripped bound can be read round by round.
 struct Best {
     rate: f64,
     overhead: f64,
+    overhead_rounds: Vec<f64>,
 }
 
 impl Best {
@@ -429,6 +436,7 @@ impl Best {
         Best {
             rate: 0.0,
             overhead: f64::INFINITY,
+            overhead_rounds: Vec::new(),
         }
     }
 
@@ -437,6 +445,7 @@ impl Best {
         self.rate = self.rate.max(inputs as f64 / elapsed);
         let overhead: f64 = episodes.iter().map(|(_, e)| e.summary.overhead.get()).sum();
         self.overhead = self.overhead.min(overhead);
+        self.overhead_rounds.push(overhead);
     }
 }
 
@@ -505,7 +514,10 @@ fn bench_telemetry(n_inputs: usize, seed: u64) -> (TelemetryMeasurement, String)
     assert!(
         overhead_ratio <= 1.10,
         "decision overhead with telemetry is {overhead_ratio:.3}x the \
-         telemetry-off baseline (> 1.10x)"
+         telemetry-off baseline (> 1.10x); per-round totals in seconds, \
+         baseline {:?}, instrumented {:?}",
+        baseline.overhead_rounds,
+        instrumented.overhead_rounds
     );
 
     let registry = collector.registry();
@@ -519,6 +531,8 @@ fn bench_telemetry(n_inputs: usize, seed: u64) -> (TelemetryMeasurement, String)
         baseline_overhead_us: baseline.overhead / inputs_total as f64 * 1e6,
         instrumented_overhead_us: instrumented.overhead / inputs_total as f64 * 1e6,
         overhead_ratio,
+        baseline_overhead_rounds: baseline.overhead_rounds,
+        instrumented_overhead_rounds: instrumented.overhead_rounds,
         decisions,
         deadline_misses: registry.counter("deadline_misses", Scope::Global),
         flight_recording_cost_s: recorder.recording_cost().get(),
@@ -540,14 +554,10 @@ fn assert_parallel_matches_serial(n_inputs: usize, seed: u64) {
     }
 }
 
-fn main() {
-    let mut args = std::env::args().skip(1);
-    let n_inputs: usize = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(300);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(2020);
+fn main() -> ExitCode {
+    let Some((n_inputs, seed)) = args_or_usage("runtime", "n_inputs_per_session", 300, 1) else {
+        return ExitCode::FAILURE;
+    };
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -743,6 +753,8 @@ fn main() {
                 "baseline_overhead_us": tm.baseline_overhead_us,
                 "instrumented_overhead_us": tm.instrumented_overhead_us,
                 "overhead_ratio": tm.overhead_ratio,
+                "baseline_overhead_s_rounds": tm.baseline_overhead_rounds,
+                "instrumented_overhead_s_rounds": tm.instrumented_overhead_rounds,
                 "flight_recording_cost_s": tm.flight_recording_cost_s,
             }),
             "churn": serde_json::json!({
@@ -751,4 +763,5 @@ fn main() {
             }),
         }),
     );
+    ExitCode::SUCCESS
 }

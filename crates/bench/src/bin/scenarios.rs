@@ -27,7 +27,9 @@
 //!
 //! Usage: `scenarios [n_inputs_per_episode] [seed]` (defaults 300, 2020).
 
-use alert_bench::{banner, base_goal, csv_header, csv_row, f, run_schemes, write_json, SCHEMES};
+use alert_bench::{
+    args_or_usage, banner, base_goal, csv_header, csv_row, f, run_schemes, write_json, SCHEMES,
+};
 use alert_core::lane::{CandidateLane, LaneScratch};
 use alert_core::select::select_with_period;
 use alert_core::ProbabilityMode;
@@ -39,6 +41,7 @@ use alert_sched::FamilyKind;
 use alert_stats::units::{Joules, Seconds, Watts};
 use alert_stats::Normal;
 use alert_workload::{Goal, InputStream, Scenario};
+use std::process::ExitCode;
 
 struct Cell {
     scheme: &'static str,
@@ -276,14 +279,10 @@ fn bench_convergence(scenario: &Scenario, n_inputs: usize, seed: u64) -> Converg
     }
 }
 
-fn main() {
-    let mut args = std::env::args().skip(1);
-    let n_inputs: usize = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 50)
-        .unwrap_or(300);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(2020);
+fn main() -> ExitCode {
+    let Some((n_inputs, seed)) = args_or_usage("scenarios", "n_inputs_per_episode", 300, 50) else {
+        return ExitCode::FAILURE;
+    };
 
     banner(
         "Scenario matrix",
@@ -549,4 +548,5 @@ fn main() {
             })).collect::<Vec<_>>(),
         }),
     );
+    ExitCode::SUCCESS
 }

@@ -18,7 +18,7 @@
 //!
 //! Usage: `serving [n_requests] [seed]` (defaults 120, 2020).
 
-use alert_bench::{banner, csv_header, csv_row, f};
+use alert_bench::{args_or_usage, banner, csv_header, csv_row, f};
 use alert_sched::runtime::{EpisodeEvent, Runtime, SessionSpec};
 use alert_sched::serving::{
     admission_policy, serve, AlertAdmission, ServingConfig, DEFAULT_DEGRADE_FRAC,
@@ -31,6 +31,7 @@ use alert_workload::{
     StormSpec,
 };
 use std::collections::BTreeMap;
+use std::process::ExitCode;
 
 const WORKERS: usize = 2;
 const POLICIES: [&str; 3] = ["Always-admit", "Drop-tail", "ALERT"];
@@ -193,14 +194,10 @@ fn run_instrumented_alert(
     cell
 }
 
-fn main() {
-    let mut args = std::env::args().skip(1);
-    let n_requests: usize = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 20)
-        .unwrap_or(120);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(2020);
+fn main() -> ExitCode {
+    let Some((n_requests, seed)) = args_or_usage("serving", "n_requests", 120, 20) else {
+        return ExitCode::FAILURE;
+    };
 
     banner(
         "Serving saturation curve",
@@ -363,4 +360,5 @@ fn main() {
     )
     .expect("write BENCH_serving.json");
     println!("[curve written to {}]", path.display());
+    ExitCode::SUCCESS
 }

@@ -24,7 +24,9 @@
 //!
 //! Usage: `traces [n_inputs_per_episode] [seed]` (defaults 240, 2020).
 
-use alert_bench::{banner, base_goal, csv_header, csv_row, f, results_dir, run_schemes, SCHEMES};
+use alert_bench::{
+    args_or_usage, banner, base_goal, csv_header, csv_row, f, results_dir, run_schemes, SCHEMES,
+};
 use alert_platform::{Platform, PlatformId};
 use alert_sched::capture::TraceRecorder;
 use alert_sched::env::EpisodeEnv;
@@ -34,6 +36,7 @@ use alert_workload::{
     GoalPatch, InputStream, Scenario, ScenarioScript, ScriptEvent, TraceFit, WorkloadTrace,
 };
 use std::path::PathBuf;
+use std::process::ExitCode;
 
 /// Records one scenario through the live runtime's sink; returns the
 /// capture and the recorded session id.
@@ -143,14 +146,10 @@ fn counterfactual_overlay() -> ScenarioScript {
         })
 }
 
-fn main() {
-    let mut args = std::env::args().skip(1);
-    let n_inputs: usize = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n >= 50)
-        .unwrap_or(240);
-    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(2020);
+fn main() -> ExitCode {
+    let Some((n_inputs, seed)) = args_or_usage("traces", "n_inputs_per_episode", 240, 50) else {
+        return ExitCode::FAILURE;
+    };
 
     banner(
         "Trace capture → replay",
@@ -312,4 +311,5 @@ fn main() {
     )
     .expect("write BENCH_traces.json");
     println!("[matrix written to {}]", path.display());
+    ExitCode::SUCCESS
 }

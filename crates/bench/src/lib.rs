@@ -98,6 +98,42 @@ pub fn run_schemes(
         .collect()
 }
 
+/// Parses a bin's `[count] [seed]` arguments into `(count, seed)`:
+/// `count` defaults to `default_count` and must be at least
+/// `min_count`, `seed` defaults to 2020. `None` for an unparsable
+/// value, a count below the minimum, or a third argument.
+pub fn parse_args(args: &[String], default_count: usize, min_count: usize) -> Option<(usize, u64)> {
+    let count = match args.first() {
+        Some(s) => s.parse().ok().filter(|&n| n >= min_count)?,
+        None => default_count,
+    };
+    let seed = match args.get(1) {
+        Some(s) => s.parse().ok()?,
+        None => 2020,
+    };
+    (args.len() <= 2).then_some((count, seed))
+}
+
+/// The bin's `(count, seed)` from its command line ([`parse_args`]).
+/// `None`, after a usage line naming `bin` and `count` on stderr, when
+/// the arguments are refused: the bin then exits non-zero, so a typo
+/// never runs the default instead.
+pub fn args_or_usage(
+    bin: &str,
+    count: &str,
+    default_count: usize,
+    min_count: usize,
+) -> Option<(usize, u64)> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let parsed = parse_args(&args, default_count, min_count);
+    if parsed.is_none() {
+        eprintln!(
+            "usage: {bin} [{count}] [seed]  (defaults {default_count}, 2020; {count} >= {min_count})"
+        );
+    }
+    parsed
+}
+
 /// Prints a banner for one experiment.
 pub fn banner(id: &str, caption: &str) {
     println!("==================================================================");
@@ -145,6 +181,37 @@ mod tests {
     fn results_dir_exists_after_call() {
         let d = results_dir();
         assert!(d.is_dir());
+    }
+
+    fn parse(args: &[&str], default_count: usize, min_count: usize) -> Option<(usize, u64)> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        parse_args(&args, default_count, min_count)
+    }
+
+    #[test]
+    fn arguments_default_and_parse() {
+        assert_eq!(parse(&[], 300, 1), Some((300, 2020)));
+        assert_eq!(parse(&["60"], 300, 1), Some((60, 2020)));
+        assert_eq!(parse(&["60", "7"], 300, 1), Some((60, 7)));
+        assert_eq!(parse(&["60", "0"], 300, 1), Some((60, 0)));
+        assert_eq!(parse(&[], 240, 50), Some((240, 2020)));
+        assert_eq!(parse(&["50"], 240, 50), Some((50, 2020)));
+    }
+
+    #[test]
+    fn short_unparsable_or_extra_arguments_are_rejected() {
+        assert_eq!(parse(&["0"], 300, 1), None);
+        assert_eq!(parse(&["0", "2020"], 300, 1), None);
+        assert_eq!(parse(&["3OO"], 300, 1), None);
+        assert_eq!(parse(&["-1"], 300, 1), None);
+        assert_eq!(parse(&["300", "2O20"], 300, 1), None);
+        assert_eq!(parse(&["300", "2020", "1"], 300, 1), None);
+        // Below a bin's own minimum, or unparsable: refused, never
+        // replaced by the default.
+        assert_eq!(parse(&["10", "2020"], 300, 50), None);
+        assert_eq!(parse(&["49"], 240, 50), None);
+        assert_eq!(parse(&["abc", "2020"], 240, 50), None);
+        assert_eq!(parse(&["19"], 120, 20), None);
     }
 
     #[test]

@@ -147,18 +147,16 @@ pub struct ControllerSnapshot {
 
 impl ControllerSnapshot {
     /// Checks that this state is one a controller can reach: a valid ξ
-    /// belief ([`SlowdownEstimator::validate`]), φ in [0, 1], and a
-    /// finite, non-negative overhead reserve and last decision cost.
+    /// belief ([`SlowdownEstimator::validate`]), a valid φ filter
+    /// ([`IdleRatioEstimator::validate`]), and a finite, non-negative
+    /// overhead reserve and last decision cost.
     ///
     /// # Errors
     ///
     /// Describes the first value out of range.
     pub fn validate(&self) -> Result<(), String> {
         self.xi.validate()?;
-        let phi = self.idle.ratio();
-        if !(0.0..=1.0).contains(&phi) {
-            return Err(format!("idle ratio φ must be in [0, 1], got {phi}"));
-        }
+        self.idle.validate()?;
         for (name, t) in [
             ("overhead reserve", self.overhead_reserve),
             ("last decision cost", self.last_decision_cost),

@@ -47,6 +47,16 @@ impl IdleRatioEstimator {
     pub fn observations(&self) -> u64 {
         self.filter.steps()
     }
+
+    /// Checks that this state is one measurements can produce
+    /// ([`IdlePowerFilter::validate`]).
+    ///
+    /// # Errors
+    ///
+    /// Describes the state when it is out of range.
+    pub fn validate(&self) -> Result<(), String> {
+        self.filter.validate()
+    }
 }
 
 #[cfg(test)]

@@ -130,26 +130,32 @@ impl SlowdownEstimator {
     }
 
     /// Checks that this belief is one observations can produce: a finite,
-    /// positive mean and finite, non-negative filter and innovation
-    /// variances. Restored state arrives from outside, and anything else
-    /// would panic or mislead the next decision.
+    /// positive mean, finite, non-negative filter and innovation
+    /// variances, a filter gain in `[0, 1]` and a process noise in
+    /// `[q_min, q0]`. Restored state arrives from outside, and anything
+    /// else would panic or mislead the next decision (a gain above 1
+    /// turns the next variance negative).
     ///
     /// # Errors
     ///
     /// Describes the first value out of range.
     pub fn validate(&self) -> Result<(), String> {
-        let mean = self.filter.mean();
-        if !(mean.is_finite() && mean > 0.0) {
-            return Err(format!("ξ mean must be finite and positive, got {mean}"));
-        }
-        for (name, var) in [
-            ("filter variance", self.filter.variance()),
-            ("innovation variance", self.innovation_var),
+        let f = &self.filter;
+        let (mean, var, innovation_var) = (f.mean(), f.variance(), self.innovation_var);
+        let (gain, q, p) = (f.gain(), f.process_noise(), f.params());
+        for (name, value, ok) in [
+            ("mean", mean, mean.is_finite() && mean > 0.0),
+            ("filter variance", var, var.is_finite() && var >= 0.0),
+            (
+                "innovation variance",
+                innovation_var,
+                innovation_var.is_finite() && innovation_var >= 0.0,
+            ),
+            ("filter gain", gain, (0.0..=1.0).contains(&gain)),
+            ("process noise", q, (p.q_min..=p.q0).contains(&q)),
         ] {
-            if !(var.is_finite() && var >= 0.0) {
-                return Err(format!(
-                    "ξ {name} must be finite and non-negative, got {var}"
-                ));
+            if !ok {
+                return Err(format!("ξ {name} {value} is out of range"));
             }
         }
         Ok(())

@@ -21,7 +21,7 @@
 use crate::env::EpisodeEnv;
 use crate::harness::Episode;
 use crate::metrics::{objective_report, ResultTable};
-use crate::oracle::OracleStatic;
+use crate::oracle::{self, OracleCandidate};
 use crate::runtime::{Runtime, SessionSpec};
 use alert_models::{ModelFamily, QualityMetric};
 use alert_platform::{Platform, PlatformId};
@@ -149,25 +149,28 @@ fn sweep_runtime(family: &ModelFamily, platform: &Platform, task: TaskId) -> Run
         .expect("builtin policy resolves")
 }
 
-/// All per-scheme episodes of one constraint setting, plus the cell-level
-/// static baseline's episode on this setting.
+/// All registry-scheme episodes of one constraint setting, plus the
+/// cell-pinned static baseline's summary there.
 struct SettingOutcome {
     goal: Goal,
-    /// One episode per requested scheme, in request order.
+    /// One episode per requested registry scheme, in request order; the
+    /// `"OracleStatic"` column is `baseline`.
     episodes: Vec<Episode>,
-    /// The OracleStatic baseline episode (the cell-wide pinned
-    /// configuration replayed on this setting).
-    baseline: Episode,
+    /// The cell-wide pinned configuration's summary on this setting.
+    baseline: EpisodeSummary,
 }
 
 /// Runs one full cell: every scheme on every constraint setting, in
-/// parallel over settings.
+/// parallel over settings, and returns the pinned static configuration
+/// with the per-setting outcomes.
 ///
 /// The OracleStatic baseline is selected once per cell — "one fixed
-/// setting across inputs" *and* across the requirement range — and its
-/// episode on each setting is returned in `SettingOutcome::baseline`.
-/// An `"OracleStatic"` entry in `schemes` reuses that episode as a
-/// column.
+/// setting across inputs" *and* across the requirement range. Each
+/// setting's worker runs every static configuration
+/// ([`oracle::run_static`]) next to the registry schemes; after the
+/// parallel section [`oracle::select_static`] picks the cell's
+/// configuration, and its scanned summary on each setting is that
+/// setting's `baseline` (and its `"OracleStatic"` column).
 fn run_cell(
     objective: Objective,
     family_kind: FamilyKind,
@@ -175,7 +178,7 @@ fn run_cell(
     scenario: &Scenario,
     schemes: &[&str],
     config: &ExperimentConfig,
-) -> Vec<SettingOutcome> {
+) -> (OracleCandidate, Vec<SettingOutcome>) {
     let family = family_kind.family();
     let stream = InputStream::generate(family_kind.task(), config.n_inputs, config.seed);
     let settings = constraint_grid(objective, &family, platform);
@@ -196,12 +199,15 @@ fn run_cell(
             )
         })
         .collect();
-    let static_choice = OracleStatic::for_cell(&cell, family.clone(), &stream)
-        // lint:allow(no-panic): experiment-harness wiring over the built-in registry and library scenarios; failure is a programming error, not a runtime condition
-        .expect("paper families fit the paper platforms")
-        .choice();
+    let statics = cell
+        .first()
+        .map(|(env, _)| oracle::enumerate(&family, env))
+        .unwrap_or_default();
 
-    let results: Mutex<Vec<(usize, SettingOutcome)>> = Mutex::new(Vec::new());
+    // Per setting: its index, the registry schemes' episodes, and its
+    // goal with every static configuration's summary.
+    type Scanned = (usize, Vec<Episode>, (Goal, Vec<EpisodeSummary>));
+    let results: Mutex<Vec<Scanned>> = Mutex::new(Vec::new());
     let next: Mutex<usize> = Mutex::new(0);
     std::thread::scope(|scope| {
         for _ in 0..config.threads.max(1) {
@@ -220,54 +226,56 @@ fn run_cell(
                         break;
                     }
                     let (env, goal) = &cell[idx];
-                    let run = |rt: &mut Runtime, id| {
-                        rt.run_to_completion(id).expect("session is open"); // lint:allow(no-panic): experiment-harness wiring over the built-in registry and library scenarios; failure is a programming error, not a runtime condition
-                        rt.close(id).expect("session is open") // lint:allow(no-panic): experiment-harness wiring over the built-in registry and library scenarios; failure is a programming error, not a runtime condition
-                    };
-                    // The cell-pinned static baseline carries out-of-band
-                    // state (the cell-wide choice), so it enters through
-                    // the pre-built-scheduler door.
-                    let id = rt
-                        .session(SessionSpec::external(*goal))
-                        .on(stream.clone(), env.clone())
-                        .with(Box::new(OracleStatic::from_choice(static_choice)))
-                        .open()
-                        // lint:allow(no-panic): experiment-harness wiring over the built-in registry and library scenarios; failure is a programming error, not a runtime condition
-                        .expect("pre-built scheduler session opens");
-                    let baseline = run(&mut rt, id);
                     let episodes: Vec<Episode> = schemes
                         .iter()
+                        .filter(|&&name| name != "OracleStatic")
                         .map(|&name| {
-                            if name == "OracleStatic" {
-                                baseline.clone()
-                            } else {
-                                let id = rt
-                                    .session(SessionSpec::external(*goal))
-                                    .policy(name)
-                                    .on(stream.clone(), env.clone())
-                                    .open()
-                                    // lint:allow(no-panic): experiment-harness wiring over the built-in registry and library scenarios; failure is a programming error, not a runtime condition
-                                    .expect("builtin policy resolves");
-                                run(&mut rt, id)
-                            }
+                            let id = rt
+                                .session(SessionSpec::external(*goal))
+                                .policy(name)
+                                .on(stream.clone(), env.clone())
+                                .open()
+                                // lint:allow(no-panic): experiment-harness wiring over the built-in registry and library scenarios; failure is a programming error, not a runtime condition
+                                .expect("builtin policy resolves");
+                            rt.run_to_completion(id).expect("session is open"); // lint:allow(no-panic): experiment-harness wiring over the built-in registry and library scenarios; failure is a programming error, not a runtime condition
+                            rt.close(id).expect("session is open") // lint:allow(no-panic): experiment-harness wiring over the built-in registry and library scenarios; failure is a programming error, not a runtime condition
                         })
                         .collect();
-                    results.lock().push((
-                        idx,
-                        SettingOutcome {
-                            goal: *goal,
-                            episodes,
-                            baseline,
-                        },
-                    ));
+                    // Every static configuration, through the same engine
+                    // and the same accounting as the schemes above.
+                    let scan: Vec<EpisodeSummary> = statics
+                        .iter()
+                        .map(|&c| {
+                            oracle::run_static(env, &family, &stream, goal, c)
+                                // lint:allow(no-panic): enumerated configurations are their platform's own caps and fitting models, so every one runs
+                                .expect("enumerated configurations run")
+                        })
+                        .collect();
+                    results.lock().push((idx, episodes, (*goal, scan)));
                 }
             });
         }
     });
 
-    let mut out = results.into_inner();
-    out.sort_by_key(|(i, _)| *i);
-    out.into_iter().map(|(_, s)| s).collect()
+    let mut results = results.into_inner();
+    results.sort_by_key(|(i, ..)| *i);
+    let (episodes, scans): (Vec<_>, Vec<_>) = results
+        .into_iter()
+        .map(|(_, episodes, scan)| (episodes, scan))
+        .unzip();
+    let pick = oracle::select_static(&scans)
+        // lint:allow(no-panic): experiment-harness wiring over the built-in registry and library scenarios; failure is a programming error, not a runtime condition
+        .expect("paper families fit the paper platforms");
+    let outcomes = episodes
+        .into_iter()
+        .zip(scans)
+        .map(|(episodes, (goal, mut scan))| SettingOutcome {
+            goal,
+            episodes,
+            baseline: scan.swap_remove(pick),
+        })
+        .collect();
+    (statics[pick], outcomes)
 }
 
 /// One constraint setting of a sweep cell, folded to episode summaries.
@@ -307,7 +315,7 @@ impl SweepCell {
         schemes: &[&str],
         config: &ExperimentConfig,
     ) -> SweepCell {
-        let outcomes = run_cell(
+        let (_, outcomes) = run_cell(
             objective,
             family,
             &Platform::by_id(platform),
@@ -317,14 +325,23 @@ impl SweepCell {
         );
         let settings = outcomes
             .into_iter()
-            .map(|o| SettingSummary {
-                goal: o.goal,
-                schemes: o
-                    .episodes
-                    .into_iter()
-                    .map(|e| (e.scheme, e.summary))
-                    .collect(),
-                baseline: o.baseline.summary,
+            .map(|o| {
+                let mut registry = o.episodes.into_iter().map(|e| (e.scheme, e.summary));
+                let schemes = schemes
+                    .iter()
+                    .filter_map(|&name| {
+                        if name == "OracleStatic" {
+                            Some((name.to_string(), o.baseline.clone()))
+                        } else {
+                            registry.next()
+                        }
+                    })
+                    .collect();
+                SettingSummary {
+                    goal: o.goal,
+                    schemes,
+                    baseline: o.baseline,
+                }
             })
             .collect();
         SweepCell {
@@ -401,6 +418,7 @@ impl PaperSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::OracleStatic;
     use crate::registry::PolicyRegistry;
 
     fn small_config() -> ExperimentConfig {
@@ -427,21 +445,63 @@ mod tests {
                 &config,
             )
         };
-        let alone = cell(&["ALERT"]);
-        let swept = cell(&SWEEP_SCHEMES);
+        let (alone_choice, alone) = cell(&["ALERT"]);
+        let (swept_choice, swept) = cell(&SWEEP_SCHEMES);
+        assert_eq!(alone_choice, swept_choice);
         assert_eq!(alone.len(), 35);
         assert_eq!(swept.len(), 35);
+        let registry: Vec<&str> = SWEEP_SCHEMES
+            .into_iter()
+            .filter(|&name| name != "OracleStatic")
+            .collect();
         for (a, s) in alone.iter().zip(&swept) {
             assert_eq!(a.goal, s.goal);
             assert_eq!(a.episodes.len(), 1);
             let names: Vec<&str> = s.episodes.iter().map(|e| e.scheme.as_str()).collect();
-            assert_eq!(names, SWEEP_SCHEMES);
-            for ep in a.episodes.iter().chain(&s.episodes).chain([&a.baseline]) {
+            assert_eq!(names, registry);
+            for ep in a.episodes.iter().chain(&s.episodes) {
                 assert_eq!(ep.records.len(), config.n_inputs, "{}", ep.scheme);
             }
             // Records only: `summary.overhead` is sampled CPU time.
             assert_eq!(a.episodes[0].records, s.episodes[0].records);
-            assert_eq!(a.baseline.records, s.baseline.records);
+            // OracleStatic charges no overhead, so its summaries compare.
+            assert_eq!(a.baseline, s.baseline);
+            assert_eq!(a.baseline.measured, config.n_inputs - config.n_inputs / 10);
+        }
+    }
+
+    #[test]
+    fn the_sweep_pins_what_the_public_constructor_picks() {
+        let platform = Platform::cpu1();
+        let config = small_config();
+        let scenario = Scenario::default_env();
+        let (choice, outcomes) = run_cell(
+            Objective::MinimizeError,
+            FamilyKind::Image,
+            &platform,
+            &scenario,
+            &[],
+            &config,
+        );
+        let family = FamilyKind::Image.family();
+        let stream = InputStream::generate(FamilyKind::Image.task(), config.n_inputs, config.seed);
+        let node = std::slice::from_ref(&platform);
+        let cell: Vec<(Arc<EpisodeEnv>, Goal)> =
+            constraint_grid(Objective::MinimizeError, &family, &platform)
+                .into_iter()
+                .map(|goal| {
+                    let env = EpisodeEnv::build(node, &scenario, &stream, &goal, config.seed, None);
+                    (Arc::new(env.unwrap()), goal)
+                })
+                .collect();
+        let public = OracleStatic::for_cell(&cell, family.clone(), &stream).unwrap();
+        assert_eq!(public.choice(), choice);
+        // Each setting's baseline is that configuration's own episode.
+        for ((env, goal), o) in cell.iter().zip(&outcomes) {
+            assert_eq!(o.goal, *goal);
+            assert!(o.episodes.is_empty());
+            let summary = oracle::run_static(env, &family, &stream, goal, choice).unwrap();
+            assert_eq!(o.baseline, summary);
         }
     }
 

@@ -6,19 +6,25 @@
 //!
 //! * [`Oracle`] re-optimizes per input — "allows DNN/power settings to
 //!   change across inputs, representing the best possible results";
-//! * [`OracleStatic`] exhaustively evaluates every configuration over the
-//!   whole episode up front and pins the best one — "the best results
-//!   without dynamic adaptation". It is the normalization baseline of
-//!   Table 4.
+//! * [`OracleStatic`] runs every configuration over the whole episode up
+//!   front and pins the best one — "the best results without dynamic
+//!   adaptation". It is the normalization baseline of Table 4.
+//!
+//! A static configuration is judged by the accounting every scheme is
+//! judged by: [`run_static`] runs it through the session engine, pinned,
+//! and keeps its [`EpisodeSummary`]; [`select_static`] ranks the
+//! summaries. The per-input violation rule and the timely quality floor
+//! therefore live only in `alert_workload`'s `InputRecord::violates` and
+//! [`EpisodeSummary`]. The paper sweep runs the same scan inside its
+//! parallel section (`experiment::run_cell`).
 
-use crate::budget::BudgetTracker;
 use crate::env::{EnvError, EpisodeEnv};
+use crate::harness::{run_episode, StepError};
 use crate::scheduler::{Decision, Feedback, InputContext, Scheduler};
 use alert_models::inference::StopPolicy;
 use alert_models::{ModelFamily, ModelProfile};
 use alert_stats::units::{Joules, Seconds, Watts};
-use alert_workload::record::VIOLATION_DISQUALIFY_FRACTION;
-use alert_workload::{Goal, InputStream, Objective};
+use alert_workload::{EpisodeSummary, Goal, InputStream, Objective};
 use std::sync::Arc;
 
 /// One executable configuration in oracle enumerations.
@@ -118,19 +124,6 @@ fn satisfies(o: &RealizedOutcome, goal: &Goal, deadline: Seconds) -> bool {
         Objective::MinimizeEnergy => o.quality >= goal.min_quality.expect("validated") - 1e-12,
         // lint:allow(no-panic): Goal::validate requires the matching bound for this objective; schedulers only receive validated goals
         Objective::MinimizeError => o.energy <= goal.energy_budget.expect("validated"),
-    }
-}
-
-/// Whether an outcome violates the *per-input* constraints (deadline,
-/// energy budget) — the episode-accounting counterpart of [`satisfies`].
-fn violates_per_input(o: &RealizedOutcome, goal: &Goal, deadline: Seconds) -> bool {
-    if o.latency.get() > deadline.get() * (1.0 + 1e-9) {
-        return true;
-    }
-    match goal.objective {
-        Objective::MinimizeEnergy => false,
-        // lint:allow(no-panic): Goal::validate requires the matching bound for this objective; schedulers only receive validated goals
-        Objective::MinimizeError => o.energy > goal.energy_budget.expect("validated"),
     }
 }
 
@@ -252,102 +245,76 @@ impl Scheduler for Oracle {
     }
 }
 
-/// Episode-level score of one static configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StaticScore {
-    /// Fraction of measured inputs violating the goal.
-    pub violation_rate: f64,
-    /// Mean objective key (smaller = better) over measured inputs.
-    pub mean_objective: f64,
-    /// Mean energy over measured inputs.
-    pub mean_energy: Joules,
-    /// Mean quality over measured inputs.
-    pub mean_quality: f64,
-}
-
-/// Simulates one static configuration over the full episode.
-pub fn score_static(
+/// Runs one configuration pinned for the whole episode through
+/// [`run_episode`], the engine every scheme runs on, and returns its
+/// summary under the one episode accounting ([`EpisodeSummary`]).
+/// `goal` is the goal `env` was realized for, as for [`run_episode`].
+///
+/// # Errors
+///
+/// Fails when the configuration cannot run on its device (never for
+/// candidates from [`enumerate`], whose caps are their platform's own
+/// settings and whose models fit it).
+pub fn run_static(
     env: &EpisodeEnv,
     family: &ModelFamily,
     stream: &InputStream,
     goal: &Goal,
-    c: &OracleCandidate,
-) -> StaticScore {
-    let profile = &family.models()[c.model];
-    let warmup = stream.warmup_len();
-    let mut budget = BudgetTracker::new();
-    let mut n = 0usize;
-    let mut violations = 0usize;
-    let mut sum_obj = 0.0;
-    let mut sum_energy = 0.0;
-    let mut sum_quality = 0.0;
-    let mut floored_timely = 0usize;
-    let mut sum_quality_floored = 0.0;
-    let mut sum_floor = 0.0;
-    for (i, input) in stream.inputs().iter().enumerate() {
-        // Score under the requirement *in force at dispatch* — scripted
-        // goal changes move deadlines/floors/budgets mid-stream, and the
-        // harness run this selection is compared against uses exactly
-        // these effective goals (`base` only covers unscripted inputs).
-        let g = if i < env.len() { env.goal_of(i) } else { goal };
-        let deadline = budget.next_deadline(g.deadline, input.group);
-        // Enumerated caps are platform settings (see `Oracle::pick`).
-        let Ok(o) = realize_candidate(env, profile, c, i, deadline) else {
-            continue;
-        };
-        budget.consume(o.latency);
-        if i < warmup {
-            continue;
-        }
-        n += 1;
-        if violates_per_input(&o, g, deadline) {
-            violations += 1;
-        }
-        sum_obj += objective_key(&o, g);
-        sum_energy += o.energy.get();
-        sum_quality += o.quality;
-        if o.latency.get() <= deadline.get() * (1.0 + 1e-9) {
-            if let Some(floor) = g.min_quality {
-                floored_timely += 1;
-                sum_quality_floored += o.quality;
-                sum_floor += floor;
-            }
+    c: OracleCandidate,
+) -> Result<EpisodeSummary, StepError> {
+    let mut pinned = OracleStatic::from_choice(c);
+    Ok(run_episode(&mut pinned, env, family, stream, goal)?.summary)
+}
+
+/// A summary's objective under `goal`: smaller is better.
+fn summary_key(s: &EpisodeSummary, goal: &Goal) -> f64 {
+    match goal.objective {
+        Objective::MinimizeEnergy => s.avg_energy.get(),
+        Objective::MinimizeError => -s.avg_quality,
+    }
+}
+
+/// Table 4's rule for the one static configuration of a cell: the
+/// configuration that meets the most settings (is not
+/// [disqualified](EpisodeSummary::disqualified) there), then the one
+/// with the lowest mean across settings of its average energy
+/// (minimize energy) or its negated average quality (minimize error).
+/// Ties go to the earliest configuration.
+///
+/// `scans` holds one entry per setting: its goal and every
+/// configuration's [`run_static`] summary there, in [`enumerate`]
+/// order. Returns the winner's index, or `None` when there is no
+/// setting or no configuration.
+pub fn select_static(scans: &[(Goal, Vec<EpisodeSummary>)]) -> Option<usize> {
+    let configurations = scans.iter().map(|(_, s)| s.len()).min()?;
+    let mut best: Option<(usize, usize, f64)> = None;
+    for c in 0..configurations {
+        let met = scans.iter().filter(|(_, s)| !s[c].disqualified()).count();
+        let mean = scans
+            .iter()
+            .map(|(goal, s)| summary_key(&s[c], goal))
+            .sum::<f64>()
+            / scans.len() as f64;
+        if best.is_none_or(|(_, best_met, best_mean)| {
+            met > best_met || (met == best_met && mean < best_mean)
+        }) {
+            best = Some((c, met, mean));
         }
     }
-    let n_f = n.max(1) as f64;
-    let mean_quality = sum_quality / n_f;
-    let mut violation_rate = violations as f64 / n_f;
-    // Accuracy floor over timely deliveries, against the average floor
-    // in force (matches EpisodeSummary::disqualified): a failed floor
-    // means full disqualification.
-    if floored_timely > 0
-        && sum_quality_floored / (floored_timely as f64)
-            < sum_floor / (floored_timely as f64) - 1e-12
-    {
-        violation_rate = 1.0;
-    }
-    StaticScore {
-        violation_rate,
-        mean_objective: sum_obj / n_f,
-        mean_energy: Joules(sum_energy / n_f),
-        mean_quality,
-    }
+    best.map(|(c, _, _)| c)
 }
 
 /// The best-static-configuration scheme (Table 4's normalization
 /// baseline).
 pub struct OracleStatic {
     choice: OracleCandidate,
-    /// The winning configuration's episode score (diagnostics; for
-    /// cell-level selection this is the score on the *first* setting;
-    /// `None` when rebuilt from a bare choice).
-    pub score: Option<StaticScore>,
 }
 
 impl OracleStatic {
-    /// Exhaustively picks the best static configuration for one episode:
-    /// the lowest mean objective among configurations within the 10%
-    /// violation budget, else the lowest violation rate.
+    /// Runs every configuration over the episode and pins the one
+    /// [`select_static`] picks: the lowest mean objective among the
+    /// configurations that meet the goal, else the lowest mean
+    /// objective overall.
     ///
     /// # Errors
     ///
@@ -367,10 +334,8 @@ impl OracleStatic {
     /// neither to the environment nor to requirement changes, which is
     /// exactly what the dynamic schemes are credited for beating
     /// (§5.2: "ALERT outperforms OracleStatic because it adapts to
-    /// dynamic variations").
-    ///
-    /// Selection: maximize the number of settings met (≤10% of inputs in
-    /// violation), then minimize the mean objective across settings.
+    /// dynamic variations"). Every configuration runs on every setting
+    /// ([`run_static`]) and [`select_static`] picks.
     ///
     /// # Errors
     ///
@@ -385,48 +350,24 @@ impl OracleStatic {
             .first()
             .ok_or_else(|| "cell needs at least one setting".to_string())?;
         let candidates = candidates_on(&family, first_env)?;
-        let mut best: Option<(OracleCandidate, usize, f64, StaticScore)> = None;
-        for c in candidates {
-            let mut met = 0usize;
-            let mut sum_obj = 0.0;
-            let mut first_score: Option<StaticScore> = None;
-            for (env, goal) in cell {
-                let s = score_static(env, &family, stream, goal, &c);
-                if s.violation_rate <= VIOLATION_DISQUALIFY_FRACTION {
-                    met += 1;
-                }
-                sum_obj += s.mean_objective;
-                if first_score.is_none() {
-                    first_score = Some(s);
-                }
-            }
-            let mean_obj = sum_obj / cell.len() as f64;
-            let better = match &best {
-                None => true,
-                Some((_, best_met, best_obj, _)) => {
-                    met > *best_met || (met == *best_met && mean_obj < *best_obj)
-                }
-            };
-            if better {
-                // lint:allow(no-panic): first_score is set on the first iteration over the non-empty cell
-                best = Some((c, met, mean_obj, first_score.expect("non-empty cell")));
-            }
-        }
-        // lint:allow(no-panic): candidates_on() refuses an empty candidate set, and the first candidate always lands in best
-        let (choice, _, _, score) = best.expect("non-empty candidate set");
-        Ok(OracleStatic {
-            choice,
-            score: Some(score),
-        })
+        let scans = cell
+            .iter()
+            .map(|(env, goal)| {
+                let scan = candidates
+                    .iter()
+                    .map(|&c| run_static(env, &family, stream, goal, c))
+                    .collect::<Result<Vec<_>, _>>()?;
+                Ok((*goal, scan))
+            })
+            .collect::<Result<Vec<_>, StepError>>()
+            .map_err(|e| e.to_string())?;
+        let best = select_static(&scans).ok_or("no configuration to pin")?;
+        Ok(Self::from_choice(candidates[best]))
     }
 
-    /// Rebuilds the scheme from a previously selected configuration
-    /// (cheap; used to replay the cell-level choice on every setting).
+    /// Pins a previously selected configuration (cheap: runs nothing).
     pub fn from_choice(choice: OracleCandidate) -> Self {
-        OracleStatic {
-            choice,
-            score: None,
-        }
+        OracleStatic { choice }
     }
 
     /// The pinned configuration.
@@ -508,7 +449,7 @@ mod tests {
     fn oracle_beats_static_on_objective() {
         let (env, family, stream, goal) = setup();
         let static_o = OracleStatic::new(env.clone(), family.clone(), &stream, goal).unwrap();
-        let static_score = static_o.score.expect("selection computes a score");
+        let static_summary = run_static(&env, &family, &stream, &goal, static_o.choice()).unwrap();
         let mut oracle = Oracle::new(env.clone(), family.clone(), goal).unwrap();
         // Average oracle energy over measured inputs must be ≤ static's.
         let warmup = stream.warmup_len();
@@ -537,21 +478,22 @@ mod tests {
         // cheaper inputs — so allow a small margin rather than strict
         // dominance.
         assert!(
-            oracle_mean <= static_score.mean_energy.get() * 1.02,
+            oracle_mean <= static_summary.avg_energy.get() * 1.02,
             "oracle {oracle_mean} vs static {}",
-            static_score.mean_energy
+            static_summary.avg_energy
         );
     }
 
     #[test]
     fn static_choice_is_feasible_when_possible() {
         let (env, family, stream, goal) = setup();
-        let s = OracleStatic::new(env, family, &stream, goal).unwrap();
-        let score = s.score.expect("selection computes a score");
+        let s = OracleStatic::new(env.clone(), family.clone(), &stream, goal).unwrap();
+        let summary = run_static(&env, &family, &stream, &goal, s.choice()).unwrap();
         assert!(
-            score.violation_rate <= VIOLATION_DISQUALIFY_FRACTION,
-            "violation rate {}",
-            score.violation_rate
+            !summary.disqualified(),
+            "violation rate {}, floor met {}",
+            summary.violation_rate(),
+            summary.quality_floor_met
         );
     }
 
@@ -574,18 +516,120 @@ mod tests {
         let cell = vec![(mk_env(&loose), loose), (mk_env(&tight), tight)];
         let cell_static = OracleStatic::for_cell(&cell, family.clone(), &stream).unwrap();
         let loose_static =
-            OracleStatic::new(mk_env(&loose), family.clone(), &stream, loose).unwrap();
+            OracleStatic::new(cell[0].0.clone(), family.clone(), &stream, loose).unwrap();
         // The per-setting optimum for the loose setting is cheaper than
         // the cell-level compromise evaluated on that same setting.
-        let cell_on_loose =
-            score_static(&cell[0].0, &family, &stream, &loose, &cell_static.choice());
-        let loose_on_loose = loose_static.score.expect("score");
+        let on_loose = |c| run_static(&cell[0].0, &family, &stream, &loose, c).unwrap();
+        let cell_on_loose = on_loose(cell_static.choice());
+        let loose_on_loose = on_loose(loose_static.choice());
         assert!(
-            loose_on_loose.mean_energy.get() <= cell_on_loose.mean_energy.get() + 1e-9,
+            loose_on_loose.avg_energy.get() <= cell_on_loose.avg_energy.get() + 1e-9,
             "loose-optimal {} should not exceed cell compromise {}",
-            loose_on_loose.mean_energy,
-            cell_on_loose.mean_energy
+            loose_on_loose.avg_energy,
+            cell_on_loose.avg_energy
         );
+    }
+
+    /// A summary of `measured` timely, violation-free inputs at `energy`
+    /// and `quality`, with the quality floor met or not.
+    fn summary(energy: f64, quality: f64, floor_met: bool) -> EpisodeSummary {
+        EpisodeSummary {
+            measured: 100,
+            violations: 0,
+            avg_energy: Joules(energy),
+            avg_quality: quality,
+            avg_latency: Seconds(0.1),
+            deadline_miss_rate: 0.0,
+            quality_floor_met: floor_met,
+            overhead: Seconds::ZERO,
+        }
+    }
+
+    #[test]
+    fn an_exact_tie_goes_to_the_earliest_configuration() {
+        let energy = Goal::minimize_energy(Seconds(0.5), 0.9);
+        let error = Goal::minimize_error(Seconds(0.5), Joules(10.0));
+        // Configurations 1 and 3 tie on both settings, and beat 0 and 2.
+        let scans = [
+            (
+                energy,
+                vec![
+                    summary(5.0, 0.9, true),
+                    summary(3.0, 0.9, true),
+                    summary(4.0, 0.9, true),
+                    summary(3.0, 0.9, true),
+                ],
+            ),
+            (
+                energy,
+                vec![
+                    summary(5.0, 0.9, true),
+                    summary(4.0, 0.9, true),
+                    summary(3.0, 0.9, true),
+                    summary(4.0, 0.9, true),
+                ],
+            ),
+        ];
+        assert_eq!(select_static(&scans), Some(1));
+        // Under minimize-error the key is the negated quality.
+        let scans = [(
+            error,
+            vec![
+                summary(1.0, 0.7, true),
+                summary(9.0, 0.8, true),
+                summary(2.0, 0.8, true),
+            ],
+        )];
+        assert_eq!(select_static(&scans), Some(1));
+        assert_eq!(select_static(&[]), None);
+        assert_eq!(select_static(&[(energy, Vec::new())]), None);
+    }
+
+    #[test]
+    fn a_missed_quality_floor_does_not_count_as_met() {
+        let goal = Goal::minimize_energy(Seconds(0.5), 0.9);
+        // Configuration 0 is cheaper on both settings but misses the
+        // timely-average floor on the second, so it meets one setting
+        // to configuration 1's two.
+        let scans = [
+            (
+                goal,
+                vec![summary(2.0, 0.95, true), summary(4.0, 0.95, true)],
+            ),
+            (
+                goal,
+                vec![summary(2.0, 0.85, false), summary(4.0, 0.95, true)],
+            ),
+        ];
+        assert!(scans[1].1[0].disqualified());
+        assert_eq!(select_static(&scans), Some(1));
+
+        // On a real episode: a floor no model reaches leaves every
+        // configuration unmet, even those whose inputs are all timely,
+        // and the pick falls back to the lowest mean energy.
+        let (_, family, stream, _) = setup();
+        let goal = Goal::minimize_energy(Seconds(0.5), 0.999);
+        let node = [Platform::cpu1()];
+        let env =
+            EpisodeEnv::build(&node, &Scenario::default_env(), &stream, &goal, 42, None).unwrap();
+        let candidates = enumerate(&family, &env);
+        let scan: Vec<EpisodeSummary> = candidates
+            .iter()
+            .map(|&c| run_static(&env, &family, &stream, &goal, c).unwrap())
+            .collect();
+        assert!(scan.iter().all(EpisodeSummary::disqualified));
+        assert!(scan
+            .iter()
+            .any(|s| s.violations == 0 && !s.quality_floor_met));
+        let cheapest = (0..scan.len())
+            .min_by(|&a, &b| {
+                scan[a]
+                    .avg_energy
+                    .get()
+                    .total_cmp(&scan[b].avg_energy.get())
+            })
+            .unwrap();
+        assert_eq!(select_static(&[(goal, scan)]), Some(cheapest));
     }
 
     #[test]

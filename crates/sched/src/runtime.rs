@@ -262,18 +262,19 @@ pub(crate) fn fan_out(sinks: &mut [Box<dyn EventSink>], event: &EpisodeEvent) {
 
 /// The one builder behind every way of opening a session, returned by
 /// [`Runtime::session`]. The plain form materializes the spec and can be
-/// checkpointed; sessions opened with [`SessionOptions::on`] or
-/// [`SessionOptions::with`] ride an externally built environment and
-/// cannot. [`SessionOptions::on_shard`] pins the session to a shard
-/// instead of the round-robin default — the serving front-end uses this
-/// to co-locate a request with its admission queue.
+/// checkpointed; sessions opened with [`SessionOptions::on`] ride an
+/// externally built environment and cannot. [`SessionOptions::on_shard`]
+/// pins the session to a shard instead of the round-robin default — the
+/// serving front-end uses this to co-locate a request with its admission
+/// queue. Every session's scheduler comes from the policy registry: a
+/// scheme of one's own is registered with
+/// [`PolicyRegistry::register_fn`].
 #[must_use = "the builder opens nothing until .open() is called"]
 pub struct SessionOptions<'rt> {
     rt: &'rt mut Runtime,
     spec: SessionSpec,
     shard: Option<usize>,
     external: Option<(InputStream, Arc<EpisodeEnv>)>,
-    scheduler: Option<Box<dyn Scheduler>>,
 }
 
 impl SessionOptions<'_> {
@@ -309,22 +310,13 @@ impl SessionOptions<'_> {
         self
     }
 
-    /// Uses a pre-built scheduler instead of resolving the policy name
-    /// (escape hatch for schedulers carrying out-of-band state, e.g. a
-    /// cell-pinned static oracle). Requires [`SessionOptions::on`].
-    pub fn with(mut self, scheduler: Box<dyn Scheduler>) -> Self {
-        self.scheduler = Some(scheduler);
-        self
-    }
-
     /// Opens the session.
     ///
     /// # Errors
     ///
     /// [`Error::InvalidSpec`] on a malformed spec, an
-    /// out-of-range shard, a scheduler without an environment, an
-    /// environment realized on another node, or an environment with
-    /// fewer inputs than its stream;
+    /// out-of-range shard, an environment realized on another node, or
+    /// an environment with fewer inputs than its stream;
     /// [`Error::Policy`] when the policy name fails to resolve
     /// or rejects the session context.
     pub fn open(self) -> Result<SessionId, Error> {
@@ -333,9 +325,8 @@ impl SessionOptions<'_> {
             spec,
             shard,
             external,
-            scheduler,
         } = self;
-        rt.open_parts(shard, spec, external, scheduler)
+        rt.open_parts(shard, spec, external)
     }
 }
 
@@ -748,13 +739,11 @@ impl Runtime {
     /// Starts a [`SessionOptions`] builder — the single entry point for
     /// opening sessions. The plain form materializes the spec
     /// (checkpointable); chain [`SessionOptions::on`] for an externally
-    /// built environment and [`SessionOptions::with`] for a pre-built
-    /// scheduler:
+    /// built environment:
     ///
     /// ```text
     /// runtime.session(spec).open()                          // from spec
     /// runtime.session(spec).on(stream, env).open()          // external env
-    /// runtime.session(spec).on(stream, env).with(sch).open() // pre-built scheduler
     /// runtime.session(spec).on_shard(2).open()              // pinned shard
     /// ```
     pub fn session(&mut self, spec: SessionSpec) -> SessionOptions<'_> {
@@ -763,19 +752,17 @@ impl Runtime {
             spec,
             shard: None,
             external: None,
-            scheduler: None,
         }
     }
 
     /// The single open path behind [`Runtime::session`]:
-    /// spec-materialized, external-environment, and pre-built-scheduler
-    /// sessions all land here.
+    /// spec-materialized and external-environment sessions both land
+    /// here.
     fn open_parts(
         &mut self,
         pin: Option<usize>,
         spec: SessionSpec,
         external: Option<(InputStream, Arc<EpisodeEnv>)>,
-        scheduler: Option<Box<dyn Scheduler>>,
     ) -> Result<SessionId, Error> {
         if let Some(k) = pin.filter(|&k| k >= self.shards.len()) {
             return Err(Error::InvalidSpec(format!(
@@ -783,17 +770,10 @@ impl Runtime {
                 self.shards.len()
             )));
         }
-        let session = match (external, scheduler) {
-            (None, Some(_)) => {
-                return Err(Error::InvalidSpec(
-                    "a pre-built scheduler needs an external environment: chain \
-                     .on(stream, env) before .with(scheduler)"
-                        .into(),
-                ))
-            }
+        let session = match external {
             // From the serializable spec: generates the stream, freezes
             // the environment, and builds the policy's scheduler.
-            (None, None) => {
+            None => {
                 let (spec, stream, env, scheduler) = self.materialize(spec)?;
                 Session {
                     goal: spec.goal,
@@ -807,11 +787,9 @@ impl Runtime {
             }
             // Externally built (possibly shared) frozen environment — the
             // experiment-sweep path, where every scheme must face
-            // bit-identical conditions — with a policy-built or pre-built
-            // scheduler (the escape hatch for schedulers carrying
-            // out-of-band state, e.g. a cell-pinned static oracle). Not
-            // checkpointable: the runtime cannot rebuild the environment.
-            (Some((stream, env)), scheduler) => {
+            // bit-identical conditions. Not checkpointable: the runtime
+            // cannot rebuild the environment.
+            Some((stream, env)) => {
                 // The policy builds for this runtime's node while every
                 // input runs on the environment's, so the two must match.
                 if env.node() != self.node.as_slice() {
@@ -831,13 +809,8 @@ impl Runtime {
                         stream.len()
                     )));
                 }
-                let scheduler = match scheduler {
-                    Some(scheduler) => scheduler,
-                    None => {
-                        let policy = spec.policy.as_deref().unwrap_or(&self.spec.policy);
-                        self.build_scheduler(policy, spec.goal, &env, &stream)?
-                    }
-                };
+                let policy = spec.policy.as_deref().unwrap_or(&self.spec.policy);
+                let scheduler = self.build_scheduler(policy, spec.goal, &env, &stream)?;
                 Session {
                     spec: None,
                     scheme: scheduler.name().to_string(),
@@ -1074,9 +1047,10 @@ impl Runtime {
     ///
     /// [`Error::InvalidSpec`] when this runtime differs from the
     /// snapshot's origin, when the engine state is inconsistent, when a
-    /// started session carries no controller state, or when a
-    /// mid-sentence cut lost its budget tracker; otherwise as
-    /// [`Runtime::session`].
+    /// started session carries no controller state, when the controller
+    /// state is one no controller reaches or embeds other Kalman
+    /// constants than the policy builds with, or when a mid-sentence cut
+    /// lost its budget tracker; otherwise as [`Runtime::session`].
     pub fn restore_session(&mut self, snap: &SessionSnapshot) -> Result<SessionId, Error> {
         // The target runtime must match the snapshot's origin on
         // everything that shaped the already-recorded half of the
@@ -1139,6 +1113,19 @@ impl Runtime {
                 .map_err(|e| Error::InvalidSpec(format!("controller state: {e}")))?;
         }
         let (spec, stream, env, mut scheduler) = self.materialize(snap.spec.clone())?;
+        // A snapshot carries learned state, not configuration: its ξ
+        // filter must embed the Kalman constants this runtime's policy
+        // builds with. Restoring others would install constants no
+        // validation has seen (`q_min` above `q0` panics the next update).
+        if let (Some(ctl), Some(fresh)) = (&snap.controller, scheduler.controller_snapshot()) {
+            let (theirs, ours) = (ctl.xi.filter().params(), fresh.xi.filter().params());
+            if theirs != ours {
+                return Err(Error::InvalidSpec(format!(
+                    "snapshot's ξ filter carries Kalman constants {theirs:?}, but this \
+                     runtime's policy builds with {ours:?}"
+                )));
+            }
+        }
         // Mid-sentence integrity (NLP1 grouped streams, paper §3.2 step
         // 2): when the next input is a non-leading group member, the
         // engine must arrive with its shared-budget tracker still inside
@@ -1265,16 +1252,6 @@ mod tests {
         let mut s = spec(1);
         s.policy = Some("NoSuch".into());
         assert!(matches!(rt.session(s).open(), Err(Error::Policy(_))));
-    }
-
-    #[test]
-    fn builder_rejects_scheduler_without_environment() {
-        let mut rt = runtime();
-        let sched = crate::app_only::AppOnly::new(rt.family(), &rt.node()[0]).unwrap();
-        assert!(matches!(
-            rt.session(spec(1)).with(Box::new(sched)).open(),
-            Err(Error::InvalidSpec(_))
-        ));
     }
 
     #[test]

@@ -372,6 +372,29 @@ impl IdlePowerFilter {
     pub fn steps(&self) -> u64 {
         self.steps
     }
+
+    /// Checks that this state is one updates can reach: φ in `[0, 1]`, a
+    /// finite, non-negative covariance and the paper's `S` and `V`. Any
+    /// other state, restored from a checkpoint, can move the gain out of
+    /// `[0, 1]` and φ with it.
+    ///
+    /// # Errors
+    ///
+    /// Describes the state when it is out of range.
+    pub fn validate(&self) -> Result<(), String> {
+        let reachable = (0.0..=1.0).contains(&self.phi)
+            && self.m.is_finite()
+            && self.m >= 0.0
+            && self.s == Self::S
+            && self.v == Self::V;
+        if reachable {
+            return Ok(());
+        }
+        Err(format!(
+            "φ filter state (φ {}, M {}, S {}, V {}) is not reachable",
+            self.phi, self.m, self.s, self.v
+        ))
+    }
 }
 
 /// A textbook scalar Kalman filter with a constant-state model.

@@ -1,6 +1,8 @@
-//! Helpers shared by the integration tests.
+//! Helpers shared by the integration tests. Each test crate uses a
+//! subset of them.
+#![allow(dead_code)]
 
-use alert::sched::runtime::Runtime;
+use alert::sched::runtime::{Runtime, SessionSnapshot};
 use alert::sched::Episode;
 use alert::workload::SessionId;
 
@@ -16,4 +18,18 @@ pub fn round_robin_reference(rt: &mut Runtime) -> Vec<(SessionId, Episode)> {
     ids.into_iter()
         .map(|id| (id, rt.close(id).expect("session is open")))
         .collect()
+}
+
+/// `snap` with the number at `path` in its JSON replaced by `value`.
+pub fn doctored(snap: &SessionSnapshot, path: &[&str], value: f64) -> SessionSnapshot {
+    let mut json = serde_json::to_value(snap);
+    let mut node = &mut json;
+    for key in path {
+        node = match node {
+            serde_json::Value::Object(map) => map.get_mut(*key).expect("snapshot field exists"),
+            other => panic!("{key}: not an object: {other:?}"),
+        };
+    }
+    *node = serde_json::Value::F64(value);
+    serde_json::from_str(&serde_json::to_string(&json).unwrap()).unwrap()
 }

@@ -14,6 +14,9 @@ use alert::sched::{
 use alert::stats::units::{Joules, Seconds};
 use alert::workload::{Goal, InputStream, Scenario, SessionId, TaskId};
 
+mod common;
+use common::doctored;
+
 fn session_spec(i: u64) -> SessionSpec {
     // Vary goal tightness, scenario, stream length and seed per session
     // so the 64 sessions genuinely differ.
@@ -501,24 +504,6 @@ fn restore_rejects_a_started_snapshot_without_controller_state() {
     assert_eq!(rt.close(id).unwrap().records, reference.records);
 }
 
-/// `snap` with the number at `path` in its JSON replaced by `value`.
-fn doctored(
-    snap: &alert::sched::runtime::SessionSnapshot,
-    path: &[&str],
-    value: f64,
-) -> alert::sched::runtime::SessionSnapshot {
-    let mut json = serde_json::to_value(snap);
-    let mut node = &mut json;
-    for key in path {
-        node = match node {
-            serde_json::Value::Object(map) => map.get_mut(*key).expect("snapshot field exists"),
-            other => panic!("{key}: not an object: {other:?}"),
-        };
-    }
-    *node = serde_json::Value::F64(value);
-    serde_json::from_str(&serde_json::to_string(&json).unwrap()).unwrap()
-}
-
 /// Controller state arrives as JSON too, so restore rejects a belief no
 /// controller can reach. Restored, a negative ξ variance panics the next
 /// decision, φ above 1 trips the energy estimate's debug assertion, and
@@ -560,4 +545,39 @@ fn restore_rejects_controller_state_no_controller_can_reach() {
     // The untouched snapshot still restores and resumes.
     let id = rt.restore_session(&good).unwrap();
     assert!(rt.submit(id).unwrap().is_some());
+}
+
+/// A snapshot carries learned state, not configuration: restore rejects
+/// one whose ξ filter embeds Kalman constants other than those the
+/// runtime's policy builds with. Restored, `q_min` above `q0` panicked
+/// the next submit in `f64::clamp`; valid but different constants would
+/// silently run the resumed half under another filter.
+#[test]
+fn restore_rejects_a_snapshot_with_other_kalman_constants() {
+    let spec = SessionSpec {
+        goal: Goal::minimize_energy(Seconds(0.4), 0.9),
+        scenario: Scenario::memory_env(7),
+        n_inputs: 60,
+        seed: Some(7),
+        policy: None,
+    };
+    let mut rt = Runtime::builder().build().unwrap();
+    let id = rt.session(spec).open().unwrap();
+    for _ in 0..5 {
+        rt.submit(id).unwrap();
+    }
+    let good = rt.snapshot_session(id).unwrap();
+    let cases = [("q_min", 1e300), ("q0", 0.5), ("r", 0.01), ("alpha", 0.9)];
+    for (field, value) in cases {
+        let path = ["controller", "xi", "filter", "params", field];
+        let err = rt
+            .restore_session(&doctored(&good, &path, value))
+            .unwrap_err();
+        assert!(
+            matches!(err, Error::InvalidSpec(_)),
+            "{field} = {value}: expected InvalidSpec, got {err}"
+        );
+    }
+    let id = rt.restore_session(&good).unwrap();
+    assert_eq!(rt.run_to_completion(id).unwrap(), 55);
 }
