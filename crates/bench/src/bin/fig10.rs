@@ -67,7 +67,7 @@ fn main() -> ExitCode {
                     let mut s =
                         AlertScheduler::new(scheme_label, &family, set, &node[0], *goal, params)
                             .expect("paper family fits");
-                    let ep = run_episode(&mut s, &env, &family, &stream, goal).expect("episode");
+                    let ep = run_episode(&mut s, &env, &family, &stream).expect("episode");
                     // Perplexity = -quality score.
                     ppls.push(-ep.summary.avg_quality);
                 }

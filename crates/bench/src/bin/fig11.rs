@@ -36,7 +36,7 @@ fn main() {
     ] {
         let env = EpisodeEnv::build(&node, &scenario, &stream, &goal, 77, None).expect("valid");
         let mut s = AlertScheduler::standard(&family, &node[0], goal).expect("paper family fits");
-        let ep = run_episode(&mut s, &env, &family, &stream, &goal).expect("episode");
+        let ep = run_episode(&mut s, &env, &family, &stream).expect("episode");
         // Contended scenarios: keep only the samples observed while the
         // co-runner was active (the paper plots the contended regime).
         let xs: Vec<f64> = ep

@@ -41,10 +41,10 @@ fn main() {
     let env = EpisodeEnv::build(&node, &scenario, &stream, &goal, 2020, None).expect("valid");
 
     let mut alert = AlertScheduler::standard(&family, &node[0], goal).expect("paper family fits");
-    let ep_alert = run_episode(&mut alert, &env, &family, &stream, &goal).expect("episode");
+    let ep_alert = run_episode(&mut alert, &env, &family, &stream).expect("episode");
     let mut trad =
         AlertScheduler::traditional_only(&family, &node[0], goal).expect("paper family fits");
-    let ep_trad = run_episode(&mut trad, &env, &family, &stream, &goal).expect("episode");
+    let ep_trad = run_episode(&mut trad, &env, &family, &stream).expect("episode");
 
     csv_header(&[
         "input",

@@ -52,10 +52,12 @@ use alert_workload::{
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Environment-path errors: invalid scenario scripts at build time,
-/// infeasible power requests at realize time.
+/// Environment-path errors: invalid goals and scenario scripts at build
+/// time, infeasible power requests at realize time.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EnvError {
+    /// The goal failed [`Goal::validate`] (see message).
+    Goal(String),
     /// The scenario script failed validation (see message).
     Script(String),
     /// A requested power cap was infeasible for the platform.
@@ -65,6 +67,7 @@ pub enum EnvError {
 impl std::fmt::Display for EnvError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            EnvError::Goal(msg) => write!(f, "invalid goal: {msg}"),
             EnvError::Script(msg) => write!(f, "invalid scenario script: {msg}"),
             EnvError::Power(e) => write!(f, "{e}"),
         }
@@ -112,11 +115,12 @@ impl EnvRealization {
 }
 
 /// A fully realized episode environment. Two environments compare
-/// equal when every device, every frozen per-input state and every
-/// device's cap timeline match, which is what "a rebuild is
+/// equal when the goal, every device, every frozen per-input state and
+/// every device's cap timeline match, which is what "a rebuild is
 /// bit-identical" means.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpisodeEnv {
+    goal: Goal,
     /// The node's devices, device `0` first; never empty.
     node: Vec<Platform>,
     kind: Option<ContentionKind>,
@@ -188,10 +192,10 @@ impl EpisodeEnv {
     ///
     /// # Errors
     ///
-    /// Fails when `node` is empty, when the scenario script does not
-    /// validate, when a relative floor is scripted without a `span`, or
-    /// when the attached trace cannot cover the horizon under its fit
-    /// mode.
+    /// Fails when `goal` does not validate, when `node` is empty, when
+    /// the scenario script does not validate, when a relative floor is
+    /// scripted without a `span`, or when the attached trace cannot
+    /// cover the horizon under its fit mode.
     pub fn build(
         node: &[Platform],
         scenario: &Scenario,
@@ -200,6 +204,7 @@ impl EpisodeEnv {
         seed: u64,
         span: Option<QualitySpan>,
     ) -> Result<Self, EnvError> {
+        goal.validate().map_err(EnvError::Goal)?;
         if node.is_empty() {
             return Err(EnvError::Script(
                 "an episode needs at least one platform".into(),
@@ -292,11 +297,18 @@ impl EpisodeEnv {
             now += period;
         }
         Ok(EpisodeEnv {
+            goal: *goal,
             node: node.to_vec(),
             kind,
             realizations,
             cap_limits,
         })
+    }
+
+    /// The goal the episode was realized for, which every scheme on it
+    /// is judged against ([`EpisodeEnv::goal_of`] adds scripted changes).
+    pub fn goal(&self) -> &Goal {
+        &self.goal
     }
 
     /// The node's devices, device `0` first.
@@ -562,6 +574,55 @@ mod tests {
         let default = Scenario::default_env();
         let err = EpisodeEnv::build(&[], &default, &stream, &goal, 1, None);
         assert!(matches!(err, Err(EnvError::Script(_))), "{err:?}");
+    }
+
+    #[test]
+    fn build_refuses_goals_that_do_not_validate() {
+        // Before, each of these realized an episode (a deadline of 0,
+        // NaN or -1 became the input period) and the schemes ran it.
+        let stream = InputStream::generate(TaskId::Img2, 10, 7);
+        let energy = Goal::minimize_energy(Seconds(0.2), 0.9);
+        let error = Goal::minimize_error(Seconds(0.2), Joules(5.0));
+        let mut bad = Vec::new();
+        for deadline in [0.0, f64::NAN, -1.0] {
+            bad.push(energy.with_deadline(Seconds(deadline)));
+        }
+        bad.push(Goal {
+            min_quality: None,
+            ..energy
+        });
+        for budget in [None, Some(Joules(0.0)), Some(Joules(-1.0))] {
+            bad.push(Goal {
+                energy_budget: budget,
+                ..error
+            });
+        }
+        for goal in &bad {
+            let err = EpisodeEnv::build(
+                &[Platform::cpu2()],
+                &Scenario::default_env(),
+                &stream,
+                goal,
+                1,
+                None,
+            );
+            assert!(
+                matches!(err, Err(EnvError::Goal(_))),
+                "{goal:?}: {:?}",
+                err.err()
+            );
+        }
+        for goal in [energy, error] {
+            let env = EpisodeEnv::build(
+                &[Platform::cpu2()],
+                &Scenario::default_env(),
+                &stream,
+                &goal,
+                1,
+                None,
+            );
+            assert_eq!(env.expect("a valid goal builds").goal(), &goal);
+        }
     }
 
     #[test]

@@ -185,23 +185,21 @@ fn run_cell(
     let node = std::slice::from_ref(platform);
 
     // Frozen environment per setting (period = deadline, so each setting
-    // has its own realization, deterministically seeded).
-    let cell: Vec<(Arc<EpisodeEnv>, Goal)> = settings
+    // has its own realization, deterministically seeded), realized for
+    // and carrying that setting's goal.
+    let cell: Vec<Arc<EpisodeEnv>> = settings
         .iter()
-        .map(|&goal| {
-            (
-                Arc::new(
-                    EpisodeEnv::build(node, scenario, &stream, &goal, config.seed, None)
-                        // lint:allow(no-panic): experiment-harness wiring over the built-in registry and library scenarios; failure is a programming error, not a runtime condition
-                        .expect("library scenarios validate"),
-                ),
-                goal,
+        .map(|goal| {
+            Arc::new(
+                EpisodeEnv::build(node, scenario, &stream, goal, config.seed, None)
+                    // lint:allow(no-panic): experiment-harness wiring over the built-in registry and library scenarios; failure is a programming error, not a runtime condition
+                    .expect("library scenarios validate"),
             )
         })
         .collect();
     let statics = cell
         .first()
-        .map(|(env, _)| oracle::enumerate(&family, env))
+        .map(|env| oracle::enumerate(&family, env))
         .unwrap_or_default();
 
     // Per setting: its index, the registry schemes' episodes, and its
@@ -225,13 +223,13 @@ fn run_cell(
                     if idx >= cell.len() {
                         break;
                     }
-                    let (env, goal) = &cell[idx];
+                    let env = &cell[idx];
                     let episodes: Vec<Episode> = schemes
                         .iter()
                         .filter(|&&name| name != "OracleStatic")
                         .map(|&name| {
                             let id = rt
-                                .session(SessionSpec::external(*goal))
+                                .session(SessionSpec::external(*env.goal()))
                                 .policy(name)
                                 .on(stream.clone(), env.clone())
                                 .open()
@@ -246,12 +244,12 @@ fn run_cell(
                     let scan: Vec<EpisodeSummary> = statics
                         .iter()
                         .map(|&c| {
-                            oracle::run_static(env, &family, &stream, goal, c)
+                            oracle::run_static(env, &family, &stream, c)
                                 // lint:allow(no-panic): enumerated configurations are their platform's own caps and fitting models, so every one runs
                                 .expect("enumerated configurations run")
                         })
                         .collect();
-                    results.lock().push((idx, episodes, (*goal, scan)));
+                    results.lock().push((idx, episodes, (*env.goal(), scan)));
                 }
             });
         }
@@ -486,21 +484,21 @@ mod tests {
         let family = FamilyKind::Image.family();
         let stream = InputStream::generate(FamilyKind::Image.task(), config.n_inputs, config.seed);
         let node = std::slice::from_ref(&platform);
-        let cell: Vec<(Arc<EpisodeEnv>, Goal)> =
+        let cell: Vec<Arc<EpisodeEnv>> =
             constraint_grid(Objective::MinimizeError, &family, &platform)
-                .into_iter()
+                .iter()
                 .map(|goal| {
-                    let env = EpisodeEnv::build(node, &scenario, &stream, &goal, config.seed, None);
-                    (Arc::new(env.unwrap()), goal)
+                    let env = EpisodeEnv::build(node, &scenario, &stream, goal, config.seed, None);
+                    Arc::new(env.unwrap())
                 })
                 .collect();
         let public = OracleStatic::for_cell(&cell, family.clone(), &stream).unwrap();
         assert_eq!(public.choice(), choice);
         // Each setting's baseline is that configuration's own episode.
-        for ((env, goal), o) in cell.iter().zip(&outcomes) {
-            assert_eq!(o.goal, *goal);
+        for (env, o) in cell.iter().zip(&outcomes) {
+            assert_eq!(o.goal, *env.goal());
             assert!(o.episodes.is_empty());
-            let summary = oracle::run_static(env, &family, &stream, goal, choice).unwrap();
+            let summary = oracle::run_static(env, &family, &stream, choice).unwrap();
             assert_eq!(o.baseline, summary);
         }
     }

@@ -15,13 +15,15 @@
 //! drive a fresh engine to exhaustion and fold the records into an
 //! [`Episode`]. Interleaved sessions and sequential episodes are
 //! bit-identical by construction because both run exactly this code.
+//! Both judge an episode against the goal its environment was realized
+//! for ([`EpisodeEnv::goal`]) and take no goal of their own.
 
 use crate::budget::BudgetTracker;
 use crate::env::{EnvError, EpisodeEnv};
 use crate::scheduler::{Feedback, InputContext, Scheduler};
 use alert_models::ModelFamily;
 use alert_stats::units::Seconds;
-use alert_workload::{EpisodeSummary, Goal, InputRecord, InputStream};
+use alert_workload::{EpisodeSummary, InputRecord, InputStream};
 use serde::{Deserialize, Serialize};
 
 /// Errors surfaced by the stepping engine (the environment no-panic
@@ -270,10 +272,11 @@ impl SessionEngine {
         Ok(self.records.last())
     }
 
-    /// Folds the accumulated records into an [`Episode`], consuming the
-    /// engine (the records move, they are not cloned).
-    pub fn finish(self, scheme: &str, goal: &Goal) -> Episode {
-        let mut summary = EpisodeSummary::from_records(&self.records, goal);
+    /// Folds the accumulated records into an [`Episode`] judged against
+    /// the goal `env` was realized for ([`EpisodeEnv::goal`]), consuming
+    /// the engine (the records move, they are not cloned).
+    pub fn finish(self, scheme: &str, env: &EpisodeEnv) -> Episode {
+        let mut summary = EpisodeSummary::from_records(&self.records, env.goal());
         summary.overhead = self.overhead;
         Episode {
             scheme: scheme.to_string(),
@@ -290,7 +293,7 @@ impl Default for SessionEngine {
 }
 
 /// Runs `scheduler` over the whole episode (the one-shot adapter over
-/// [`SessionEngine`]).
+/// [`SessionEngine`]) and judges it against `env`'s goal.
 ///
 /// # Errors
 ///
@@ -301,11 +304,10 @@ pub fn run_episode(
     env: &EpisodeEnv,
     family: &ModelFamily,
     stream: &InputStream,
-    goal: &Goal,
 ) -> Result<Episode, StepError> {
     let mut engine = SessionEngine::new();
     while engine.step(scheduler, env, family, stream)?.is_some() {}
-    Ok(engine.finish(scheduler.name(), goal))
+    Ok(engine.finish(scheduler.name(), env))
 }
 
 #[cfg(test)]
@@ -317,7 +319,7 @@ mod tests {
     use crate::sys_only::SysOnly;
     use alert_platform::Platform;
     use alert_stats::units::Joules;
-    use alert_workload::{Scenario, TaskId};
+    use alert_workload::{Goal, Scenario, TaskId};
     use std::sync::Arc;
 
     struct Fixture {
@@ -360,7 +362,7 @@ mod tests {
             200,
         );
         let mut s = AlertScheduler::standard(&f.family, &f.platform, f.goal).unwrap();
-        let ep = run_episode(&mut s, &f.env, &f.family, &f.stream, &f.goal).unwrap();
+        let ep = run_episode(&mut s, &f.env, &f.family, &f.stream).unwrap();
         assert_eq!(ep.records.len(), 200);
         assert_eq!(ep.summary.measured, 180);
         assert!(
@@ -381,14 +383,14 @@ mod tests {
             250,
         );
         let run = |s: &mut dyn Scheduler| {
-            run_episode(s, &f.env, &f.family, &f.stream, &f.goal)
+            run_episode(s, &f.env, &f.family, &f.stream)
                 .unwrap()
                 .summary
                 .avg_energy
                 .get()
         };
         let mut alert = AlertScheduler::standard(&f.family, &f.platform, f.goal).unwrap();
-        let mut oracle = Oracle::new(f.env.clone(), f.family.clone(), f.goal).unwrap();
+        let mut oracle = Oracle::new(f.env.clone(), f.family.clone()).unwrap();
         let mut app = AppOnly::new(&f.family, &f.platform).unwrap();
         let e_alert = run(&mut alert);
         let e_oracle = run(&mut oracle);
@@ -413,7 +415,7 @@ mod tests {
             150,
         );
         let mut sys = SysOnly::new(&f.family, std::slice::from_ref(&f.platform), f.goal).unwrap();
-        let ep = run_episode(&mut sys, &f.env, &f.family, &f.stream, &f.goal).unwrap();
+        let ep = run_episode(&mut sys, &f.env, &f.family, &f.stream).unwrap();
         assert!(
             ep.summary.disqualified(),
             "sys-only should violate the 0.93 floor with a 0.855 model"
@@ -428,7 +430,7 @@ mod tests {
             300,
         );
         let mut s = AlertScheduler::standard(&f.family, &f.platform, f.goal).unwrap();
-        let ep = run_episode(&mut s, &f.env, &f.family, &f.stream, &f.goal).unwrap();
+        let ep = run_episode(&mut s, &f.env, &f.family, &f.stream).unwrap();
         assert!(
             ep.summary.violation_rate() <= 0.10,
             "violation rate {} too high under contention",
@@ -443,8 +445,8 @@ mod tests {
             Scenario::default_env(),
             150,
         );
-        let mut st = OracleStatic::new(f.env.clone(), f.family.clone(), &f.stream, f.goal).unwrap();
-        let ep = run_episode(&mut st, &f.env, &f.family, &f.stream, &f.goal).unwrap();
+        let mut st = OracleStatic::new(f.env.clone(), f.family.clone(), &f.stream).unwrap();
+        let ep = run_episode(&mut st, &f.env, &f.family, &f.stream).unwrap();
         assert!(!ep.summary.disqualified());
         // Static never changes its configuration.
         let first = (&ep.records[0].model, ep.records[0].cap);
@@ -471,7 +473,7 @@ mod tests {
             .unwrap(),
         );
         let mut s = AlertScheduler::standard(&family, &platform, goal).unwrap();
-        let ep = run_episode(&mut s, &env, &family, &stream, &goal).unwrap();
+        let ep = run_episode(&mut s, &env, &family, &stream).unwrap();
         assert_eq!(ep.records.len(), 400);
         // Deadlines inside a sentence vary with consumption but stay
         // positive and bounded by a generous multiple of the base.
@@ -495,7 +497,7 @@ mod tests {
         );
         let run = || {
             let mut s = AlertScheduler::standard(&f.family, &f.platform, f.goal).unwrap();
-            run_episode(&mut s, &f.env, &f.family, &f.stream, &f.goal).unwrap()
+            run_episode(&mut s, &f.env, &f.family, &f.stream).unwrap()
         };
         let a = run();
         let b = run();
@@ -518,7 +520,7 @@ mod tests {
             100,
         );
         let mut one = AlertScheduler::standard(&f.family, &f.platform, f.goal).unwrap();
-        let ep = run_episode(&mut one, &f.env, &f.family, &f.stream, &f.goal).unwrap();
+        let ep = run_episode(&mut one, &f.env, &f.family, &f.stream).unwrap();
 
         let mut stepped = AlertScheduler::standard(&f.family, &f.platform, f.goal).unwrap();
         let mut engine = SessionEngine::new();
@@ -532,7 +534,7 @@ mod tests {
         }
         assert!(engine.is_finished(&f.stream));
         assert_eq!(n, 100);
-        let ep2 = engine.finish(stepped.name(), &f.goal);
+        let ep2 = engine.finish(stepped.name(), &f.env);
         assert_eq!(ep.scheme, ep2.scheme);
         assert_eq!(ep.records, ep2.records);
         // The summaries agree on everything but the measured scheduler

@@ -10,6 +10,9 @@
 //!   front and pins the best one — "the best results without dynamic
 //!   adaptation". It is the normalization baseline of Table 4.
 //!
+//! Both optimize for the goal of the environment they are built on
+//! ([`EpisodeEnv::goal`]), the one every scheme on it is judged against.
+//!
 //! A static configuration is judged by the accounting every scheme is
 //! judged by: [`run_static`] runs it through the session engine, pinned,
 //! and keeps its [`EpisodeSummary`]; [`select_static`] ranks the
@@ -120,9 +123,9 @@ fn satisfies(o: &RealizedOutcome, goal: &Goal, deadline: Seconds) -> bool {
         return false;
     }
     match goal.objective {
-        // lint:allow(no-panic): Goal::validate requires the matching bound for this objective; schedulers only receive validated goals
+        // lint:allow(no-panic): Goal::validate requires the matching bound for this objective; EpisodeEnv::build validates every goal an episode runs under
         Objective::MinimizeEnergy => o.quality >= goal.min_quality.expect("validated") - 1e-12,
-        // lint:allow(no-panic): Goal::validate requires the matching bound for this objective; schedulers only receive validated goals
+        // lint:allow(no-panic): Goal::validate requires the matching bound for this objective; EpisodeEnv::build validates every goal an episode runs under
         Objective::MinimizeError => o.energy <= goal.energy_budget.expect("validated"),
     }
 }
@@ -157,18 +160,19 @@ fn candidates_on(family: &ModelFamily, env: &EpisodeEnv) -> Result<Vec<OracleCan
 }
 
 impl Oracle {
-    /// Builds the oracle for one episode.
+    /// Builds the oracle for one episode, starting from the goal `env`
+    /// was realized for.
     ///
     /// # Errors
     ///
     /// Returns a description of the problem when no model of the family
     /// fits any of the episode's devices.
-    pub fn new(env: Arc<EpisodeEnv>, family: ModelFamily, goal: Goal) -> Result<Self, String> {
+    pub fn new(env: Arc<EpisodeEnv>, family: ModelFamily) -> Result<Self, String> {
         let candidates = candidates_on(&family, &env)?;
         Ok(Oracle {
+            goal: *env.goal(),
             env,
             family,
-            goal,
             candidates,
         })
     }
@@ -247,8 +251,8 @@ impl Scheduler for Oracle {
 
 /// Runs one configuration pinned for the whole episode through
 /// [`run_episode`], the engine every scheme runs on, and returns its
-/// summary under the one episode accounting ([`EpisodeSummary`]).
-/// `goal` is the goal `env` was realized for, as for [`run_episode`].
+/// summary under the one episode accounting ([`EpisodeSummary`]),
+/// against `env`'s goal.
 ///
 /// # Errors
 ///
@@ -259,11 +263,10 @@ pub fn run_static(
     env: &EpisodeEnv,
     family: &ModelFamily,
     stream: &InputStream,
-    goal: &Goal,
     c: OracleCandidate,
 ) -> Result<EpisodeSummary, StepError> {
     let mut pinned = OracleStatic::from_choice(c);
-    Ok(run_episode(&mut pinned, env, family, stream, goal)?.summary)
+    Ok(run_episode(&mut pinned, env, family, stream)?.summary)
 }
 
 /// A summary's objective under `goal`: smaller is better.
@@ -313,7 +316,7 @@ pub struct OracleStatic {
 impl OracleStatic {
     /// Runs every configuration over the episode and pins the one
     /// [`select_static`] picks: the lowest mean objective among the
-    /// configurations that meet the goal, else the lowest mean
+    /// configurations that meet `env`'s goal, else the lowest mean
     /// objective overall.
     ///
     /// # Errors
@@ -323,9 +326,8 @@ impl OracleStatic {
         env: Arc<EpisodeEnv>,
         family: ModelFamily,
         stream: &InputStream,
-        goal: Goal,
     ) -> Result<Self, String> {
-        Self::for_cell(&[(env, goal)], family, stream)
+        Self::for_cell(&[env], family, stream)
     }
 
     /// The paper's Table 4 baseline: "one fixed setting across inputs" —
@@ -334,30 +336,31 @@ impl OracleStatic {
     /// neither to the environment nor to requirement changes, which is
     /// exactly what the dynamic schemes are credited for beating
     /// (§5.2: "ALERT outperforms OracleStatic because it adapts to
-    /// dynamic variations"). Every configuration runs on every setting
-    /// ([`run_static`]) and [`select_static`] picks.
+    /// dynamic variations"). `cell` holds one environment per setting,
+    /// each realized for that setting's goal. Every configuration runs
+    /// on every setting ([`run_static`]) and [`select_static`] picks.
     ///
     /// # Errors
     ///
     /// Returns a description of the problem when `cell` is empty or no
     /// model of the family fits the node's platforms.
     pub fn for_cell(
-        cell: &[(Arc<EpisodeEnv>, Goal)],
+        cell: &[Arc<EpisodeEnv>],
         family: ModelFamily,
         stream: &InputStream,
     ) -> Result<Self, String> {
-        let (first_env, _) = cell
+        let first_env = cell
             .first()
             .ok_or_else(|| "cell needs at least one setting".to_string())?;
         let candidates = candidates_on(&family, first_env)?;
         let scans = cell
             .iter()
-            .map(|(env, goal)| {
+            .map(|env| {
                 let scan = candidates
                     .iter()
-                    .map(|&c| run_static(env, &family, stream, goal, c))
+                    .map(|&c| run_static(env, &family, stream, c))
                     .collect::<Result<Vec<_>, _>>()?;
-                Ok((*goal, scan))
+                Ok((*env.goal(), scan))
             })
             .collect::<Result<Vec<_>, StepError>>()
             .map_err(|e| e.to_string())?;
@@ -425,7 +428,7 @@ mod tests {
     #[test]
     fn oracle_meets_constraints_when_feasible() {
         let (env, family, _, goal) = setup();
-        let mut oracle = Oracle::new(env.clone(), family.clone(), goal).unwrap();
+        let mut oracle = Oracle::new(env.clone(), family.clone()).unwrap();
         for i in 0..50 {
             let ctx = InputContext {
                 index: i,
@@ -448,9 +451,9 @@ mod tests {
     #[test]
     fn oracle_beats_static_on_objective() {
         let (env, family, stream, goal) = setup();
-        let static_o = OracleStatic::new(env.clone(), family.clone(), &stream, goal).unwrap();
-        let static_summary = run_static(&env, &family, &stream, &goal, static_o.choice()).unwrap();
-        let mut oracle = Oracle::new(env.clone(), family.clone(), goal).unwrap();
+        let static_o = OracleStatic::new(env.clone(), family.clone(), &stream).unwrap();
+        let static_summary = run_static(&env, &family, &stream, static_o.choice()).unwrap();
+        let mut oracle = Oracle::new(env.clone(), family.clone()).unwrap();
         // Average oracle energy over measured inputs must be ≤ static's.
         let warmup = stream.warmup_len();
         let mut sum = 0.0;
@@ -486,9 +489,9 @@ mod tests {
 
     #[test]
     fn static_choice_is_feasible_when_possible() {
-        let (env, family, stream, goal) = setup();
-        let s = OracleStatic::new(env.clone(), family.clone(), &stream, goal).unwrap();
-        let summary = run_static(&env, &family, &stream, &goal, s.choice()).unwrap();
+        let (env, family, stream, _) = setup();
+        let s = OracleStatic::new(env.clone(), family.clone(), &stream).unwrap();
+        let summary = run_static(&env, &family, &stream, s.choice()).unwrap();
         assert!(
             !summary.disqualified(),
             "violation rate {}, floor met {}",
@@ -513,13 +516,12 @@ mod tests {
                 EpisodeEnv::build(&node, &Scenario::default_env(), &stream, g, 42, None).unwrap(),
             )
         };
-        let cell = vec![(mk_env(&loose), loose), (mk_env(&tight), tight)];
+        let cell = vec![mk_env(&loose), mk_env(&tight)];
         let cell_static = OracleStatic::for_cell(&cell, family.clone(), &stream).unwrap();
-        let loose_static =
-            OracleStatic::new(cell[0].0.clone(), family.clone(), &stream, loose).unwrap();
+        let loose_static = OracleStatic::new(cell[0].clone(), family.clone(), &stream).unwrap();
         // The per-setting optimum for the loose setting is cheaper than
         // the cell-level compromise evaluated on that same setting.
-        let on_loose = |c| run_static(&cell[0].0, &family, &stream, &loose, c).unwrap();
+        let on_loose = |c| run_static(&cell[0], &family, &stream, c).unwrap();
         let cell_on_loose = on_loose(cell_static.choice());
         let loose_on_loose = on_loose(loose_static.choice());
         assert!(
@@ -615,7 +617,7 @@ mod tests {
         let candidates = enumerate(&family, &env);
         let scan: Vec<EpisodeSummary> = candidates
             .iter()
-            .map(|&c| run_static(&env, &family, &stream, &goal, c).unwrap())
+            .map(|&c| run_static(&env, &family, &stream, c).unwrap())
             .collect();
         assert!(scan.iter().all(EpisodeSummary::disqualified));
         assert!(scan
@@ -650,7 +652,7 @@ mod tests {
         assert!(cands.iter().any(|c| c.device == 0));
         assert!(cands.iter().any(|c| c.device == 1));
 
-        let mut oracle = Oracle::new(env.clone(), family.clone(), goal).unwrap();
+        let mut oracle = Oracle::new(env.clone(), family.clone()).unwrap();
         for i in 0..50 {
             let ctx = InputContext {
                 index: i,
@@ -673,10 +675,14 @@ mod tests {
 
     #[test]
     fn impossible_goal_still_returns_something() {
-        let (env, family, _, _) = setup();
+        let (_, family, stream, _) = setup();
         // 1 ms deadline: nothing completes.
         let goal = Goal::minimize_energy(Seconds(0.001), 0.99);
-        let mut oracle = Oracle::new(env, family, goal).unwrap();
+        let node = [Platform::cpu1()];
+        let env = Arc::new(
+            EpisodeEnv::build(&node, &Scenario::default_env(), &stream, &goal, 42, None).unwrap(),
+        );
+        let mut oracle = Oracle::new(env, family).unwrap();
         let d = oracle.decide(&InputContext {
             index: 0,
             deadline: goal.deadline,

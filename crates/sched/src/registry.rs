@@ -296,12 +296,11 @@ impl PolicyRegistry {
             Some(ProbabilityMode::MeanOnly),
         )));
         r.register_fn("Oracle", |ctx| {
-            let oracle = Oracle::new(ctx.env.clone(), ctx.family.clone(), ctx.goal)?;
+            let oracle = Oracle::new(ctx.env.clone(), ctx.family.clone())?;
             Ok(Box::new(oracle) as Box<dyn Scheduler>)
         });
         r.register_fn("OracleStatic", |ctx| {
-            let oracle =
-                OracleStatic::new(ctx.env.clone(), ctx.family.clone(), ctx.stream, ctx.goal)?;
+            let oracle = OracleStatic::new(ctx.env.clone(), ctx.family.clone(), ctx.stream)?;
             Ok(Box::new(oracle) as Box<dyn Scheduler>)
         });
         r.register_fn("App-only", |ctx| {

@@ -3,7 +3,8 @@
 //! The original harness was one-shot: `run_episode` drove exactly one
 //! stream to completion and returned. A [`Runtime`] instead *owns* any
 //! number of independent [`SessionId`]-addressed sessions, each a
-//! long-lived handle over (stream, frozen environment, goal, scheduler):
+//! long-lived handle over (stream, frozen environment, scheduler); the
+//! environment carries the session's goal:
 //!
 //! * [`Runtime::session`] opens a session from a serializable
 //!   [`SessionSpec`] (scenario + seed + goal + optional policy override);
@@ -154,10 +155,11 @@ pub struct SessionSpec {
 
 impl SessionSpec {
     /// A minimal spec for sessions opened on an externally built
-    /// environment ([`SessionOptions::on`]): only the goal — and a
-    /// [`SessionOptions::policy`] override, if any — matters there; the
-    /// scenario, input count, and seed are carried by the external
-    /// stream/environment pair.
+    /// environment ([`SessionOptions::on`]): the scenario, input count,
+    /// seed and goal are carried by the external stream/environment
+    /// pair, and `goal` must be the one the environment was realized for
+    /// ([`EpisodeEnv::goal`]) or the open is refused. A
+    /// [`SessionOptions::policy`] override, if any, still applies.
     pub fn external(goal: Goal) -> Self {
         SessionSpec {
             goal,
@@ -303,8 +305,11 @@ impl SessionOptions<'_> {
     /// environment instead of materializing the spec's scenario — the
     /// experiment-sweep path, where every scheme must face bit-identical
     /// conditions. The environment must be realized on this runtime's
-    /// node. The spec's scenario/n_inputs/seed are ignored; its goal and
-    /// policy still apply. Such sessions cannot be checkpointed.
+    /// node and for the spec's goal: the session is judged against the
+    /// environment's goal ([`EpisodeEnv::goal`]), so a spec that names
+    /// another one is refused. The spec's scenario/n_inputs/seed are
+    /// ignored; its policy still applies. Such sessions cannot be
+    /// checkpointed.
     pub fn on(mut self, stream: InputStream, env: Arc<EpisodeEnv>) -> Self {
         self.external = Some((stream, env));
         self
@@ -315,8 +320,9 @@ impl SessionOptions<'_> {
     /// # Errors
     ///
     /// [`Error::InvalidSpec`] on a malformed spec, an
-    /// out-of-range shard, an environment realized on another node, or
-    /// an environment with fewer inputs than its stream;
+    /// out-of-range shard, an environment realized on another node or
+    /// for another goal, or an environment with fewer inputs than its
+    /// stream;
     /// [`Error::Policy`] when the policy name fails to resolve
     /// or rejects the session context.
     pub fn open(self) -> Result<SessionId, Error> {
@@ -343,7 +349,6 @@ pub(crate) struct Session {
     pub(crate) scheduler: Box<dyn Scheduler>,
     pub(crate) env: Arc<EpisodeEnv>,
     pub(crate) stream: InputStream,
-    pub(crate) goal: Goal,
     pub(crate) engine: SessionEngine,
 }
 
@@ -358,7 +363,7 @@ impl Session {
 
     /// Folds this session into its episode.
     pub(crate) fn finish(self) -> Episode {
-        self.engine.finish(&self.scheme, &self.goal)
+        self.engine.finish(&self.scheme, &self.env)
     }
 }
 
@@ -669,14 +674,13 @@ impl Runtime {
     fn build_scheduler(
         &self,
         policy: &str,
-        goal: Goal,
         env: &Arc<EpisodeEnv>,
         stream: &InputStream,
     ) -> Result<Box<dyn Scheduler>, Error> {
         let ctx = PolicyContext {
             family: &self.family,
             node: &self.node,
-            goal,
+            goal: *env.goal(),
             params: self.spec.params,
             shared_budget: self.spec.shared_budget,
             env,
@@ -707,7 +711,6 @@ impl Runtime {
         if spec.n_inputs == 0 {
             return Err(Error::InvalidSpec("n_inputs must be > 0".into()));
         }
-        spec.goal.validate().map_err(Error::InvalidSpec)?;
         let seed = spec.seed.unwrap_or(self.spec.seed);
         spec.seed = Some(seed);
         let policy = spec
@@ -717,7 +720,8 @@ impl Runtime {
         let stream = InputStream::generate(self.task, spec.n_inputs, seed);
         // Sessions always realize span-aware: scenarios that move the
         // quality floor relative to the family range resolve it against
-        // the serving family (a no-op for absolute scripts).
+        // the serving family (a no-op for absolute scripts). The build
+        // validates the goal.
         let env = Arc::new(
             EpisodeEnv::build(
                 &self.node,
@@ -729,7 +733,7 @@ impl Runtime {
             )
             .map_err(|e| Error::InvalidSpec(e.to_string()))?,
         );
-        let scheduler = self.build_scheduler(&policy, spec.goal, &env, &stream)?;
+        let scheduler = self.build_scheduler(&policy, &env, &stream)?;
         // Store the spec fully resolved so later checkpoints are
         // self-contained.
         spec.policy = Some(policy);
@@ -776,7 +780,6 @@ impl Runtime {
             None => {
                 let (spec, stream, env, scheduler) = self.materialize(spec)?;
                 Session {
-                    goal: spec.goal,
                     spec: Some(spec),
                     scheme: scheduler.name().to_string(),
                     scheduler,
@@ -800,6 +803,15 @@ impl Runtime {
                         ids(&self.node)
                     )));
                 }
+                // The session is judged against the environment's goal,
+                // so a spec naming another one would be silently ignored.
+                if spec.goal != *env.goal() {
+                    return Err(Error::InvalidSpec(format!(
+                        "the environment was realized for goal {:?}, the spec asks for {:?}",
+                        env.goal(),
+                        spec.goal
+                    )));
+                }
                 // Every input is realized from the environment's frozen
                 // state, so a shorter environment would fail mid-stream.
                 if env.len() < stream.len() {
@@ -810,14 +822,13 @@ impl Runtime {
                     )));
                 }
                 let policy = spec.policy.as_deref().unwrap_or(&self.spec.policy);
-                let scheduler = self.build_scheduler(policy, spec.goal, &env, &stream)?;
+                let scheduler = self.build_scheduler(policy, &env, &stream)?;
                 Session {
                     spec: None,
                     scheme: scheduler.name().to_string(),
                     scheduler,
                     env,
                     stream,
-                    goal: spec.goal,
                     engine: SessionEngine::new(),
                 }
             }
@@ -953,7 +964,7 @@ impl Runtime {
             .get_mut(k)
             .and_then(|shard| shard.sessions.remove(&id))
             .ok_or(Error::UnknownSession(id))?;
-        let episode = s.engine.finish(&s.scheme, &s.goal);
+        let episode = s.engine.finish(&s.scheme, &s.env);
         if !self.sinks.is_empty() {
             let event = EpisodeEvent::SessionClosed {
                 session: id,
@@ -1164,7 +1175,6 @@ impl Runtime {
         Ok(self.insert_session(
             None,
             Session {
-                goal: spec.goal,
                 spec: Some(spec),
                 scheme: snap.scheme.clone(),
                 scheduler,
@@ -1654,6 +1664,43 @@ mod tests {
             let env = env_on(rt.node());
             let id = open(rt, env).expect("matching node opens");
             rt.run_to_completion(id).unwrap();
+        }
+    }
+
+    #[test]
+    fn external_env_must_be_realized_for_the_spec_goal() {
+        // Before, a spec asking for a 0.999 floor opened on an
+        // environment realized for 0.90, and the episode was judged
+        // against 0.999 while every scheme ran for 0.90.
+        let realized = Goal::minimize_energy(Seconds(0.5), 0.90);
+        let asked = Goal::minimize_energy(Seconds(0.5), 0.999);
+        let stream = InputStream::generate(TaskId::Img2, 40, 9);
+        let mut rt = runtime();
+        let env_for = |goal: &Goal| {
+            Arc::new(
+                EpisodeEnv::build(rt.node(), &Scenario::default_env(), &stream, goal, 9, None)
+                    .unwrap(),
+            )
+        };
+        let (env_realized, env_asked) = (env_for(&realized), env_for(&asked));
+        for policy in ["ALERT", "Oracle"] {
+            let opened = rt
+                .session(SessionSpec::external(asked))
+                .policy(policy)
+                .on(stream.clone(), env_realized.clone())
+                .open();
+            assert!(
+                matches!(opened, Err(Error::InvalidSpec(_))),
+                "{policy}: {opened:?}"
+            );
+            let id = rt
+                .session(SessionSpec::external(asked))
+                .policy(policy)
+                .on(stream.clone(), env_asked.clone())
+                .open()
+                .expect("the matching environment opens");
+            rt.run_to_completion(id).unwrap();
+            rt.close(id).unwrap();
         }
     }
 

@@ -296,12 +296,12 @@ impl AdaptiveKalman {
 /// ```
 ///
 /// with the paper's constants `M⁽⁰⁾ = 0.01`, `S = 0.0001`, `V = 0.001`.
+/// `S` and `V` are constants, not state: a snapshot carries only φ, M
+/// and the step count.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IdlePowerFilter {
     phi: f64,
     m: f64,
-    s: f64,
-    v: f64,
     steps: u64,
 }
 
@@ -333,8 +333,6 @@ impl IdlePowerFilter {
         IdlePowerFilter {
             phi: phi0,
             m: Self::M0,
-            s: Self::S,
-            v: Self::V,
             steps: 0,
         }
     }
@@ -348,8 +346,8 @@ impl IdlePowerFilter {
             return self.phi;
         }
         let z = observed_ratio.clamp(0.0, 1.0);
-        let w = (self.m + self.s) / (self.m + self.s + self.v);
-        self.m = (1.0 - w) * (self.m + self.s);
+        let w = (self.m + Self::S) / (self.m + Self::S + Self::V);
+        self.m = (1.0 - w) * (self.m + Self::S);
         self.phi += w * (z - self.phi);
         self.steps += 1;
         self.phi
@@ -373,26 +371,21 @@ impl IdlePowerFilter {
         self.steps
     }
 
-    /// Checks that this state is one updates can reach: φ in `[0, 1]`, a
-    /// finite, non-negative covariance and the paper's `S` and `V`. Any
-    /// other state, restored from a checkpoint, can move the gain out of
-    /// `[0, 1]` and φ with it.
+    /// Checks that this state is one updates can reach: φ in `[0, 1]` and
+    /// a finite, non-negative covariance. Any other state, restored from
+    /// a checkpoint, can move the gain out of `[0, 1]` and φ with it.
     ///
     /// # Errors
     ///
     /// Describes the state when it is out of range.
     pub fn validate(&self) -> Result<(), String> {
-        let reachable = (0.0..=1.0).contains(&self.phi)
-            && self.m.is_finite()
-            && self.m >= 0.0
-            && self.s == Self::S
-            && self.v == Self::V;
+        let reachable = (0.0..=1.0).contains(&self.phi) && self.m.is_finite() && self.m >= 0.0;
         if reachable {
             return Ok(());
         }
         Err(format!(
-            "φ filter state (φ {}, M {}, S {}, V {}) is not reachable",
-            self.phi, self.m, self.s, self.v
+            "φ filter state (φ {}, M {}) is not reachable",
+            self.phi, self.m
         ))
     }
 }

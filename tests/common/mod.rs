@@ -20,16 +20,21 @@ pub fn round_robin_reference(rt: &mut Runtime) -> Vec<(SessionId, Episode)> {
         .collect()
 }
 
-/// `snap` with the number at `path` in its JSON replaced by `value`.
-pub fn doctored(snap: &SessionSnapshot, path: &[&str], value: f64) -> SessionSnapshot {
-    let mut json = serde_json::to_value(snap);
-    let mut node = &mut json;
+/// The value at `path` in a snapshot's JSON.
+pub fn field<'a>(json: &'a mut serde_json::Value, path: &[&str]) -> &'a mut serde_json::Value {
+    let mut node = json;
     for key in path {
         node = match node {
             serde_json::Value::Object(map) => map.get_mut(*key).expect("snapshot field exists"),
             other => panic!("{key}: not an object: {other:?}"),
         };
     }
-    *node = serde_json::Value::F64(value);
+    node
+}
+
+/// `snap` with the number at `path` in its JSON replaced by `value`.
+pub fn doctored(snap: &SessionSnapshot, path: &[&str], value: f64) -> SessionSnapshot {
+    let mut json = serde_json::to_value(snap);
+    *field(&mut json, path) = serde_json::Value::F64(value);
     serde_json::from_str(&serde_json::to_string(&json).unwrap()).unwrap()
 }

@@ -13,7 +13,7 @@ use alert::workload::{Goal, Scenario, SessionId};
 use proptest::prelude::*;
 
 mod common;
-use common::doctored;
+use common::{doctored, field};
 
 /// 20 ALERT inputs under memory contention.
 fn spec() -> SessionSpec {
@@ -151,7 +151,7 @@ proptest! {
 /// The controller state [`restored_state_never_panics`] perturbs: the ξ
 /// filter's belief and its innovation tracker, the φ filter's state, the
 /// overhead reserve and the last decision cost, as JSON paths.
-const STATE: [&[&str]; 12] = [
+const STATE: [&[&str]; 10] = [
     &["controller", "xi", "filter", "mu"],
     &["controller", "xi", "filter", "var"],
     &["controller", "xi", "filter", "gain"],
@@ -160,8 +160,6 @@ const STATE: [&[&str]; 12] = [
     &["controller", "xi", "innovation_var"],
     &["controller", "idle", "filter", "phi"],
     &["controller", "idle", "filter", "m"],
-    &["controller", "idle", "filter", "s"],
-    &["controller", "idle", "filter", "v"],
     &["controller", "overhead_reserve"],
     &["controller", "last_decision_cost"],
 ];
@@ -223,29 +221,49 @@ proptest! {
     }
 }
 
-/// Four states the restore property turns up, each of which restores
-/// and then panics a later input unless restore refuses it: ξ variance
-/// and gain at 1e300 overflow the next update to a non-finite mean
-/// (`Normal::new`), and a φ filter with a negative `V`, or with
-/// `S = V = 0`, moves φ out of `[0, 1]` (the energy estimate's debug
-/// assertion).
+/// A state the restore property turns up, which restores and then
+/// panics a later input unless restore refuses it: ξ variance and gain
+/// at 1e300 overflow the next update to a non-finite mean
+/// (`Normal::new`).
 #[test]
 fn restore_rejects_the_states_the_property_found() {
-    let xi = |field| ["controller", "xi", "filter", field];
-    let phi = |field| ["controller", "idle", "filter", field];
-    let cases = [
-        [(xi("var"), 1e300), (xi("gain"), 1e300)],
-        [(phi("phi"), 0.0), (phi("v"), -1.0)],
-        [(phi("phi"), 1e-300), (phi("v"), -1.0)],
-        [(phi("s"), 0.0), (phi("v"), 0.0)],
-    ];
+    let xi = |name| ["controller", "xi", "filter", name];
     let (mut rt, snap) = started_snapshot();
-    for [(a, x), (b, y)] in cases {
-        let state = doctored(&doctored(&snap, &a, x), &b, y);
-        let restored = rt.restore_session(&state);
+    let state = doctored(&doctored(&snap, &xi("var"), 1e300), &xi("gain"), 1e300);
+    let restored = rt.restore_session(&state);
+    assert!(
+        matches!(restored, Err(Error::InvalidSpec(_))),
+        "{restored:?}"
+    );
+}
+
+/// The φ filter's `S` and `V` are the paper's constants, not state, so a
+/// snapshot no longer carries them. One written when it did still
+/// restores, whatever values the keys hold: they are ignored, and the
+/// session resumes exactly as from an untouched snapshot.
+#[test]
+fn legacy_phi_constants_in_a_snapshot_are_ignored() {
+    let (mut rt, snap) = started_snapshot();
+    let mut json = serde_json::to_value(&snap);
+    let serde_json::Value::Object(filter) = field(&mut json, &["controller", "idle", "filter"])
+    else {
+        panic!("the φ filter serializes as a map");
+    };
+    filter.insert("s".into(), serde_json::Value::F64(0.0));
+    filter.insert("v".into(), serde_json::Value::F64(-1.0));
+    let legacy: SessionSnapshot =
+        serde_json::from_str(&serde_json::to_string(&json).unwrap()).unwrap();
+    let resume = |rt: &mut Runtime, snap: &SessionSnapshot| {
+        let id = rt.restore_session(snap).expect("the snapshot restores");
+        assert_eq!(rt.run_to_completion(id).expect("every input runs"), 15);
+        rt.close(id).expect("session open").records
+    };
+    let records = resume(&mut rt, &legacy);
+    for r in &records {
         assert!(
-            matches!(restored, Err(Error::InvalidSpec(_))),
-            "{a:?} = {x}, {b:?} = {y}: {restored:?}"
+            r.latency.is_finite() && r.energy.is_finite() && r.quality.is_finite(),
+            "non-finite record {r:?}"
         );
     }
+    assert_eq!(records, resume(&mut rt, &snap));
 }

@@ -34,7 +34,7 @@ fn world(goal: Goal, scenario: Scenario, n: usize, seed: u64) -> World {
 }
 
 fn run(w: &World, s: &mut dyn Scheduler) -> alert::sched::Episode {
-    run_episode(s, &w.env, &w.family, &w.stream, &w.goal).unwrap()
+    run_episode(s, &w.env, &w.family, &w.stream).unwrap()
 }
 
 /// Paper §5.2 ordering on one representative minimize-energy setting:
@@ -48,7 +48,7 @@ fn energy_ordering_holds_under_contention() {
         21,
     );
     let mut alert = AlertScheduler::standard(&w.family, &w.node[0], w.goal).unwrap();
-    let mut oracle = Oracle::new(w.env.clone(), w.family.clone(), w.goal).unwrap();
+    let mut oracle = Oracle::new(w.env.clone(), w.family.clone()).unwrap();
     let mut app = AppOnly::new(&w.family, &w.node[0]).unwrap();
 
     let ep_alert = run(&w, &mut alert);
@@ -163,7 +163,7 @@ fn static_baseline_pays_for_rigidity() {
     let scenario = Scenario::memory_env(33);
     let mk_env =
         |g: &Goal| Arc::new(EpisodeEnv::build(&node, &scenario, &stream, g, 33, None).unwrap());
-    let cell = vec![(mk_env(&tight), tight), (mk_env(&loose), loose)];
+    let cell = vec![mk_env(&tight), mk_env(&loose)];
     let choice = OracleStatic::for_cell(&cell, family.clone(), &stream)
         .unwrap()
         .choice();
@@ -171,9 +171,9 @@ fn static_baseline_pays_for_rigidity() {
     // Replay the pinned configuration on the loose setting.
     let mut st = OracleStatic::from_choice(choice);
     let loose_env = mk_env(&loose);
-    let ep_static = run_episode(&mut st, &loose_env, &family, &stream, &loose).unwrap();
+    let ep_static = run_episode(&mut st, &loose_env, &family, &stream).unwrap();
     let mut alert = AlertScheduler::standard(&family, &node[0], loose).unwrap();
-    let ep_alert = run_episode(&mut alert, &loose_env, &family, &stream, &loose).unwrap();
+    let ep_alert = run_episode(&mut alert, &loose_env, &family, &stream).unwrap();
     assert!(
         ep_alert.summary.avg_energy.get() < ep_static.summary.avg_energy.get(),
         "ALERT ({:.2} J) must beat the cell-pinned static ({:.2} J) on the loose setting",
@@ -194,9 +194,9 @@ fn sentence_prediction_end_to_end() {
         EpisodeEnv::build(&node, &Scenario::default_env(), &stream, &goal, 8, None).unwrap(),
     );
     let mut alert = AlertScheduler::standard(&family, &node[0], goal).unwrap();
-    let ep_alert = run_episode(&mut alert, &env, &family, &stream, &goal).unwrap();
+    let ep_alert = run_episode(&mut alert, &env, &family, &stream).unwrap();
     let mut sys = SysOnly::new(&family, &node, goal).unwrap();
-    let ep_sys = run_episode(&mut sys, &env, &family, &stream, &goal).unwrap();
+    let ep_sys = run_episode(&mut sys, &env, &family, &stream).unwrap();
     assert!(ep_alert.summary.violation_rate() <= 0.10);
     // Perplexity = -quality; ALERT must be at least as good.
     assert!(
@@ -220,7 +220,7 @@ fn single_model_family_works() {
         EpisodeEnv::build(&node, &Scenario::default_env(), &stream, &goal, 4, None).unwrap(),
     );
     let mut alert = AlertScheduler::standard(&family, &node[0], goal).unwrap();
-    let ep = run_episode(&mut alert, &env, &family, &stream, &goal).unwrap();
+    let ep = run_episode(&mut alert, &env, &family, &stream).unwrap();
     assert_eq!(ep.records.len(), 150);
     // All decisions use the single model; caps may vary.
     assert!(ep.records.iter().all(|r| r.model == "sparse_resnet_26"));

@@ -53,7 +53,7 @@ fn sixty_four_interleaved_sessions_match_sequential_episodes() {
             let env =
                 EpisodeEnv::build(&node, &spec.scenario, &stream, &spec.goal, seed, None).unwrap();
             let mut s = AlertScheduler::standard(&family, &node[0], spec.goal).unwrap();
-            run_episode(&mut s, &env, &family, &stream, &spec.goal).unwrap()
+            run_episode(&mut s, &env, &family, &stream).unwrap()
         })
         .collect();
 

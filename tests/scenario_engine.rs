@@ -76,14 +76,14 @@ proptest! {
             EpisodeEnv::build(&node, scenario, &stream, &goal, seed, Some(span))
                 .unwrap();
         let mut alert = AlertScheduler::standard(&family, &node[0], goal).unwrap();
-        let ep_alert = run_episode(&mut alert, &env_a, &family, &stream, &goal).unwrap();
+        let ep_alert = run_episode(&mut alert, &env_a, &family, &stream).unwrap();
         prop_assert_eq!(ep_alert.records.len(), n);
 
         let env_b =
             EpisodeEnv::build(&node, scenario, &stream, &goal, seed, Some(span))
                 .unwrap();
         let mut sys = SysOnly::new(&family, &node, goal).unwrap();
-        let _ = run_episode(&mut sys, &env_b, &family, &stream, &goal).unwrap();
+        let _ = run_episode(&mut sys, &env_b, &family, &stream).unwrap();
 
         // Bit-identical conditions for both schemes, after both ran.
         prop_assert!(env_a == env_b);
@@ -103,7 +103,7 @@ fn alert_tracks_a_goal_flip_mid_stream() {
     let scenario = Scenario::goal_flip();
     let env = EpisodeEnv::build(&node, &scenario, &stream, &goal, 11, None).unwrap();
     let mut s = AlertScheduler::standard(&family, &node[0], goal).unwrap();
-    let ep = run_episode(&mut s, &env, &family, &stream, &goal).unwrap();
+    let ep = run_episode(&mut s, &env, &family, &stream).unwrap();
 
     let flipped: Vec<_> = ep
         .records
@@ -142,7 +142,7 @@ fn cap_ceiling_is_invisible_in_records_but_physical_in_energy() {
     // App-only always requests the default (maximum) cap.
     let run = |env: &EpisodeEnv| {
         let mut s = alert::sched::AppOnly::new(&family, &node[0]).unwrap();
-        run_episode(&mut s, env, &family, &stream, &goal).unwrap()
+        run_episode(&mut s, env, &family, &stream).unwrap()
     };
     let ep_capped = run(&env);
     let ep_free = run(&free);
@@ -259,7 +259,7 @@ fn scripted_floor_raise_binds_in_episode_accounting() {
     let run = |scenario: &Scenario| {
         let env = EpisodeEnv::build(&node, scenario, &stream, &goal, 5, None).unwrap();
         let mut s = SysOnly::new(&family, &node, goal).unwrap();
-        run_episode(&mut s, &env, &family, &stream, &goal).unwrap()
+        run_episode(&mut s, &env, &family, &stream).unwrap()
     };
     let steady = run(&Scenario::default_env());
     assert!(steady.summary.quality_floor_met);
@@ -305,7 +305,7 @@ fn relative_floor_raise_binds_for_the_image_family() {
     assert!(raised > 0.9, "image floor raise lands at {raised}");
 
     let mut s = SysOnly::new(&family, &node, goal).unwrap();
-    let ep = run_episode(&mut s, &env, &family, &stream, &goal).unwrap();
+    let ep = run_episode(&mut s, &env, &family, &stream).unwrap();
     assert!(
         !ep.summary.quality_floor_met,
         "the relative raise must bind"
@@ -337,7 +337,7 @@ fn relative_floor_raise_binds_for_the_sentence_family() {
     );
     // The raise binds against a scheme pinned to the weakest candidate.
     let mut s = SysOnly::new(&family, &node, goal).unwrap();
-    let ep = run_episode(&mut s, &env, &family, &stream, &goal).unwrap();
+    let ep = run_episode(&mut s, &env, &family, &stream).unwrap();
     assert!(
         !ep.summary.quality_floor_met,
         "the raised perplexity floor must bind"

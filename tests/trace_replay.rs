@@ -316,11 +316,11 @@ proptest! {
 
         // Two schemes over two independent builds: bit-identical replays.
         let mut alert_s = AlertScheduler::standard(&family, &node[0], goal).unwrap();
-        let _ = run_episode(&mut alert_s, &env_a, &family, &stream, &goal).unwrap();
+        let _ = run_episode(&mut alert_s, &env_a, &family, &stream).unwrap();
         let env_b =
             EpisodeEnv::build(&node, &replay, &stream, &goal, seed, Some(span)).unwrap();
         let mut sys = SysOnly::new(&family, &node, goal).unwrap();
-        let _ = run_episode(&mut sys, &env_b, &family, &stream, &goal).unwrap();
+        let _ = run_episode(&mut sys, &env_b, &family, &stream).unwrap();
         prop_assert!(env_a == env_b);
     }
 }
