@@ -87,7 +87,7 @@ pub fn run_schemes(
             *identity_checks += 1;
 
             let id = rt
-                .session(SessionSpec::external(*reference.goal()))
+                .session(SessionSpec::external(&reference))
                 .policy(scheme)
                 .on(stream.clone(), reference.clone())
                 .open()

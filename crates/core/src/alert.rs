@@ -22,7 +22,7 @@ use crate::config::{Candidate, ConfigTable};
 use crate::goal::Goal;
 use crate::idle::IdleRatioEstimator;
 use crate::lane::{CandidateLane, LaneScratch};
-use crate::select::{Estimates, Selection};
+use crate::select::{Estimates, Selection, EMPTY_TABLE};
 use crate::slowdown::SlowdownEstimator;
 use alert_stats::cputime::SampledStopwatch;
 use alert_stats::kalman::AdaptiveKalmanParams;
@@ -68,6 +68,7 @@ pub enum OverheadPolicy {
 
 /// Controller parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct AlertParams {
     /// Kalman constants for the slowdown filter (Eq. 5).
     pub kalman: AdaptiveKalmanParams,
@@ -393,6 +394,36 @@ impl AlertController {
         goal: &Goal,
         period: Seconds,
     ) -> Result<Selection, String> {
+        self.decide_in::<true>(goal, period)?
+            .ok_or_else(|| EMPTY_TABLE.to_string())
+    }
+
+    /// [`AlertController::decide_with_period`]'s valid winner alone
+    /// ([`CandidateLane::select_valid_with_period`]): `Some` of the same
+    /// selection when it is `feasible`, `None` when no candidate is
+    /// valid, without ranking the §4 fallbacks. It is a decision like any
+    /// other for the overhead meter, the reserve and
+    /// [`AlertController::decisions`]; one that finds nothing valid
+    /// leaves no [`AlertController::last_trace`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the goal-validation failure message if `goal` is malformed.
+    pub fn decide_valid_with_period(
+        &mut self,
+        goal: &Goal,
+        period: Seconds,
+    ) -> Result<Option<Selection>, String> {
+        self.decide_in::<false>(goal, period)
+    }
+
+    /// The body of both decisions; `RANK` as in
+    /// [`CandidateLane::select`].
+    fn decide_in<const RANK: bool>(
+        &mut self,
+        goal: &Goal,
+        period: Seconds,
+    ) -> Result<Option<Selection>, String> {
         let measured = matches!(self.params.overhead, OverheadPolicy::Measured);
         if measured {
             // The reserve feeds deadlines: meter every decision.
@@ -405,7 +436,7 @@ impl AlertController {
         let adjusted = goal.with_deadline(effective);
         let xi = self.xi.distribution();
         let idle_ratio = self.idle.ratio();
-        let sel = self.tables.lane.select_with_period(
+        let sel = self.tables.lane.select::<RANK>(
             &mut self.scratch,
             &xi,
             idle_ratio,
@@ -424,7 +455,7 @@ impl AlertController {
         self.decisions += 1;
         // Recorded after the selection is final: the trace is pure
         // observability, nothing on the decision path reads it.
-        self.last_trace = Some(DecisionTrace {
+        self.last_trace = sel.map(|sel| DecisionTrace {
             cache_hit: false,
             belief_mean: xi.mean(),
             belief_std: xi.std_dev(),
@@ -493,8 +524,8 @@ impl AlertController {
     }
 
     /// Causal record of the most recent decision, if one was made since
-    /// construction/restore/reset (pure observability: see
-    /// [`DecisionTrace`]).
+    /// construction/restore/reset and it selected a candidate (pure
+    /// observability: see [`DecisionTrace`]).
     pub fn last_trace(&self) -> Option<DecisionTrace> {
         self.last_trace
     }

@@ -30,10 +30,14 @@
 //!    [`Objective::MinimizeEnergy`] a decision skips every row whose best
 //!    reachable quality cannot clear the floor, walks each other row in
 //!    ascending profiled run energy, and stops the row once a rounding-safe
-//!    lower bound on its Eq. 9 energy exceeds a valid incumbent's. A
-//!    visited candidate gets no Eq. 6/7/13 work when it is traditional
-//!    and its mean latency misses the deadline, or when its Eq. 9 energy
-//!    is strictly above the incumbent's. The previous decision's
+//!    lower bound on its Eq. 9 energy exceeds a valid incumbent's. The
+//!    bound is the run term plus a floor on the idle term that holds for
+//!    the whole row, so on a fast, high-cap device, where the idle term
+//!    is most of the energy, a row that cannot win is left after one
+//!    compare. A visited candidate gets no Eq. 6/7/13 work when it is
+//!    traditional and its mean latency misses the deadline, or when its
+//!    Eq. 9 energy is strictly above the incumbent's. The previous
+//!    decision's
 //!    winner is scored first so the energy bounds bite from the start,
 //!    and incumbents are compared index-aware, so the earliest-enumerated
 //!    minimum wins as in the reference, whatever the visiting order. With
@@ -51,7 +55,7 @@ use crate::config::{Candidate, ConfigTable, StagePoint};
 use crate::goal::{Goal, Objective};
 use crate::select::{
     better, energy_to_beat, latency_ok, other_ok, quality_threshold, Estimates,
-    SelectionAccumulator, ENERGY_GUARD_PERCENTILE, QUALITY_GUARD_FRACTION,
+    SelectionAccumulator, EMPTY_TABLE, ENERGY_GUARD_PERCENTILE, QUALITY_GUARD_FRACTION,
 };
 use crate::Selection;
 use alert_stats::normal::{inv_phi, Normal};
@@ -61,7 +65,9 @@ use std::ops::{Range, RangeInclusive};
 /// The operand range the run-energy stop's proof covers: a run power or
 /// stage latency outside it keeps its entry out of the stop
 /// ([`run_energy_key`]), and a belief mean `ξ̄` outside it turns the
-/// stop off for the decision. Every product of up to three such factors
+/// stop off for the decision. A cap outside it keeps its row's idle
+/// floor at 0, and so does a φ or a period outside it for the decision
+/// ([`LaneRow::idle_floor`]). Every product of up to three such factors
 /// lies within [1e-90, 1e90], far inside f64's normal range, so each of
 /// their roundings is relative ([`STOP_FACTOR`]).
 const STOP_RANGE: RangeInclusive<f64> = 1e-30..=1e30;
@@ -77,9 +83,37 @@ const STOP_RANGE: RangeInclusive<f64> = 1e-30..=1e30;
 /// `P = p_run · t_stage · ξ̄`, while the stop's bound
 /// `fl(fl(r · ξ̄) · (1 − 8u))`, with `r = fl(p_run · t_stage)`, is at
 /// most `P·(1 + u)³·(1 − 8u)`. Since `(1 − u)² / (1 + u)³ > 1 − 8u`,
-/// the bound is strictly below the energy. Rounding is monotone, so the
-/// bound never decreases along a row walked in ascending `r`.
+/// the bound is strictly below the energy, by more than `3u·P`. Rounding
+/// is monotone, so the bound never decreases along a row walked in
+/// ascending `r`.
 const STOP_FACTOR: f64 = 1.0 - 4.0 * f64::EPSILON;
+
+/// `8ε`: the rounding allowance of a row's idle floor
+/// ([`LaneRow::idle_floor`]), as a share of `φ·(c_min·T + ξ̄·m_max)`.
+///
+/// Eq. 9's idle term for entry `k` is
+/// `I_k = fl(fl(c_k · φ) · max(0, fl(T − fl(t_k · ξ̄))))`. With
+/// `A = c_min·T` and `B = ξ̄·M`, `M` the exact largest `c_k·t_k` of the
+/// row, every operand in [`STOP_RANGE`] and u = ε/2, each rounding of
+/// `I_k` is relative except the last product's, which can underflow by
+/// at most `η = 2⁻¹⁰⁷⁵`, so `I_k ≥ (1 − u)³·φ·(A − (1 + u)·B) − η`: for
+/// `fl(T − fl(t_k · ξ̄)) > 0` since `c_k·T ≥ A` and `ξ̄·c_k·t_k ≤ B`, and
+/// otherwise since `I_k = 0` and `A − (1 + u)·B ≤ 0`. The floor computes
+/// `fl(φ · fl(fl(g − h) − fl(8ε · fl(g + h))))` from `g = fl(c_min·T)`
+/// and `h = fl(ξ̄·m_max)`, where `m_max`, the largest computed `c_k·t_k`,
+/// is within a factor `1 ± u` of `M`. The difference `g − h` can cancel,
+/// so its error is bounded against `A + B`, not against `A − B`: where
+/// the floor is positive it is at most
+/// `(1 + u)²·φ·((1 + u)²·A − (1 − 3u − u² − u³)·B − K·(1 − u)³·(A + B)) + η`,
+/// which is at most `(1 − u)³·φ·(A − (1 + u)·B) + η` once
+/// `K ≥ ((1 + u)⁴ − (1 − u)³) / ((1 + u)²·(1 − u)³) ≈ 7u`. `K = 8ε = 16u`
+/// is over twice that, so the floor is at most `I_k + 2η` for every entry
+/// of the row. The run part of the stop's bound is below the computed run
+/// energy by more than `3u·P ≥ 3u·10⁻⁹⁰` ([`STOP_FACTOR`]), which dwarfs
+/// `2η`, so the bound's exact sum is below the energy's, and rounding is
+/// monotone. A larger allowance only lowers the floor, so it can cost
+/// skips, never a selection.
+const IDLE_FLOOR_SLACK: f64 = 8.0 * f64::EPSILON;
 
 /// One flattened execution target.
 #[derive(Debug, Clone, Copy)]
@@ -113,12 +147,35 @@ struct LaneRow {
     /// Upper bound on every expected quality the row's estimates can
     /// compute ([`quality_ceiling`]).
     quality_ceiling: f64,
+    /// The smallest cap of the row, `c_min` of its idle floor, or 0 where
+    /// the floor does not cover the row ([`LaneRow::idle_floor`]).
+    cap_min: f64,
+    /// The largest computed `cap · t_stage` of the row, `m_max` of its
+    /// idle floor, or 0 where the floor does not cover the row.
+    cap_time_max: f64,
 }
 
 impl LaneRow {
     /// The row's entry indices.
     fn range(&self) -> Range<usize> {
         self.start as usize..self.end as usize
+    }
+
+    /// A lower bound on the Eq. 9 idle term `φ·c_k·max(0, T − ξ̄·t_k)` of
+    /// every entry `k` of the row: `φ·max(0, c_min·T − ξ̄·m_max)`, since
+    /// `c_k·T ≥ c_min·T` and `c_k·t_k ≤ m_max`, less the allowance
+    /// [`IDLE_FLOOR_SLACK`] derives. It is constant along the row, so the
+    /// stop's bound stays monotone. 0 where the proof does not cover the
+    /// row (a `−∞` key or a cap outside [`STOP_RANGE`] leaves `c_min` and
+    /// `m_max` at 0) or the decision (φ or `T` outside [`STOP_RANGE`]).
+    fn idle_floor(&self, xi_mean: f64, idle_ratio: f64, period: Seconds) -> f64 {
+        if !(STOP_RANGE.contains(&idle_ratio) && STOP_RANGE.contains(&period.get())) {
+            return 0.0;
+        }
+        let g = self.cap_min * period.get();
+        let h = xi_mean * self.cap_time_max;
+        // `f64::max` maps a NaN (from an overflow) to 0.
+        (idle_ratio * ((g - h) - IDLE_FLOOR_SLACK * (g + h))).max(0.0)
     }
 }
 
@@ -278,6 +335,8 @@ impl CandidateLane {
                     fail_quality: m.fail_quality,
                     guard: QUALITY_GUARD_FRACTION * (m.final_quality() - m.fail_quality),
                     quality_ceiling: quality_ceiling(&m.stages[..=c.stage], m.fail_quality),
+                    cap_min: 0.0,
+                    cap_time_max: 0.0,
                 });
             }
             let Some(row) = rows.last_mut() else {
@@ -297,6 +356,23 @@ impl CandidateLane {
                 row: rows.len() as u32 - 1,
                 slot_base: base,
             });
+        }
+
+        for row in &mut rows {
+            let members = &entries[row.range()];
+            let covered = members
+                .iter()
+                .all(|e| e.run_energy > f64::NEG_INFINITY && STOP_RANGE.contains(&e.cap.get()));
+            if covered {
+                row.cap_min = members
+                    .iter()
+                    .map(|e| e.cap.get())
+                    .fold(f64::INFINITY, f64::min);
+                row.cap_time_max = members
+                    .iter()
+                    .map(|e| (e.cap * e.t_stage).get())
+                    .fold(0.0, f64::max);
+            }
         }
 
         let mut cheapest_first: Vec<u32> = (0..entries.len() as u32).collect();
@@ -324,6 +400,33 @@ impl CandidateLane {
         self.entries.len()
     }
 
+    /// Each `(device, model, stage)` row's cheapest target in profiled
+    /// run energy, with the minimize-energy pass's lower bound on the
+    /// Eq. 9 energy of every target of the row at belief mean `xi_mean`,
+    /// idle ratio `idle_ratio` and period `period`: the run-energy stop's
+    /// bound at that target, the row's idle floor included (mechanism 2 of
+    /// the module docs). Once a valid incumbent costs less, the pass
+    /// leaves the row after one compare. `−∞` where the stop does not
+    /// run. Diagnostics: a decision computes the same values.
+    pub fn row_energy_bounds(
+        &self,
+        xi_mean: f64,
+        idle_ratio: f64,
+        period: Seconds,
+    ) -> impl Iterator<Item = (Candidate, f64)> + '_ {
+        let stop = stops(xi_mean, idle_ratio);
+        self.rows.iter().map(move |row| {
+            let cheapest = &self.entries[self.cheapest_first[row.start as usize] as usize];
+            let bound = if stop {
+                let floor = row.idle_floor(xi_mean, idle_ratio, period);
+                stop_bound(cheapest.run_energy, xi_mean, floor)
+            } else {
+                f64::NEG_INFINITY
+            };
+            (cheapest.cand, bound)
+        })
+    }
+
     /// Fast-lane counterpart of [`crate::select::select_with_period`]:
     /// same inputs, same output, bit for bit — enumeration runs over every
     /// entry with memoized stage probabilities and a memoized `Φ⁻¹`, and a
@@ -345,6 +448,44 @@ impl CandidateLane {
         period: Seconds,
         mode: ProbabilityMode,
     ) -> Result<Selection, String> {
+        self.select::<true>(scratch, xi, idle_ratio, goal, period, mode)?
+            .ok_or_else(|| EMPTY_TABLE.to_string())
+    }
+
+    /// The valid winner alone: `Some` of exactly the selection
+    /// [`CandidateLane::select_with_period`] returns when that selection
+    /// is `feasible`, `None` when no candidate is valid. The §4 fallbacks
+    /// are never ranked, so a minimize-energy decision with nothing valid
+    /// ends after the pass that looks for the winner.
+    ///
+    /// # Errors
+    ///
+    /// Goal-validation failure.
+    pub fn select_valid_with_period(
+        &self,
+        scratch: &mut LaneScratch,
+        xi: &Normal,
+        idle_ratio: f64,
+        goal: &Goal,
+        period: Seconds,
+        mode: ProbabilityMode,
+    ) -> Result<Option<Selection>, String> {
+        self.select::<false>(scratch, xi, idle_ratio, goal, period, mode)
+    }
+
+    /// The body of both selections. With no valid candidate, `RANK` ranks
+    /// the §4 fallbacks and the decision returns their pick; `None` then
+    /// means no candidate was offered at all. Without `RANK` it returns
+    /// `None`.
+    pub(crate) fn select<const RANK: bool>(
+        &self,
+        scratch: &mut LaneScratch,
+        xi: &Normal,
+        idle_ratio: f64,
+        goal: &Goal,
+        period: Seconds,
+        mode: ProbabilityMode,
+    ) -> Result<Option<Selection>, String> {
         goal.validate().map_err(|e| format!("invalid goal: {e}"))?;
         if !scratch.fits(self) {
             *scratch = LaneScratch::for_lane(self);
@@ -371,12 +512,15 @@ impl CandidateLane {
         if let (Objective::MinimizeEnergy, Some(floor)) = (goal.objective, goal.min_quality) {
             if let Some((k, estimates)) = self.cheapest_valid(scratch, &inputs, floor) {
                 scratch.seed = Some(k);
-                return Ok(Selection {
+                return Ok(Some(Selection {
                     candidate: self.entries[k as usize].cand,
                     estimates,
                     deadline: goal.deadline,
                     feasible: true,
-                });
+                }));
+            }
+            if !RANK {
+                return Ok(None);
             }
             // Nothing is valid: the §4 fallbacks rank every candidate, so
             // run the full loop below. It shares this decision's memo
@@ -391,7 +535,7 @@ impl CandidateLane {
                 acc.consider(e.cand, est, row.is_anytime, row.guard, goal);
             }
         }
-        acc.finish(goal)
+        Ok(acc.finish(goal, RANK))
     }
 
     /// The minimize-energy winner among the valid candidates (the
@@ -410,9 +554,13 @@ impl CandidateLane {
     /// 3. *Run-energy stop* — each row is walked in ascending
     ///    [`run_energy_key`] `r`. Once a valid incumbent has a NaN-free
     ///    key and energy `E*`, the walk leaves the row at the first entry
-    ///    with `fl(fl(r · ξ̄) · (1 − 4ε)) > E*`: that entry's Eq. 9 energy
-    ///    and every later one's are strictly above `E*` ([`STOP_FACTOR`]),
-    ///    so they lose to the incumbent in [`better`] both ways round.
+    ///    whose [`stop_bound`] `fl(fl(fl(r · ξ̄) · (1 − 4ε)) + F)` is above
+    ///    `E*`, with `F` the row's [`LaneRow::idle_floor`], computed once
+    ///    per row and decision: that entry's Eq. 9 energy and every later
+    ///    one's are strictly above `E*` ([`STOP_FACTOR`],
+    ///    [`IDLE_FLOOR_SLACK`]), so they lose to the incumbent in
+    ///    [`better`] both ways round. A row whose first entry fails is
+    ///    left after one compare.
     /// 4. *Energy bound* — a candidate whose Eq. 9 energy (the same call
     ///    [`CandidateLane::evaluate_entry`] makes) is strictly above the
     ///    incumbent's loses to it likewise ([`energy_to_beat`]).
@@ -428,9 +576,14 @@ impl CandidateLane {
         inputs: &DecisionInputs,
         floor: f64,
     ) -> Option<(u32, Estimates)> {
-        let xi_mean = inputs.xi.mean();
-        // Rule 3's proof needs ξ̄ in range and φ ≥ 0.
-        let stop = STOP_RANGE.contains(&xi_mean) && inputs.idle_ratio >= 0.0;
+        let DecisionInputs {
+            xi,
+            idle_ratio,
+            period,
+            ..
+        } = *inputs;
+        let xi_mean = xi.mean();
+        let stop = stops(xi_mean, idle_ratio);
         let skip_row = |row: &LaneRow| row.quality_ceiling < quality_threshold(floor, row.guard);
         let mut inc = Incumbent::default();
         let seed = scratch.seed.filter(|&k| (k as usize) < self.entries.len());
@@ -441,9 +594,12 @@ impl CandidateLane {
             }
         }
         for row in self.rows.iter().filter(|row| !skip_row(row)) {
+            let mut idle_floor = None;
             for &k in &self.cheapest_first[row.range()] {
                 if let (true, Some(limit)) = (stop, inc.to_beat) {
-                    if self.entries[k as usize].run_energy * xi_mean * STOP_FACTOR > limit {
+                    let floor = *idle_floor
+                        .get_or_insert_with(|| row.idle_floor(xi_mean, idle_ratio, period));
+                    if stop_bound(self.entries[k as usize].run_energy, xi_mean, floor) > limit {
                         break;
                     }
                 }
@@ -618,6 +774,21 @@ fn run_energy_key(t_stage: Seconds, p_run: Watts, cap: Watts) -> f64 {
     }
 }
 
+/// Whether a decision at belief mean `xi_mean` and idle ratio
+/// `idle_ratio` runs the run-energy stop: its proof needs ξ̄ in
+/// [`STOP_RANGE`] and φ ≥ 0.
+fn stops(xi_mean: f64, idle_ratio: f64) -> bool {
+    STOP_RANGE.contains(&xi_mean) && idle_ratio >= 0.0
+}
+
+/// Rule 3's lower bound on the Eq. 9 energy of an entry with run-energy
+/// key `run_energy` in a row whose idle floor is `idle_floor`
+/// ([`STOP_FACTOR`], [`IDLE_FLOOR_SLACK`]). Non-decreasing in
+/// `run_energy`.
+fn stop_bound(run_energy: f64, xi_mean: f64, idle_floor: f64) -> f64 {
+    run_energy * xi_mean * STOP_FACTOR + idle_floor
+}
+
 /// An upper bound on every expected quality [`crate::quality`] computes
 /// for a target running `stages` (its staircase up to the target stage)
 /// with fallback `fail_quality`, in either probability mode.
@@ -723,6 +894,70 @@ mod tests {
                     let full =
                         select_with_period(&t, &xi, 0.25, &goal, goal.deadline, mode).unwrap();
                     assert_eq!(fast, full, "mean={mean} std={std} {goal:?} {mode:?}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Rule 3's bound, idle floor included, never exceeds the
+        /// computed Eq. 9 energy of any entry of its row, and the floor
+        /// alone never exceeds the entry's idle term. Rows, beliefs, φ
+        /// (0 and 1 included) and periods are random; the periods run
+        /// from 0 to three times the row's longest mean latency, and one
+        /// equals an entry's mean latency, so its idle time cancels to 0.
+        #[test]
+        fn the_idle_floor_never_exceeds_an_entry_energy(
+            raw in proptest::collection::vec(0.0f64..1.0, 48..64),
+        ) {
+            use crate::energy::estimate_energy;
+            let mut draws = raw.iter().cycle().copied();
+            let mut draw = |lo: f64, hi: f64| lo + draws.next().unwrap_or(0.5) * (hi - lo);
+            let n_powers = 1 + (draw(0.0, 4.0) as usize).min(3);
+            let n_models = 1 + (draw(0.0, 3.0) as usize).min(2);
+            let mut cap = draw(1.0, 50.0);
+            let caps: Vec<Watts> = (0..n_powers)
+                .map(|_| {
+                    let c = Watts(cap);
+                    cap *= draw(1.05, 4.0);
+                    c
+                })
+                .collect();
+            let t_prof = (0..n_models)
+                .map(|_| (0..n_powers).map(|_| Seconds(draw(1e-4, 2.0))).collect())
+                .collect();
+            let p_run = (0..n_models)
+                .map(|_| caps.iter().map(|&c| c * draw(0.05, 1.0)).collect())
+                .collect();
+            let models = (0..n_models)
+                .map(|m| CandidateModel::traditional(format!("m{m}"), 0.9, 0.0))
+                .collect();
+            let table = ConfigTable::new(models, caps, t_prof, p_run).expect("valid table");
+            let lane = CandidateLane::build(&table);
+            for _ in 0..8 {
+                let xi = Normal::new(draw(0.05, 5.0), 0.1);
+                let phi = match draw(0.0, 4.0) as usize {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => draw(0.0, 1.0),
+                };
+                for row in &lane.rows {
+                    let entries = &lane.entries[row.range()];
+                    let latency = |e: &LaneEntry| crate::latency::predict_mean(&xi, e.t_stage);
+                    let longest = entries.iter().map(|e| latency(e).get()).fold(0.0, f64::max);
+                    let pick = (draw(0.0, entries.len() as f64) as usize).min(entries.len() - 1);
+                    for period in [Seconds(longest * draw(0.0, 3.0)), latency(&entries[pick])] {
+                        let floor = row.idle_floor(xi.mean(), phi, period);
+                        for e in entries {
+                            let eq9 = |p| estimate_energy(&xi, e.t_stage, p, e.cap, phi, period);
+                            // With no run power, Eq. 9 is the idle term alone.
+                            let (energy, idle) = (eq9(e.p_run).get(), eq9(Watts(0.0)).get());
+                            let bound = stop_bound(e.run_energy, xi.mean(), floor);
+                            let at = format!("{e:?} ξ̄ {} φ {phi} T {period}", xi.mean());
+                            proptest::prop_assert!(floor <= idle, "floor {floor} > {idle}: {at}");
+                            proptest::prop_assert!(bound <= energy, "bound {bound} > {energy}: {at}");
+                        }
+                    }
                 }
             }
         }

@@ -324,27 +324,24 @@ impl SelectionAccumulator {
         }
     }
 
-    /// Applies the §4 fallback hierarchy and produces the selection.
-    ///
-    /// # Errors
-    ///
-    /// Errors when no candidate was ever offered — an empty candidate
-    /// table (impossible through [`ConfigTable::new`], but the selection
-    /// layer no longer panics on it).
-    pub(crate) fn finish(self, goal: &Goal) -> Result<Selection, String> {
+    /// The selection: the valid winner, else, with `rank_fallbacks`, the
+    /// pick of the §4 fallback hierarchy. `None` when nothing is valid
+    /// and the fallbacks are not ranked, or when no candidate was ever
+    /// offered ([`EMPTY_TABLE`]).
+    pub(crate) fn finish(self, goal: &Goal, rank_fallbacks: bool) -> Option<Selection> {
         if let Some((candidate, estimates)) = self.best_valid {
-            return Ok(Selection {
+            return Some(Selection {
                 candidate,
                 estimates,
                 deadline: goal.deadline,
                 feasible: true,
             });
         }
-        let (candidate, estimates) = self
-            .best_latency_only
-            .or(self.best_any)
-            .ok_or_else(|| "selection over an empty candidate table".to_string())?;
-        Ok(Selection {
+        if !rank_fallbacks {
+            return None;
+        }
+        let (candidate, estimates) = self.best_latency_only.or(self.best_any)?;
+        Some(Selection {
             candidate,
             estimates,
             deadline: goal.deadline,
@@ -352,6 +349,11 @@ impl SelectionAccumulator {
         })
     }
 }
+
+/// The error of a selection over a table with no candidate (impossible
+/// through [`ConfigTable::new`], but the selection layer does not panic
+/// on it).
+pub(crate) const EMPTY_TABLE: &str = "selection over an empty candidate table";
 
 /// Selects the best execution target for `goal` under the belief (ξ, φ),
 /// with `period` as the idle-accounting window.
@@ -379,7 +381,8 @@ pub fn select_with_period(
         let guard = QUALITY_GUARD_FRACTION * (model.final_quality() - model.fail_quality);
         acc.consider(c, e, model.is_anytime(), guard, goal);
     }
-    acc.finish(goal)
+    acc.finish(goal, true)
+        .ok_or_else(|| EMPTY_TABLE.to_string())
 }
 
 /// [`select_with_period`] with the period defaulting to the goal deadline

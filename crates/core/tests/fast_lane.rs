@@ -1,10 +1,11 @@
 //! Soundness proofs-by-property for the selection fast lane: the
 //! memoized, early-exiting decision path must be
 //! **bit-identical** to the reference full enumeration for randomized
-//! tables (one or two devices, rows walked out of power order, exact
-//! run-energy ties), beliefs, idle ratios (φ = 0 included), goals
-//! (floors on the lane's quality-ceiling boundary included),
-//! probability modes, overhead reserves, and snapshot/restore cuts.
+//! tables (one or two devices, an idle-dominated second device among
+//! them, rows walked out of power order, exact run-energy ties),
+//! beliefs, idle ratios (φ = 0 included), goals (floors on the lane's
+//! quality-ceiling boundary included), probability modes, overhead
+//! reserves, and snapshot/restore cuts.
 
 use alert_core::alert::{AlertController, AlertParams, Observation, OverheadPolicy};
 use alert_core::lane::{CandidateLane, LaneScratch};
@@ -51,15 +52,24 @@ impl Pool {
 /// one device, sometimes two, so rows cross devices. Each device has 1–4
 /// power settings and saturating cap responses with deliberate exact
 /// latency ties and occasional near-ties, which the early exit's
-/// index-aware tie rule must resolve as the reference does.
+/// index-aware tie rule must resolve as the reference does. A second
+/// device is either drawn like the first or an idle-dominated one
+/// ([`idle_heavy_grid`]).
 fn random_table(pool: &mut Pool) -> ConfigTable {
     let n_models = 1 + pool.index(4);
     let models: Vec<CandidateModel> = (0..n_models).map(|m| random_model(pool, m)).collect();
-    let (caps, t_prof, p_run) = random_grid(pool, n_models);
+    let grid = random_grid(pool, n_models);
+    let second = if pool.chance(0.3) {
+        Some(random_grid(pool, n_models))
+    } else if pool.chance(0.3) {
+        Some(idle_heavy_grid(pool, &grid))
+    } else {
+        None
+    };
+    let (caps, t_prof, p_run) = grid;
     let mut table =
         ConfigTable::new(models, caps, t_prof, p_run).expect("generated table is valid");
-    if pool.chance(0.3) {
-        let (caps, t_prof, p_run) = random_grid(pool, n_models);
+    if let Some((caps, t_prof, p_run)) = second {
         table
             .add_device("second", caps, t_prof, p_run)
             .expect("generated grid is valid");
@@ -145,6 +155,28 @@ fn random_grid(pool: &mut Pool, n_models: usize) -> Grid {
         p_run.push(row_p);
     }
     (caps, t_prof, p_run)
+}
+
+/// A GPU-like grid over `base`'s shape: caps and run powers several
+/// times `base`'s, latencies a fraction of them. Most of such a target's
+/// Eq. 9 energy is the idle term, where the lane's idle floor bites;
+/// grids drawn like `base` share its scale, so the floor rarely fires
+/// there.
+fn idle_heavy_grid(pool: &mut Pool, base: &Grid) -> Grid {
+    let scale = pool.range(3.0, 10.0);
+    let speedup = pool.range(0.05, 0.3);
+    let (caps, t_prof, p_run) = base;
+    (
+        caps.iter().map(|&c| c * scale).collect(),
+        t_prof
+            .iter()
+            .map(|row| row.iter().map(|&t| t * speedup).collect())
+            .collect(),
+        p_run
+            .iter()
+            .map(|row| row.iter().map(|&p| p * scale).collect())
+            .collect(),
+    )
 }
 
 /// A minimize-energy floor: usually uniform, sometimes exactly where one
@@ -242,7 +274,8 @@ fn assert_bits_equal(fast: &Selection, full: &Selection, label: &str) {
 proptest! {
     /// The lane (SoA, memo, early exit): for arbitrary tables and
     /// decision inputs, it selects bit-identically to the reference
-    /// enumeration.
+    /// enumeration, and its valid-only query returns that selection
+    /// exactly when it is feasible.
     #[test]
     fn lane_is_bit_identical_to_full_enumeration(
         raw in proptest::collection::vec(0.0f64..1.0, 64..96),
@@ -268,6 +301,13 @@ proptest! {
             let full = select_with_period(&table, &xi, idle, &goal, period, mode)
                 .expect("valid goal");
             assert_bits_equal(&fast, &full, &format!("query {q}"));
+            let valid = lane
+                .select_valid_with_period(&mut scratch, &xi, idle, &goal, period, mode)
+                .expect("valid goal");
+            assert_eq!(valid.is_some(), full.feasible, "query {q}: valid only");
+            if let Some(sel) = valid {
+                assert_bits_equal(&sel, &full, &format!("query {q} (valid only)"));
+            }
         }
     }
 

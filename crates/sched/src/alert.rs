@@ -428,6 +428,58 @@ mod tests {
         assert_eq!(table.candidate_count(), 9 * 15);
     }
 
+    /// Where the lane's idle floor fires. On the benchmark's CPU1 + GPU
+    /// image table (230 W shared budget), at the default belief and
+    /// φ = 0.3, the 0.3 s / 0.9 winner runs on CPU1, and every GPU row's
+    /// energy bound is above its energy, so with that winner as the
+    /// incumbent each GPU row is left after one compare. The run term
+    /// alone (the bound at φ = 0, where the floor is 0) is below it on
+    /// every GPU row: without the floor each would be walked.
+    #[test]
+    fn the_idle_floor_cuts_every_gpu_row_at_the_cpu_winner() {
+        let node = [Platform::cpu1(), Platform::gpu()];
+        let (table, _) = build_table(
+            &ModelFamily::image_classification(),
+            &node,
+            Some(Watts(230.0)),
+        )
+        .unwrap();
+        let lane = alert_core::lane::CandidateLane::build(&table);
+        let xi = alert_core::SlowdownEstimator::new().distribution();
+        let phi = alert_core::AlertParams::default().initial_idle_ratio;
+        assert_eq!(phi, 0.3);
+        let goal = alert_core::Goal::minimize_energy(Seconds(0.3), 0.9);
+        let winner = alert_core::select::select_with_period(
+            &table,
+            &xi,
+            phi,
+            &goal,
+            goal.deadline,
+            alert_core::ProbabilityMode::Full,
+        )
+        .unwrap();
+        assert!(winner.feasible);
+        assert_eq!(winner.candidate.device, 0, "the winner runs on CPU1");
+        let energy = winner.estimates.energy.get();
+        let gpu_rows = |phi| {
+            lane.row_energy_bounds(xi.mean(), phi, goal.deadline)
+                .filter(|(c, _)| c.device == 1)
+                .collect::<Vec<_>>()
+        };
+        let (with_floor, run_only) = (gpu_rows(phi), gpu_rows(0.0));
+        assert_eq!(with_floor.len(), 9, "5 models and a 4-stage anytime one");
+        for ((row, bound), (_, run)) in with_floor.into_iter().zip(run_only) {
+            assert!(
+                bound > energy,
+                "{row:?}: bound {bound} J vs winner {energy} J"
+            );
+            assert!(
+                run < energy,
+                "{row:?}: run term {run} J vs winner {energy} J"
+            );
+        }
+    }
+
     #[test]
     fn embedded_filters_oversized_models() {
         let family = ModelFamily::sentence_prediction();

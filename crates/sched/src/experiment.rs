@@ -229,7 +229,7 @@ fn run_cell(
                         .filter(|&&name| name != "OracleStatic")
                         .map(|&name| {
                             let id = rt
-                                .session(SessionSpec::external(*env.goal()))
+                                .session(SessionSpec::external(env))
                                 .policy(name)
                                 .on(stream.clone(), env.clone())
                                 .open()

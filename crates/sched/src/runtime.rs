@@ -99,6 +99,7 @@ impl FamilySpec {
 ///
 /// The JSON format is documented in `DESIGN.md` §"RunSpec".
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct RunSpec {
     /// Platform preset (device `0` of the node).
     pub platform: PlatformId,
@@ -154,15 +155,15 @@ pub struct SessionSpec {
 }
 
 impl SessionSpec {
-    /// A minimal spec for sessions opened on an externally built
-    /// environment ([`SessionOptions::on`]): the scenario, input count,
-    /// seed and goal are carried by the external stream/environment
-    /// pair, and `goal` must be the one the environment was realized for
-    /// ([`EpisodeEnv::goal`]) or the open is refused. A
-    /// [`SessionOptions::policy`] override, if any, still applies.
-    pub fn external(goal: Goal) -> Self {
+    /// A minimal spec for sessions opened on the externally built
+    /// environment `env` ([`SessionOptions::on`]): the scenario, input
+    /// count, seed and goal are carried by the external stream/environment
+    /// pair, and the spec's goal is the one `env` was realized for
+    /// ([`EpisodeEnv::goal`]). A spec carrying another goal is refused at
+    /// open. A [`SessionOptions::policy`] override, if any, still applies.
+    pub fn external(env: &EpisodeEnv) -> Self {
         SessionSpec {
-            goal,
+            goal: *env.goal(),
             scenario: Scenario::default_env(),
             n_inputs: 1,
             seed: None,
@@ -1601,7 +1602,7 @@ mod tests {
                 .unwrap(),
         );
         let id = rt
-            .session(SessionSpec::external(goal))
+            .session(SessionSpec::external(&env))
             .policy("ALERT")
             .on(stream, env)
             .open()
@@ -1629,7 +1630,7 @@ mod tests {
             .unwrap(),
         );
         let opened = rt
-            .session(SessionSpec::external(goal))
+            .session(SessionSpec::external(&short))
             .policy("ALERT")
             .on(stream, short)
             .open();
@@ -1645,8 +1646,8 @@ mod tests {
                 EpisodeEnv::build(node, &Scenario::default_env(), &stream, &goal, 9, None).unwrap(),
             )
         };
-        let open = |rt: &mut Runtime, env| {
-            rt.session(SessionSpec::external(goal))
+        let open = |rt: &mut Runtime, env: Arc<EpisodeEnv>| {
+            rt.session(SessionSpec::external(&env))
                 .on(stream.clone(), env)
                 .open()
         };
@@ -1672,6 +1673,8 @@ mod tests {
         // Before, a spec asking for a 0.999 floor opened on an
         // environment realized for 0.90, and the episode was judged
         // against 0.999 while every scheme ran for 0.90.
+        // `SessionSpec::external` copies its environment's goal, so the
+        // mismatched spec is a literal.
         let realized = Goal::minimize_energy(Seconds(0.5), 0.90);
         let asked = Goal::minimize_energy(Seconds(0.5), 0.999);
         let stream = InputStream::generate(TaskId::Img2, 40, 9);
@@ -1685,7 +1688,10 @@ mod tests {
         let (env_realized, env_asked) = (env_for(&realized), env_for(&asked));
         for policy in ["ALERT", "Oracle"] {
             let opened = rt
-                .session(SessionSpec::external(asked))
+                .session(SessionSpec {
+                    goal: asked,
+                    ..SessionSpec::external(&env_realized)
+                })
                 .policy(policy)
                 .on(stream.clone(), env_realized.clone())
                 .open();
@@ -1694,7 +1700,7 @@ mod tests {
                 "{policy}: {opened:?}"
             );
             let id = rt
-                .session(SessionSpec::external(asked))
+                .session(SessionSpec::external(&env_asked))
                 .policy(policy)
                 .on(stream.clone(), env_asked.clone())
                 .open()
@@ -1718,6 +1724,39 @@ mod tests {
         let rt = RuntimeBuilder::from_spec(back).build().unwrap();
         assert_eq!(rt.spec().policy, "ALERT-Any");
         assert_eq!(rt.spec().platform, PlatformId::Gpu);
+    }
+
+    #[test]
+    fn run_spec_files_refuse_unknown_keys() {
+        let spec = RunSpec::default();
+        let json = serde_json::to_value(&spec);
+        let parse = |json: &serde_json::Value| {
+            serde_json::from_str::<RunSpec>(&serde_json::to_string(json).unwrap())
+        };
+        assert_eq!(parse(&json).expect("the default spec round-trips"), spec);
+        // A key misspelled in the spec itself, in its controller params,
+        // and in their Kalman constants.
+        for (path, key, typo) in [
+            (&[][..], "shared_budget", "shared_budgt"),
+            (&["params"][..], "initial_idle_ratio", "initial_idle_ratoi"),
+            (&["params", "kalman"][..], "alpha", "alpah"),
+        ] {
+            let mut doctored = json.clone();
+            let mut at = &mut doctored;
+            for step in path {
+                let serde_json::Value::Object(map) = at else {
+                    panic!("{step} is a map");
+                };
+                at = map.get_mut(*step).expect("the path exists");
+            }
+            let serde_json::Value::Object(map) = at else {
+                panic!("{path:?} is a map");
+            };
+            map.remove(key).expect("the key exists");
+            map.insert(typo.into(), serde_json::Value::F64(250.0));
+            let err = parse(&doctored).expect_err("a misspelled key is refused");
+            assert!(err.to_string().contains(typo), "{typo}: {err}");
+        }
     }
 
     #[test]

@@ -40,6 +40,7 @@
 use crate::runtime::{Runtime, SessionSpec};
 use crate::telemetry::{AdmissionConstraint, AdmissionProbe};
 use alert_core::alert::{AlertController, Observation};
+use alert_core::Selection;
 use alert_models::family::CandidateSet;
 use alert_stats::units::Seconds;
 use alert_workload::{
@@ -259,25 +260,36 @@ impl AlertAdmission {
         AlertAdmission::new(controller, rt.span(), degrade, miss_threshold)
     }
 
-    /// Probes the controller with `goal` under the request's idle
-    /// period, asking the paper's Eqs. 10–11 question directly: the
-    /// probe goal carries `Pr_th = 1 − miss_threshold`, so the
-    /// selection's `feasible` flag says whether *some* candidate meets
-    /// the quality floor with a deadline-completion probability at the
-    /// threshold — without it, the energy-optimal pick legitimately
-    /// rides the deadline boundary (pr ≈ 0.5) and its own miss estimate
-    /// says nothing about admissibility.
-    fn probe(&mut self, goal: &Goal, period: Seconds) -> (bool, Option<f64>) {
+    /// `goal` as a probe asks it, with `Pr_th = 1 − miss_threshold`: the
+    /// paper's Eqs. 10–11 question. A selection's `feasible` flag then
+    /// says whether *some* candidate meets the quality floor with a
+    /// deadline-completion probability at the threshold — without it,
+    /// the energy-optimal pick legitimately rides the deadline boundary
+    /// (pr ≈ 0.5) and its own miss estimate says nothing about
+    /// admissibility.
+    fn probe_goal(&self, goal: &Goal) -> Goal {
         let mut probe_goal = *goal;
         probe_goal.prob_threshold = Some(1.0 - self.miss_threshold);
-        match self.controller.decide_with_period(&probe_goal, period) {
-            Ok(sel) => {
-                let p_miss = (1.0 - sel.estimates.pr_deadline).clamp(0.0, 1.0);
-                (sel.feasible, Some(p_miss))
-            }
+        probe_goal
+    }
+
+    /// Probes the controller with `goal` under the request's idle
+    /// period: whether a valid candidate exists, and the predicted miss
+    /// of the selection, the §4 fallbacks' pick when nothing is valid.
+    fn probe(&mut self, goal: &Goal, period: Seconds) -> (bool, Option<f64>) {
+        match self
+            .controller
+            .decide_with_period(&self.probe_goal(goal), period)
+        {
+            Ok(sel) => (sel.feasible, Some(predicted_miss(&sel))),
             Err(_) => (false, None),
         }
     }
+}
+
+/// A selection's predicted deadline-miss probability.
+fn predicted_miss(sel: &Selection) -> f64 {
+    (1.0 - sel.estimates.pr_deadline).clamp(0.0, 1.0)
 }
 
 impl AdmissionPolicy for AlertAdmission {
@@ -315,9 +327,15 @@ impl AdmissionPolicy for AlertAdmission {
         }
         // Probe full quality with the deadline shrunk by the predicted
         // wait — the compute budget actually left once service starts.
+        // Only a valid winner admits here, so the probe never ranks the
+        // §4 fallbacks.
         let probe_goal = ctx.goal.with_deadline(slack);
-        let (ok, predicted_miss) = self.probe(&probe_goal, ctx.goal.deadline);
-        if ok {
+        let asked = self.probe_goal(&probe_goal);
+        if let Ok(Some(sel)) = self
+            .controller
+            .decide_valid_with_period(&asked, ctx.goal.deadline)
+        {
+            let predicted_miss = Some(predicted_miss(&sel));
             self.last_probe = Some(AdmissionProbe {
                 constraint: None,
                 predicted_miss,
@@ -326,7 +344,8 @@ impl AdmissionPolicy for AlertAdmission {
             return AdmissionDecision::Admit { predicted_miss };
         }
         // Full quality is predicted to miss: probe the degraded goal
-        // (quality-floor downgrade opens faster candidates).
+        // (quality-floor downgrade opens faster candidates). Its
+        // fallback pick's miss estimate is what a shed records.
         let mut degraded_goal = probe_goal;
         self.degrade.apply(&mut degraded_goal, Some(self.span));
         let (ok, degraded_miss) = self.probe(&degraded_goal, ctx.goal.deadline);
@@ -342,15 +361,15 @@ impl AdmissionPolicy for AlertAdmission {
             };
         }
         // Even degraded service is predicted to miss: shed exactly the
-        // request that would have missed anyway.
+        // request that would have missed anyway. A degraded probe that
+        // erred leaves full quality's estimate, fallback pick included.
+        let predicted_miss = degraded_miss.or_else(|| self.probe(&probe_goal, ctx.goal.deadline).1);
         self.last_probe = Some(AdmissionProbe {
             constraint: Some(AdmissionConstraint::DegradedInfeasible),
-            predicted_miss: degraded_miss.or(predicted_miss),
+            predicted_miss,
             belief,
         });
-        AdmissionDecision::Shed {
-            predicted_miss: degraded_miss.or(predicted_miss),
-        }
+        AdmissionDecision::Shed { predicted_miss }
     }
 
     fn observe(&mut self, record: &InputRecord) {
@@ -696,6 +715,49 @@ mod tests {
         assert!(
             certain.iter().all(|o| o.verdict == AdmissionVerdict::Shed),
             "a guaranteed miss must never be admitted"
+        );
+    }
+
+    /// Full quality has no valid candidate (a 0.999 floor), and the
+    /// degrade patch overflows the deadline, so the degraded probe errs:
+    /// the shed records full quality's miss estimate, the §4 fallback
+    /// pick's, as a full decision at the same state gives it.
+    #[test]
+    fn a_degraded_probe_that_errs_sheds_with_full_qualitys_fallback_estimate() {
+        let rt = runtime(1);
+        let mut policy =
+            AlertAdmission::for_runtime(&rt, GoalPatch::deadline(f64::MAX), DEFAULT_MISS_THRESHOLD)
+                .expect("table builds");
+        let ctx = RequestContext {
+            index: 0,
+            arrival: Seconds::ZERO,
+            shard: 0,
+            queue_depth: 0,
+            queue_capacity: 4,
+            predicted_wait: Seconds::ZERO,
+            goal: Goal::minimize_energy(Seconds(2.0), 0.999),
+            inputs_per_request: 10,
+        };
+        let mut reference = policy.controller.clone();
+        let full = reference
+            .decide_with_period(&policy.probe_goal(&ctx.goal), ctx.goal.deadline)
+            .expect("valid goal");
+        assert!(!full.feasible, "nothing reaches a 0.999 floor");
+        let mut degraded = policy.probe_goal(&ctx.goal);
+        policy.degrade.apply(&mut degraded, Some(policy.span));
+        assert!(reference
+            .decide_with_period(&degraded, ctx.goal.deadline)
+            .is_err());
+        let expected = Some(predicted_miss(&full));
+        assert_eq!(
+            policy.assess(&ctx),
+            AdmissionDecision::Shed {
+                predicted_miss: expected
+            }
+        );
+        assert_eq!(
+            policy.last_probe().map(|p| p.predicted_miss),
+            Some(expected)
         );
     }
 

@@ -24,6 +24,7 @@ use serde::{Deserialize, Serialize};
 /// The paper initializes `K⁽⁰⁾ = 0.5`, `R = 0.001`, `Q⁽⁰⁾ = 0.1`,
 /// `μ⁽⁰⁾ = 1`, `(σ⁽⁰⁾)² = 0.1` and uses a forgetting factor `α = 0.3`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct AdaptiveKalmanParams {
     /// Forgetting factor α for the process-noise re-estimation.
     pub alpha: f64,

@@ -37,13 +37,13 @@ fn main() {
         Arc::new(EpisodeEnv::build(rt.node(), &scenario, &stream, &goal, 99, None).expect("valid"));
 
     let alert_id = rt
-        .session(SessionSpec::external(goal))
+        .session(SessionSpec::external(&env))
         .policy("ALERT")
         .on(stream.clone(), env.clone())
         .open()
         .expect("open ALERT");
     let sys_id = rt
-        .session(SessionSpec::external(goal))
+        .session(SessionSpec::external(&env))
         .policy("Sys-only")
         .on(stream.clone(), env)
         .open()
