@@ -327,13 +327,6 @@ fn bench_churn(n_inputs: usize, seed: u64) -> ChurnMeasurement {
             opened += 1;
         }
         open_s += t0.elapsed().as_secs_f64();
-        // At peak churn every shard must be carrying background load
-        // (round-robin placement keeps the shards balanced).
-        let counts = sharded.shard_session_counts();
-        assert!(
-            counts.iter().all(|&c| c > 0),
-            "unbalanced shards under churn: {counts:?}"
-        );
         // The measured session keeps serving through the wave.
         for _ in 0..steps_per_wave {
             if let Some(r) = sharded.submit(measured).expect("submit measured session") {

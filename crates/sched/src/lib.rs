@@ -17,13 +17,14 @@
 //!   string-keyed [`PolicyRegistry`] (all nine
 //!   paper schemes pre-registered; external crates add their own).
 //! * [`runtime`] — the session runtime: one [`Runtime`]
-//!   type multiplexing long-lived sessions over one or more shards
+//!   type multiplexing long-lived sessions held in one map
 //!   (`session(spec).open()` / `submit` / `close` / `drain`), per-input
 //!   [`EpisodeEvent`] emission,
 //!   checkpoint/migration, serde [`RunSpec`].
 //! * [`executor`] — the parallel drain behind
-//!   [`Runtime::drain`](runtime::Runtime::drain): one thread per
-//!   non-empty shard, bit-identical per session for every shard count.
+//!   [`Runtime::drain`](runtime::Runtime::drain): it splits the
+//!   sessions into shards by id and runs one thread per non-empty
+//!   shard, bit-identical per session for every shard count.
 //! * [`serving`] — the serving front-end: frozen offered-load storms
 //!   replayed against the runtime's shards under an
 //!   [`AdmissionPolicy`] (ALERT-native

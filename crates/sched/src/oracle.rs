@@ -27,7 +27,7 @@ use crate::scheduler::{Decision, Feedback, InputContext, Scheduler};
 use alert_models::inference::StopPolicy;
 use alert_models::{ModelFamily, ModelProfile};
 use alert_stats::units::{Joules, Seconds, Watts};
-use alert_workload::{EpisodeSummary, Goal, InputStream, Objective};
+use alert_workload::{on_time, EpisodeSummary, Goal, InputStream, Objective};
 use std::sync::Arc;
 
 /// One executable configuration in oracle enumerations.
@@ -119,7 +119,7 @@ pub fn realize_candidate(
 /// accounting (matching [`alert_workload::EpisodeSummary`]) treats the
 /// floor as an average target instead.
 fn satisfies(o: &RealizedOutcome, goal: &Goal, deadline: Seconds) -> bool {
-    if o.latency.get() > deadline.get() * (1.0 + 1e-9) {
+    if !on_time(o.latency, deadline) {
         return false;
     }
     match goal.objective {
@@ -194,7 +194,7 @@ impl Oracle {
                     best_valid = Some((c, o, key));
                 }
             }
-            if o.latency.get() <= deadline.get() * (1.0 + 1e-9) {
+            if on_time(o.latency, deadline) {
                 let better = best_deadline_only
                     .as_ref()
                     .is_none_or(|(_, cur)| o.quality > cur.quality);

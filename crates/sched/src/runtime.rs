@@ -18,15 +18,12 @@
 //! sessions produces records bit-identical to running each stream
 //! standalone (`tests/runtime_sessions.rs` proves this for 64 sessions).
 //!
-//! The runtime keeps its sessions in **shards**: one by default
-//! ([`RuntimeBuilder::build`]), `N` with
-//! [`RuntimeBuilder::build_sharded`]. Shard `k` of `N` hands out ids
-//! `k, k + N, k + 2N, …`, so every per-session call routes by
-//! [`SessionId::shard_of`] without a lookup table, and new sessions are
-//! placed round-robin, which keeps ids dense (0, 1, 2, …) whatever `N`
-//! is. Sharding matters only to [`Runtime::drain`], which runs each
-//! non-empty shard on its own thread; episodes are bit-identical per
-//! session for every shard count (see `DESIGN.md` §"Threading model").
+//! The runtime keeps its sessions in one map, and hands out ids 0, 1,
+//! 2, … in open order, restores included. A runtime built with
+//! [`RuntimeBuilder::build_sharded`] has `N` **shards**; a shard is only
+//! a part of [`Runtime::drain`]'s split by [`SessionId::shard_of`], run
+//! on its own thread. Episodes are bit-identical per session for every
+//! shard count (see `DESIGN.md` §"Threading model").
 //!
 //! Sessions opened from a [`SessionSpec`] can also be *checkpointed*
 //! ([`Runtime::snapshot_session`]) and *restored* — in the same runtime
@@ -52,8 +49,8 @@ use alert_models::ModelFamily;
 use alert_platform::{Platform, PlatformId};
 use alert_stats::units::Watts;
 use alert_workload::{
-    EpisodeSummary, Goal, InputRecord, InputStream, QualitySpan, Scenario, SessionId, StreamId,
-    TaskId,
+    on_time, EpisodeSummary, Goal, InputRecord, InputStream, QualitySpan, Scenario, SessionId,
+    StreamId, TaskId,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -266,17 +263,13 @@ pub(crate) fn fan_out(sinks: &mut [Box<dyn EventSink>], event: &EpisodeEvent) {
 /// The one builder behind every way of opening a session, returned by
 /// [`Runtime::session`]. The plain form materializes the spec and can be
 /// checkpointed; sessions opened with [`SessionOptions::on`] ride an
-/// externally built environment and cannot. [`SessionOptions::on_shard`]
-/// pins the session to a shard instead of the round-robin default — the
-/// serving front-end uses this to co-locate a request with its admission
-/// queue. Every session's scheduler comes from the policy registry: a
-/// scheme of one's own is registered with
-/// [`PolicyRegistry::register_fn`].
+/// externally built environment and cannot. Every session's scheduler
+/// comes from the policy registry: a scheme of one's own is registered
+/// with [`PolicyRegistry::register_fn`].
 #[must_use = "the builder opens nothing until .open() is called"]
 pub struct SessionOptions<'rt> {
     rt: &'rt mut Runtime,
     spec: SessionSpec,
-    shard: Option<usize>,
     external: Option<(InputStream, Arc<EpisodeEnv>)>,
 }
 
@@ -285,20 +278,6 @@ impl SessionOptions<'_> {
     /// scheduler).
     pub fn policy(mut self, name: impl Into<String>) -> Self {
         self.spec.policy = Some(name.into());
-        self
-    }
-
-    /// Overrides the spec's seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.spec.seed = Some(seed);
-        self
-    }
-
-    /// Pins the session to shard `shard` (below
-    /// [`Runtime::shard_count`]) instead of the round-robin default.
-    /// Pinning does not advance the round-robin cursor.
-    pub fn on_shard(mut self, shard: usize) -> Self {
-        self.shard = Some(shard);
         self
     }
 
@@ -320,20 +299,14 @@ impl SessionOptions<'_> {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidSpec`] on a malformed spec, an
-    /// out-of-range shard, an environment realized on another node or
-    /// for another goal, or an environment with fewer inputs than its
-    /// stream;
+    /// [`Error::InvalidSpec`] on a malformed spec, an environment
+    /// realized on another node or for another goal, or an environment
+    /// with fewer inputs than its stream;
     /// [`Error::Policy`] when the policy name fails to resolve
     /// or rejects the session context.
     pub fn open(self) -> Result<SessionId, Error> {
-        let SessionOptions {
-            rt,
-            spec,
-            shard,
-            external,
-        } = self;
-        rt.open_parts(shard, spec, external)
+        let SessionOptions { rt, spec, external } = self;
+        rt.open_parts(spec, external)
     }
 }
 
@@ -479,9 +452,9 @@ impl RuntimeBuilder {
         self.build_sharded(1)
     }
 
-    /// Builds a runtime whose sessions live in `workers` shards (clamped
-    /// to at least one), so [`Runtime::drain`] runs on up to `workers`
-    /// threads. Every other operation behaves as on one shard.
+    /// Builds a runtime whose [`Runtime::drain`] splits its sessions into
+    /// `workers` shards (clamped to at least one), so it runs on up to
+    /// `workers` threads. Every other operation behaves as on one shard.
     ///
     /// # Errors
     ///
@@ -518,8 +491,9 @@ impl RuntimeBuilder {
             registry,
             sinks,
             telemetry,
-            shards: (0..workers.max(1) as u64).map(Shard::new).collect(),
-            next_shard: 0,
+            sessions: BTreeMap::new(),
+            next_id: 0,
+            shards: workers.max(1),
         })
     }
 }
@@ -527,22 +501,6 @@ impl RuntimeBuilder {
 impl Default for RuntimeBuilder {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// One shard of a [`Runtime`]: its open sessions plus its id cursor.
-struct Shard {
-    sessions: BTreeMap<SessionId, Session>,
-    next_id: u64,
-}
-
-impl Shard {
-    /// Shard `k`, whose first session gets id `k`.
-    fn new(k: u64) -> Self {
-        Shard {
-            sessions: BTreeMap::new(),
-            next_id: k,
-        }
     }
 }
 
@@ -566,21 +524,12 @@ pub struct Runtime {
     registry: PolicyRegistry,
     sinks: Vec<Box<dyn EventSink>>,
     telemetry: crate::telemetry::TelemetryConfig,
-    /// Never empty: the builder clamps the shard count to at least one.
-    shards: Vec<Shard>,
-    /// Round-robin cursor placing new sessions.
-    next_shard: usize,
-}
-
-/// The open session `id` among `shards`, routed by [`SessionId::shard_of`].
-/// A free function so callers can keep borrowing the runtime's other
-/// fields (family, sinks) while they hold the session.
-fn routed(shards: &mut [Shard], id: SessionId) -> Result<&mut Session, Error> {
-    let k = id.shard_of(shards.len());
-    shards
-        .get_mut(k)
-        .and_then(|shard| shard.sessions.get_mut(&id))
-        .ok_or(Error::UnknownSession(id))
+    sessions: BTreeMap<SessionId, Session>,
+    /// The id of the next opened or restored session.
+    next_id: u64,
+    /// The parts [`Runtime::drain`] splits the sessions into; at least
+    /// one.
+    shards: usize,
 }
 
 impl Runtime {
@@ -616,49 +565,26 @@ impl Runtime {
         &self.registry
     }
 
-    /// Number of shards (`1` unless built with
-    /// [`RuntimeBuilder::build_sharded`]).
+    /// Number of shards [`Runtime::drain`] splits the sessions into (`1`
+    /// unless built with [`RuntimeBuilder::build_sharded`]).
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.shards
     }
 
     /// Ids of all open sessions, ascending.
     pub fn open_sessions(&self) -> Vec<SessionId> {
-        let mut ids: Vec<SessionId> = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.sessions.keys().copied())
-            .collect();
-        ids.sort();
-        ids
+        self.sessions.keys().copied().collect()
     }
 
     /// Number of open sessions.
     pub fn session_count(&self) -> usize {
-        self.shards.iter().map(|shard| shard.sessions.len()).sum()
+        self.sessions.len()
     }
 
-    /// Open sessions per shard, in shard order.
-    pub fn shard_session_counts(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|shard| shard.sessions.len())
-            .collect()
-    }
-
-    /// Places `session` on shard `pin` (validated by the caller), or on
-    /// the round-robin cursor's shard, advancing the cursor. Shard `k` of
-    /// `N` hands out ids `k, k + N, …`, so the id routes back to it.
-    fn insert_session(&mut self, pin: Option<usize>, session: Session) -> SessionId {
-        let n = self.shards.len();
-        let k = pin.unwrap_or_else(|| {
-            let k = self.next_shard;
-            self.next_shard = (k + 1) % n;
-            k
-        });
-        let shard = &mut self.shards[k];
-        let id = SessionId(shard.next_id);
-        shard.next_id += n as u64;
+    /// Adds `session` under the next id.
+    fn insert_session(&mut self, session: Session) -> SessionId {
+        let id = SessionId(self.next_id);
+        self.next_id += 1;
         if !self.sinks.is_empty() {
             let event = EpisodeEvent::SessionOpened {
                 session: id,
@@ -668,7 +594,7 @@ impl Runtime {
             };
             fan_out(&mut self.sinks, &event);
         }
-        shard.sessions.insert(id, session);
+        self.sessions.insert(id, session);
         id
     }
 
@@ -749,13 +675,11 @@ impl Runtime {
     /// ```text
     /// runtime.session(spec).open()                          // from spec
     /// runtime.session(spec).on(stream, env).open()          // external env
-    /// runtime.session(spec).on_shard(2).open()              // pinned shard
     /// ```
     pub fn session(&mut self, spec: SessionSpec) -> SessionOptions<'_> {
         SessionOptions {
             rt: self,
             spec,
-            shard: None,
             external: None,
         }
     }
@@ -765,16 +689,9 @@ impl Runtime {
     /// here.
     fn open_parts(
         &mut self,
-        pin: Option<usize>,
         spec: SessionSpec,
         external: Option<(InputStream, Arc<EpisodeEnv>)>,
     ) -> Result<SessionId, Error> {
-        if let Some(k) = pin.filter(|&k| k >= self.shards.len()) {
-            return Err(Error::InvalidSpec(format!(
-                "no shard {k}: this runtime has {} shard(s)",
-                self.shards.len()
-            )));
-        }
         let session = match external {
             // From the serializable spec: generates the stream, freezes
             // the environment, and builds the policy's scheduler.
@@ -834,14 +751,11 @@ impl Runtime {
                 }
             }
         };
-        Ok(self.insert_session(pin, session))
+        Ok(self.insert_session(session))
     }
 
     fn session_ref(&self, id: SessionId) -> Result<&Session, Error> {
-        self.shards
-            .get(id.shard_of(self.shards.len()))
-            .and_then(|shard| shard.sessions.get(&id))
-            .ok_or(Error::UnknownSession(id))
+        self.sessions.get(&id).ok_or(Error::UnknownSession(id))
     }
 
     /// `true` once the session has processed its whole stream.
@@ -886,7 +800,7 @@ impl Runtime {
                 post_std,
                 deadline: record.deadline,
                 realized_latency: record.latency,
-                missed: record.latency.get() > record.deadline.get(),
+                missed: !on_time(record.latency, record.deadline),
             }),
         })
     }
@@ -901,7 +815,10 @@ impl Runtime {
         id: SessionId,
         keep: bool,
     ) -> Result<Option<Option<InputRecord>>, Error> {
-        let s = routed(&mut self.shards, id)?;
+        let s = self
+            .sessions
+            .get_mut(&id)
+            .ok_or(Error::UnknownSession(id))?;
         let Some(record) = s.step(&self.family)? else {
             return Ok(None);
         };
@@ -959,12 +876,7 @@ impl Runtime {
     /// Closes a session, returning its [`Episode`]. The session need not
     /// be finished; the episode covers the inputs processed so far.
     pub fn close(&mut self, id: SessionId) -> Result<Episode, Error> {
-        let k = id.shard_of(self.shards.len());
-        let s = self
-            .shards
-            .get_mut(k)
-            .and_then(|shard| shard.sessions.remove(&id))
-            .ok_or(Error::UnknownSession(id))?;
+        let s = self.sessions.remove(&id).ok_or(Error::UnknownSession(id))?;
         let episode = s.engine.finish(&s.scheme, &s.env);
         if !self.sinks.is_empty() {
             let event = EpisodeEvent::SessionClosed {
@@ -980,15 +892,16 @@ impl Runtime {
     /// Steps every open session to the end of its stream and closes it,
     /// returning the episodes ascending by id.
     ///
-    /// Each non-empty shard runs on its own scoped thread, stepping its
-    /// sessions round-robin in id order. Sessions share no mutable
-    /// state, so every session's records are **bit-identical** to
-    /// submitting its inputs one at a time, for any shard count
-    /// (`tests/parallel_executor.rs` proves it property-style). The one
-    /// exception is inherent to the scheme, not the drain: sessions
-    /// under `OverheadPolicy::Measured` feed measured decision cost back
-    /// into their deadline reserve, so their records are
-    /// timing-dependent even across two single-shard runs.
+    /// The drain splits the sessions into [`Runtime::shard_count`] shards
+    /// by [`SessionId::shard_of`]. Each non-empty shard runs on its own
+    /// scoped thread, stepping its sessions round-robin in id order.
+    /// Sessions share no mutable state, so every session's records are
+    /// **bit-identical** to submitting its inputs one at a time, for any
+    /// shard count (`tests/parallel_executor.rs` proves it
+    /// property-style). The one exception is inherent to the scheme, not
+    /// the drain: sessions under `OverheadPolicy::Measured` feed
+    /// measured decision cost back into their deadline reserve, so their
+    /// records are timing-dependent even across two single-shard runs.
     ///
     /// With sinks installed, the workers send their events over a
     /// channel to the calling thread, which hands them to the sinks:
@@ -1004,12 +917,13 @@ impl Runtime {
     /// starts, so the sessions are gone on error as on success:
     /// `session_count() == 0` afterwards.
     pub fn drain(&mut self) -> Result<Vec<(SessionId, Episode)>, Error> {
-        let shards = self
-            .shards
-            .iter_mut()
-            .map(|shard| std::mem::take(&mut shard.sessions))
-            .collect();
-        executor::drain_shards(shards, &self.family, &mut self.sinks, self.telemetry)
+        executor::drain_shards(
+            std::mem::take(&mut self.sessions),
+            self.shards,
+            &self.family,
+            &mut self.sinks,
+            self.telemetry,
+        )
     }
 
     /// Checkpoints a session opened from a [`SessionSpec`].
@@ -1173,17 +1087,14 @@ impl Runtime {
         if let Some(ctl) = &snap.controller {
             scheduler.restore_controller(ctl);
         }
-        Ok(self.insert_session(
-            None,
-            Session {
-                spec: Some(spec),
-                scheme: snap.scheme.clone(),
-                scheduler,
-                env,
-                stream,
-                engine: snap.engine.clone(),
-            },
-        ))
+        Ok(self.insert_session(Session {
+            spec: Some(spec),
+            scheme: snap.scheme.clone(),
+            scheduler,
+            env,
+            stream,
+            engine: snap.engine.clone(),
+        }))
     }
 }
 
@@ -1191,7 +1102,7 @@ impl std::fmt::Debug for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Runtime")
             .field("spec", &self.spec)
-            .field("shards", &self.shards.len())
+            .field("shards", &self.shards)
             .field("sessions", &self.session_count())
             .finish()
     }
@@ -1263,19 +1174,6 @@ mod tests {
         let mut s = spec(1);
         s.policy = Some("NoSuch".into());
         assert!(matches!(rt.session(s).open(), Err(Error::Policy(_))));
-    }
-
-    #[test]
-    fn shard_pins_must_name_an_existing_shard() {
-        for shards in [1, 3] {
-            let mut rt = Runtime::builder().build_sharded(shards).unwrap();
-            let id = rt.session(spec(1)).on_shard(shards - 1).open().unwrap();
-            assert_eq!(id.shard_of(shards), shards - 1);
-            assert!(matches!(
-                rt.session(spec(1)).on_shard(shards).open(),
-                Err(Error::InvalidSpec(_))
-            ));
-        }
     }
 
     #[test]

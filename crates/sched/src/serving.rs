@@ -44,8 +44,8 @@ use alert_core::Selection;
 use alert_models::family::CandidateSet;
 use alert_stats::units::Seconds;
 use alert_workload::{
-    AdmissionVerdict, Goal, GoalPatch, InputRecord, QualitySpan, RequestArrival, RequestOutcome,
-    Scenario, ServingReport,
+    on_time, AdmissionVerdict, Goal, GoalPatch, InputRecord, QualitySpan, RequestArrival,
+    RequestOutcome, Scenario, ServingReport,
 };
 
 /// Default fraction of the family quality span a degraded request's
@@ -474,7 +474,8 @@ struct InFlight {
 /// # Errors
 ///
 /// Rejects a config with zero inputs per request; propagates session
-/// open/run failures.
+/// open/run failures. A request whose session fails a step is closed,
+/// its partial episode dropped, before the error returns.
 pub fn serve(
     rt: &mut Runtime,
     config: &ServingConfig,
@@ -571,10 +572,12 @@ pub fn serve(
                 seed: Some(req.seed),
                 policy: Some(config.policy.clone()),
             })
-            .on_shard(shard)
             .open()?;
-        rt.run_to_completion(id)?;
+        // A step error ends the session: close it before returning the
+        // error, so the runtime keeps no half-run request.
+        let ran = rt.run_to_completion(id);
         let episode = rt.close(id)?;
+        ran?;
 
         let service: f64 = episode.records.iter().map(|r| r.latency.get()).sum();
         let start = busy_until[shard].get().max(t.get());
@@ -584,7 +587,7 @@ pub fn serve(
         let timely = episode
             .records
             .iter()
-            .filter(|r| wait.get() + r.latency.get() <= r.deadline.get() * (1.0 + 1e-9))
+            .filter(|r| on_time(wait + r.latency, r.deadline))
             .count();
         outcomes.push(RequestOutcome {
             index: req.index,

@@ -31,7 +31,7 @@ use alert_core::DecisionTrace;
 use alert_stats::cputime::SampledStopwatch;
 use alert_stats::telemetry::{MetricsRegistry, MetricsSnapshot, RingBuffer, Scope};
 use alert_stats::units::Seconds;
-use alert_workload::{AdmissionVerdict, SessionId};
+use alert_workload::{on_time, AdmissionVerdict, SessionId};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -84,7 +84,8 @@ pub struct DecisionEvent {
     pub deadline: Seconds,
     /// Measured execution latency of the input.
     pub realized_latency: Seconds,
-    /// `true` when the realized latency exceeded the deadline.
+    /// `true` when the realized latency missed the deadline, by the rule
+    /// Table 4 counts misses with ([`alert_workload::on_time`]).
     pub missed: bool,
 }
 
@@ -189,7 +190,7 @@ impl EventSink for MetricsCollector {
             EpisodeEvent::InputProcessed { record, .. } => {
                 reg.counter_add("inputs", Scope::Global, 1);
                 reg.histogram_observe("latency_s", Scope::Global, record.latency.get());
-                if !record.warmup && record.latency.get() > record.deadline.get() {
+                if !record.warmup && !on_time(record.latency, record.deadline) {
                     reg.counter_add("deadline_misses", Scope::Global, 1);
                 }
             }

@@ -45,7 +45,7 @@ pub use admission::{
     generate_storm, AdmissionVerdict, RequestArrival, RequestOutcome, ServingReport, StormSpec,
 };
 pub use constraints::{constraint_grid, quality_span, Goal, Objective};
-pub use record::{EpisodeSummary, InputRecord};
+pub use record::{on_time, EpisodeSummary, InputRecord};
 pub use scenario::Scenario;
 pub use script::{
     ArrivalProcess, ArrivalSampler, GoalPatch, QualitySpan, ScenarioScript, ScriptEvent,

@@ -17,6 +17,16 @@ use serde::{Deserialize, Serialize};
 /// Fraction of inputs allowed to violate before a setting is disqualified.
 pub const VIOLATION_DISQUALIFY_FRACTION: f64 = 0.10;
 
+/// Whether a delivered `latency` meets `deadline`: the one deadline rule
+/// behind every account of a miss (Table 4's violations and miss rate,
+/// the Oracle's picks, the serving front-end's timely inputs, the
+/// telemetry miss flags). A relative band of 1e-9 absorbs the rounding
+/// of a latency planned to land on its deadline; a NaN latency is never
+/// on time.
+pub fn on_time(latency: Seconds, deadline: Seconds) -> bool {
+    latency.get() <= deadline.get() * (1.0 + 1e-9)
+}
+
 /// One processed input.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InputRecord {
@@ -77,7 +87,7 @@ impl InputRecord {
     /// [`EpisodeSummary::disqualified`].
     pub fn violates(&self, goal: &Goal) -> bool {
         // Latency is always a constraint (Eqs. 1–2).
-        if self.latency.get() > self.deadline.get() * (1.0 + 1e-9) {
+        if !on_time(self.latency, self.deadline) {
             return true;
         }
         match goal.objective {
@@ -132,7 +142,7 @@ impl EpisodeSummary {
         let violations = measured.iter().filter(|r| r.violates(goal)).count();
         let misses = measured
             .iter()
-            .filter(|r| r.latency.get() > r.deadline.get() * (1.0 + 1e-9))
+            .filter(|r| !on_time(r.latency, r.deadline))
             .count();
         let avg = |f: &dyn Fn(&InputRecord) -> f64| -> f64 {
             if n == 0 {
@@ -148,7 +158,7 @@ impl EpisodeSummary {
         // the accuracy goal as well.
         let timely: Vec<&&InputRecord> = measured
             .iter()
-            .filter(|r| r.latency.get() <= r.deadline.get() * (1.0 + 1e-9))
+            .filter(|r| on_time(r.latency, r.deadline))
             .collect();
         // The floor in force may move mid-stream (scripted goal
         // changes): judge the average quality against the average of the
@@ -235,6 +245,25 @@ mod tests {
         assert!(!record(0.09, 0.1, 0.85, 5.0).violates(&goal));
         // Energy is unconstrained here.
         assert!(!record(0.09, 0.1, 0.95, 1e9).violates(&goal));
+    }
+
+    #[test]
+    fn the_deadline_band_ends_at_one_part_in_a_billion_and_nan_misses() {
+        let deadline = Seconds(0.1);
+        let edge = 0.1 * (1.0 + 1e-9);
+        assert!(on_time(Seconds(edge), deadline));
+        let past = Seconds(f64::from_bits(edge.to_bits() + 1));
+        assert!(!on_time(past, deadline));
+        assert!(!on_time(Seconds(f64::NAN), deadline));
+        // The summary counts by the same rule: the band's edge is on
+        // time, a NaN latency is a miss and a violation.
+        let goal = Goal::minimize_energy(deadline, 0.9);
+        let records = [
+            record(edge, 0.1, 0.95, 1.0),
+            record(f64::NAN, 0.1, 0.95, 1.0),
+        ];
+        let s = EpisodeSummary::from_records(&records, &goal);
+        assert_eq!((s.violations, s.deadline_miss_rate), (1, 0.5));
     }
 
     #[test]

@@ -14,10 +14,9 @@ use serde::{Deserialize, Serialize};
 pub struct SessionId(pub u64);
 
 impl SessionId {
-    /// The worker shard owning this session under a `shards`-way
-    /// partition: plain modulo, so a sharded runtime that allocates ids
-    /// with stride `shards` (shard `k` hands out `k, k + shards, …`)
-    /// routes every id back to its owner without a lookup table.
+    /// The shard this session falls in when a runtime's drain splits its
+    /// sessions `shards` ways: plain modulo, so the dense ids a runtime
+    /// hands out (0, 1, 2, …) spread evenly over the shards.
     ///
     /// # Panics
     ///
@@ -83,7 +82,7 @@ mod tests {
         assert_eq!(SessionId(0).shard_of(4), 0);
         assert_eq!(SessionId(7).shard_of(4), 3);
         assert_eq!(SessionId(8).shard_of(4), 0);
-        // Stride-allocated ids route back to their allocating shard.
+        // Ids `k, k + 5, k + 10` fall in shard `k` of five.
         for shard in 0..5u64 {
             for round in 0..3u64 {
                 let id = SessionId(shard + round * 5);

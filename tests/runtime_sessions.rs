@@ -403,6 +403,46 @@ fn out_of_range_decisions_are_step_errors() {
     }
 }
 
+/// A step error ends its session in `serve` as in `submit`: the served
+/// request's session is closed before the error returns, so the runtime
+/// keeps no half-run session.
+#[test]
+fn serve_closes_a_session_whose_step_failed() {
+    use alert::sched::prelude::{
+        generate_storm, serve, AlwaysAdmit, ArrivalProcess, ServingConfig, StormSpec,
+    };
+    let mut registry = PolicyRegistry::builtin();
+    registry.register_fn("FixedPick", |ctx| {
+        let cap = ctx.node[0].default_cap();
+        Ok(Box::new(FixedPick {
+            model: 0,
+            device: 3,
+            cap,
+        }) as Box<dyn Scheduler>)
+    });
+    let mut rt = Runtime::builder().registry(registry).build().unwrap();
+    let config = ServingConfig {
+        policy: "FixedPick".into(),
+        ..ServingConfig::new(Goal::minimize_energy(Seconds(0.4), 0.9))
+    };
+    let storm = generate_storm(
+        &StormSpec {
+            arrival: ArrivalProcess::Periodic,
+            n_requests: 3,
+            mean_gap: Seconds(1.0),
+            seed: 1,
+        },
+        None,
+    )
+    .unwrap();
+    let err = serve(&mut rt, &config, &storm, &mut AlwaysAdmit).unwrap_err();
+    assert!(
+        matches!(err, Error::Step(StepError::OutOfRange { .. })),
+        "{err}"
+    );
+    assert_eq!(rt.session_count(), 0);
+}
+
 /// A built-in scheme on a node where none of the models it needs fits
 /// refuses to build: opening its session reports a policy build error,
 /// never a panic. Every scheme that does open serves its first input.
