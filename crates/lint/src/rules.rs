@@ -117,10 +117,9 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: METRIC_NAME_DISCIPLINE,
-        summary: "metric registration/recording calls (declare_counter/declare_gauge/\
-                  declare_histogram/counter_add/gauge_set/histogram_observe) must \
-                  pass a 'static string-literal name; no format!/computed names \
-                  on the recording path",
+        summary: "metric recording calls (counter_add/gauge_set/histogram_observe) \
+                  must pass a 'static string-literal name; no format!/computed \
+                  names on the recording path",
     },
     RuleInfo {
         id: ALLOW_NEEDS_REASON,
@@ -644,18 +643,11 @@ fn lhs_is_float_literal(masked: &[u8], i: usize) -> bool {
     !(is_word(masked[m]) || masked[m] == b'.')
 }
 
-/// The metric registration/recording methods whose first argument is a
-/// metric name (see `alert_stats::telemetry::MetricsRegistry`). The
-/// registry's snapshot keys on these names, so a computed name both
-/// allocates on the hot path and breaks snapshot byte-determinism.
-const METRIC_FNS: &[&[u8]] = &[
-    b"declare_counter",
-    b"declare_gauge",
-    b"declare_histogram",
-    b"counter_add",
-    b"gauge_set",
-    b"histogram_observe",
-];
+/// The metric recording methods whose first argument is a metric name
+/// (see `alert_stats::telemetry::MetricsRegistry`). The registry's
+/// snapshot keys on these names, so a computed name both allocates on
+/// the hot path and breaks snapshot byte-determinism.
+const METRIC_FNS: &[&[u8]] = &[b"counter_add", b"gauge_set", b"histogram_observe"];
 
 /// `metric-name-discipline`: every call to a [`METRIC_FNS`] method must
 /// pass a string literal (plain or raw) as its first argument — the

@@ -6,10 +6,10 @@ pub fn record(reg: &mut Registry, id: u64, dynamic: &'static str) {
     reg.counter_add(&format!("decisions_{id}"), Scope::Global, 1); // finding
     reg.gauge_set(dynamic, Scope::Global, 1.0); // finding
     reg.histogram_observe(name_for(id), Scope::Global, 0.5); // finding
-    reg.declare_counter(concat!("a", "b"), Scope::Global); // finding
-    reg.declare_gauge(r#"idle_ratio"#, Scope::Global); // fine: raw literal
+    reg.counter_add(concat!("a", "b"), Scope::Global, 1); // finding
+    reg.gauge_set(r#"idle_ratio"#, Scope::Global, 0.0); // fine: raw literal
     // lint:allow(metric-name-discipline): migration shim keeps a legacy dynamic name
-    reg.declare_histogram(dynamic, Scope::Global, 1e-9, 1.0, 30);
+    reg.histogram_observe(dynamic, Scope::Global, 1e-9);
 }
 
 pub fn counter_add(reg: &mut Registry, name: &'static str) {

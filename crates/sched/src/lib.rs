@@ -34,9 +34,8 @@
 //!   saturation-curve bench.
 //! * [`telemetry`] — the deterministic observability layer: typed
 //!   [`TelemetryEvent`]s on the existing
-//!   event fan-out, deterministic sampling by input index
-//!   ([`TelemetryConfig`]), metric folding
-//!   ([`MetricsCollector`] over
+//!   event fan-out, on for every decision or off ([`TelemetryConfig`]),
+//!   metric folding ([`MetricsCollector`] over
 //!   `alert_stats::telemetry`), and the miss-explanation
 //!   [`FlightRecorder`] — all strictly off
 //!   the decision value path, so every bit-identity gate holds with

@@ -183,6 +183,8 @@ pub struct SessionSnapshot {
     /// into a runtime with a different default policy is safe.
     pub spec: SessionSpec,
     /// Reporting name of the scheme that was driving the session.
+    /// Restore refuses a name other than the scheme `spec`'s policy
+    /// builds.
     pub scheme: String,
     /// Engine state: cursor, shared-deadline budget, records, overhead.
     pub engine: SessionEngine,
@@ -431,7 +433,7 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Sets how much decision telemetry the runtime emits (default:
+    /// Sets whether the runtime emits decision telemetry (default:
     /// [`TelemetryConfig::Off`](crate::telemetry::TelemetryConfig::Off)
     /// — no telemetry events, byte-identical to the historical
     /// runtime). Telemetry is runtime instrumentation, not workload
@@ -775,7 +777,7 @@ impl Runtime {
     }
 
     /// Builds the decision-telemetry event for a freshly stepped input,
-    /// when the config samples it and the scheme keeps a trace. Pure
+    /// when telemetry is on and the scheme keeps a trace. Pure
     /// observation: it only *reads* the trace the controller recorded on
     /// its own, after the selection was final.
     pub(crate) fn decision_telemetry(
@@ -784,7 +786,7 @@ impl Runtime {
         record: &InputRecord,
         scheduler: &dyn Scheduler,
     ) -> Option<EpisodeEvent> {
-        if !config.records(record.index) {
+        if config != crate::telemetry::TelemetryConfig::Full {
             return None;
         }
         let trace = scheduler.decision_trace()?;
@@ -972,7 +974,8 @@ impl Runtime {
     /// # Errors
     ///
     /// [`Error::InvalidSpec`] when this runtime differs from the
-    /// snapshot's origin, when the engine state is inconsistent, when a
+    /// snapshot's origin, when the engine state is inconsistent, when its
+    /// scheme label is not the scheme its policy builds, when a
     /// started session carries no controller state, when the controller
     /// state is one no controller reaches or embeds other Kalman
     /// constants than the policy builds with, or when a mid-sentence cut
@@ -1039,6 +1042,15 @@ impl Runtime {
                 .map_err(|e| Error::InvalidSpec(format!("controller state: {e}")))?;
         }
         let (spec, stream, env, mut scheduler) = self.materialize(snap.spec.clone())?;
+        // The label names the scheme in the session's events and closed
+        // episode, so it must be the scheme the snapshot's policy builds.
+        if snap.scheme != scheduler.name() {
+            return Err(Error::InvalidSpec(format!(
+                "snapshot names scheme {:?}, but its policy builds {:?}",
+                snap.scheme,
+                scheduler.name()
+            )));
+        }
         // A snapshot carries learned state, not configuration: its ξ
         // filter must embed the Kalman constants this runtime's policy
         // builds with. Restoring others would install constants no
@@ -1089,7 +1101,7 @@ impl Runtime {
         }
         Ok(self.insert_session(Session {
             spec: Some(spec),
-            scheme: snap.scheme.clone(),
+            scheme: scheduler.name().to_string(),
             scheduler,
             env,
             stream,

@@ -1,5 +1,5 @@
-//! The decision-path telemetry layer: typed events, sampling, metric
-//! collection, and the miss-explanation flight recorder.
+//! The decision-path telemetry layer: typed events, metric collection,
+//! and the miss-explanation flight recorder.
 //!
 //! Telemetry rides the existing [`EventSink`] fan-out as a new
 //! [`EpisodeEvent::Telemetry`] variant, so every delivery guarantee the
@@ -15,13 +15,16 @@
 //!   CPU-metered decision window, so `EpisodeSummary::overhead` is
 //!   comparable with telemetry on or off;
 //! * recording is deterministic: no wall clocks (the flight recorder is
-//!   virtual-time stamped — its clock advances on every processed input
-//!   — and meters only its own cost, one ingest in
-//!   [`alert_stats::cputime::SAMPLE_STRIDE`], via the sanctioned
-//!   [`alert_stats::cputime`]), no `HashMap` iteration (`BTreeMap`
-//!   everywhere), and sampling decides by input index, not by time.
+//!   virtual-time stamped — each decision advances its session's clock
+//!   by the input's realized latency — and meters only its own cost,
+//!   one ingest in [`alert_stats::cputime::SAMPLE_STRIDE`], via the
+//!   sanctioned [`alert_stats::cputime`]) and no `HashMap` iteration
+//!   (`BTreeMap` everywhere).
 //!
-//! With [`TelemetryConfig::Off`] (the default), the runtime emits no
+//! Telemetry is all or nothing: under [`TelemetryConfig::Full`] every
+//! input of a scheme that keeps a decision trace emits its decision
+//! event, so a fold over the stream sees every decision. With
+//! [`TelemetryConfig::Off`] (the default), the runtime emits no
 //! telemetry events and sink-free hot paths skip event construction
 //! entirely — the telemetry-off runtime is byte-for-byte the historical
 //! one.
@@ -37,31 +40,14 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// How much decision telemetry the runtime emits.
-///
-/// Sampling is deterministic — a decision event is emitted iff
-/// `input_index % k == 0` — so a sampled stream is a strict, replayable
-/// subset of the full stream.
+/// Whether the runtime emits decision telemetry: every decision or none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TelemetryConfig {
     /// No telemetry events (the historical runtime, byte-for-byte).
     #[default]
     Off,
-    /// One decision event per `k` inputs (`index % k == 0`).
-    Sampled(usize),
     /// A decision event for every input.
     Full,
-}
-
-impl TelemetryConfig {
-    /// Whether the decision for input `index` is recorded.
-    pub fn records(&self, index: usize) -> bool {
-        match self {
-            TelemetryConfig::Off => false,
-            TelemetryConfig::Sampled(k) => *k > 0 && index.is_multiple_of(*k),
-            TelemetryConfig::Full => true,
-        }
-    }
 }
 
 /// One scheduling decision, joined with its realized outcome — the
@@ -250,7 +236,7 @@ pub struct FlightEntry {
 pub struct SessionFlight {
     /// The session's virtual time at its most recent ingested decision:
     /// the cumulative realized latency of every input through that
-    /// decision's input, sampled out or not.
+    /// decision's input.
     pub clock: Seconds,
     /// The last-N-decisions window.
     pub window: RingBuffer<FlightEntry>,
@@ -260,34 +246,27 @@ pub struct SessionFlight {
 
 struct RecorderInner {
     capacity: usize,
-    /// Every session's virtual clock: the cumulative realized latency of
-    /// the inputs ingested so far.
-    clocks: BTreeMap<u64, Seconds>,
     /// Sessions with at least one ingested decision.
     sessions: BTreeMap<u64, SessionFlight>,
     recording_cost: Seconds,
 }
 
 impl RecorderInner {
-    /// Stamps `d` with its session's clock and retains it.
+    /// Advances `d`'s session clock by its realized latency, stamps `d`
+    /// with the new value and retains it.
     fn record(&mut self, d: &DecisionEvent) {
-        let at = self
-            .clocks
-            .get(&d.session.0)
-            .copied()
-            .unwrap_or(Seconds::ZERO);
         let capacity = self.capacity;
         let flight = self
             .sessions
             .entry(d.session.0)
             .or_insert_with(|| SessionFlight {
-                clock: at,
+                clock: Seconds::ZERO,
                 window: RingBuffer::new(capacity),
                 last_miss: None,
             });
-        flight.clock = at;
+        flight.clock += d.realized_latency;
         let entry = FlightEntry {
-            at,
+            at: flight.clock,
             event: d.clone(),
         };
         if d.missed {
@@ -303,24 +282,22 @@ impl RecorderInner {
 /// trace — the belief the controller held, the candidates it weighed,
 /// what it picked, what it predicted, and what actually happened.
 ///
-/// A session's virtual clock advances on every
-/// [`EpisodeEvent::InputProcessed`], which the runtime emits before that
-/// input's decision event, so stamps stay exact when decision telemetry
-/// is sampled. A recorder fed decision events alone stamps them zero.
+/// A session's virtual clock advances by each decision event's
+/// realized latency. Under [`TelemetryConfig::Full`] a scheme that
+/// keeps a decision trace emits one decision event per input, so each
+/// stamp is the session's cumulative realized latency through that
+/// input. Every other event is ignored.
 ///
 /// Ingest cost is metered on the sanctioned CPU clock
 /// ([`alert_stats::cputime`]) and accumulated in
 /// [`FlightRecorder::recording_cost`] — the recorder audits its own
 /// overhead instead of hiding it. Each handle meters one ingest in
-/// [`alert_stats::cputime::SAMPLE_STRIDE`] per event kind, its first
-/// one included, and charges the rest the latest metered cost.
+/// [`alert_stats::cputime::SAMPLE_STRIDE`], its first one included, and
+/// charges the rest the latest metered cost.
 #[derive(Clone)]
 pub struct FlightRecorder {
     inner: Arc<Mutex<RecorderInner>>,
-    /// One meter per event kind: the two kinds cost differently and
-    /// alternate, so one shared stride would meter only one of them.
-    input_meter: SampledStopwatch,
-    decision_meter: SampledStopwatch,
+    meter: SampledStopwatch,
 }
 
 impl FlightRecorder {
@@ -330,12 +307,10 @@ impl FlightRecorder {
         FlightRecorder {
             inner: Arc::new(Mutex::new(RecorderInner {
                 capacity,
-                clocks: BTreeMap::new(),
                 sessions: BTreeMap::new(),
                 recording_cost: Seconds::ZERO,
             })),
-            input_meter: SampledStopwatch::new(),
-            decision_meter: SampledStopwatch::new(),
+            meter: SampledStopwatch::new(),
         }
     }
 
@@ -376,40 +351,23 @@ impl FlightRecorder {
 
     /// Total CPU time charged to this recorder's ingests — self-metered
     /// on the sanctioned thread-CPU clock, one ingest in
-    /// [`alert_stats::cputime::SAMPLE_STRIDE`] per event kind, each
-    /// unmetered ingest charged the latest metered cost.
+    /// [`alert_stats::cputime::SAMPLE_STRIDE`], each unmetered ingest
+    /// charged the latest metered cost.
     pub fn recording_cost(&self) -> Seconds {
         self.inner.lock().recording_cost
     }
 }
 
-/// Runs one ingest under the recorder's lock and adds the cost `meter`
-/// charges it to the recording cost.
-fn ingest(
-    inner: &Mutex<RecorderInner>,
-    meter: &mut SampledStopwatch,
-    apply: impl FnOnce(&mut RecorderInner),
-) {
-    let started = meter.start();
-    let mut inner = inner.lock();
-    apply(&mut inner);
-    inner.recording_cost += Seconds(meter.charge(started).as_secs_f64());
-}
-
 impl EventSink for FlightRecorder {
     fn emit(&mut self, event: &EpisodeEvent) {
-        match event {
-            EpisodeEvent::InputProcessed { session, record } => {
-                ingest(&self.inner, &mut self.input_meter, |inner| {
-                    *inner.clocks.entry(session.0).or_insert(Seconds::ZERO) += record.latency;
-                });
-            }
-            EpisodeEvent::Telemetry {
-                event: TelemetryEvent::Decision(d),
-            } => ingest(&self.inner, &mut self.decision_meter, |inner| {
-                inner.record(d)
-            }),
-            _ => {}
+        if let EpisodeEvent::Telemetry {
+            event: TelemetryEvent::Decision(d),
+        } = event
+        {
+            let started = self.meter.start();
+            let mut inner = self.inner.lock();
+            inner.record(d);
+            inner.recording_cost += Seconds(self.meter.charge(started).as_secs_f64());
         }
     }
 }
@@ -531,42 +489,6 @@ mod tests {
         }
     }
 
-    /// The `InputProcessed` event the runtime emits before the decision
-    /// event of the same input.
-    fn processed(index: usize, latency: f64) -> EpisodeEvent {
-        use alert_stats::units::{Joules, Watts};
-        EpisodeEvent::InputProcessed {
-            session: SessionId(3),
-            record: alert_workload::InputRecord {
-                index,
-                device: 0,
-                model: "m".into(),
-                cap: Watts(20.0),
-                latency: Seconds(latency),
-                deadline: Seconds(0.4),
-                goal_deadline: Seconds(0.4),
-                period: Seconds(0.4),
-                scale: 1.0,
-                min_quality: None,
-                energy_budget: None,
-                quality: 0.9,
-                energy: Joules(4.0),
-                slowdown: Some(1.0),
-                contention_active: false,
-                warmup: false,
-            },
-        }
-    }
-
-    #[test]
-    fn sampling_records_every_kth_input() {
-        let recorded = |c: TelemetryConfig| (0..10).filter(|&i| c.records(i)).collect::<Vec<_>>();
-        assert_eq!(recorded(TelemetryConfig::Sampled(3)), vec![0, 3, 6, 9]);
-        assert!(recorded(TelemetryConfig::Sampled(0)).is_empty());
-        assert!(recorded(TelemetryConfig::Off).is_empty());
-        assert_eq!(recorded(TelemetryConfig::Full).len(), 10);
-    }
-
     #[test]
     fn metrics_collector_counts_decisions_and_tracks_beliefs() {
         let collector = MetricsCollector::new();
@@ -586,7 +508,6 @@ mod tests {
         let recorder = FlightRecorder::with_capacity(3);
         let mut sink = recorder.clone();
         for i in 0..8 {
-            sink.emit(&processed(i, 0.1));
             sink.emit(&telemetry(i, i == 2, 0.1));
         }
         let dump = recorder.dump_session(SessionId(3));

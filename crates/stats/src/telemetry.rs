@@ -11,8 +11,9 @@
 //! shortest-round-trip floats).
 //!
 //! The registry lives in the stats crate (the leaf of the workspace
-//! DAG) so the scheduler, runtime, executor and serving front-end can
-//! all record into it without new edges in the layer graph.
+//! DAG) so any layer can record into it without new edges in the layer
+//! graph. A parallel drain forwards its workers' events to the calling
+//! thread's sinks, so one registry sees a whole runtime.
 
 use crate::histogram::Histogram;
 use serde::{Deserialize, Serialize};
@@ -76,11 +77,13 @@ impl LogHistogram {
         })
     }
 
-    /// The default range for time-like observations: 1 µs to ~16 s,
-    /// 48 bins (two per octave). The range is statically valid, so this
-    /// only returns `None` if [`LogHistogram::new`]'s contract changes.
+    /// The default range for time-like observations: 1 ns to 1000 s in
+    /// 80 bins, about two per octave. The controller floors a decision's
+    /// recorded cost at 1 ns, so no cost falls below the range. The
+    /// range is statically valid, so this only returns `None` if
+    /// [`LogHistogram::new`]'s contract changes.
     pub fn time_range() -> Option<Self> {
-        LogHistogram::new(1e-6, 16.0, 48)
+        LogHistogram::new(1e-9, 1000.0, 80)
     }
 
     /// Records one observation. Values that are not finite and positive
@@ -107,11 +110,6 @@ impl LogHistogram {
     /// Count of non-positive / non-finite observations.
     pub fn nonpositive(&self) -> u64 {
         self.nonpositive
-    }
-
-    /// The underlying `log2`-space histogram.
-    pub fn inner(&self) -> &Histogram {
-        &self.inner
     }
 }
 
@@ -151,35 +149,6 @@ impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         MetricsRegistry::default()
-    }
-
-    /// Pre-registers a counter at zero so it appears in snapshots even
-    /// if never incremented.
-    pub fn declare_counter(&mut self, name: &'static str, scope: Scope) {
-        self.counters.entry(MetricKey { name, scope }).or_insert(0);
-    }
-
-    /// Pre-registers a gauge at zero.
-    pub fn declare_gauge(&mut self, name: &'static str, scope: Scope) {
-        self.gauges.entry(MetricKey { name, scope }).or_insert(0.0);
-    }
-
-    /// Pre-registers a histogram with an explicit log-space range;
-    /// ignored (keeps the existing series) if already declared or the
-    /// range is invalid.
-    pub fn declare_histogram(
-        &mut self,
-        name: &'static str,
-        scope: Scope,
-        min: f64,
-        max: f64,
-        bins: usize,
-    ) {
-        if let Some(h) = LogHistogram::new(min, max, bins) {
-            self.histograms
-                .entry(MetricKey { name, scope })
-                .or_insert(h);
-        }
     }
 
     /// Adds `n` to a counter (registering it on first touch).
@@ -225,22 +194,6 @@ impl MetricsRegistry {
     /// Reads a histogram back, if it was ever touched.
     pub fn histogram(&self, name: &'static str, scope: Scope) -> Option<&LogHistogram> {
         self.histograms.get(&MetricKey { name, scope })
-    }
-
-    /// Merges another registry into this one (counters add, gauges take
-    /// the other's value, histogram bins add when shapes match, else
-    /// the other's series wins). Used to fold per-shard registries into
-    /// a global one after a parallel drain.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(*k).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(*k, *v);
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.insert(*k, h.clone());
-        }
     }
 
     /// A deterministic, serializable view of the whole registry.
@@ -305,7 +258,7 @@ impl MetricsSnapshot {
 ///
 /// Capacity 0 is legal and degenerate — every push is immediately
 /// evicted. Serialization preserves logical (oldest-first) order, so a
-/// serde round trip reproduces iteration order exactly. (The serde
+/// serde round trip reproduces [`RingBuffer::to_vec`] exactly. (The serde
 /// impls are hand-written: the vendored serde shim's derive does not
 /// handle generic types.)
 #[derive(Debug, Clone, PartialEq)]
@@ -375,36 +328,6 @@ impl<T> RingBuffer<T> {
         self.items.push_back(item);
         evicted
     }
-
-    /// Number of retained entries.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// `true` when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// The configured bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Oldest-to-newest iteration over retained entries.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
-    }
-
-    /// The most recent entry, if any.
-    pub fn last(&self) -> Option<&T> {
-        self.items.back()
-    }
-
-    /// Drops all retained entries (the capacity is kept).
-    pub fn clear(&mut self) {
-        self.items.clear();
-    }
 }
 
 impl<T: Clone> RingBuffer<T> {
@@ -450,15 +373,14 @@ mod tests {
     }
 
     #[test]
-    fn declared_metrics_appear_at_zero() {
-        let mut r = MetricsRegistry::new();
-        r.declare_counter("sheds", Scope::Global);
-        r.declare_gauge("idle_ratio", Scope::Global);
-        r.declare_histogram("cost_s", Scope::Global, 1e-9, 1.0, 30);
-        let snap = r.snapshot();
-        assert_eq!(snap.counters["sheds"], 0);
-        assert_eq!(snap.gauges["idle_ratio"], 0.0);
-        assert_eq!(snap.histograms["cost_s"].counts.iter().sum::<u64>(), 0);
+    fn time_range_spans_a_nanosecond_to_a_thousand_seconds() {
+        let mut h = LogHistogram::time_range().unwrap();
+        h.observe(1e-9);
+        h.observe(999.0);
+        let counts = h.counts();
+        assert_eq!(counts.len(), 80);
+        assert_eq!((counts[0], counts[79]), (1, 1));
+        assert_eq!(counts.iter().sum::<u64>(), 2, "nothing under- or overflows");
     }
 
     #[test]
@@ -497,24 +419,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_folds_counters_and_series() {
-        let mut a = MetricsRegistry::new();
-        a.counter_add("n", Scope::Global, 2);
-        let mut b = MetricsRegistry::new();
-        b.counter_add("n", Scope::Global, 3);
-        b.gauge_set("g", Scope::Shard(0), 1.0);
-        a.merge(&b);
-        assert_eq!(a.counter("n", Scope::Global), 5);
-        assert_eq!(a.gauge("g", Scope::Shard(0)), Some(1.0));
-    }
-
-    #[test]
     fn ring_buffer_capacity_zero_bounces_everything() {
         let mut rb: RingBuffer<u32> = RingBuffer::new(0);
         assert_eq!(rb.push(1), Some(1));
         assert_eq!(rb.push(2), Some(2));
-        assert!(rb.is_empty());
-        assert_eq!(rb.last(), None);
+        assert!(rb.to_vec().is_empty());
     }
 
     #[test]
@@ -533,8 +442,6 @@ mod tests {
             rb.push(i);
         }
         assert_eq!(rb.to_vec(), vec![7, 8, 9]);
-        assert_eq!(rb.len(), 3);
-        assert_eq!(rb.last(), Some(&9));
     }
 
     #[test]

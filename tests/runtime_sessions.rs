@@ -621,3 +621,36 @@ fn restore_rejects_a_snapshot_with_other_kalman_constants() {
     let id = rt.restore_session(&good).unwrap();
     assert_eq!(rt.run_to_completion(id).unwrap(), 55);
 }
+
+/// The scheme label names the scheme in a restored session's events and
+/// closed episode, and a snapshot is JSON from outside the program:
+/// restore refuses a label other than the scheme the snapshot's policy
+/// builds, so no episode reports one scheme while another runs.
+#[test]
+fn restore_rejects_a_scheme_label_its_policy_does_not_build() {
+    let spec = SessionSpec {
+        goal: Goal::minimize_energy(Seconds(0.4), 0.9),
+        scenario: Scenario::memory_env(7),
+        n_inputs: 60,
+        seed: Some(7),
+        policy: None,
+    };
+    let mut rt = Runtime::builder().build().unwrap();
+    let id = rt.session(spec).open().unwrap();
+    for _ in 0..5 {
+        rt.submit(id).unwrap();
+    }
+    let good = rt.snapshot_session(id).unwrap();
+    assert_eq!(good.scheme, "ALERT");
+    let mut relabeled = good.clone();
+    relabeled.scheme = "Oracle".into();
+    let err = rt.restore_session(&relabeled).unwrap_err();
+    assert!(
+        matches!(err, Error::InvalidSpec(_)),
+        "expected InvalidSpec, got {err}"
+    );
+
+    let id = rt.restore_session(&good).unwrap();
+    rt.run_to_completion(id).unwrap();
+    assert_eq!(rt.close(id).unwrap().scheme, "ALERT");
+}

@@ -2,7 +2,7 @@
 //! invisible to every value the repository guarantees bit-identity for.
 //!
 //! * Scheme × scenario-library episodes are bit-identical with
-//!   telemetry off, sampled, and full (property test over seeds).
+//!   telemetry off and full (property test over seeds).
 //! * The round-robin reference ≡ sharded drain identity holds with full
 //!   telemetry enabled, and the decision-telemetry streams themselves
 //!   match per session between the two.
@@ -15,8 +15,8 @@
 //!   considered, the selected configuration, predicted vs realized
 //!   latency.
 //! * Flight-recorder stamps are the session's cumulative realized
-//!   latency through each input, with decision telemetry sampled or
-//!   full.
+//!   latency through each input, whether the session is stepped by
+//!   `run_to_completion` or by a sharded drain.
 
 mod common;
 
@@ -73,40 +73,36 @@ fn episode(
     rt.close(id).expect("session closes")
 }
 
-/// Asserts one scheme × scenario cell is bit-identical across
-/// telemetry off, sampled 1-in-3, and full.
+/// Asserts one scheme × scenario cell is bit-identical with telemetry
+/// off and full.
 fn assert_cell_unperturbed(scheme: &str, scenario: &Scenario, seed: u64) {
     let off = episode(scheme, scenario, None, seed, 16);
-    for cfg in [TelemetryConfig::Sampled(3), TelemetryConfig::Full] {
-        let on = episode(scheme, scenario, Some(cfg), seed, 16);
-        assert_eq!(
-            off.records,
-            on.records,
-            "{} × {} diverged under {:?}",
-            scheme,
-            scenario.name(),
-            cfg
-        );
-        // `overhead` is measured CPU time — metrology, not value-path
-        // data — so it differs bitwise between ANY two runs, telemetry
-        // or not. Everything else must match exactly.
-        let mut off_summary = off.summary.clone();
-        off_summary.overhead = Seconds(0.0);
-        let mut on_summary = on.summary.clone();
-        on_summary.overhead = Seconds(0.0);
-        assert_eq!(
-            off_summary,
-            on_summary,
-            "{} × {} summary diverged under {:?}",
-            scheme,
-            scenario.name(),
-            cfg
-        );
-    }
+    let on = episode(scheme, scenario, Some(TelemetryConfig::Full), seed, 16);
+    assert_eq!(
+        off.records,
+        on.records,
+        "{} × {} diverged under full telemetry",
+        scheme,
+        scenario.name()
+    );
+    // `overhead` is measured CPU time — metrology, not value-path data —
+    // so it differs bitwise between ANY two runs, telemetry or not.
+    // Everything else must match exactly.
+    let mut off_summary = off.summary.clone();
+    off_summary.overhead = Seconds(0.0);
+    let mut on_summary = on.summary.clone();
+    on_summary.overhead = Seconds(0.0);
+    assert_eq!(
+        off_summary,
+        on_summary,
+        "{} × {} summary diverged under full telemetry",
+        scheme,
+        scenario.name()
+    );
 }
 
 /// Exhaustive: EVERY scheme × scenario-library cell is bit-identical
-/// with telemetry off, sampled, and full.
+/// with telemetry off and full.
 #[test]
 fn telemetry_never_perturbs_any_scheme_scenario_cell() {
     for scenario in Scenario::library(42) {
@@ -411,88 +407,88 @@ fn cap_storm_miss_is_explainable_from_the_flight_recorder() {
     assert_eq!(dump.last().expect("non-empty").event.index, 59);
 }
 
-/// Deterministic sampling yields exactly the `index % k == 0` subset of
-/// the full decision stream.
-#[test]
-fn sampled_stream_is_the_modular_subset_of_full() {
-    let run = |cfg: TelemetryConfig| {
-        let (tx, rx) = mpsc::channel();
-        let mut rt = Runtime::builder()
-            .seed(3)
-            .telemetry(cfg)
-            .sink(tx)
-            .build()
-            .expect("builtin policy resolves");
-        let id = rt
-            .session(SessionSpec {
-                goal: Goal::minimize_energy(Seconds(0.4), 0.9),
-                scenario: Scenario::default_env(),
-                n_inputs: 20,
-                seed: Some(3),
-                policy: None,
-            })
-            .open()
-            .expect("session opens");
-        rt.run_to_completion(id).expect("session runs");
-        rt.close(id).expect("session closes");
-        drop(rt);
-        decision_streams(rx).remove(&id).unwrap_or_default()
-    };
-    let full = run(TelemetryConfig::Full);
-    let sampled = run(TelemetryConfig::Sampled(4));
-    assert_eq!(full.len(), 20);
-    assert_eq!(sampled.len(), 5);
-    let expected: Vec<_> = full.into_iter().filter(|d| d.index % 4 == 0).collect();
-    assert_eq!(sampled, expected);
+/// Asserts that `recorder` retains every decision of `id`, each stamped
+/// with the session's cumulative realized latency through its input,
+/// bit for bit, and that the session's clock is its last stamp.
+fn assert_stamps_are_cumulative_latency(
+    recorder: &FlightRecorder,
+    id: SessionId,
+    records: &[alert::workload::InputRecord],
+) {
+    let dump = recorder.dump_session(id);
+    assert_eq!(dump.len(), records.len(), "{id}");
+    let mut through = Seconds::ZERO;
+    for (entry, record) in dump.iter().zip(records) {
+        assert_eq!(entry.event.index, record.index, "{id}");
+        through += record.latency;
+        assert_eq!(
+            entry.at.get().to_bits(),
+            through.get().to_bits(),
+            "{id}: entry {} stamped {} but the session's latency through it is {}",
+            record.index,
+            entry.at,
+            through
+        );
+    }
+    let flight = recorder.flight(id).expect("flight exists");
+    assert_eq!(flight.clock, dump.last().expect("non-empty").at, "{id}");
 }
 
-/// The flight recorder's virtual clock advances on every processed
-/// input, not only on sampled decisions: each retained entry is stamped
-/// with the session's cumulative realized latency through its input,
-/// whether decision telemetry is sampled or full.
+/// Each retained entry is stamped with the session's cumulative
+/// realized latency through its input.
 #[test]
-fn flight_recorder_stamps_cumulative_latency_under_sampling() {
-    for cfg in [TelemetryConfig::Sampled(4), TelemetryConfig::Full] {
-        let recorder = FlightRecorder::with_capacity(64);
-        let mut rt = Runtime::builder()
-            .seed(3)
-            .telemetry(cfg)
-            .sink(recorder.clone())
-            .build()
-            .expect("builtin policy resolves");
-        let id = rt
-            .session(SessionSpec {
-                goal: Goal::minimize_energy(Seconds(0.4), 0.9),
-                scenario: Scenario::default_env(),
-                n_inputs: 20,
-                seed: Some(3),
-                policy: None,
-            })
-            .open()
-            .expect("session opens");
-        rt.run_to_completion(id).expect("session runs");
-        let records = rt.close(id).expect("session closes").records;
+fn flight_recorder_stamps_cumulative_latency() {
+    let recorder = FlightRecorder::with_capacity(64);
+    let mut rt = Runtime::builder()
+        .seed(3)
+        .telemetry(TelemetryConfig::Full)
+        .sink(recorder.clone())
+        .build()
+        .expect("builtin policy resolves");
+    let id = rt
+        .session(SessionSpec {
+            goal: Goal::minimize_energy(Seconds(0.4), 0.9),
+            scenario: Scenario::default_env(),
+            n_inputs: 20,
+            seed: Some(3),
+            policy: None,
+        })
+        .open()
+        .expect("session opens");
+    rt.run_to_completion(id).expect("session runs");
+    let records = rt.close(id).expect("session closes").records;
+    assert_stamps_are_cumulative_latency(&recorder, id, &records);
+    assert_eq!(recorder.sessions(), vec![id]);
+    assert!(recorder.recording_cost().get() > 0.0);
+}
 
-        let dump = recorder.dump_session(id);
-        let expected_len = if cfg == TelemetryConfig::Full { 20 } else { 5 };
-        assert_eq!(dump.len(), expected_len, "{cfg:?}");
-        for entry in &dump {
-            let index = entry.event.index;
-            let through = records[..=index]
-                .iter()
-                .fold(Seconds::ZERO, |at, r| at + r.latency);
-            assert_eq!(
-                entry.at.get().to_bits(),
-                through.get().to_bits(),
-                "{cfg:?}: entry {index} stamped {} but the session's latency through it is {}",
-                entry.at,
-                through
-            );
-        }
-        let last = dump.last().expect("non-empty");
-        let flight = recorder.flight(id).expect("flight exists");
-        assert_eq!(flight.clock, last.at, "{cfg:?}");
-        assert_eq!(recorder.sessions(), vec![id]);
-        assert!(recorder.recording_cost().get() > 0.0);
+/// On the drain path the recorder receives the events of several
+/// sessions, interleaved, through the executor's channel: each
+/// session's entries still carry its own cumulative realized latency.
+#[test]
+fn flight_recorder_stamps_each_session_on_the_drain_path() {
+    let recorder = FlightRecorder::with_capacity(64);
+    let mut rt = Runtime::builder()
+        .seed(11)
+        .telemetry(TelemetryConfig::Full)
+        .sink(recorder.clone())
+        .build_sharded(2)
+        .expect("builtin policy resolves");
+    for i in 0..5u64 {
+        rt.session(SessionSpec {
+            goal: Goal::minimize_energy(Seconds(0.35 + 0.01 * (i % 3) as f64), 0.9),
+            scenario: Scenario::memory_env(70 + i),
+            n_inputs: 12 + (i as usize % 3) * 4,
+            seed: Some(70 + i),
+            policy: None,
+        })
+        .open()
+        .expect("session opens");
+    }
+    let episodes = rt.drain().expect("sharded drain");
+    let ids: Vec<SessionId> = episodes.iter().map(|(id, _)| *id).collect();
+    assert_eq!(recorder.sessions(), ids);
+    for (id, episode) in &episodes {
+        assert_stamps_are_cumulative_latency(&recorder, *id, &episode.records);
     }
 }
